@@ -295,6 +295,7 @@ def build_encoder(g_coeffs: np.ndarray, basis: FockBasis) -> sparse.csr_matrix:
     Returned as a 2F x 2F block over qubit (|0>, |1>) x Fock; it maps
     |1>|vac> to |0> g^dag |vac> and leaves |0>|vac> alone.  Unitarity on
     the excitation-conserving reachable sector is verified at build time.
+    The receiver's decoder is the same swap on its mode h.
     """
     g_coeffs = np.asarray(g_coeffs, dtype=complex)
     nrm = np.linalg.norm(g_coeffs)
@@ -303,11 +304,6 @@ def build_encoder(g_coeffs: np.ndarray, basis: FockBasis) -> sparse.csr_matrix:
     u = _swap_block(g_coeffs, basis)
     _check_sector_unitary(u, basis)
     return u
-
-
-def build_decoder(h_coeffs: np.ndarray, basis: FockBasis) -> sparse.csr_matrix:
-    """Swap unitary for the receiver mode h; same construction as the encoder."""
-    return build_encoder(h_coeffs, basis)
 
 
 def swap_block_exponential(mode_coeffs: np.ndarray, basis: FockBasis) -> np.ndarray:
@@ -391,7 +387,7 @@ class ProtocolEngine:
         gT = propagate(self.g0, plan.decode_time, spectrum)
         self.h, self.eps_d = decode_mode(gT, plan.region_b)
         self.encoder = build_encoder(self.g0, basis)
-        self.decoder = build_decoder(self.h, basis)
+        self.decoder = build_encoder(self.h, basis)
         self.evolver = ExactEvolver(tight_binding_hamiltonian(basis, self.lattice))
 
     def events(self) -> list[tuple[float, int, int]]:
@@ -404,6 +400,15 @@ class ProtocolEngine:
         return sorted(enc + dec)
 
     def run(self, messages: Sequence[np.ndarray]) -> FockVector:
+        """Run the full timed encode/evolve/decode sequence exactly.
+
+        Signal alpha is encoded at (alpha-1)*wait and decoded at
+        decode_time + (alpha-1)*wait, so every signal propagates for the
+        same duration; events are applied in global time order.  Evolution
+        uses the exact eigendecomposition of the truncated Hamiltonian, and
+        any amplitude leakage out of the excitation-conserving sector
+        aborts the run.
+        """
         m = self.plan.m_signals
         if len(messages) != m:
             raise ValueError(f"expected {m} messages, got {len(messages)}")
@@ -425,23 +430,6 @@ class ProtocolEngine:
                     "amplitude leaked out of the truncated sector"
                 )
         return fv
-
-
-def run_protocol(
-    messages: Sequence[np.ndarray],
-    plan: ProtocolPlan,
-    basis: FockBasis,
-) -> FockVector:
-    """Run the full timed encode/evolve/decode sequence exactly.
-
-    Signal alpha is encoded at (alpha-1)*wait and decoded at
-    decode_time + (alpha-1)*wait, so every signal propagates for the same
-    duration; events are applied in global time order.  Evolution uses the
-    exact eigendecomposition of the truncated Hamiltonian, and any
-    amplitude leakage out of the excitation-conserving sector aborts the
-    run.
-    """
-    return ProtocolEngine(plan, basis).run(messages)
 
 
 def reduced_qubit(fv: FockVector, side: str, idx: int) -> np.ndarray:

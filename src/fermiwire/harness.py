@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +31,7 @@ from .wavepacket import (
     PacketBudget,
     PacketParams,
     Region,
+    carrier_mode,
     centroid_shift,
     circular_centroid,
     gaussian_packet,
@@ -45,9 +46,10 @@ from .protocol import (
     encoding_error_bound,
     error_budget,
     fit_rate_scaling,
+    line_fit,
     min_wait_time,
-    plan_for_small_lattice,
     plan_protocol,
+    region_size,
 )
 from . import fock
 
@@ -214,13 +216,13 @@ def _sweep_sizes(params: dict) -> list[int]:
     return sizes
 
 
-def _run_dispersion(params, seed, rng):
+def _run_dispersion(params):
     n = params["N"]
     rows = [[k, dispersion(k, n), group_velocity(k, n)] for k in range(1, n + 1)]
     return ["k", "omega", "group_velocity"], rows, {}
 
 
-def _run_packet(params, seed, rng):
+def _run_packet(params):
     n = params["N"]
     budget = _budget(params)
     pk = sigma_for_budget(n, budget)
@@ -245,7 +247,7 @@ def _run_packet(params, seed, rng):
     return ["j", "x", "re", "im", "density"], rows, meta
 
 
-def _run_transit(params, seed, rng):
+def _run_transit(params):
     n = params["N"]
     budget = _budget(params)
     pk = sigma_for_budget(n, budget)
@@ -254,8 +256,8 @@ def _run_transit(params, seed, rng):
     g0 = gaussian_packet(pk, lattice)
     t_nominal = transit_time(n)
     k0 = pk.wavenumber
-    w = max(1, int(np.ceil(budget.nu * n ** (1.0 / 3.0) - 1e-9)))
-    bob_center = n // 2 + (w - 1) // 2
+    start_b = n // 2
+    bob_center = Region(start_b, start_b + region_size(n, budget.nu) - 1).center_site
     arrival = angular_distance(n, pk.center, bob_center) / abs(group_velocity(k0, n))
     times = np.linspace(0.0, arrival, 9)
     rows = []
@@ -285,7 +287,7 @@ def _run_transit(params, seed, rng):
     return ["t", "centroid_x", "shift_angle", "width"], rows, meta
 
 
-def _run_broadening(params, seed, rng):
+def _run_broadening(params):
     n = params["N"]
     budget = _budget(params)
     pk = sigma_for_budget(n, budget)
@@ -300,7 +302,7 @@ def _run_broadening(params, seed, rng):
     return ["t", "measured_ratio", "predicted_ratio", "rel_difference"], rows, {}
 
 
-def _run_overlapdecay(params, seed, rng):
+def _run_overlapdecay(params):
     budget = _budget(params)
     rows = []
     xs, ys = [], []
@@ -315,15 +317,12 @@ def _run_overlapdecay(params, seed, rng):
             rows.append([n, t, xval, mag, -np.log(mag)])
             xs.append(xval)
             ys.append(-np.log(mag))
-    slope, intercept = np.polyfit(xs, ys, 1)
-    resid = np.array(ys) - (slope * np.array(xs) + intercept)
-    sst = float(np.sum((np.array(ys) - np.mean(ys)) ** 2))
-    r2 = 1.0 - float(np.sum(resid**2)) / sst
-    meta = {"slope": float(slope), "intercept": float(intercept), "r_squared": r2}
+    slope, intercept, r2 = line_fit(xs, ys)
+    meta = {"slope": slope, "intercept": intercept, "r_squared": r2}
     return ["N", "t", "t2_scaled", "overlap_abs", "minus_log_overlap"], rows, meta
 
 
-def _run_errorbudget(params, seed, rng):
+def _run_errorbudget(params):
     budget = _budget(params)
     plan = plan_protocol(params["N"], params["M"], budget, params["epsilon"])
     rep = error_budget(plan)
@@ -370,11 +369,11 @@ def _min_wait_rows(params):
     return rows
 
 
-def _run_minwaitsweep(params, seed, rng):
+def _run_minwaitsweep(params):
     return ["N", "t_star", "bound_at_t_star", "error"], _min_wait_rows(params), {}
 
 
-def _run_ratefit(params, seed, rng):
+def _run_ratefit(params):
     rows = _min_wait_rows(params)
     good = [(int(r[0]), float(r[1])) for r in rows if r[3] == ""]
     fit = fit_rate_scaling(good)
@@ -387,18 +386,13 @@ def _oracle_plan(params):
     budget = _budget(params)
     n, m = params["N"], params["M"]
     nu = min(budget.nu, 2.0 if n >= 12 else 1.0)
-    probe = plan_for_small_lattice(
-        n, m, budget, epsilon=params["epsilon"], wait=1.0, nu=nu
-    )
+    plan = plan_protocol(n, m, replace(budget, nu=nu), params["epsilon"], wait=1.0)
     # sequential operation: at exact-diagonalization scale the wire holds
     # one signal at a time, so later signals do not sit under a decode
-    wait = params.get("t", probe.decode_time + 1.0)
-    return plan_for_small_lattice(
-        n, m, budget, epsilon=params["epsilon"], wait=wait, nu=nu
-    )
+    return replace(plan, wait=params.get("t", plan.decode_time + 1.0))
 
 
-def _run_oracleprotocol(params, seed, rng):
+def _run_oracleprotocol(params):
     plan = _oracle_plan(params)
     basis = fock.fock_basis(plan.n, plan.m_signals)
     outputs, fids = fock.two_design_fidelities(plan, basis)
@@ -423,12 +417,12 @@ def _run_oracleprotocol(params, seed, rng):
     return ["register", "input", "fidelity"], rows, meta
 
 
-def _run_oraclebounds(params, seed, rng):
+def _run_oraclebounds(params):
     n, m = params["N"], params["M"]
     lattice = Lattice(n)
     spectrum = ring_spectrum(n)
     basis = fock.fock_basis(n, m)
-    k0 = int(np.floor(3.0 * n / 4.0 + 0.5))
+    k0 = carrier_mode(n)
     region = Region(1, min(5, n // 2))
     center = region.center_site
     coeff_pairs = [
@@ -460,8 +454,7 @@ def separating_pair(n: int, sigma: float = 1.0, gap: int = 3):
     positive one near 3N/4, so their initial contact only decays; this is
     the regime where the first-order interaction bound is meaningful.
     """
-    k_minus = max(1, int(np.floor(n / 4.0 + 0.5)))
-    k_plus = int(np.floor(3.0 * n / 4.0 + 0.5))
+    k_minus, k_plus = carrier_mode(n, -1), carrier_mode(n)
     ca = max(3, n // 3)
     cb = ca + gap
     if cb + 2 > n:
@@ -471,7 +464,7 @@ def separating_pair(n: int, sigma: float = 1.0, gap: int = 3):
     return pa, pb
 
 
-def _run_tjcheck(params, seed, rng):
+def _run_tjcheck(params):
     n = params["N"]
     j_coupling = params["J"]
     lattice = Lattice(n)
@@ -512,11 +505,8 @@ def run(config: RunConfig) -> ResultTable:
     """Execute the configured experiment; identical config and seed give
     identical data rows."""
     started = time.perf_counter()
-    rng = np.random.default_rng(config.seed)
     try:
-        columns, rows, extra = _RUNNERS[config.experiment](
-            config.params, config.seed, rng
-        )
+        columns, rows, extra = _RUNNERS[config.experiment](config.params)
     except ConfigError:
         raise
     except Exception as exc:
@@ -561,38 +551,34 @@ def _json_safe(value):
     if isinstance(value, (np.integer, int)):
         return int(value)
     if isinstance(value, (np.floating, float)):
-        return float(value)
+        # strict JSON has no NaN or Infinity
+        return float(value) if np.isfinite(value) else None
     return value
+
+
+def _dumps(value) -> str:
+    return json.dumps(_json_safe(value), indent=2, sort_keys=True, allow_nan=False)
 
 
 def render_json(table: ResultTable) -> str:
     columns = {
-        name: [_json_safe(row[i]) for row in table.rows]
-        for i, name in enumerate(table.columns)
+        name: [row[i] for row in table.rows] for i, name in enumerate(table.columns)
     }
-    return json.dumps(
-        {"meta": _json_safe(table.meta), "columns": columns}, indent=2, sort_keys=True
-    )
+    return _dumps({"meta": table.meta, "columns": columns})
 
 
 def emit(table: ResultTable, path, fmt: str = "csv"):
     """Write a table to disk; CSV gets a JSON metadata sidecar at
     ``<path>.meta.json`` so the data bytes stay reproducible."""
     path = Path(path)
-    if fmt == "csv":
-        try:
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown format {fmt!r}; use csv or json")
+    try:
+        if fmt == "json":
+            path.write_text(render_json(table), encoding="utf-8")
+        else:
             path.write_text(render_csv(table), encoding="utf-8", newline="")
             sidecar = path.with_name(path.name + ".meta.json")
-            sidecar.write_text(
-                json.dumps(_json_safe(table.meta), indent=2, sort_keys=True),
-                encoding="utf-8",
-            )
-        except OSError as exc:
-            raise RuntimeError(f"cannot write {path}: {exc}") from exc
-    elif fmt == "json":
-        try:
-            path.write_text(render_json(table), encoding="utf-8")
-        except OSError as exc:
-            raise RuntimeError(f"cannot write {path}: {exc}") from exc
-    else:
-        raise ValueError(f"unknown format {fmt!r}; use csv or json")
+            sidecar.write_text(_dumps(table.meta), encoding="utf-8")
+    except OSError as exc:
+        raise RuntimeError(f"cannot write {path}: {exc}") from exc

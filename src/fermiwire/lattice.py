@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -51,14 +51,6 @@ class Lattice:
 
 
 @dataclass(frozen=True)
-class HoppingMatrix:
-    """Real symmetric nearest-neighbour coupling matrix of a lattice."""
-
-    lattice: Lattice
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True)
 class Spectrum:
     """Eigenmodes of a hopping matrix, indexed by mode number k = 1..N.
 
@@ -83,11 +75,6 @@ class Spectrum:
             return self.eigenvectors[:, k - 1]
         j = np.arange(1, n + 1)
         return np.exp(2j * np.pi * j * k / n) / np.sqrt(n)
-
-    def modes(self) -> Iterator[tuple[int, float, np.ndarray]]:
-        for i in range(self.n_sites):
-            k = i + 1
-            yield k, float(self.eigenvalues[i]), self.eigenvector(k)
 
     def mode_amplitudes(self, state: np.ndarray) -> np.ndarray:
         """Coefficients <w(k)|state> for k = 1..N (index i holds k = i+1)."""
@@ -117,7 +104,7 @@ def require_normalized(state: np.ndarray, atol: float = NORM_ATOL) -> np.ndarray
     return state
 
 
-def build_hopping(lattice: Lattice) -> HoppingMatrix:
+def build_hopping(lattice: Lattice) -> np.ndarray:
     """Unit nearest-neighbour coupling matrix; ring wraps indices mod N."""
     n = lattice.n_sites
     m = np.zeros((n, n))
@@ -125,7 +112,7 @@ def build_hopping(lattice: Lattice) -> HoppingMatrix:
         m[i, i + 1] = m[i + 1, i] = 1.0
     if lattice.boundary is Boundary.RING:
         m[0, n - 1] = m[n - 1, 0] = 1.0
-    return HoppingMatrix(lattice, m)
+    return m
 
 
 def dispersion(k: int, n: int) -> float:
@@ -163,20 +150,19 @@ def transit_time(n: int) -> float:
     return n / (8.0 * np.pi)
 
 
-def diagonalize(h: HoppingMatrix) -> Spectrum:
-    """Spectral decomposition of a hopping matrix.
+def diagonalize(lattice: Lattice) -> Spectrum:
+    """Spectral decomposition of a lattice's hopping matrix.
 
-    Ring: closed-form Fourier modes (no numerics).  Chain: dense symmetric
-    eigensolver, modes relabelled k = 1..N by decreasing energy so k = 1
-    is the fastest long-wavelength mode on either boundary.
+    Ring: closed-form Fourier modes, no matrix is built.  Chain: dense
+    symmetric eigensolver, modes relabelled k = 1..N by decreasing energy
+    so k = 1 is the fastest long-wavelength mode on either boundary.
     """
-    lattice = h.lattice
     n = lattice.n_sites
     if lattice.boundary is Boundary.RING:
         k = np.arange(1, n + 1)
         return Spectrum(lattice, 2.0 * np.cos(2.0 * np.pi * k / n))
     try:
-        vals, vecs = np.linalg.eigh(h.matrix)
+        vals, vecs = np.linalg.eigh(build_hopping(lattice))
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"chain eigensolver failed for N = {n}: {exc}") from exc
     order = np.argsort(-vals)
@@ -185,7 +171,7 @@ def diagonalize(h: HoppingMatrix) -> Spectrum:
 
 def ring_spectrum(n: int) -> Spectrum:
     """Closed-form spectrum of the N-site ring."""
-    return diagonalize(build_hopping(Lattice(n)))
+    return diagonalize(Lattice(n))
 
 
 def propagate(state: np.ndarray, t: float, spectrum: Spectrum) -> np.ndarray:

@@ -37,6 +37,7 @@ from .wavepacket import (
     PacketParams,
     Region,
     broadening_prediction,
+    carrier_mode,
     gaussian_packet,
     overlap,
     region_weight,
@@ -107,20 +108,20 @@ def plan_protocol(
     epsilon: float,
     wait: float | None = None,
 ) -> ProtocolPlan:
-    """Plan an M-signal run on an N-site ring (N divisible by 4).
+    """Plan an M-signal run on an N-site ring.
 
     Regions are ceil(nu*N^(1/3)) sites; the sender holds sites 1.. and the
-    receiver starts at site N/2.  The packet carrier is mode 3N/4 so it
-    drifts toward the receiver through increasing position.  The decode
-    time is the center-to-center angular offset over |v(k0)| rather than
-    the bare half-ring figure, since the finite region widths shift the
-    arrival.  The wait defaults to the smallest time pushing the encoding
-    bound below epsilon/3 (an even split of the error budget).
+    receiver starts at site N/2.  The packet carrier is carrier_mode(N),
+    the mode nearest 3N/4, so it drifts toward the receiver through
+    increasing position.  The decode time is the center-to-center angular
+    offset over |v(k0)| rather than the bare half-ring figure, since the
+    finite region widths shift the arrival.  The wait defaults to the
+    smallest time pushing the encoding bound below epsilon/3 (an even
+    split of the error budget), which needs N divisible by 4; with an
+    explicit wait any N >= 4 whose regions fit is planned.
     """
-    if n % 4:
+    if wait is None and n % 4:
         raise ValueError(f"N = {n} is not divisible by 4")
-    if m < 1:
-        raise ValueError("need at least one signal")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     w = region_size(n, budget.nu)
@@ -132,7 +133,7 @@ def plan_protocol(
             f"reduce nu = {budget.nu}"
         )
     region_b = Region(start_b, start_b + w - 1)
-    k0 = 3 * n // 4
+    k0 = carrier_mode(n)
     sigma = sigma_sites_for_budget(n, budget)
     packet = PacketParams(sigma, region_a.center_site, k0, region_a)
     t_decode = angular_distance(n, region_a.center_site, region_b.center_site) / abs(
@@ -140,46 +141,6 @@ def plan_protocol(
     )
     if wait is None:
         wait = min_wait_time(n, m, budget, epsilon / 3.0, ring_spectrum(n))
-    return ProtocolPlan(
-        n=n,
-        m_signals=m,
-        wait=wait,
-        decode_time=t_decode,
-        region_a=region_a,
-        region_b=region_b,
-        packet=packet,
-        budget=budget,
-        epsilon=epsilon,
-    )
-
-
-def plan_for_small_lattice(
-    n: int,
-    m: int,
-    budget: PacketBudget,
-    epsilon: float = 0.1,
-    wait: float = 2.0,
-    nu: float | None = None,
-) -> ProtocolPlan:
-    """Plan for exact-diagonalization scale lattices (any N >= 4).
-
-    Same geometry as plan_protocol but with an explicit wait and the
-    carrier rounded to the integer mode nearest 3N/4, so rings whose size
-    is not a multiple of four are usable in the many-body checks.
-    """
-    nu_eff = budget.nu if nu is None else nu
-    w = region_size(n, nu_eff)
-    region_a = Region(1, w)
-    start_b = n // 2
-    if start_b + w - 1 > n or w >= start_b:
-        raise ValueError(f"regions of {w} sites overlap on an N = {n} ring")
-    region_b = Region(start_b, start_b + w - 1)
-    k0 = int(np.floor(3.0 * n / 4.0 + 0.5))
-    sigma = sigma_sites_for_budget(n, budget)
-    packet = PacketParams(sigma, region_a.center_site, k0, region_a)
-    t_decode = angular_distance(n, region_a.center_site, region_b.center_site) / abs(
-        group_velocity(k0, n)
-    )
     return ProtocolPlan(
         n=n,
         m_signals=m,
@@ -371,6 +332,23 @@ def min_wait_time(
     )
 
 
+def line_fit(x, y) -> tuple[float, float, float]:
+    """Least-squares line y = slope*x + intercept: (slope, intercept, R^2).
+
+    R^2 is 1 when y has zero variance and is clamped to [0, 1].
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    sst = float(np.sum((y - y.mean()) ** 2))
+    if sst < 1e-300:
+        r2 = 1.0
+    else:
+        r2 = 1.0 - float(np.sum(resid**2)) / sst
+    return float(slope), float(intercept), min(1.0, max(0.0, r2))
+
+
 def fit_rate_scaling(samples: list[tuple[int, float]]) -> ScalingFit:
     """Least-squares fit of log(t_star) against log(N)."""
     if len(samples) < 3:
@@ -381,18 +359,10 @@ def fit_rate_scaling(samples: list[tuple[int, float]]) -> ScalingFit:
         raise ValueError("sample N values must be distinct")
     if np.any(ns <= 0) or np.any(ts <= 0) or not np.all(np.isfinite(ts)):
         raise ValueError("samples must be positive and finite")
-    x = np.log(ns)
-    y = np.log(ts)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    sst = float(np.sum((y - y.mean()) ** 2))
-    if sst < 1e-300:
-        r2 = 1.0
-    else:
-        r2 = 1.0 - float(np.sum(resid**2)) / sst
+    slope, intercept, r2 = line_fit(np.log(ns), np.log(ts))
     return ScalingFit(
         samples=tuple((int(a), float(b)) for a, b in samples),
-        exponent=float(slope),
-        intercept=float(intercept),
-        r_squared=min(1.0, max(0.0, r2)),
+        exponent=slope,
+        intercept=intercept,
+        r_squared=r2,
     )

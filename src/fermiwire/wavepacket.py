@@ -154,6 +154,15 @@ def characteristic_width(n: int, budget: PacketBudget) -> float:
     return n ** (-2.0 / 3.0) * np.sqrt(budget.c) / (2.0 * np.pi * budget.kappa)
 
 
+def carrier_mode(n: int, direction: int = +1) -> int:
+    """Carrier mode nearest 3N/4 for direction >= 0, nearest N/4 otherwise.
+
+    3N/4 and N/4 are the modes of maximal angular speed, moving toward
+    increasing and decreasing site index respectively; halves round up.
+    """
+    return (3 * n + 2) // 4 if direction >= 0 else (n + 2) // 4
+
+
 def sigma_for_budget(
     n: int,
     budget: PacketBudget,
@@ -167,14 +176,13 @@ def sigma_for_budget(
     ceil((sqrt(2c) + 2) * sigma), which clips the envelope at amplitude
     e^(-(c+2)) or below so truncation artifacts stay under the momentum
     cutoff error scale; the region width is then O(c)*N^(1/3) sites.
-    The carrier is mode 3N/4 for direction >= 0 (positive angular
-    velocity) and N/4 otherwise.
+    The carrier is carrier_mode(n, direction).
     """
     if n % 4:
         raise ValueError(f"N = {n} is not divisible by 4")
     sigma = sigma_sites_for_budget(n, budget)
     half = ceil((np.sqrt(2.0 * budget.c) + 2.0) * sigma - 1e-9)
-    k = 3 * n // 4 if direction >= 0 else n // 4
+    k = carrier_mode(n, direction)
     if center is None:
         width = min(2 * half + 1, n)
         region = Region(1, width)
@@ -299,7 +307,7 @@ def fourier_airy_overlap(
     beyond that support is below 1e-15.  With the cubic term dropped the
     result is the exact Gaussian transform.
     """
-    sigma = np.sqrt(budget.c / (2.0 * np.pi**2 * budget.kappa**2 * n ** (4.0 / 3.0)))
+    sigma = sigma_sites_for_budget(n, budget) / n
     cut = 6.0 / (2.0 * np.pi * sigma)
     lin = 4.0 * np.pi * t / n
     cub = (2.0 / 6.0) * (2.0 * np.pi / n) ** 3 * t if include_cubic else 0.0

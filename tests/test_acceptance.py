@@ -10,6 +10,7 @@ that the centroid does reach the receiver at the planned decode time.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ from fermiwire.protocol import (
     error_budget,
     fit_rate_scaling,
     min_wait_time,
-    plan_for_small_lattice,
+    plan_protocol,
 )
 from fermiwire import fock
 
@@ -61,7 +62,7 @@ def test_acceptance_01_spectral_vs_dense_propagator():
     t0 = timed()
     n, t = 8, 3.7
     spec = ring_spectrum(n)
-    dense = scipy.linalg.expm(-1j * t * build_hopping(Lattice(n)).matrix)
+    dense = scipy.linalg.expm(-1j * t * build_hopping(Lattice(n)))
     rng = np.random.default_rng(101)
     worst = 0.0
     for _ in range(10):
@@ -105,7 +106,7 @@ def test_acceptance_02_group_velocity():
 def test_acceptance_03_transit_time_nominal():
     t0 = timed()
     n = 1024
-    plan = plan_for_small_lattice(n, 1, BUDGET, wait=1.0, nu=2.0)
+    plan = plan_protocol(n, 1, replace(BUDGET, nu=2.0), 0.1, wait=1.0)
     lattice = Lattice(n)
     spec = ring_spectrum(n)
     g0 = gaussian_packet(sigma_for_budget(n, BUDGET), lattice)
@@ -123,7 +124,7 @@ def test_acceptance_03_transit_time_nominal():
 def test_acceptance_03b_arrival_at_planned_decode_time():
     t0 = timed()
     n = 1024
-    plan = plan_for_small_lattice(n, 1, BUDGET, wait=1.0, nu=2.0)
+    plan = plan_protocol(n, 1, replace(BUDGET, nu=2.0), 0.1, wait=1.0)
     lattice = Lattice(n)
     spec = ring_spectrum(n)
     params = sigma_for_budget(n, BUDGET)
@@ -230,10 +231,8 @@ def test_acceptance_07_fidelity_lower_bound():
     worst = np.inf
     for n, nu in ((8, 1.0), (10, 1.0), (12, 2.0)):
         for m in (1, 2, 3):
-            probe = plan_for_small_lattice(n, m, BUDGET, wait=1.0, nu=nu)
-            plan = plan_for_small_lattice(
-                n, m, BUDGET, wait=probe.decode_time + 1.0, nu=nu
-            )
+            plan = plan_protocol(n, m, replace(BUDGET, nu=nu), 0.1, wait=1.0)
+            plan = replace(plan, wait=plan.decode_time + 1.0)
             basis = fock.fock_basis(n, m)
             _, fids = fock.two_design_fidelities(plan, basis)
             rep = error_budget(plan)
@@ -250,10 +249,10 @@ def test_acceptance_07_fidelity_lower_bound():
 def test_acceptance_08_truncation_equivalence():
     t0 = timed()
     n, m = 8, 2
-    plan = plan_for_small_lattice(n, m, BUDGET, wait=3.0, nu=1.0)
+    plan = plan_protocol(n, m, replace(BUDGET, nu=1.0), 0.1, wait=3.0)
     msgs = [np.array([0.6, 0.8j]), np.array([1.0, -1.0j]) / np.sqrt(2)]
-    small = fock.run_protocol(msgs, plan, fock.fock_basis(n, m))
-    full = fock.run_protocol(msgs, plan, fock.fock_basis(n, n))
+    small = fock.ProtocolEngine(plan, fock.fock_basis(n, m)).run(msgs)
+    full = fock.ProtocolEngine(plan, fock.fock_basis(n, n)).run(msgs)
     sb, fb = small.basis, full.basis
     worst = 0.0
     for i, s in enumerate(sb.states):
@@ -310,7 +309,7 @@ def test_acceptance_11_average_fidelity_identity():
 
     # channel 3 is the actual wire channel, reconstructed as a linear map
     # on density matrices from four pure-input protocol runs
-    plan = plan_for_small_lattice(8, 1, BUDGET, wait=2.0, nu=1.0)
+    plan = plan_protocol(8, 1, replace(BUDGET, nu=1.0), 0.1, wait=2.0)
     basis = fock.fock_basis(8, 1)
     engine = fock.ProtocolEngine(plan, basis)
 

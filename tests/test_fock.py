@@ -5,15 +5,15 @@ import pytest
 from scipy import sparse
 
 from fermiwire.lattice import Lattice, propagate, ring_spectrum
-from fermiwire.protocol import encoding_error_bound, plan_for_small_lattice
+from fermiwire.protocol import encoding_error_bound, plan_protocol
 from fermiwire.wavepacket import PacketBudget, PacketParams, Region, gaussian_packet
 from fermiwire import fock
 from fermiwire.fock import (
     ExactEvolver,
     FockVector,
+    ProtocolEngine,
     SIX_DESIGN_STATES,
     average_fidelity,
-    build_decoder,
     build_encoder,
     encoding_residual_norm,
     evolution_difference,
@@ -22,7 +22,6 @@ from fermiwire.fock import (
     mode_annihilator,
     reduced_qubit,
     run_encoding_sequence,
-    run_protocol,
     site_annihilator,
     swap_block_exponential,
     tight_binding_hamiltonian,
@@ -212,7 +211,7 @@ def test_encoder_matches_exponential_form_full_space():
 
 def test_decoder_swaps_matched_mode():
     basis, lat, g, _ = encoder_fixture()
-    v = build_decoder(g, basis)
+    v = build_encoder(g, basis)
     f = len(basis)
     vac = np.zeros(f, dtype=complex)
     vac[0] = 1.0
@@ -255,13 +254,13 @@ def test_excitation_conservation_commutators():
 
 
 def test_total_excitation_conserved_through_protocol():
-    plan = plan_for_small_lattice(10, 2, BUDGET, wait=4.0, nu=1.0)
+    plan = plan_protocol(10, 2, dataclasses.replace(BUDGET, nu=1.0), 0.1, wait=4.0)
     basis = fock_basis(10, 2)
     diag = total_excitation_operator(basis, 2, 2)
     msgs = [np.array([0.6, 0.8]), np.array([0.0, 1.0])]
     expect = sum(abs(m[1]) ** 2 for m in msgs)
     before = fock.vacuum_vector(basis, 2, 2, msgs)
-    after = run_protocol(msgs, plan, basis)
+    after = ProtocolEngine(plan, basis).run(msgs)
     for fv in (before, after):
         value = float(np.sum(diag * np.abs(fv.tensor) ** 2))
         assert abs(value - expect) < 1e-10
@@ -299,27 +298,27 @@ def test_many_body_single_particle_sector_matches_lattice():
 # ---------------------------------------------------------------- protocol
 
 
-def test_run_protocol_vacuum_message_leaves_receiver_cold():
-    plan = plan_for_small_lattice(8, 1, BUDGET, wait=2.0, nu=1.0)
+def test_protocol_engine_vacuum_message_leaves_receiver_cold():
+    plan = plan_protocol(8, 1, dataclasses.replace(BUDGET, nu=1.0), 0.1, wait=2.0)
     basis = fock_basis(8, 1)
-    fv = run_protocol([np.array([1.0, 0.0])], plan, basis)
+    fv = ProtocolEngine(plan, basis).run([np.array([1.0, 0.0])])
     rho = reduced_qubit(fv, "B", 1)
     assert abs(rho[0, 0] - 1.0) < 1e-12
     assert abs(rho[1, 1]) < 1e-12
 
 
-def test_run_protocol_perfect_transport_toy():
-    plan = plan_for_small_lattice(8, 1, BUDGET, wait=2.0, nu=1.0)
+def test_protocol_engine_perfect_transport_toy():
+    plan = plan_protocol(8, 1, dataclasses.replace(BUDGET, nu=1.0), 0.1, wait=2.0)
     toy = dataclasses.replace(plan, region_b=Region(1, 8))
     basis = fock_basis(8, 1)
     _, fids = two_design_fidelities(toy, basis)
     assert fids[1] > 1.0 - 1e-8
 
 
-def test_run_protocol_rejects_oversubscribed_basis():
-    plan = plan_for_small_lattice(8, 2, BUDGET, wait=2.0, nu=1.0)
+def test_protocol_engine_rejects_oversubscribed_basis():
+    plan = plan_protocol(8, 2, dataclasses.replace(BUDGET, nu=1.0), 0.1, wait=2.0)
     with pytest.raises(ValueError):
-        run_protocol([SIX_DESIGN_STATES["z+"]] * 2, plan, fock_basis(8, 1))
+        ProtocolEngine(plan, fock_basis(8, 1)).run([SIX_DESIGN_STATES["z+"]] * 2)
 
 
 def test_collision_residual_positive_and_bounded():
@@ -388,10 +387,10 @@ def test_residual_t0_matches_direct_product_evaluation():
 
 
 def test_truncated_matches_full_space():
-    plan = plan_for_small_lattice(8, 2, BUDGET, wait=3.0, nu=1.0)
+    plan = plan_protocol(8, 2, dataclasses.replace(BUDGET, nu=1.0), 0.1, wait=3.0)
     msgs = [np.array([0.6, 0.8j]), np.array([1, -1j]) / np.sqrt(2)]
-    small = run_protocol(msgs, plan, fock_basis(8, 2))
-    full = run_protocol(msgs, plan, fock_basis(8, 8))
+    small = ProtocolEngine(plan, fock_basis(8, 2)).run(msgs)
+    full = ProtocolEngine(plan, fock_basis(8, 8)).run(msgs)
     sb, fb = small.basis, full.basis
     worst = 0.0
     for i, s in enumerate(sb.states):
@@ -593,10 +592,9 @@ def test_fidelity_bound_holds_on_small_grid():
 
     for n, nu in ((8, 1.0), (10, 1.0), (12, 2.0)):
         for m in (1, 2):
-            probe = plan_for_small_lattice(n, m, BUDGET, wait=1.0, nu=nu)
-            plan = plan_for_small_lattice(
-                n, m, BUDGET, wait=probe.decode_time + 1.0, nu=nu
-            )
+            budget = dataclasses.replace(BUDGET, nu=nu)
+            plan = plan_protocol(n, m, budget, 0.1, wait=1.0)
+            plan = dataclasses.replace(plan, wait=plan.decode_time + 1.0)
             basis = fock_basis(n, m)
             outputs, fids = two_design_fidelities(plan, basis)
             rep = error_budget(plan)

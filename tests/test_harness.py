@@ -109,6 +109,26 @@ def test_min_wait_sweep_tolerates_failed_points():
         assert np.isnan(row[1])
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_failed_sweep_points_emit_strict_json(tmp_path, capsys):
+    args = ["min-wait-sweep", "--set", "n_min=16", "--set", "n_max=64",
+            "--set", "M=4", "--set", "epsilon=1e-12"]
+    assert main(args + ["--format", "json"]) == 0
+    loaded = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert loaded["columns"]["t_star"] == [None, None, None]
+    assert all(loaded["columns"]["error"])
+    out = tmp_path / "sweep.csv"
+    assert main(args + ["--out", str(out)]) == 0
+    json.loads(
+        (tmp_path / "sweep.csv.meta.json").read_text(), parse_constant=_reject_constant
+    )
+    # CSV cells keep the nan spelling of a failed point
+    assert out.read_text().splitlines()[1].split(",")[1:3] == ["nan", "nan"]
+
+
 def test_oracle_bounds_all_satisfied():
     cfg = make_config("experiment = OracleBounds\nN = 10\nM = 2\n")
     table = run(cfg)

@@ -29,14 +29,14 @@ def test_lattice_positions():
 
 
 def test_build_hopping_ring_row_sums():
-    h = build_hopping(Lattice(4)).matrix
+    h = build_hopping(Lattice(4))
     assert np.array_equal(h, h.T)
     assert np.all(h.sum(axis=1) == 2)
     assert np.all(np.diag(h) == 0)
 
 
 def test_build_hopping_ring_eigenvalues_n4():
-    h = build_hopping(Lattice(4)).matrix
+    h = build_hopping(Lattice(4))
     vals = np.sort(np.linalg.eigvalsh(h))
     assert np.allclose(vals, [-2.0, 0.0, 0.0, 2.0], atol=1e-12)
 
@@ -44,7 +44,7 @@ def test_build_hopping_ring_eigenvalues_n4():
 def test_build_hopping_chain_eigenvalues_n4():
     # dense eigensolve of the open 4-site chain as the oracle
     lat = Lattice(4, Boundary.CHAIN)
-    h = build_hopping(lat).matrix
+    h = build_hopping(lat)
     assert h[0, 3] == 0 and h[3, 0] == 0
     golden = (1 + np.sqrt(5)) / 2
     vals = np.sort(np.linalg.eigvalsh(h))
@@ -53,7 +53,7 @@ def test_build_hopping_chain_eigenvalues_n4():
 
 def test_chain_spectrum_matches_sine_modes():
     lat = Lattice(5, Boundary.CHAIN)
-    spec = diagonalize(build_hopping(lat))
+    spec = diagonalize(lat)
     expected = np.array([2 * np.cos(np.pi * k / 6) for k in range(1, 6)])
     assert np.allclose(spec.eigenvalues, expected, atol=1e-10)
 
@@ -67,7 +67,7 @@ def test_diagonalize_ring_examples():
 
 def test_ring_eigenvalue_multiset():
     n = 12
-    h = build_hopping(Lattice(n)).matrix
+    h = build_hopping(Lattice(n))
     numeric = np.sort(np.linalg.eigvalsh(h))
     formula = np.sort([dispersion(k, n) for k in range(1, n + 1)])
     assert np.allclose(numeric, formula, atol=1e-10)
@@ -77,11 +77,14 @@ def test_ring_eigenvalue_multiset():
 def test_spectrum_orthonormal_and_eigen(boundary):
     lat = Lattice(9, boundary)
     h = build_hopping(lat)
-    spec = diagonalize(h)
-    for k, omega, vec in spec.modes():
+    spec = diagonalize(lat)
+    vecs = []
+    for k in range(1, 10):
+        vec, omega = spec.eigenvector(k), spec.eigenvalues[k - 1]
         assert np.isclose(np.linalg.norm(vec), 1.0, atol=1e-10)
-        assert np.allclose(h.matrix @ vec, omega * vec, atol=1e-10)
-    vecs = np.array([vec for _, _, vec in spec.modes()]).T
+        assert np.allclose(h @ vec, omega * vec, atol=1e-10)
+        vecs.append(vec)
+    vecs = np.array(vecs).T
     gram = vecs.conj().T @ vecs
     assert np.allclose(gram, np.eye(9), atol=1e-10)
 
@@ -139,7 +142,7 @@ def test_propagate_eigenmode_phase():
 def test_propagate_matches_dense_exponential():
     n, t = 8, 3.7
     spec = ring_spectrum(n)
-    h = build_hopping(Lattice(n)).matrix
+    h = build_hopping(Lattice(n))
     u = scipy.linalg.expm(-1j * t * h)
     rng = np.random.default_rng(11)
     for _ in range(5):
@@ -150,7 +153,7 @@ def test_propagate_matches_dense_exponential():
 def test_propagate_basis_state_dense_oracle():
     n, t = 8, 3.7
     spec = ring_spectrum(n)
-    h = build_hopping(Lattice(n)).matrix
+    h = build_hopping(Lattice(n))
     vals, vecs = np.linalg.eigh(h)
     u = (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
     state = basis_state(n, 1)
@@ -160,7 +163,7 @@ def test_propagate_basis_state_dense_oracle():
 @pytest.mark.parametrize("n", [4, 8, 12, 16])
 def test_ring_spectral_vs_dense_small(n):
     spec = ring_spectrum(n)
-    h = build_hopping(Lattice(n)).matrix
+    h = build_hopping(Lattice(n))
     rng = np.random.default_rng(n)
     for t in (0.9, 4.2):
         u = scipy.linalg.expm(-1j * t * h)
@@ -199,11 +202,10 @@ def test_propagate_rejects_unnormalized():
 
 def test_chain_propagate_matches_dense_exponential():
     lat = Lattice(9, Boundary.CHAIN)
-    h = build_hopping(lat)
-    spec = diagonalize(h)
+    spec = diagonalize(lat)
     rng = np.random.default_rng(8)
     state = random_state(9, rng)
-    u = scipy.linalg.expm(-1j * 2.7 * h.matrix)
+    u = scipy.linalg.expm(-1j * 2.7 * build_hopping(lat))
     out = propagate(state, 2.7, spec)
     assert np.max(np.abs(out - u @ state)) < 1e-10
     assert abs(np.linalg.norm(out) - 1.0) < 1e-10

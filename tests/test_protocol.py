@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import fermiwire.lattice
 from fermiwire.lattice import Lattice, Spectrum, propagate, ring_spectrum
 from fermiwire.protocol import (
     accumulate_error,
@@ -9,8 +12,8 @@ from fermiwire.protocol import (
     encoding_error_bound,
     error_budget,
     fit_rate_scaling,
+    line_fit,
     min_wait_time,
-    plan_for_small_lattice,
     plan_protocol,
     propagation_error,
     region_size,
@@ -55,6 +58,42 @@ def test_plan_m1_report_has_zero_encoding_error():
     plan = plan_protocol(256, 1, BUDGET, 0.01, wait=5.0)
     rep = error_budget(plan)
     assert rep.eps_e == 0.0
+
+
+@pytest.mark.parametrize(
+    "n, nu, region_a, region_b, k0, decode_time",
+    [
+        (10, 1.0, (1, 3), (5, 7), 8, 2.1029244484765344),
+        (14, 2.0, (1, 5), (7, 11), 11, 3.077150589817661),
+    ],
+    ids=["N10", "N14"],
+)
+def test_plan_small_ring_not_divisible_by_four(
+    n, nu, region_a, region_b, k0, decode_time
+):
+    plan = plan_protocol(n, 3, replace(BUDGET, nu=nu), 0.01, wait=1.0)
+    assert (plan.region_a.start, plan.region_a.stop) == region_a
+    assert (plan.region_b.start, plan.region_b.stop) == region_b
+    assert plan.packet.wavenumber == k0
+    assert plan.decode_time == decode_time
+
+
+def test_plan_default_wait_needs_n_divisible_by_four():
+    with pytest.raises(ValueError, match="divisible by 4"):
+        plan_protocol(10, 2, replace(BUDGET, nu=1.0), 0.01)
+
+
+def test_ring_paths_build_no_dense_matrix(monkeypatch):
+    def refuse(lattice):
+        raise AssertionError(f"dense hopping matrix built for N = {lattice.n_sites}")
+
+    monkeypatch.setattr(fermiwire.lattice, "build_hopping", refuse)
+    n = 1024
+    spec = ring_spectrum(n)
+    g0 = gaussian_packet(sigma_for_budget(n, BUDGET), Lattice(n))
+    assert abs(np.linalg.norm(propagate(g0, 3.0, spec)) - 1.0) < 1e-10
+    rep = error_budget(plan_protocol(n, 4, BUDGET, 0.01))
+    assert 0.0 <= rep.fidelity_bound <= 1.0
 
 
 def test_plan_decode_time_is_angular_distance_over_speed():
@@ -299,6 +338,13 @@ def test_fit_recovers_planted_power_law():
     assert abs(fit.exponent - 1 / 3) < 1e-9
     assert abs(fit.intercept - np.log(7.0)) < 1e-9
     assert fit.r_squared > 1 - 1e-12
+
+
+def test_line_fit_exact_line_and_constant():
+    slope, intercept, r2 = line_fit([0.0, 1.0, 2.0], [1.0, 3.0, 5.0])
+    assert np.isclose(slope, 2.0) and np.isclose(intercept, 1.0)
+    assert r2 == pytest.approx(1.0)
+    assert line_fit([1.0, 2.0, 3.0], [2.0, 2.0, 2.0])[2] == 1.0
 
 
 def test_fit_constant_series():

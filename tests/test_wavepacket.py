@@ -7,6 +7,7 @@ from fermiwire.wavepacket import (
     PacketParams,
     Region,
     broadening_prediction,
+    carrier_mode,
     centroid_shift,
     characteristic_width,
     circular_centroid,
@@ -78,6 +79,14 @@ def test_characteristic_width_value():
     l0 = characteristic_width(4096, PacketBudget(c=9.0, kappa=1.0))
     assert np.isclose(l0, 4096 ** (-2 / 3) * 3.0 / (2 * np.pi), rtol=1e-12)
     assert np.isclose(l0, 0.0018652, atol=2e-7)
+
+
+def test_carrier_mode_nearest_quarter_modes():
+    for n in (8, 64, 1024):
+        assert carrier_mode(n) == 3 * n // 4
+        assert carrier_mode(n, direction=-1) == n // 4
+    assert [carrier_mode(n) for n in (10, 14, 9)] == [8, 11, 7]
+    assert [carrier_mode(n, -1) for n in (10, 14, 9)] == [3, 4, 2]
 
 
 def test_sigma_for_budget_directions():
