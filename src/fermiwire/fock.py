@@ -18,6 +18,10 @@ between a register and a lattice mode g use the five-term form
 which is exactly unitary on the excitation-conserving sector reachable by
 the transmission sequence (total fermions plus raised registers at most
 m_max); the equivalent two-exponential product is kept as a test oracle.
+
+Time evolution never forms an F x F propagator: ``ExactEvolver`` applies
+exp(-iHt) to the state in H's eigenbasis, one particle-number sector (a
+contiguous run of the basis) at a time, and is built once per Hamiltonian.
 """
 
 from __future__ import annotations
@@ -59,9 +63,6 @@ class FockBasis:
 
     def __len__(self) -> int:
         return len(self.states)
-
-    def occupations(self, mask: int) -> tuple[int, ...]:
-        return tuple((mask >> i) & 1 for i in range(self.n_sites))
 
 
 def fock_basis(n_sites: int, max_particles: int) -> FockBasis:
@@ -140,12 +141,6 @@ def mode_annihilator(coeffs: np.ndarray, basis: FockBasis) -> sparse.csr_matrix:
     return sparse.csr_matrix(
         (np.array(data, dtype=complex), (rows, cols)), shape=(f, f)
     )
-
-
-def site_annihilator(j: int, basis: FockBasis) -> sparse.csr_matrix:
-    e = np.zeros(basis.n_sites, dtype=complex)
-    e[j - 1] = 1.0
-    return mode_annihilator(e, basis)
 
 
 def _adjoint(m: sparse.spmatrix) -> sparse.csr_matrix:
@@ -227,42 +222,45 @@ def tj_hamiltonian(
 
 
 class ExactEvolver:
-    """exp(-i t H) through a dense eigendecomposition, cached per Hamiltonian."""
+    """exp(-i t H) applied to states in H's eigenbasis, sector by sector.
+
+    The sectors are the particle-number runs of the ordered basis, each
+    diagonalized once; H must be Hermitian with no entries between them.
+    """
 
     def __init__(self, hamiltonian: ManyBodyHamiltonian):
-        dense = hamiltonian.matrix.toarray()
-        if np.max(np.abs(dense - dense.conj().T)) > 1e-12:
-            raise ValueError("Hamiltonian is not Hermitian")
+        h = hamiltonian.matrix.tocsr()
+        if abs(h - h.conj().T).max() > 1e-12:
+            raise ValueError("Hamiltonian is not Hermitian (max |H - H^dag| > 1e-12)")
         self.basis = hamiltonian.basis
-        self.evals, self.evecs = np.linalg.eigh(dense)
-
-    def propagator(self, t: float) -> np.ndarray:
-        phases = np.exp(-1j * self.evals * t)
-        return (self.evecs * phases) @ self.evecs.conj().T
+        occ = np.array([s.bit_count() for s in self.basis.states])
+        starts = (np.flatnonzero(np.diff(occ)) + 1).tolist()
+        sector = np.searchsorted(starts, np.arange(len(occ)), side="right")
+        coo = h.tocoo()
+        if np.any((sector[coo.row] != sector[coo.col]) & (coo.data != 0)):
+            raise ValueError("Hamiltonian has entries between particle-number sectors")
+        edges = [0, *starts, len(occ)]
+        self.sectors = [slice(a, b) for a, b in zip(edges, edges[1:])]
+        self.eigen = [np.linalg.eigh(h[s, s].toarray()) for s in self.sectors]
 
     def apply(self, fv: FockVector, t: float) -> FockVector:
-        tensor = _apply_fock_matrix(fv.tensor, self.propagator(t), fv.fock_axis)
+        """exp(-i t H) on the Fock axis; register axes ride along as columns."""
+        x = np.moveaxis(fv.tensor, fv.fock_axis, 0)
+        cols = x.reshape(x.shape[0], -1)
+        y = np.empty(cols.shape, dtype=complex)
+        for s, (w, v) in zip(self.sectors, self.eigen):
+            y[s] = v @ (np.exp(-1j * w * t)[:, None] * (v.conj().T @ cols[s]))
+        tensor = np.moveaxis(y.reshape(x.shape), 0, fv.fock_axis)
         return FockVector(tensor, fv.basis, fv.n_a, fv.n_b)
 
 
-def _apply_fock_matrix(tensor: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
-    x = np.moveaxis(tensor, axis, 0)
-    y = mat @ x.reshape(x.shape[0], -1)
-    return np.moveaxis(y.reshape(x.shape), 0, axis)
-
-
 def _apply_register_block(
-    tensor: np.ndarray,
-    block: sparse.spmatrix,
-    reg_axis: int,
-    fock_axis: int,
-) -> np.ndarray:
-    x = np.moveaxis(tensor, (reg_axis, fock_axis), (0, 1))
-    f = x.shape[1]
-    rest = x.shape[2:]
-    y = block @ x.reshape(2 * f, -1)
-    y = np.asarray(y).reshape((2, f) + rest)
-    return np.moveaxis(y, (0, 1), (reg_axis, fock_axis))
+    fv: FockVector, block: sparse.spmatrix, side: str, idx: int
+) -> FockVector:
+    axes = (fv.register_axis(side, idx), fv.fock_axis)
+    x = np.moveaxis(fv.tensor, axes, (0, 1))
+    y = np.asarray(block @ x.reshape(2 * x.shape[1], -1)).reshape(x.shape)
+    return FockVector(np.moveaxis(y, (0, 1), axes), fv.basis, fv.n_a, fv.n_b)
 
 
 def _swap_block(mode_coeffs: np.ndarray, basis: FockBasis) -> sparse.csr_matrix:
@@ -420,10 +418,7 @@ class ProtocolEngine:
                 now = tau
             op = self.encoder if kind == 0 else self.decoder
             side = "A" if kind == 0 else "B"
-            tensor = _apply_register_block(
-                fv.tensor, op, fv.register_axis(side, idx), fv.fock_axis
-            )
-            fv = FockVector(tensor, self.basis, fv.n_a, fv.n_b)
+            fv = _apply_register_block(fv, op, side, idx)
             if abs(fv.norm() - 1.0) > 1e-10:
                 raise RuntimeError(
                     f"norm drifted to {fv.norm()!r} after {side}{idx}; "
@@ -489,27 +484,24 @@ def run_encoding_sequence(
     coeff_pairs: Sequence[tuple[complex, complex]],
     mode_vectors: Sequence[np.ndarray],
     waits: Sequence[float],
-    basis: FockBasis,
-    lattice: Lattice,
+    evolver: ExactEvolver,
 ) -> FockVector:
     """Apply the encode/evolve sequence only (no receiver registers).
 
     coeff_pairs are the (c, d) amplitudes of each message qubit;
     mode_vectors give the lattice mode used by each encoder; waits are the
-    M-1 gaps between consecutive encodings.
+    M-1 gaps between consecutive encodings, evolved under ``evolver``,
+    whose basis the run uses.
     """
     m = len(coeff_pairs)
     if len(mode_vectors) != m or len(waits) != m - 1:
         raise ValueError("need one mode per signal and M-1 waits")
+    basis = evolver.basis
     messages = [np.array([c, d], dtype=complex) for c, d in coeff_pairs]
     fv = vacuum_vector(basis, m, 0, messages)
-    evolver = ExactEvolver(tight_binding_hamiltonian(basis, lattice))
     for alpha in range(1, m + 1):
         encoder = build_encoder(np.asarray(mode_vectors[alpha - 1]), basis)
-        tensor = _apply_register_block(
-            fv.tensor, encoder, fv.register_axis("A", alpha), fv.fock_axis
-        )
-        fv = FockVector(tensor, basis, fv.n_a, fv.n_b)
+        fv = _apply_register_block(fv, encoder, "A", alpha)
         if alpha <= m - 1:
             fv = evolver.apply(fv, waits[alpha - 1])
     return fv

@@ -411,6 +411,7 @@ def _run_oracleprotocol(params):
         "eps_d": rep.eps_d,
         "fidelity_bound": bound,
         "bound_satisfied": all(fids[a] >= bound - 1e-6 for a in fids),
+        "bound_vacuous": rep.clamped,
         "wait": plan.wait,
         "decode_time": plan.decode_time,
     }
@@ -429,13 +430,14 @@ def _run_oraclebounds(params):
         (complex(np.sqrt(1 - 0.4 * a / m), 0.0), complex(0.0, np.sqrt(0.4 * a / m)))
         for a in range(1, m + 1)
     ]
+    evolver = fock.ExactEvolver(fock.tight_binding_hamiltonian(basis, lattice))
     rows = []
     for sigma in (0.6, 1.0, 1.4, 1.8):
         for t in (0.3, 0.8, 1.3, 1.8, 2.3):
             pk = PacketParams(sigma, center, k0, region)
             g0 = gaussian_packet(pk, lattice)
             actual = fock.run_encoding_sequence(
-                coeff_pairs, [g0] * m, [t] * (m - 1), basis, lattice
+                coeff_pairs, [g0] * m, [t] * (m - 1), evolver
             )
             modes_now = [
                 propagate(g0, (m - alpha) * t, spectrum) for alpha in range(1, m + 1)

@@ -201,6 +201,7 @@ def test_acceptance_06_encoding_residual_bound():
     ok = True
     for m in (2, 3):
         basis = fock.fock_basis(n, m)
+        evolver = fock.ExactEvolver(fock.tight_binding_hamiltonian(basis, lattice))
         pairs = [
             (complex(np.sqrt(1 - 0.3 * a)), complex(0, np.sqrt(0.3 * a)))
             for a in np.linspace(0.5, 1.0, m)
@@ -210,7 +211,7 @@ def test_acceptance_06_encoding_residual_bound():
                 params = PacketParams(sigma, region.center_site, k0, region)
                 g0 = gaussian_packet(params, lattice)
                 actual = fock.run_encoding_sequence(
-                    pairs, [g0] * m, [t] * (m - 1), basis, lattice
+                    pairs, [g0] * m, [t] * (m - 1), evolver
                 )
                 modes_now = [
                     propagate(g0, (m - a) * t, spec) for a in range(1, m + 1)

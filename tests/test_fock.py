@@ -22,7 +22,6 @@ from fermiwire.fock import (
     mode_annihilator,
     reduced_qubit,
     run_encoding_sequence,
-    site_annihilator,
     swap_block_exponential,
     tight_binding_hamiltonian,
     tj_hamiltonian,
@@ -54,7 +53,10 @@ def test_basis_ordering_and_vacuum():
     # index maps both directions
     for i, s in enumerate(basis.states):
         assert basis.index[s] == i
-    assert basis.occupations(0b0110) == (0, 1, 1, 0)
+    # within a particle number, lexicographic on (n_1, .., n_N)
+    occupations = [tuple((s >> i) & 1 for i in range(4)) for s in basis.states]
+    assert occupations == sorted(occupations, key=lambda o: (sum(o), o))
+    assert occupations[basis.index[0b0110]] == (0, 1, 1, 0)
 
 
 # ---------------------------------------------------------------- operators
@@ -71,8 +73,8 @@ def test_creation_antisymmetry_sign():
     basis = fock_basis(4, 2)
     vac = np.zeros(len(basis), dtype=complex)
     vac[0] = 1.0
-    a1d = site_annihilator(1, basis).conjugate().transpose()
-    a2d = site_annihilator(2, basis).conjugate().transpose()
+    a1d = mode_annihilator(np.eye(4)[0], basis).conjugate().transpose()
+    a2d = mode_annihilator(np.eye(4)[1], basis).conjugate().transpose()
     left = a1d @ (a2d @ vac)
     right = a2d @ (a1d @ vac)
     assert np.allclose(np.asarray(left).ravel(), -np.asarray(right).ravel(),
@@ -149,7 +151,7 @@ def test_jordan_wigner_cross_check():
     for i, s in enumerate(basis.states):
         perm[kron_index(s), i] = 1.0
     for j in range(1, n + 1):
-        ours = site_annihilator(j, basis).toarray()
+        ours = mode_annihilator(np.eye(n)[j - 1], basis).toarray()
         theirs = perm.T @ jw_annihilator(j) @ perm
         assert np.max(np.abs(ours - theirs)) < 1e-14
 
@@ -287,12 +289,52 @@ def test_many_body_single_particle_sector_matches_lattice():
     f1 = np.asarray(mode_annihilator(g, basis).conjugate().transpose() @ vac).ravel()
     ev = ExactEvolver(tight_binding_hamiltonian(basis, lat))
     t = 1.9
-    fT = ev.propagator(t) @ f1
+    fT = ev.apply(FockVector(f1, basis, 0, 0), t).tensor
     amps = np.zeros(n, dtype=complex)
     for i, s in enumerate(basis.states):
         if s.bit_count() == 1:
             amps[s.bit_length() - 1] = fT[i]
     assert np.max(np.abs(amps - propagate(g, t, spec))) < 1e-12
+
+
+@pytest.mark.parametrize("m_max", [3, 8])
+@pytest.mark.parametrize("j_coupling", [None, 1.3])
+def test_exact_evolver_matches_dense_expm(m_max, j_coupling):
+    # independent reference: dense expm of the whole truncated H, applied
+    # to a random state with one sender and one receiver register
+    from scipy.linalg import expm
+
+    n = 8
+    basis = fock_basis(n, m_max)
+    lat = Lattice(n)
+    if j_coupling is None:
+        ham = tight_binding_hamiltonian(basis, lat)
+    else:
+        ham = tj_hamiltonian(basis, lat, 1.0, j_coupling)
+    ev = ExactEvolver(ham)
+    rng = np.random.default_rng(7)
+    shape = (2, len(basis), 2)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    fv = FockVector(x, basis, 1, 1)
+    for t in (0.0, 0.7, 5.3):
+        want = np.einsum("fg,agb->afb", expm(-1j * t * ham.matrix.toarray()), x)
+        assert np.max(np.abs(ev.apply(fv, t).tensor - want)) < 1e-11
+
+
+def test_exact_evolver_rejects_non_hermitian_and_number_changing():
+    n = 4
+    basis = fock_basis(n, 2)
+    k = kinetic_matrix(basis, Lattice(n))
+    nudge = sparse.csr_matrix(([1.0], ([1], [2])), shape=k.shape)
+    # a one-sided entry within the one-particle sector, below and above tolerance
+    ExactEvolver(fock.ManyBodyHamiltonian("nudged", basis, (k + 1e-14 * nudge).tocsr()))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        ExactEvolver(fock.ManyBodyHamiltonian("skewed", basis, (k + 1e-9 * nudge).tocsr()))
+    # Hermitian, but a + a^dag changes the particle number
+    a = mode_annihilator(np.eye(n)[0], basis)
+    mixing = (k + a + a.conjugate().transpose()).tocsr()
+    with pytest.raises(ValueError, match="between particle-number sectors"):
+        ExactEvolver(fock.ManyBodyHamiltonian("pairing", basis, mixing))
 
 
 # ---------------------------------------------------------------- protocol
@@ -329,7 +371,8 @@ def test_collision_residual_positive_and_bounded():
     g0 = gaussian_packet(PacketParams(1.0, 3, 8, Region(1, 5)), lat)
     t = 0.4  # deliberate collision
     pairs = [(0.6 + 0j, 0.8j), (1 / np.sqrt(2) + 0j, 1 / np.sqrt(2) + 0j)]
-    actual = run_encoding_sequence(pairs, [g0, g0], [t], basis, lat)
+    evolver = ExactEvolver(tight_binding_hamiltonian(basis, lat))
+    actual = run_encoding_sequence(pairs, [g0, g0], [t], evolver)
     modes_now = [propagate(g0, t, spec), g0]
     resid = encoding_residual_norm(actual, pairs, modes_now, basis)
     bound = encoding_error_bound(g0, t, 2, spec)
@@ -345,7 +388,8 @@ def test_residual_zero_for_orthogonal_modes():
     g2 = gaussian_packet(PacketParams(0.8, 6, 6, Region(5, 7)), lat)
     pairs = [(0.6 + 0j, 0.8j), (0.8 + 0j, 0.6 + 0j)]
     # zero wait, disjoint supports: exact product of independent modes
-    actual = run_encoding_sequence(pairs, [g1, g2], [0.0], basis, lat)
+    evolver = ExactEvolver(tight_binding_hamiltonian(basis, lat))
+    actual = run_encoding_sequence(pairs, [g1, g2], [0.0], evolver)
     resid = encoding_residual_norm(actual, pairs, [g1, g2], basis)
     assert resid < 1e-10
 
@@ -358,7 +402,8 @@ def test_residual_t0_matches_direct_product_evaluation():
     basis = fock_basis(n, 2)
     g0 = gaussian_packet(PacketParams(1.0, 3, 6, Region(1, 5)), lat)
     pairs = [(0.6 + 0j, 0.8j), (0.0j, 1.0 + 0j)]
-    actual = run_encoding_sequence(pairs, [g0, g0], [0.0], basis, lat)
+    evolver = ExactEvolver(tight_binding_hamiltonian(basis, lat))
+    actual = run_encoding_sequence(pairs, [g0, g0], [0.0], evolver)
     resid = encoding_residual_norm(actual, pairs, [g0, g0], basis)
 
     f = len(basis)

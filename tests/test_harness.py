@@ -164,6 +164,30 @@ def test_oracle_protocol_experiment():
     assert table.columns == ["register", "input", "fidelity"]
     assert len(table.rows) == 6
     assert table.meta["bound_satisfied"] is True
+    assert table.meta["fidelity_bound"] > 0.0
+    assert table.meta["bound_vacuous"] is False
+
+
+def _register1_closed_form_gap(meta):
+    # one signal in the wire at a time: register 1 loses only the decode
+    # deficit, whose six-state average is 1/2 + a/3 + a^2/6, a = 1 - eps_d
+    a = 1.0 - meta["eps_d"]
+    return abs(meta["average_fidelity"]["1"] - (0.5 + a / 3.0 + a**2 / 6.0))
+
+
+def test_oracle_protocol_default_plan_closed_form_and_vacuous_bound():
+    meta = run(make_config("experiment = OracleProtocol\nN = 16\nM = 3\n")).meta
+    assert _register1_closed_form_gap(meta) < 1e-9
+    # eps_e alone exceeds 1, so the bound is clamped to 0 and holds trivially
+    assert meta["eps_e"] > 1.0
+    assert meta["fidelity_bound"] == 0.0
+    assert meta["bound_satisfied"] is True
+    assert meta["bound_vacuous"] is True
+
+
+def test_oracle_protocol_single_signal_closed_form():
+    meta = run(make_config("experiment = OracleProtocol\nN = 12\nM = 1\n")).meta
+    assert _register1_closed_form_gap(meta) < 1e-9
 
 
 def test_packet_experiment_shape():
