@@ -27,6 +27,9 @@ contiguous run of the basis) at a time, and is built once per Hamiltonian.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations
+from math import comb
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -36,7 +39,7 @@ from .lattice import Boundary, Lattice, ring_spectrum, propagate
 from .protocol import ProtocolPlan, decode_mode
 from .wavepacket import gaussian_packet
 
-_MAX_SITES = 20
+_MAX_DIM = 1 << 20
 
 SIX_DESIGN_STATES: dict[str, np.ndarray] = {
     "z+": np.array([1.0, 0.0], dtype=complex),
@@ -53,7 +56,7 @@ class FockBasis:
     """Truncated occupation basis: bitmasks with at most max_particles bits.
 
     Site j occupies bit j-1.  ``states[0]`` is the vacuum; ``index`` maps a
-    bitmask back to its position.
+    bitmask back to its position.  The array views below are cached per basis.
     """
 
     n_sites: int
@@ -64,16 +67,39 @@ class FockBasis:
     def __len__(self) -> int:
         return len(self.states)
 
+    @cached_property
+    def masks(self) -> np.ndarray:
+        return np.array(self.states, dtype=np.uint64)
+
+    @cached_property
+    def particle_counts(self) -> np.ndarray:
+        return np.bitwise_count(self.masks).astype(np.int64)
+
+    @cached_property
+    def annihilation_table(self) -> tuple[np.ndarray, ...]:
+        """(rows, cols, sites, signs) with a_site |states[col]> = sign |states[row]>,
+        one entry per occupied site of each state (state first, site ascending)."""
+        masks = self.masks
+        occupied = (masks[:, None] >> np.arange(self.n_sites, dtype=np.uint64)) & 1
+        cols, sites = np.nonzero(occupied)
+        s, bit = masks[cols], np.uint64(1) << sites.astype(np.uint64)
+        signs = np.where(np.bitwise_count(s & (bit - np.uint64(1))) & 1, -1.0, 1.0)
+        order = np.argsort(masks)
+        return order[np.searchsorted(masks[order], s ^ bit)], cols, sites, signs
+
 
 def fock_basis(n_sites: int, max_particles: int) -> FockBasis:
     if not 1 <= max_particles <= n_sites:
         raise ValueError(
             f"max_particles must lie in 1..{n_sites}, got {max_particles}"
         )
-    if n_sites > _MAX_SITES:
-        raise ValueError(f"exact basis limited to {_MAX_SITES} sites")
-    masks = [m for m in range(1 << n_sites) if m.bit_count() <= max_particles]
-    masks.sort(key=lambda m: (m.bit_count(), tuple((m >> i) & 1 for i in range(n_sites))))
+    dim = sum(comb(n_sites, k) for k in range(max_particles + 1))
+    if dim > _MAX_DIM or n_sites > 64:
+        raise ValueError(f"exact basis for N={n_sites}, max_particles={max_particles} "
+                         f"has {dim} states; limit {_MAX_DIM} states on <= 64 sites")
+    # reversed combinations run each particle number in ascending (n_1, .., n_N)
+    masks = [sum(1 << j for j in occ) for k in range(max_particles + 1)
+             for occ in reversed(list(combinations(range(n_sites), k)))]
     return FockBasis(
         n_sites=n_sites,
         max_particles=max_particles,
@@ -123,24 +149,11 @@ def mode_annihilator(coeffs: np.ndarray, basis: FockBasis) -> sparse.csr_matrix:
         raise ValueError(
             f"coefficient length {coeffs.shape} does not match {basis.n_sites} sites"
         )
-    rows, cols, data = [], [], []
-    for col, s in enumerate(basis.states):
-        rest = s
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            j = bit.bit_length() - 1
-            cj = coeffs[j]
-            if cj == 0:
-                continue
-            sign = -1.0 if (s & (bit - 1)).bit_count() & 1 else 1.0
-            rows.append(basis.index[s ^ bit])
-            cols.append(col)
-            data.append(sign * np.conj(cj))
-    f = len(basis)
-    return sparse.csr_matrix(
-        (np.array(data, dtype=complex), (rows, cols)), shape=(f, f)
-    )
+    rows, cols, sites, signs = basis.annihilation_table
+    c = coeffs[sites]
+    keep = c != 0
+    data = signs[keep] * np.conj(c[keep])
+    return sparse.csr_matrix((data, (rows[keep], cols[keep])), shape=(len(basis),) * 2)
 
 
 def _adjoint(m: sparse.spmatrix) -> sparse.csr_matrix:
@@ -157,32 +170,20 @@ def _bonds(lattice: Lattice) -> list[tuple[int, int]]:
 
 def kinetic_matrix(basis: FockBasis, lattice: Lattice) -> sparse.csr_matrix:
     """Nearest-neighbour hopping sum a_j^dag a_{j+1} + h.c. (unit coupling)."""
-    rows, cols, data = [], [], []
-    for col, s in enumerate(basis.states):
-        for p, q in _bonds(lattice):
-            for src, dst in ((q, p), (p, q)):
-                bs, bd = 1 << (src - 1), 1 << (dst - 1)
-                if s & bs and not s & bd:
-                    sign = -1.0 if (s & (bs - 1)).bit_count() & 1 else 1.0
-                    s1 = s ^ bs
-                    if (s1 & (bd - 1)).bit_count() & 1:
-                        sign = -sign
-                    rows.append(basis.index[s1 | bd])
-                    cols.append(col)
-                    data.append(sign)
-    f = len(basis)
-    return sparse.csr_matrix((np.array(data), (rows, cols)), shape=(f, f))
+    rows, cols, sites, signs = basis.annihilation_table
+    a = [
+        sparse.csr_matrix((signs[on], (rows[on], cols[on])), shape=(len(basis),) * 2)
+        for on in (sites == j for j in range(basis.n_sites))
+    ]
+    k = sum(a[p - 1].T @ a[q - 1] for p, q in _bonds(lattice))
+    return (k + k.T).tocsr()
 
 
 def adjacent_pair_counts(basis: FockBasis, lattice: Lattice) -> np.ndarray:
     """Per-basis-state count of occupied nearest-neighbour pairs."""
-    counts = np.zeros(len(basis))
-    for i, s in enumerate(basis.states):
-        counts[i] = sum(
-            1
-            for p, q in _bonds(lattice)
-            if s & (1 << (p - 1)) and s & (1 << (q - 1))
-        )
+    masks, counts = basis.masks, np.zeros(len(basis))
+    for p, q in _bonds(lattice):
+        counts += (masks >> np.uint64(p - 1)) & (masks >> np.uint64(q - 1)) & 1
     return counts
 
 
@@ -233,7 +234,7 @@ class ExactEvolver:
         if abs(h - h.conj().T).max() > 1e-12:
             raise ValueError("Hamiltonian is not Hermitian (max |H - H^dag| > 1e-12)")
         self.basis = hamiltonian.basis
-        occ = np.array([s.bit_count() for s in self.basis.states])
+        occ = self.basis.particle_counts
         starts = (np.flatnonzero(np.diff(occ)) + 1).tolist()
         sector = np.searchsorted(starts, np.arange(len(occ)), side="right")
         coo = h.tocoo()
@@ -273,8 +274,7 @@ def _swap_block(mode_coeffs: np.ndarray, basis: FockBasis) -> sparse.csr_matrix:
 
 
 def _check_sector_unitary(u: sparse.csr_matrix, basis: FockBasis, tol: float = 1e-10):
-    occ = np.array([s.bit_count() for s in basis.states])
-    total = np.concatenate([occ, occ + 1])
+    total = np.concatenate([basis.particle_counts, basis.particle_counts + 1])
     keep = np.flatnonzero(total <= basis.max_particles)
     f2 = u.shape[0]
     defect = (_adjoint(u) @ u - sparse.identity(f2, dtype=complex)).tocsr()
@@ -353,10 +353,9 @@ def total_excitation_operator(
     basis: FockBasis, n_a: int, n_b: int
 ) -> np.ndarray:
     """Diagonal of (fermion number + raised-register count) on the global tensor."""
-    occ = np.array([s.bit_count() for s in basis.states])
     shape = (2,) * n_a + (len(basis),) + (2,) * n_b
-    diag = np.zeros(shape)
-    diag += occ.reshape((1,) * n_a + (-1,) + (1,) * n_b)
+    occ = basis.particle_counts.reshape((1,) * n_a + (-1,) + (1,) * n_b)
+    diag = np.zeros(shape) + occ
     for axis in range(n_a + n_b):
         pos = axis if axis < n_a else axis + 1
         qub = np.array([0.0, 1.0]).reshape(
@@ -482,26 +481,25 @@ def two_design_fidelities(
 
 def run_encoding_sequence(
     coeff_pairs: Sequence[tuple[complex, complex]],
-    mode_vectors: Sequence[np.ndarray],
+    encoders: Sequence[sparse.spmatrix],
     waits: Sequence[float],
     evolver: ExactEvolver,
 ) -> FockVector:
     """Apply the encode/evolve sequence only (no receiver registers).
 
     coeff_pairs are the (c, d) amplitudes of each message qubit;
-    mode_vectors give the lattice mode used by each encoder; waits are the
-    M-1 gaps between consecutive encodings, evolved under ``evolver``,
-    whose basis the run uses.
+    encoders are the ``build_encoder`` blocks applied to each register in
+    turn; waits are the M-1 gaps between consecutive encodings, evolved
+    under ``evolver``, whose basis the run uses.
     """
     m = len(coeff_pairs)
-    if len(mode_vectors) != m or len(waits) != m - 1:
-        raise ValueError("need one mode per signal and M-1 waits")
+    if len(encoders) != m or len(waits) != m - 1:
+        raise ValueError("need one encoder per signal and M-1 waits")
     basis = evolver.basis
     messages = [np.array([c, d], dtype=complex) for c, d in coeff_pairs]
     fv = vacuum_vector(basis, m, 0, messages)
     for alpha in range(1, m + 1):
-        encoder = build_encoder(np.asarray(mode_vectors[alpha - 1]), basis)
-        fv = _apply_register_block(fv, encoder, "A", alpha)
+        fv = _apply_register_block(fv, encoders[alpha - 1], "A", alpha)
         if alpha <= m - 1:
             fv = evolver.apply(fv, waits[alpha - 1])
     return fv

@@ -433,11 +433,11 @@ def _run_oraclebounds(params):
     evolver = fock.ExactEvolver(fock.tight_binding_hamiltonian(basis, lattice))
     rows = []
     for sigma in (0.6, 1.0, 1.4, 1.8):
+        g0 = gaussian_packet(PacketParams(sigma, center, k0, region), lattice)
+        encoder = fock.build_encoder(g0, basis)
         for t in (0.3, 0.8, 1.3, 1.8, 2.3):
-            pk = PacketParams(sigma, center, k0, region)
-            g0 = gaussian_packet(pk, lattice)
             actual = fock.run_encoding_sequence(
-                coeff_pairs, [g0] * m, [t] * (m - 1), evolver
+                coeff_pairs, [encoder] * m, [t] * (m - 1), evolver
             )
             modes_now = [
                 propagate(g0, (m - alpha) * t, spectrum) for alpha in range(1, m + 1)

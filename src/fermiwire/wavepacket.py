@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from math import ceil
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .lattice import (
     Lattice,
@@ -307,6 +306,8 @@ def fourier_airy_overlap(
     beyond that support is below 1e-15.  With the cubic term dropped the
     result is the exact Gaussian transform.
     """
+    from scipy.integrate import IntegrationWarning, quad
+
     sigma = sigma_sites_for_budget(n, budget) / n
     cut = 6.0 / (2.0 * np.pi * sigma)
     lin = 4.0 * np.pi * t / n

@@ -207,11 +207,12 @@ def test_acceptance_06_encoding_residual_bound():
             for a in np.linspace(0.5, 1.0, m)
         ]
         for sigma in (0.6, 1.0, 1.4, 1.8):
+            params = PacketParams(sigma, region.center_site, k0, region)
+            g0 = gaussian_packet(params, lattice)
+            encoder = fock.build_encoder(g0, basis)
             for t in (0.3, 0.8, 1.3, 1.8, 2.3):
-                params = PacketParams(sigma, region.center_site, k0, region)
-                g0 = gaussian_packet(params, lattice)
                 actual = fock.run_encoding_sequence(
-                    pairs, [g0] * m, [t] * (m - 1), evolver
+                    pairs, [encoder] * m, [t] * (m - 1), evolver
                 )
                 modes_now = [
                     propagate(g0, (m - a) * t, spec) for a in range(1, m + 1)

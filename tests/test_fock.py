@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from fermiwire.lattice import Lattice, propagate, ring_spectrum
+from fermiwire.lattice import Boundary, Lattice, propagate, ring_spectrum
 from fermiwire.protocol import encoding_error_bound, plan_protocol
 from fermiwire.wavepacket import PacketBudget, PacketParams, Region, gaussian_packet
 from fermiwire import fock
@@ -44,6 +44,28 @@ def random_mode(n, rng):
 # ---------------------------------------------------------------- basis
 
 
+def _sorted_scan_basis(n, m_max):
+    # the original construction: every mask of 2^n, sorted by particle
+    # number and then lexicographically on (n_1, .., n_N)
+    masks = [s for s in range(1 << n) if s.bit_count() <= m_max]
+    masks.sort(key=lambda s: (s.bit_count(), tuple((s >> i) & 1 for i in range(n))))
+    return masks
+
+
+def test_basis_matches_sorted_scan_and_dimension_guard():
+    for n in range(1, 11):
+        for m_max in range(1, n + 1):
+            assert list(fock_basis(n, m_max).states) == _sorted_scan_basis(n, m_max)
+    big = fock_basis(24, 3)
+    assert len(big) == 2325
+    assert big.states[0] == 0 and big.index[big.states[-1]] == 2324
+    with pytest.raises(ValueError, match=r"N=21, max_particles=21"):
+        fock_basis(21, 21)
+    with pytest.raises(ValueError, match=r"N=40, max_particles=6"):
+        fock_basis(40, 6)
+    assert big.particle_counts.tolist() == [s.bit_count() for s in big.states]
+
+
 def test_basis_ordering_and_vacuum():
     basis = fock_basis(4, 2)
     assert basis.states[0] == 0
@@ -60,6 +82,85 @@ def test_basis_ordering_and_vacuum():
 
 
 # ---------------------------------------------------------------- operators
+
+
+def _assert_same_csr_bytes(got, want):
+    for attr in ("indptr", "indices", "data"):
+        g, w = getattr(got, attr), getattr(want, attr)
+        assert g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
+
+
+def _loop_annihilator(coeffs, basis):
+    # independent reference: walk the occupied sites of every basis state
+    rows, cols, data = [], [], []
+    for col, s in enumerate(basis.states):
+        rest = s
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            cj = coeffs[bit.bit_length() - 1]
+            if cj == 0:
+                continue
+            sign = -1.0 if (s & (bit - 1)).bit_count() & 1 else 1.0
+            rows.append(basis.index[s ^ bit])
+            cols.append(col)
+            data.append(sign * np.conj(cj))
+    f = len(basis)
+    return sparse.csr_matrix(
+        (np.array(data, dtype=complex), (rows, cols)), shape=(f, f)
+    )
+
+
+@pytest.mark.parametrize("n, m_max", [(6, 2), (8, 3), (8, 8), (14, 3)])
+def test_mode_annihilator_matches_loop_reference_bytes(n, m_max):
+    basis = fock_basis(n, m_max)
+    rng = np.random.default_rng(n * 10 + m_max)
+    for _ in range(3):
+        c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        c[rng.random(n) < 0.3] = 0.0
+        c[0] = 0.0
+        _assert_same_csr_bytes(mode_annihilator(c, basis), _loop_annihilator(c, basis))
+
+
+def _ref_bonds(lattice):
+    n = lattice.n_sites
+    wrap = [(n, 1)] if lattice.boundary is Boundary.RING else []
+    return [(j, j + 1) for j in range(1, n)] + wrap
+
+
+def _loop_kinetic(basis, lattice):
+    # independent reference: hop each occupied site of every state onto an
+    # empty neighbour, signing by the occupied sites passed over
+    rows, cols, data = [], [], []
+    for col, s in enumerate(basis.states):
+        for p, q in _ref_bonds(lattice):
+            for src, dst in ((q, p), (p, q)):
+                bs, bd = 1 << (src - 1), 1 << (dst - 1)
+                if s & bs and not s & bd:
+                    sign = -1.0 if (s & (bs - 1)).bit_count() & 1 else 1.0
+                    s1 = s ^ bs
+                    if (s1 & (bd - 1)).bit_count() & 1:
+                        sign = -sign
+                    rows.append(basis.index[s1 | bd])
+                    cols.append(col)
+                    data.append(sign)
+    f = len(basis)
+    return sparse.csr_matrix((np.array(data), (rows, cols)), shape=(f, f))
+
+
+@pytest.mark.parametrize("n, m_max", [(6, 2), (8, 3), (8, 8), (14, 3)])
+def test_kinetic_and_pair_counts_match_loop_reference(n, m_max):
+    basis = fock_basis(n, m_max)
+    for boundary in (Boundary.RING, Boundary.CHAIN):
+        lattice = Lattice(n, boundary)
+        want = _loop_kinetic(basis, lattice)
+        _assert_same_csr_bytes(kinetic_matrix(basis, lattice), want)
+        pairs = [
+            sum(s >> (p - 1) & s >> (q - 1) & 1 for p, q in _ref_bonds(lattice))
+            for s in basis.states
+        ]
+        assert fock.adjacent_pair_counts(basis, lattice).tolist() == pairs
 
 
 def test_mode_annihilator_nilpotent():
@@ -372,7 +473,8 @@ def test_collision_residual_positive_and_bounded():
     t = 0.4  # deliberate collision
     pairs = [(0.6 + 0j, 0.8j), (1 / np.sqrt(2) + 0j, 1 / np.sqrt(2) + 0j)]
     evolver = ExactEvolver(tight_binding_hamiltonian(basis, lat))
-    actual = run_encoding_sequence(pairs, [g0, g0], [t], evolver)
+    enc = build_encoder(g0, basis)
+    actual = run_encoding_sequence(pairs, [enc, enc], [t], evolver)
     modes_now = [propagate(g0, t, spec), g0]
     resid = encoding_residual_norm(actual, pairs, modes_now, basis)
     bound = encoding_error_bound(g0, t, 2, spec)
@@ -389,7 +491,8 @@ def test_residual_zero_for_orthogonal_modes():
     pairs = [(0.6 + 0j, 0.8j), (0.8 + 0j, 0.6 + 0j)]
     # zero wait, disjoint supports: exact product of independent modes
     evolver = ExactEvolver(tight_binding_hamiltonian(basis, lat))
-    actual = run_encoding_sequence(pairs, [g1, g2], [0.0], evolver)
+    encoders = [build_encoder(g1, basis), build_encoder(g2, basis)]
+    actual = run_encoding_sequence(pairs, encoders, [0.0], evolver)
     resid = encoding_residual_norm(actual, pairs, [g1, g2], basis)
     assert resid < 1e-10
 
@@ -403,7 +506,8 @@ def test_residual_t0_matches_direct_product_evaluation():
     g0 = gaussian_packet(PacketParams(1.0, 3, 6, Region(1, 5)), lat)
     pairs = [(0.6 + 0j, 0.8j), (0.0j, 1.0 + 0j)]
     evolver = ExactEvolver(tight_binding_hamiltonian(basis, lat))
-    actual = run_encoding_sequence(pairs, [g0, g0], [0.0], evolver)
+    enc = build_encoder(g0, basis)
+    actual = run_encoding_sequence(pairs, [enc, enc], [0.0], evolver)
     resid = encoding_residual_norm(actual, pairs, [g0, g0], basis)
 
     f = len(basis)

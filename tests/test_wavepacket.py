@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fermiwire
 from fermiwire.lattice import Lattice, propagate, ring_spectrum, transit_time
 from fermiwire.wavepacket import (
     PacketBudget,
@@ -310,3 +316,11 @@ def test_spectral_leakage_budget_packet():
         leaks.append(leak)
         assert leak <= np.exp(-c) * 1.5
     assert all(x > y for x, y in zip(leaks, leaks[1:]))
+
+
+def test_import_does_not_load_scipy_integrate():
+    # quad is imported inside fourier_airy_overlap, on first use only
+    code = "import fermiwire, sys; assert 'scipy.integrate' not in sys.modules"
+    src = str(Path(fermiwire.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
