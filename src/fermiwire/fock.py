@@ -56,16 +56,19 @@ class FockBasis:
     """Truncated occupation basis: bitmasks with at most max_particles bits.
 
     Site j occupies bit j-1.  ``states[0]`` is the vacuum; ``index`` maps a
-    bitmask back to its position.  The array views below are cached per basis.
+    bitmask back to its position; it and the arrays below are cached per basis.
     """
 
     n_sites: int
     max_particles: int
     states: tuple[int, ...]
-    index: Mapping[int, int]
 
     def __len__(self) -> int:
         return len(self.states)
+
+    @cached_property
+    def index(self) -> dict[int, int]:
+        return {s: i for i, s in enumerate(self.states)}
 
     @cached_property
     def masks(self) -> np.ndarray:
@@ -78,14 +81,19 @@ class FockBasis:
     @cached_property
     def annihilation_table(self) -> tuple[np.ndarray, ...]:
         """(rows, cols, sites, signs) with a_site |states[col]> = sign |states[row]>,
-        one entry per occupied site of each state (state first, site ascending)."""
+        one entry per occupied site of each state (state first, site ascending);
+        int32 rows and cols, uint8 sites, int8 signs."""
         masks = self.masks
-        occupied = (masks[:, None] >> np.arange(self.n_sites, dtype=np.uint64)) & 1
-        cols, sites = np.nonzero(occupied)
-        s, bit = masks[cols], np.uint64(1) << sites.astype(np.uint64)
-        signs = np.where(np.bitwise_count(s & (bit - np.uint64(1))) & 1, -1.0, 1.0)
-        order = np.argsort(masks)
-        return order[np.searchsorted(masks[order], s ^ bit)], cols, sites, signs
+        bits = np.uint64(1) << np.arange(self.n_sites, dtype=np.uint64)
+        occ = np.column_stack([(masks & b) != 0 for b in bits])
+        # an odd count of occupied sites up to the site leaves an even count left of it
+        odd = np.logical_xor.accumulate(occ, axis=1)[occ]
+        signs = np.where(odd, np.int8(1), np.int8(-1))
+        cols = np.repeat(np.arange(len(masks), dtype=np.int32), self.particle_counts)
+        sites = np.broadcast_to(np.arange(self.n_sites, dtype=np.uint8), occ.shape)[occ]
+        order = np.argsort(masks).astype(np.int32)
+        target = masks[cols] ^ bits[sites]
+        return order[np.searchsorted(masks[order], target)], cols, sites, signs
 
 
 def fock_basis(n_sites: int, max_particles: int) -> FockBasis:
@@ -104,7 +112,6 @@ def fock_basis(n_sites: int, max_particles: int) -> FockBasis:
         n_sites=n_sites,
         max_particles=max_particles,
         states=tuple(masks),
-        index={m: i for i, m in enumerate(masks)},
     )
 
 
@@ -171,6 +178,7 @@ def _bonds(lattice: Lattice) -> list[tuple[int, int]]:
 def kinetic_matrix(basis: FockBasis, lattice: Lattice) -> sparse.csr_matrix:
     """Nearest-neighbour hopping sum a_j^dag a_{j+1} + h.c. (unit coupling)."""
     rows, cols, sites, signs = basis.annihilation_table
+    signs = signs.astype(float)
     a = [
         sparse.csr_matrix((signs[on], (rows[on], cols[on])), shape=(len(basis),) * 2)
         for on in (sites == j for j in range(basis.n_sites))
@@ -268,16 +276,13 @@ def _swap_block(mode_coeffs: np.ndarray, basis: FockBasis) -> sparse.csr_matrix:
     a = mode_annihilator(mode_coeffs, basis)
     ad = _adjoint(a)
     eye = sparse.identity(len(basis), dtype=complex, format="csr")
-    return sparse.bmat(
-        [[eye - ad @ a, ad], [a, eye - a @ ad]], format="csr"
-    )
+    return sparse.bmat([[eye - ad @ a, ad], [a, eye - a @ ad]], format="csr")
 
 
 def _check_sector_unitary(u: sparse.csr_matrix, basis: FockBasis, tol: float = 1e-10):
     total = np.concatenate([basis.particle_counts, basis.particle_counts + 1])
     keep = np.flatnonzero(total <= basis.max_particles)
-    f2 = u.shape[0]
-    defect = (_adjoint(u) @ u - sparse.identity(f2, dtype=complex)).tocsr()
+    defect = (_adjoint(u) @ u - sparse.identity(u.shape[0], dtype=complex)).tocsr()
     sub = defect[keep][:, keep]
     worst = 0.0 if sub.nnz == 0 else float(np.max(np.abs(sub.data)))
     if worst > tol:
@@ -349,9 +354,7 @@ def vacuum_vector(
     return FockVector(amp.reshape(shape), basis, n_a, n_b)
 
 
-def total_excitation_operator(
-    basis: FockBasis, n_a: int, n_b: int
-) -> np.ndarray:
+def total_excitation_operator(basis: FockBasis, n_a: int, n_b: int) -> np.ndarray:
     """Diagonal of (fermion number + raised-register count) on the global tensor."""
     shape = (2,) * n_a + (len(basis),) + (2,) * n_b
     occ = basis.particle_counts.reshape((1,) * n_a + (-1,) + (1,) * n_b)
@@ -495,9 +498,8 @@ def run_encoding_sequence(
     m = len(coeff_pairs)
     if len(encoders) != m or len(waits) != m - 1:
         raise ValueError("need one encoder per signal and M-1 waits")
-    basis = evolver.basis
     messages = [np.array([c, d], dtype=complex) for c, d in coeff_pairs]
-    fv = vacuum_vector(basis, m, 0, messages)
+    fv = vacuum_vector(evolver.basis, m, 0, messages)
     for alpha in range(1, m + 1):
         fv = _apply_register_block(fv, encoders[alpha - 1], "A", alpha)
         if alpha <= m - 1:
@@ -539,9 +541,7 @@ def tj_interaction_error(fv: FockVector, lattice: Lattice) -> float:
     on single-particle states.
     """
     counts = adjacent_pair_counts(fv.basis, lattice)
-    weighted = fv.tensor * counts.reshape(
-        (1,) * fv.n_a + (-1,) + (1,) * fv.n_b
-    )
+    weighted = fv.tensor * counts.reshape((1,) * fv.n_a + (-1,) + (1,) * fv.n_b)
     return float(np.linalg.norm(weighted))
 
 

@@ -9,7 +9,8 @@ centroid actually sits on the receiver's region when decoding happens.
 Error channels:
 
 * encoding: 3 * sum_{j=1}^{M-1} (M-j) |<g(0)|g(j t)>|, the closed-form
-  bound on the residual left behind by earlier signals;
+  bound on the residual left behind by earlier signals, evaluated from the
+  packet's mode weights (one FFT per packet, O(N) per wait);
 * propagation: shape-retention deficit 1 - |<ideal|g(T)>| against the
   analytically translated and broadened envelope;
 * decoding: amplitude deficit 1 - sqrt(weight of g(T) in R_B).
@@ -30,6 +31,7 @@ from .lattice import (
     dispersion_third_derivative,
     group_velocity,
     propagate,
+    require_normalized,
     ring_spectrum,
 )
 from .wavepacket import (
@@ -165,11 +167,21 @@ def encoding_error_bound(
         raise ValueError("need at least one signal")
     if t <= 0:
         raise ValueError(f"wait must be positive, got {t}")
-    total = 0.0
+    return _bound_from_weights(_mode_weights(g0, spectrum), spectrum.eigenvalues, t, m)
+
+
+def _mode_weights(g0: np.ndarray, spectrum: Spectrum) -> np.ndarray:
+    return np.abs(spectrum.mode_amplitudes(require_normalized(g0))) ** 2
+
+
+def _bound_from_weights(weights: np.ndarray, omega: np.ndarray, t: float, m: int) -> float:
+    """The bound from the mode weights |c_k|^2 of g(0), whose overlaps are
+    <g(0)|g(j t)> = sum_k |c_k|^2 z_k^j with z_k = exp(-i omega_k t)."""
+    z, zj, total = np.exp(-1j * t * omega), 1.0, 0.0
     for j in range(1, m):
-        gj = propagate(g0, j * t, spectrum)
-        total += (m - j) * abs(overlap(g0, gj))
-    return 3.0 * total
+        zj = zj * z
+        total += (m - j) * abs(weights @ zj)
+    return 3.0 * float(total)
 
 
 def decode_mode(gT: np.ndarray, region_b: Region) -> tuple[np.ndarray, float]:
@@ -305,15 +317,17 @@ def min_wait_time(
     """
     if not 0.0 < epsilon_e_target < 1.0:
         raise ValueError(f"target must lie in (0, 1), got {epsilon_e_target}")
-    lattice = Lattice(n)
+    if m < 1:
+        raise ValueError("need at least one signal")
     if packet is None:
         packet = sigma_for_budget(n, budget)
-    g0 = gaussian_packet(packet, lattice)
+    weights = _mode_weights(gaussian_packet(packet, Lattice(n)), spectrum)
+    omega = spectrum.eigenvalues
     cap = n / 4.0
     grid = np.geomspace(max(0.05, 0.02 * n ** (1.0 / 3.0)), cap, 64)
     best = np.inf
     for i, t in enumerate(grid):
-        value = encoding_error_bound(g0, float(t), m, spectrum)
+        value = _bound_from_weights(weights, omega, float(t), m)
         best = min(best, value)
         if value <= epsilon_e_target:
             if i == 0:
@@ -321,7 +335,7 @@ def min_wait_time(
             lo, hi = float(grid[i - 1]), float(t)
             while (hi - lo) / hi > 0.01:
                 mid = float(np.sqrt(lo * hi))
-                if encoding_error_bound(g0, mid, m, spectrum) <= epsilon_e_target:
+                if _bound_from_weights(weights, omega, mid, m) <= epsilon_e_target:
                     hi = mid
                 else:
                     lo = mid

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 import fermiwire.lattice
-from fermiwire.lattice import Lattice, Spectrum, propagate, ring_spectrum
+from fermiwire.lattice import (
+    Boundary,
+    Lattice,
+    Spectrum,
+    diagonalize,
+    propagate,
+    ring_spectrum,
+)
 from fermiwire.protocol import (
     accumulate_error,
     angular_distance,
@@ -117,13 +124,26 @@ def test_encoding_bound_m1_empty_sum():
     assert encoding_error_bound(g0, 3.0, 1, spec) == 0.0
 
 
-def test_encoding_bound_m2_single_term():
-    n = 256
-    spec = ring_spectrum(n)
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 8])
+@pytest.mark.parametrize(
+    "n, boundary", [(64, Boundary.RING), (1024, Boundary.RING), (40, Boundary.CHAIN)],
+    ids=["ring-64", "ring-1024", "chain-40"],
+)
+def test_encoding_bound_matches_propagate_reference(n, boundary, m):
+    # independent reference: propagate the packet to every earlier signal's age
+    spec = diagonalize(Lattice(n, boundary))
     g0 = gaussian_packet(sigma_for_budget(n, BUDGET), Lattice(n))
-    t = 4.0
-    expected = 3.0 * abs(overlap(g0, propagate(g0, t, spec)))
-    assert np.isclose(encoding_error_bound(g0, t, 2, spec), expected, rtol=1e-12)
+    for t in (0.05, 1.0, 7.3, n / 4):
+        expected = 3.0 * sum(
+            (m - j) * abs(overlap(g0, propagate(g0, j * t, spec))) for j in range(1, m)
+        )
+        value = encoding_error_bound(g0, t, m, spec)
+        assert type(value) is float
+        assert abs(value - expected) <= 1e-12
+    with pytest.raises(ValueError, match="norm"):
+        encoding_error_bound(1.001 * g0, 1.0, m, spec)
+    with pytest.raises(ValueError):
+        encoding_error_bound(g0[:-1] / np.linalg.norm(g0[:-1]), 1.0, m, spec)
 
 
 def test_encoding_bound_fixture_m4():
@@ -327,6 +347,20 @@ def test_min_wait_unreachable_target_raises():
     spec = ring_spectrum(n)
     with pytest.raises(RuntimeError):
         min_wait_time(n, 4, BUDGET, 1e-20, spec)
+
+
+def test_min_wait_exponent_converges_to_one_third():
+    # The 1% bisection moves each log t* by at most -log(0.99) = 0.01005.
+    # For five log2-spaced sizes the least-squares slope moves by at most
+    # sum|x - mean| / sum (x - mean)^2 = 6 / (10 ln 2) = 0.866 times that,
+    # 0.0087; the local exponents are 0.334 from 2^15 upward, so a band of
+    # 0.01 around 1/3 holds the fit over 2^13..2^17.
+    samples = [
+        (n, min_wait_time(n, 4, BUDGET, 0.01, ring_spectrum(n)))
+        for n in (2**13, 2**14, 2**15, 2**16, 2**17)
+    ]
+    fit = fit_rate_scaling(samples)
+    assert abs(fit.exponent - 1.0 / 3.0) <= 0.01
 
 
 # ---------------------------------------------------------------- scaling fit
