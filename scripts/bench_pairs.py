@@ -1,0 +1,133 @@
+"""Alternating before/after pairs of the benchmark, written as one JSON file.
+
+    python3 scripts/bench_pairs.py --base HEAD --workload oracle-protocol \\
+        --pairs 10 --seed 1000 --out BENCH_6.json
+
+Run from the root of a git checkout.  The base revision is exported with
+``git archive`` into a temporary directory (``TMPDIR`` chooses where); the
+change is the working tree.  Pair i runs
+
+    python3 perfbench/run.py --workload W --seed S+i --trace 0
+
+once on each side, the base first on even i and the change first on odd i,
+and reads the JSON object on the last line each run prints.  The output
+records the environment, each side's per-metric runs, median and quartiles,
+how many pairs the change won on each metric (ties count for neither side;
+the direction comes from ``BENCHMARK.json``), and the pair count.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path.cwd()
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def export(rev: str, dest: Path) -> None:
+    archive = dest / "base.tar"
+    with archive.open("wb") as fh:
+        subprocess.run(["git", "archive", rev], cwd=ROOT, check=True, stdout=fh)
+    with tarfile.open(archive) as tar:
+        tar.extractall(dest / "tree", filter="data")
+    archive.unlink()
+
+
+def bench(tree: Path, workload: str, seed: int) -> tuple[dict, dict]:
+    """One benchmark run; returns (result object, environment)."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n"
+                         f"{proc.stderr}")
+    env = next((json.loads(ln[4:]) for ln in lines if ln.startswith("env ")), {})
+    return json.loads(lines[-1]), env
+
+
+def summary(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def compare(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
+    metrics = {}
+    for name, meta in runs["base"][0]["metrics"].items():
+        base = [r["metrics"][name]["value"] for r in runs["base"]]
+        change = [r["metrics"][name]["value"] for r in runs["change"]]
+        sign = 1.0 if better.get(name) == "higher" else -1.0
+        metrics[name] = {
+            "unit": meta["unit"],
+            "better": better.get(name),
+            "base": summary(base),
+            "change": summary(change),
+            "change_wins": sum(sign * (c - b) > 0 for b, c in zip(base, change)),
+            "base_wins": sum(sign * (c - b) < 0 for b, c in zip(base, change)),
+        }
+    return metrics
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", default="HEAD", help="git revision to compare against")
+    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=0, help="seed of pair 0; pair i uses seed+i")
+    parser.add_argument("--out", required=True)
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("need at least 2 pairs for quartiles")
+    better = {m["name"]: m["better"]
+              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    report = {
+        "base": _git("rev-parse", args.base),
+        "change": "working tree at " + _git("rev-parse", "HEAD")
+                  + (" with local changes" if _git("status", "--porcelain") else ""),
+        "command": "python3 perfbench/run.py --workload W --seed S --trace 0",
+        "order": "pair i runs the base first when i is even, the change first when odd",
+        "workloads": {},
+    }
+    tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
+    try:
+        export(args.base, tmp)
+        trees = {"base": tmp / "tree", "change": ROOT}
+        for workload in args.workload:
+            runs: dict[str, list[dict]] = {"base": [], "change": []}
+            seeds = [args.seed + i for i in range(args.pairs)]
+            for i, seed in enumerate(seeds):
+                for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
+                    result, env = bench(trees[side], workload, seed)
+                    runs[side].append(result)
+                    report.setdefault("environment", {k: v for k, v in env.items()
+                                                      if k != "seed"})
+                    print(f"{workload} pair {i} seed {seed} {side}: "
+                          f"exp_s.p50 {result['metrics']['exp_s.p50']['value']:.4f}",
+                          file=sys.stderr)
+            report["workloads"][workload] = {
+                "pairs": args.pairs,
+                "seeds": seeds,
+                "correct": {s: [r["correct"] for r in runs[s]] for s in runs},
+                "failed": {s: [r["failed"] for r in runs[s]] for s in runs},
+                "metrics": compare(runs, better),
+            }
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    Path(args.out).write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

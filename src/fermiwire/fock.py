@@ -17,11 +17,19 @@ between a register and a lattice mode g use the five-term form
 
 which is exactly unitary on the excitation-conserving sector reachable by
 the transmission sequence (total fermions plus raised registers at most
-m_max); the equivalent two-exponential product is kept as a test oracle.
+m_max); the tests keep the equivalent two-exponential product as a reference.
 
 Time evolution never forms an F x F propagator: ``ExactEvolver`` applies
 exp(-iHt) to the state in H's eigenbasis, one particle-number sector (a
 contiguous run of the basis) at a time, and is built once per Hamiltonian.
+Per sector it multiplies only the register columns that hold amplitude
+(a zero column stays zero), with real products for real eigenvectors.
+
+Registers carry no Jordan-Wigner string, so when signal beta is still in
+the wire as signal alpha < beta is decoded, a_h anticommutes past beta's
+creator and B_alpha picks up (-1)^{n_beta}.  The receiver undoes this with
+CZ(B_alpha, B_beta) after decoding, for every pair with
+(beta - alpha) * wait <= decode_time (``exchange_pairs``).
 """
 
 from __future__ import annotations
@@ -253,12 +261,25 @@ class ExactEvolver:
         self.eigen = [np.linalg.eigh(h[s, s].toarray()) for s in self.sectors]
 
     def apply(self, fv: FockVector, t: float) -> FockVector:
-        """exp(-i t H) on the Fock axis; register axes ride along as columns."""
+        """exp(-i t H) on the Fock axis; register axes ride along as columns.
+
+        Each sector multiplies only its nonzero columns; real eigenvectors act
+        on their float view, so they are never cast to complex.
+        """
         x = np.moveaxis(fv.tensor, fv.fock_axis, 0)
-        cols = x.reshape(x.shape[0], -1)
-        y = np.empty(cols.shape, dtype=complex)
+        cols = x.reshape(x.shape[0], -1).astype(complex, copy=False)
+        y = np.zeros(cols.shape, dtype=complex)
         for s, (w, v) in zip(self.sectors, self.eigen):
-            y[s] = v @ (np.exp(-1j * w * t)[:, None] * (v.conj().T @ cols[s]))
+            live = np.flatnonzero(np.any(cols[s] != 0, axis=0))
+            if live.size == 0:
+                continue
+            c = np.ascontiguousarray(cols[s, live])
+            phase = np.exp(-1j * w * t)[:, None]
+            if np.isrealobj(v):
+                z = phase * (v.T @ c.view(float)).view(complex)
+                y[s, live] = (v @ z.view(float)).view(complex)
+            else:
+                y[s, live] = v @ (phase * (v.conj().T @ c))
         tensor = np.moveaxis(y.reshape(x.shape), 0, fv.fock_axis)
         return FockVector(tensor, fv.basis, fv.n_a, fv.n_b)
 
@@ -309,25 +330,6 @@ def build_encoder(g_coeffs: np.ndarray, basis: FockBasis) -> sparse.csr_matrix:
     return u
 
 
-def swap_block_exponential(mode_coeffs: np.ndarray, basis: FockBasis) -> np.ndarray:
-    """Two-exponential form of the register swap, as a dense oracle.
-
-    exp(-i pi/2 (s+ s- g g^dag + s- s+ g^dag g)) exp(i pi/2 (s+ g + s- g^dag)),
-    evaluated by dense matrix exponentials; used to cross-check the closed
-    five-term construction on small instances.
-    """
-    from scipy.linalg import expm
-
-    a = mode_annihilator(mode_coeffs, basis).toarray()
-    ad = a.conj().T
-    f = len(basis)
-    zero = np.zeros((f, f), dtype=complex)
-    # qubit blocks: s+ = |1><0| puts g in the lower-left block
-    x = np.block([[zero, ad], [a, zero]])
-    p = np.block([[ad @ a, zero], [zero, a @ ad]])
-    return expm(-0.5j * np.pi * p) @ expm(0.5j * np.pi * x)
-
-
 def vacuum_vector(
     basis: FockBasis, n_a: int, n_b: int, messages: Sequence[np.ndarray] | None = None
 ) -> FockVector:
@@ -368,6 +370,44 @@ def total_excitation_operator(basis: FockBasis, n_a: int, n_b: int) -> np.ndarra
     return diag
 
 
+def schedule(plan: ProtocolPlan) -> list[tuple[float, int, int]]:
+    """(time, kind, signal) events in global order; kind 0 encodes, 1 decodes.
+
+    Encodings sort before decodings at equal times.
+    """
+    m = plan.m_signals
+    enc = [((alpha - 1) * plan.wait, 0, alpha) for alpha in range(1, m + 1)]
+    dec = [(plan.decode_time + (b - 1) * plan.wait, 1, b) for b in range(1, m + 1)]
+    return sorted(enc + dec)
+
+
+def exchange_pairs(plan: ProtocolPlan) -> list[tuple[int, int]]:
+    """Receiver pairs (alpha, beta) that Bob corrects with CZ(B_alpha, B_beta).
+
+    Signal beta > alpha is still in the wire when alpha is decoded exactly
+    when (beta - alpha) * wait <= decode_time; the decoder's a_h then
+    anticommutes with beta's creator and puts (-1)^{n_beta} on B_alpha.
+    """
+    in_wire, pairs = [], []
+    for _, kind, idx in schedule(plan):
+        if kind == 0:
+            in_wire.append(idx)
+        else:
+            in_wire.remove(idx)
+            pairs += [(idx, beta) for beta in in_wire]
+    return pairs
+
+
+def exchange_correction(fv: FockVector, pairs: Sequence[tuple[int, int]]) -> FockVector:
+    """CZ(B_alpha, B_beta) for each pair; it is its own inverse."""
+    tensor = fv.tensor.copy()
+    for alpha, beta in pairs:
+        idx = [slice(None)] * tensor.ndim
+        idx[fv.register_axis("B", alpha)] = idx[fv.register_axis("B", beta)] = 1
+        tensor[tuple(idx)] *= -1
+    return FockVector(tensor, fv.basis, fv.n_a, fv.n_b)
+
+
 class ProtocolEngine:
     """Cached operators for repeated runs of one plan on one basis."""
 
@@ -390,15 +430,6 @@ class ProtocolEngine:
         self.decoder = build_encoder(self.h, basis)
         self.evolver = ExactEvolver(tight_binding_hamiltonian(basis, self.lattice))
 
-    def events(self) -> list[tuple[float, int, int]]:
-        m = self.plan.m_signals
-        enc = [((alpha - 1) * self.plan.wait, 0, alpha) for alpha in range(1, m + 1)]
-        dec = [
-            (self.plan.decode_time + (beta - 1) * self.plan.wait, 1, beta)
-            for beta in range(1, m + 1)
-        ]
-        return sorted(enc + dec)
-
     def run(self, messages: Sequence[np.ndarray]) -> FockVector:
         """Run the full timed encode/evolve/decode sequence exactly.
 
@@ -407,14 +438,14 @@ class ProtocolEngine:
         same duration; events are applied in global time order.  Evolution
         uses the exact eigendecomposition of the truncated Hamiltonian, and
         any amplitude leakage out of the excitation-conserving sector
-        aborts the run.
+        aborts the run.  Bob finishes with the ``exchange_pairs`` CZ gates.
         """
         m = self.plan.m_signals
         if len(messages) != m:
             raise ValueError(f"expected {m} messages, got {len(messages)}")
         fv = vacuum_vector(self.basis, m, m, messages)
         now = 0.0
-        for tau, kind, idx in self.events():
+        for tau, kind, idx in schedule(self.plan):
             if tau > now + 1e-12:
                 fv = self.evolver.apply(fv, tau - now)
                 now = tau
@@ -426,7 +457,7 @@ class ProtocolEngine:
                     f"norm drifted to {fv.norm()!r} after {side}{idx}; "
                     "amplitude leaked out of the truncated sector"
                 )
-        return fv
+        return exchange_correction(fv, exchange_pairs(self.plan))
 
 
 def reduced_qubit(fv: FockVector, side: str, idx: int) -> np.ndarray:
@@ -465,21 +496,27 @@ def average_fidelity(channel_outputs: Mapping[str, np.ndarray]) -> float:
 
 def two_design_fidelities(
     plan: ProtocolPlan, basis: FockBasis
-) -> tuple[dict[int, dict[str, np.ndarray]], dict[int, float]]:
+) -> tuple[dict[int, dict[str, np.ndarray]], dict[int, float], dict[int, float]]:
     """Protocol channel outputs and average fidelity per receiver register.
 
     Feeds each of the six axis states into every message register at once
-    and collects the reduced receiver states.
+    and collects the reduced receiver states.  Returns the outputs and
+    fidelities of the exchange-corrected channel, then the fidelities
+    without Bob's CZ gates.
     """
     engine = ProtocolEngine(plan, basis)
+    pairs = exchange_pairs(plan)
     m = plan.m_signals
     outputs: dict[int, dict[str, np.ndarray]] = {a: {} for a in range(1, m + 1)}
+    raw: dict[int, dict[str, np.ndarray]] = {a: {} for a in range(1, m + 1)}
     for label, psi in SIX_DESIGN_STATES.items():
         fv = engine.run([psi] * m)
+        undone = exchange_correction(fv, pairs)
         for alpha in range(1, m + 1):
             outputs[alpha][label] = reduced_qubit(fv, "B", alpha)
+            raw[alpha][label] = reduced_qubit(undone, "B", alpha)
     fids = {a: average_fidelity(outputs[a]) for a in outputs}
-    return outputs, fids
+    return outputs, fids, {a: average_fidelity(raw[a]) for a in raw}
 
 
 def run_encoding_sequence(

@@ -395,7 +395,7 @@ def _oracle_plan(params):
 def _run_oracleprotocol(params):
     plan = _oracle_plan(params)
     basis = fock.fock_basis(plan.n, plan.m_signals)
-    outputs, fids = fock.two_design_fidelities(plan, basis)
+    outputs, fids, raw_fids = fock.two_design_fidelities(plan, basis)
     rep = error_budget(plan)
     rows = []
     for alpha in sorted(outputs):
@@ -406,6 +406,8 @@ def _run_oracleprotocol(params):
     bound = rep.fidelity_bound
     meta = {
         "average_fidelity": {str(a): fids[a] for a in fids},
+        "average_fidelity_raw": {str(a): raw_fids[a] for a in raw_fids},
+        "exchange_cz_pairs": [list(p) for p in fock.exchange_pairs(plan)],
         "eps_e": rep.eps_e,
         "eps_p": rep.eps_p,
         "eps_d": rep.eps_d,

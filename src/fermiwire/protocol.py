@@ -257,8 +257,12 @@ def propagation_error(
     growing with the chirp, asymmetry and shed ripple of the real
     evolution.  velocity/omega3 overrides follow translated_envelope.
     """
-    g0 = gaussian_packet(packet, lattice)
-    gt = propagate(g0, t, spectrum)
+    gt = propagate(gaussian_packet(packet, lattice), t, spectrum)
+    return _shape_deficit(packet, gt, t, lattice, velocity, omega3)
+
+
+def _shape_deficit(packet, gt, t, lattice, velocity=None, omega3=None) -> float:
+    """1 - |<ideal|gt>| for the packet already propagated to time t."""
     ideal = translated_envelope(packet, t, lattice, velocity, omega3)
     return max(0.0, 1.0 - abs(overlap(ideal, gt)))
 
@@ -273,8 +277,8 @@ def error_budget(plan: ProtocolPlan) -> ErrorBudgetReport:
         if plan.m_signals > 1
         else 0.0
     )
-    eps_p = propagation_error(plan.packet, plan.decode_time, lattice, spectrum)
     gT = propagate(g0, plan.decode_time, spectrum)
+    eps_p = _shape_deficit(plan.packet, gT, plan.decode_time, lattice)
     _, eps_d = decode_mode(gT, plan.region_b)
     return _with_bound(eps_e, eps_p, eps_d)
 

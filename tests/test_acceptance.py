@@ -236,7 +236,7 @@ def test_acceptance_07_fidelity_lower_bound():
             plan = plan_protocol(n, m, replace(BUDGET, nu=nu), 0.1, wait=1.0)
             plan = replace(plan, wait=plan.decode_time + 1.0)
             basis = fock.fock_basis(n, m)
-            _, fids = fock.two_design_fidelities(plan, basis)
+            _, fids, _ = fock.two_design_fidelities(plan, basis)
             rep = error_budget(plan)
             for alpha in fids:
                 margin = fids[alpha] - (rep.fidelity_bound - 1e-6)

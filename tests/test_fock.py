@@ -23,7 +23,6 @@ from fermiwire.fock import (
     mode_annihilator,
     reduced_qubit,
     run_encoding_sequence,
-    swap_block_exponential,
     tight_binding_hamiltonian,
     tj_hamiltonian,
     tj_interaction_error,
@@ -318,6 +317,22 @@ def test_encoder_unitary_on_reachable_sector():
     assert np.max(np.abs(defect[np.ix_(keep, keep)])) < 1e-10
 
 
+def swap_block_exponential(mode_coeffs, basis):
+    # independent reference for the five-term swap: the two-exponential form
+    # exp(-i pi/2 (s+ s- g g^dag + s- s+ g^dag g)) exp(i pi/2 (s+ g + s- g^dag))
+    # by dense matrix exponentials
+    from scipy.linalg import expm
+
+    a = mode_annihilator(mode_coeffs, basis).toarray()
+    ad = a.conj().T
+    f = len(basis)
+    zero = np.zeros((f, f), dtype=complex)
+    # qubit blocks: s+ = |1><0| puts g in the lower-left block
+    x = np.block([[zero, ad], [a, zero]])
+    p = np.block([[ad @ a, zero], [zero, a @ ad]])
+    return expm(-0.5j * np.pi * p) @ expm(0.5j * np.pi * x)
+
+
 def test_encoder_matches_exponential_form_full_space():
     n = 5
     basis = fock_basis(n, n)
@@ -385,6 +400,47 @@ def test_total_excitation_conserved_through_protocol():
         assert abs(value - expect) < 1e-10
 
 
+@pytest.mark.parametrize("n, m, fraction", [(10, 2, 0.5), (12, 3, 0.6)])
+def test_protocol_run_has_no_weight_above_m_excitations(n, m, fraction):
+    budget = dataclasses.replace(BUDGET, nu=1.0)
+    plan = plan_protocol(n, m, budget, 0.1, wait=1.0)
+    plan = dataclasses.replace(plan, wait=fraction * plan.decode_time)
+    basis = fock_basis(n, m)
+    msgs = [SIX_DESIGN_STATES["x+"], SIX_DESIGN_STATES["y-"], SIX_DESIGN_STATES["z-"]][:m]
+    fv = ProtocolEngine(plan, basis).run(msgs)
+    diag = total_excitation_operator(basis, m, m)
+    assert np.sum(np.abs(fv.tensor[diag > m]) ** 2) == 0.0
+    assert abs(fv.norm() - 1.0) < 1e-10
+
+
+def test_exchange_pairs_follow_the_schedule():
+    plan = plan_protocol(12, 3, dataclasses.replace(BUDGET, nu=1.0), 0.1, wait=1.0)
+    t_dec = plan.decode_time
+    pairs = {
+        frac: fock.exchange_pairs(dataclasses.replace(plan, wait=frac * t_dec))
+        for frac in (0.4, 0.5, 0.6, 1.0, 1.2)
+    }
+    # beta is in the wire at alpha's decode when (beta - alpha) * wait <= T;
+    # at a tie the encoding sorts first
+    assert pairs[0.4] == [(1, 2), (1, 3), (2, 3)]
+    assert pairs[0.5] == [(1, 2), (1, 3), (2, 3)]
+    assert pairs[0.6] == [(1, 2), (2, 3)]
+    assert pairs[1.0] == [(1, 2), (2, 3)]
+    assert pairs[1.2] == []
+
+
+def test_exchange_correction_is_cz_on_receivers():
+    basis = fock_basis(4, 2)
+    rng = np.random.default_rng(3)
+    shape = (2, 2, len(basis), 2, 2)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    fv = FockVector(x, basis, 2, 2)
+    got = fock.exchange_correction(fv, [(1, 2)]).tensor
+    sign = np.array([1.0, 1.0, 1.0, -1.0]).reshape(1, 1, 1, 2, 2)
+    assert np.array_equal(got, x * sign)
+    assert np.array_equal(fock.exchange_correction(fv, []).tensor, x)
+
+
 def test_hamiltonian_hermitian_and_block_diagonal():
     basis = fock_basis(6, 3)
     lat = Lattice(6)
@@ -438,6 +494,47 @@ def test_exact_evolver_matches_dense_expm(m_max, j_coupling):
         assert np.max(np.abs(ev.apply(fv, t).tensor - want)) < 1e-11
 
 
+def _peierls_hamiltonian(basis, lattice, phi):
+    # hopping with a phase e^{i phi} on every bond: complex Hermitian and
+    # particle-number conserving, so its sector eigenvectors are complex
+    a = [mode_annihilator(np.eye(basis.n_sites)[j], basis) for j in range(basis.n_sites)]
+    hop = sum(np.exp(1j * phi) * a[p - 1].conjugate().T @ a[q - 1]
+              for p, q in fock._bonds(lattice))
+    return fock.ManyBodyHamiltonian("peierls", basis, (hop + hop.conjugate().T).tocsr())
+
+
+@pytest.mark.parametrize("model", ["tight-binding", "t-J", "peierls"])
+def test_exact_evolver_keeps_zero_blocks_and_matches_dense_expm(model):
+    from scipy.linalg import expm
+
+    n = 8
+    basis = fock_basis(n, 3)
+    lat = Lattice(n)
+    ham = {
+        "tight-binding": lambda: tight_binding_hamiltonian(basis, lat),
+        "t-J": lambda: tj_hamiltonian(basis, lat, 1.0, 1.3),
+        "peierls": lambda: _peierls_hamiltonian(basis, lat, 0.37),
+    }[model]()
+    ev = ExactEvolver(ham)
+    # the real models take the real-eigenvector product, the Peierls one the complex
+    assert all(np.iscomplexobj(v) == (model == "peierls") for _, v in ev.eigen)
+    rng = np.random.default_rng(11)
+    shape = (2, len(basis), 2)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    # (sector, sender, receiver) blocks set exactly to zero; sector 1 entirely
+    zero = [(0, 0, 1), (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1), (2, 0, 0), (2, 1, 1),
+            (3, 1, 0)]
+    for k, a, b in zero:
+        x[a, ev.sectors[k], b] = 0.0
+    fv = FockVector(x, basis, 1, 1)
+    for t in (0.0, 0.7, 5.3):
+        got = ev.apply(fv, t).tensor
+        want = np.einsum("fg,agb->afb", expm(-1j * t * ham.matrix.toarray()), x)
+        assert np.max(np.abs(got - want)) < 1e-11
+        for k, a, b in zero:
+            assert np.all(got[a, ev.sectors[k], b] == 0)
+
+
 def test_exact_evolver_rejects_non_hermitian_and_number_changing():
     n = 4
     basis = fock_basis(n, 2)
@@ -470,7 +567,7 @@ def test_protocol_engine_perfect_transport_toy():
     plan = plan_protocol(8, 1, dataclasses.replace(BUDGET, nu=1.0), 0.1, wait=2.0)
     toy = dataclasses.replace(plan, region_b=Region(1, 8))
     basis = fock_basis(8, 1)
-    _, fids = two_design_fidelities(toy, basis)
+    _, fids, _ = two_design_fidelities(toy, basis)
     assert fids[1] > 1.0 - 1e-8
 
 
@@ -761,7 +858,7 @@ def test_fidelity_bound_holds_on_small_grid():
             plan = plan_protocol(n, m, budget, 0.1, wait=1.0)
             plan = dataclasses.replace(plan, wait=plan.decode_time + 1.0)
             basis = fock_basis(n, m)
-            outputs, fids = two_design_fidelities(plan, basis)
+            outputs, fids, _ = two_design_fidelities(plan, basis)
             rep = error_budget(plan)
             for alpha in fids:
                 assert fids[alpha] >= rep.fidelity_bound - 1e-6

@@ -183,6 +183,25 @@ def test_oracle_protocol_default_plan_closed_form_and_vacuous_bound():
     assert meta["fidelity_bound"] == 0.0
     assert meta["bound_satisfied"] is True
     assert meta["bound_vacuous"] is True
+    # sequential: nothing to correct, so the channel is the uncorrected one
+    assert meta["exchange_cz_pairs"] == []
+    assert meta["average_fidelity_raw"] == meta["average_fidelity"]
+
+
+@pytest.mark.parametrize("n, half_decode", [(24, 2.75), (32, 3.75)])
+def test_oracle_protocol_pipelined_exchange_correction(n, half_decode):
+    # wait T/2: signal 2 is in the wire when signal 1 is decoded, so a_h
+    # picks up (-1)^{n_2}; uncorrected, X and Y inputs dephase to about 2/3
+    text = f"experiment = OracleProtocol\nN = {n}\nM = 2\nt = {half_decode}\n"
+    meta = run(make_config(text)).meta
+    assert meta["wait"] == pytest.approx(meta["decode_time"] / 2)
+    bound = meta["fidelity_bound"]
+    assert bound >= 0.5
+    assert meta["bound_vacuous"] is False
+    assert meta["exchange_cz_pairs"] == [[1, 2]]
+    assert all(f >= bound for f in meta["average_fidelity"].values())
+    assert all(f < bound for f in meta["average_fidelity_raw"].values())
+    assert meta["bound_satisfied"] is True
 
 
 def test_oracle_protocol_single_signal_closed_form():
