@@ -8,6 +8,12 @@ m_max set bits, ordered by particle number and then lexicographically on
 
 fixes the fermionic sign of a_j to (-1)^(number of occupied sites left of j).
 
+No operator is stored as a matrix.  ``FockBasis.ladder`` turns the cached
+annihilation table into gather tables between neighbouring particle-number
+sectors, so a mode's a and a^dag (``ModeOperator``) are one gather and one
+batched product per sector.  Hamiltonians are (row, col, data) triplets
+(``CooMatrix``; the kinetic term is built per bond from the masks).
+
 Ancilla registers are ordinary qubits tensored outside the Fock factor:
 the global state tensor has shape (2,)*M x (fock_dim,) x (2,)*M for the
 sender registers, the lattice, and the receiver registers.  Swap unitaries
@@ -15,13 +21,18 @@ between a register and a lattice mode g use the five-term form
 
     U = I - s+ s- g g^dag - s- s+ g^dag g + s+ g + s- g^dag,
 
-which is exactly unitary on the excitation-conserving sector reachable by
-the transmission sequence (total fermions plus raised registers at most
-m_max); the tests keep the equivalent two-exponential product as a reference.
+applied one excitation number e at a time (register-0 sector e mixes only
+with register-1 sector e-1) to the register columns live there.  U is
+Hermitian, so it is unitary on the excitation-conserving sector reachable
+by the transmission sequence (total fermions plus raised registers at most
+m_max) exactly when U^2 = 1 there: when {g, g^dag} = 1 below the top
+sector and (g^dag)^2 = 0.  The signs behind both are checked once per basis
+(``FockBasis.ladder_defect``), the norm of g per encoder; the tests keep
+the equivalent two-exponential product as a reference.
 
-Time evolution never forms an F x F propagator: ``ExactEvolver`` applies
-exp(-iHt) to the state in H's eigenbasis, one particle-number sector (a
-contiguous run of the basis) at a time, and is built once per Hamiltonian.
+Time evolution never forms an F x F propagator: ``ExactEvolver`` scatters
+each particle-number sector (a contiguous run of the basis) into a dense
+block, diagonalizes it once, and applies exp(-iHt) in that eigenbasis.
 Per sector it multiplies only the register columns that hold amplitude
 (a zero column stays zero), with real products for real eigenvectors.
 
@@ -41,7 +52,6 @@ from math import comb
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .lattice import Boundary, Lattice, ring_spectrum, propagate
 from .protocol import ProtocolPlan, decode_mode
@@ -87,6 +97,18 @@ class FockBasis:
         return np.bitwise_count(self.masks).astype(np.int64)
 
     @cached_property
+    def sectors(self) -> tuple[slice, ...]:
+        """sectors[k] is the run of states with k particles, k = 0..max_particles."""
+        ks = np.arange(self.max_particles + 2)
+        edges = np.searchsorted(self.particle_counts, ks).tolist()
+        return tuple(slice(a, b) for a, b in zip(edges, edges[1:]))
+
+    def _find(self, masks: np.ndarray) -> np.ndarray:
+        """Positions of bitmasks that all lie in the basis."""
+        order = np.argsort(self.masks)
+        return order[np.searchsorted(self.masks[order], masks)]
+
+    @cached_property
     def annihilation_table(self) -> tuple[np.ndarray, ...]:
         """(rows, cols, sites, signs) with a_site |states[col]> = sign |states[row]>,
         one entry per occupied site of each state (state first, site ascending);
@@ -99,9 +121,52 @@ class FockBasis:
         signs = np.where(odd, np.int8(1), np.int8(-1))
         cols = np.repeat(np.arange(len(masks), dtype=np.int32), self.particle_counts)
         sites = np.broadcast_to(np.arange(self.n_sites, dtype=np.uint8), occ.shape)[occ]
-        order = np.argsort(masks).astype(np.int32)
-        target = masks[cols] ^ bits[sites]
-        return order[np.searchsorted(masks[order], target)], cols, sites, signs
+        rows = self._find(masks[cols] ^ bits[sites]).astype(np.int32)
+        return rows, cols, sites, signs
+
+    @cached_property
+    def ladder(self) -> dict[int, tuple[tuple[np.ndarray, ...], ...]]:
+        """ladder[k] = (down, up) for k = 1..max_particles, from the annihilation table.
+
+        Each is an (index, site, sign) triple of equal-shape arrays; index is
+        local to its sector, sign that of a_site between the two states.
+        down (size_k, k): each k-particle state's occupied sites, pointing
+        into sector k-1.  up (size_{k-1}, N-k+1): each (k-1)-particle
+        state's empty sites, pointing into sector k.
+        """
+        rows, cols, sites, signs = self.annihilation_table
+        sec, rungs, start = self.sectors, {}, 0
+        for k in range(1, self.max_particles + 1):
+            # the table lists sector k's states in order, k entries each
+            stop = start + (sec[k].stop - sec[k].start) * k
+            r = (rows[start:stop] - sec[k - 1].start).astype(np.intp)
+            c = (cols[start:stop] - sec[k].start).astype(np.intp)
+            s, g = sites[start:stop], signs[start:stop]
+            up, width = np.lexsort((s, r)), self.n_sites - k + 1
+            rungs[k] = (tuple(a.reshape(-1, k) for a in (r, s, g)),
+                        tuple(a[up].reshape(-1, width) for a in (c, s, g)))
+            start = stop
+        return rungs
+
+    @cached_property
+    def ladder_defect(self) -> float:
+        """Largest entry of {a, a^dag} - 1 and of (a^dag)^2 below the top sector.
+
+        Taken for one fixed mode with no zero coefficient, on identity columns
+        in blocks of 64.  Off the diagonal each entry is one pair of sites
+        times a sum of ladder signs: zero certifies the signs for every mode.
+        """
+        n, sec, worst = self.n_sites, self.sectors, 0.0
+        op = ModeOperator(np.exp(1j * np.arange(n)) / np.sqrt(n), self)
+        for k in range(self.max_particles):
+            d = sec[k].stop - sec[k].start
+            for lo in range(0, d, 64):
+                eye = np.eye(d, min(64, d - lo), -lo, dtype=complex)
+                up = op.lift(k + 1, eye)
+                anti = op.lower(k + 1, up) - eye + (op.lift(k, op.lower(k, eye)) if k else 0)
+                square = op.lift(k + 2, up) if k + 2 <= self.max_particles else 0
+                worst = max(worst, np.abs(anti).max(), np.abs(square).max())
+        return float(worst)
 
 
 def fock_basis(n_sites: int, max_particles: int) -> FockBasis:
@@ -151,10 +216,77 @@ class FockVector:
         return idx - 1 if side == "A" else self.n_a + 1 + (idx - 1)
 
 
-def mode_annihilator(coeffs: np.ndarray, basis: FockBasis) -> sparse.csr_matrix:
+class ModeOperator:
+    """The annihilator a = sum_j conj(c_j) a_j of one mode, and its adjoint.
+
+    Both act through the basis ladder: per sector, one gather of the
+    amplitudes at the connected states and one batched product with the
+    weights conj(c_site) * sign (for a) or c_site * sign (for a^dag).
+    """
+
+    def __init__(self, coeffs: np.ndarray, basis: FockBasis):
+        self.basis = basis
+        conj = np.conj(coeffs)
+        self._tables = {
+            k: ((up, conj[up_site] * up_sign), (down, coeffs[down_site] * down_sign))
+            for k, ((down, down_site, down_sign), (up, up_site, up_sign))
+            in basis.ladder.items()
+        }
+
+    def lower(self, k: int, x: np.ndarray) -> np.ndarray:
+        """a from sector k to sector k-1 on (size_k, C) amplitudes."""
+        return _gather(*self._tables[k][0], x)
+
+    def lift(self, k: int, x: np.ndarray) -> np.ndarray:
+        """a^dag from sector k-1 to sector k on (size_{k-1}, C) amplitudes."""
+        return _gather(*self._tables[k][1], x)
+
+    def annihilate(self, x: np.ndarray) -> np.ndarray:
+        """a on the leading (Fock) axis of x."""
+        return self._per_sector(x, self.lower, 0)
+
+    def create(self, x: np.ndarray) -> np.ndarray:
+        """a^dag on the leading (Fock) axis of x; the top sector has no image."""
+        return self._per_sector(x, self.lift, 1)
+
+    def _per_sector(self, x, step, rise: int) -> np.ndarray:
+        cols = np.asarray(x, dtype=complex).reshape(len(self.basis), -1)
+        y, sec = np.zeros_like(cols), self.basis.sectors
+        for k in range(1, len(sec)):
+            y[sec[k - 1 + rise]] = step(k, cols[sec[k - rise]])
+        return y.reshape(np.shape(x))
+
+    def swap(self, x: np.ndarray) -> np.ndarray:
+        """The five-term register swap on x of shape (2, F, C), register first.
+
+        For each excitation number e it maps register-0 sector e (x0) and
+        register-1 sector e-1 (x1) through u = a x0, v = a^dag x1:
+        x0 - a^dag u + v and x1 + u - a v, on the columns live in either.
+        The register-0 vacuum and the register-1 top sector pass through.
+        """
+        y, sec = x.copy(), self.basis.sectors
+        for e in range(1, len(sec)):
+            top, low = sec[e], sec[e - 1]
+            live = np.flatnonzero(np.any(x[0, top] != 0, axis=0)
+                                  | np.any(x[1, low] != 0, axis=0))
+            if live.size == 0:
+                continue
+            x0, x1 = x[0, top][:, live], x[1, low][:, live]
+            u, v = self.lower(e, x0), self.lift(e, x1)
+            y[0][top, live] = x0 - self.lift(e, u) + v
+            y[1][low, live] = x1 + u - self.lower(e, v)
+        return y
+
+
+def _gather(index: np.ndarray, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # row r of the result is sum_j weights[r, j] * x[index[r, j]]
+    return np.matmul(weights[:, None, :], np.take(x, index, axis=0))[:, 0]
+
+
+def mode_annihilator(coeffs: np.ndarray, basis: FockBasis) -> ModeOperator:
     """Annihilator of the mode whose creator makes the state sum_j c_j |j>.
 
-    coeffs are single-particle state amplitudes: the returned matrix is
+    coeffs are single-particle state amplitudes: the returned operator is
     sum_j conj(c_j) a_j, so its adjoint applied to the vacuum reproduces
     exactly those amplitudes and {mode(f), mode(g)^dag} = <f|g> * identity
     away from the truncation boundary.
@@ -164,15 +296,7 @@ def mode_annihilator(coeffs: np.ndarray, basis: FockBasis) -> sparse.csr_matrix:
         raise ValueError(
             f"coefficient length {coeffs.shape} does not match {basis.n_sites} sites"
         )
-    rows, cols, sites, signs = basis.annihilation_table
-    c = coeffs[sites]
-    keep = c != 0
-    data = signs[keep] * np.conj(c[keep])
-    return sparse.csr_matrix((data, (rows[keep], cols[keep])), shape=(len(basis),) * 2)
-
-
-def _adjoint(m: sparse.spmatrix) -> sparse.csr_matrix:
-    return m.conjugate().transpose().tocsr()
+    return ModeOperator(coeffs, basis)
 
 
 def _bonds(lattice: Lattice) -> list[tuple[int, int]]:
@@ -183,16 +307,46 @@ def _bonds(lattice: Lattice) -> list[tuple[int, int]]:
     return bonds
 
 
-def kinetic_matrix(basis: FockBasis, lattice: Lattice) -> sparse.csr_matrix:
-    """Nearest-neighbour hopping sum a_j^dag a_{j+1} + h.c. (unit coupling)."""
-    rows, cols, sites, signs = basis.annihilation_table
-    signs = signs.astype(float)
-    a = [
-        sparse.csr_matrix((signs[on], (rows[on], cols[on])), shape=(len(basis),) * 2)
-        for on in (sites == j for j in range(basis.n_sites))
-    ]
-    k = sum(a[p - 1].T @ a[q - 1] for p, q in _bonds(lattice))
-    return (k + k.T).tocsr()
+@dataclass(frozen=True, eq=False)
+class CooMatrix:
+    """Sparse matrix as (row, col, data) triplets; repeated entries add."""
+
+    row: np.ndarray
+    col: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+    def tocoo(self) -> CooMatrix:
+        return self
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=self.data.dtype)
+        np.add.at(out, (self.row, self.col), self.data)
+        return out
+
+
+def kinetic_matrix(basis: FockBasis, lattice: Lattice) -> CooMatrix:
+    """Nearest-neighbour hopping sum a_j^dag a_{j+1} + h.c. (unit coupling).
+
+    Per bond, each state with exactly one end occupied hops to the state
+    with the other end occupied, signed by the parity of the occupied sites
+    strictly between the ends.
+    """
+    masks, cols, hops, data = basis.masks, [], [], []
+    for p, q in _bonds(lattice):
+        lo, hi = sorted((p, q))
+        ends = np.uint64((1 << (p - 1)) | (1 << (q - 1)))
+        col = np.flatnonzero(np.bitwise_count(masks & ends) == 1)
+        inside = np.bitwise_count(masks[col] & np.uint64((1 << (hi - 1)) - (1 << lo)))
+        cols.append(col)
+        hops.append(masks[col] ^ ends)
+        data.append(1.0 - 2.0 * (inside & 1))
+    rows = basis._find(np.concatenate(hops))
+    return CooMatrix(rows, np.concatenate(cols), np.concatenate(data), (len(basis),) * 2)
 
 
 def adjacent_pair_counts(basis: FockBasis, lattice: Lattice) -> np.ndarray:
@@ -211,12 +365,12 @@ class ManyBodyHamiltonian:
     adds a density-density interaction, t_hop * kinetic + j_coupling *
     sum_bonds n_j n_{j+1}, with bonds following the lattice boundary.  The
     kinetic sign is fixed to match the tight-binding anchor, so t_hop = 1,
-    J = 0 reproduces it exactly.
+    J = 0 reproduces it exactly.  Any matrix with ``tocoo()`` serves.
     """
 
     kind: str
     basis: FockBasis
-    matrix: sparse.csr_matrix
+    matrix: CooMatrix
     t_hop: float = 1.0
     j_coupling: float = 0.0
 
@@ -231,34 +385,37 @@ def tj_hamiltonian(
     t_hop: float = 1.0,
     j_coupling: float = 0.0,
 ) -> ManyBodyHamiltonian:
-    mat = (
-        t_hop * kinetic_matrix(basis, lattice)
-        + j_coupling * sparse.diags(adjacent_pair_counts(basis, lattice))
-    ).tocsr()
+    k = kinetic_matrix(basis, lattice)
+    diag = np.arange(len(basis))
+    pairs = adjacent_pair_counts(basis, lattice)
+    mat = CooMatrix(np.concatenate([k.row, diag]), np.concatenate([k.col, diag]),
+                    np.concatenate([t_hop * k.data, j_coupling * pairs]), k.shape)
     return ManyBodyHamiltonian("t-J", basis, mat, t_hop, j_coupling)
 
 
 class ExactEvolver:
     """exp(-i t H) applied to states in H's eigenbasis, sector by sector.
 
-    The sectors are the particle-number runs of the ordered basis, each
+    The sectors are the particle-number runs of the ordered basis
+    (``FockBasis.sectors``), each scattered into a dense block and
     diagonalized once; H must be Hermitian with no entries between them.
     """
 
     def __init__(self, hamiltonian: ManyBodyHamiltonian):
-        h = hamiltonian.matrix.tocsr()
-        if abs(h - h.conj().T).max() > 1e-12:
-            raise ValueError("Hamiltonian is not Hermitian (max |H - H^dag| > 1e-12)")
+        h = hamiltonian.matrix.tocoo()
         self.basis = hamiltonian.basis
-        occ = self.basis.particle_counts
-        starts = (np.flatnonzero(np.diff(occ)) + 1).tolist()
-        sector = np.searchsorted(starts, np.arange(len(occ)), side="right")
-        coo = h.tocoo()
-        if np.any((sector[coo.row] != sector[coo.col]) & (coo.data != 0)):
+        k_row = self.basis.particle_counts[h.row]
+        k_col = self.basis.particle_counts[h.col]
+        if np.any((k_row != k_col) & (h.data != 0)):
             raise ValueError("Hamiltonian has entries between particle-number sectors")
-        edges = [0, *starts, len(occ)]
-        self.sectors = [slice(a, b) for a, b in zip(edges, edges[1:])]
-        self.eigen = [np.linalg.eigh(h[s, s].toarray()) for s in self.sectors]
+        self.eigen = []
+        for k, s in enumerate(self.basis.sectors):
+            on = (k_row == k) & (k_col == k)
+            block = np.zeros((s.stop - s.start,) * 2, dtype=h.data.dtype)
+            np.add.at(block, (h.row[on] - s.start, h.col[on] - s.start), h.data[on])
+            if np.abs(block - block.conj().T).max() > 1e-12:
+                raise ValueError("Hamiltonian is not Hermitian (max |H - H^dag| > 1e-12)")
+            self.eigen.append(np.linalg.eigh(block))
 
     def apply(self, fv: FockVector, t: float) -> FockVector:
         """exp(-i t H) on the Fock axis; register axes ride along as columns.
@@ -269,7 +426,7 @@ class ExactEvolver:
         x = np.moveaxis(fv.tensor, fv.fock_axis, 0)
         cols = x.reshape(x.shape[0], -1).astype(complex, copy=False)
         y = np.zeros(cols.shape, dtype=complex)
-        for s, (w, v) in zip(self.sectors, self.eigen):
+        for s, (w, v) in zip(self.basis.sectors, self.eigen):
             live = np.flatnonzero(np.any(cols[s] != 0, axis=0))
             if live.size == 0:
                 continue
@@ -285,49 +442,34 @@ class ExactEvolver:
 
 
 def _apply_register_block(
-    fv: FockVector, block: sparse.spmatrix, side: str, idx: int
+    fv: FockVector, op: ModeOperator, side: str, idx: int
 ) -> FockVector:
     axes = (fv.register_axis(side, idx), fv.fock_axis)
     x = np.moveaxis(fv.tensor, axes, (0, 1))
-    y = np.asarray(block @ x.reshape(2 * x.shape[1], -1)).reshape(x.shape)
+    cols = x.reshape(2, x.shape[1], -1).astype(complex, copy=False)
+    y = op.swap(cols).reshape(x.shape)
     return FockVector(np.moveaxis(y, (0, 1), axes), fv.basis, fv.n_a, fv.n_b)
 
 
-def _swap_block(mode_coeffs: np.ndarray, basis: FockBasis) -> sparse.csr_matrix:
-    a = mode_annihilator(mode_coeffs, basis)
-    ad = _adjoint(a)
-    eye = sparse.identity(len(basis), dtype=complex, format="csr")
-    return sparse.bmat([[eye - ad @ a, ad], [a, eye - a @ ad]], format="csr")
+def build_encoder(g_coeffs: np.ndarray, basis: FockBasis) -> ModeOperator:
+    """Mode operator of g, whose ``swap`` is the register/mode swap unitary.
 
-
-def _check_sector_unitary(u: sparse.csr_matrix, basis: FockBasis, tol: float = 1e-10):
-    total = np.concatenate([basis.particle_counts, basis.particle_counts + 1])
-    keep = np.flatnonzero(total <= basis.max_particles)
-    defect = (_adjoint(u) @ u - sparse.identity(u.shape[0], dtype=complex)).tocsr()
-    sub = defect[keep][:, keep]
-    worst = 0.0 if sub.nnz == 0 else float(np.max(np.abs(sub.data)))
-    if worst > tol:
-        raise RuntimeError(
-            f"register swap is not unitary on the reachable sector "
-            f"(defect {worst:.3e})"
-        )
-
-
-def build_encoder(g_coeffs: np.ndarray, basis: FockBasis) -> sparse.csr_matrix:
-    """Swap unitary between one qubit register and the lattice mode g.
-
-    Returned as a 2F x 2F block over qubit (|0>, |1>) x Fock; it maps
-    |1>|vac> to |0> g^dag |vac> and leaves |0>|vac> alone.  Unitarity on
-    the excitation-conserving reachable sector is verified at build time.
-    The receiver's decoder is the same swap on its mode h.
+    The swap maps |1>|vac> to |0> g^dag |vac> and leaves |0>|vac> alone.
+    Its unitarity on the excitation-conserving reachable sector (ladder
+    signs and the norm of g) is verified at build time.  The receiver's
+    decoder is the same swap on its mode h.
     """
     g_coeffs = np.asarray(g_coeffs, dtype=complex)
     nrm = np.linalg.norm(g_coeffs)
     if abs(nrm - 1.0) > 1e-8:
         raise ValueError(f"mode coefficients must be normalized (norm {nrm!r})")
-    u = _swap_block(g_coeffs, basis)
-    _check_sector_unitary(u, basis)
-    return u
+    defect = max(basis.ladder_defect, abs(nrm**2 - 1.0))
+    if defect > 1e-10:
+        raise RuntimeError(
+            f"register swap is not unitary on the reachable sector "
+            f"(defect {defect:.3e})"
+        )
+    return mode_annihilator(g_coeffs, basis)
 
 
 def vacuum_vector(
@@ -521,14 +663,14 @@ def two_design_fidelities(
 
 def run_encoding_sequence(
     coeff_pairs: Sequence[tuple[complex, complex]],
-    encoders: Sequence[sparse.spmatrix],
+    encoders: Sequence[ModeOperator],
     waits: Sequence[float],
     evolver: ExactEvolver,
 ) -> FockVector:
     """Apply the encode/evolve sequence only (no receiver registers).
 
     coeff_pairs are the (c, d) amplitudes of each message qubit;
-    encoders are the ``build_encoder`` blocks applied to each register in
+    encoders are the ``build_encoder`` operators swapped into each register in
     turn; waits are the M-1 gaps between consecutive encodings, evolved
     under ``evolver``, whose basis the run uses.
     """
@@ -563,8 +705,7 @@ def encoding_residual_norm(
     state = np.zeros(len(basis), dtype=complex)
     state[0] = 1.0
     for (c, d), mode in zip(coeff_pairs, modes_now):
-        creator = _adjoint(mode_annihilator(np.asarray(mode), basis))
-        state = c * state + d * (creator @ state)
+        state = c * state + d * mode_annihilator(np.asarray(mode), basis).create(state)
     ideal = np.zeros_like(actual.tensor)
     ideal[(0,) * actual.n_a + (slice(None),) + (0,) * actual.n_b] = state
     return float(np.linalg.norm(actual.tensor - ideal))
@@ -613,9 +754,7 @@ def two_packet_state(
     gb = gaussian_packet(params_b, lattice)
     vac = np.zeros(len(basis), dtype=complex)
     vac[0] = 1.0
-    state = _adjoint(mode_annihilator(ga, basis)) @ (
-        _adjoint(mode_annihilator(gb, basis)) @ vac
-    )
+    state = mode_annihilator(ga, basis).create(mode_annihilator(gb, basis).create(vac))
     nrm = np.linalg.norm(state)
     if nrm < 1e-12:
         raise ValueError("packet modes coincide; two-particle state vanishes")

@@ -25,6 +25,7 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
+import numpy.fft  # noqa: F401  every ring path transforms; load it at import
 
 NORM_ATOL = 1e-8
 

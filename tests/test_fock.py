@@ -41,6 +41,29 @@ def random_mode(n, rng):
     return v / np.linalg.norm(v)
 
 
+def dense(op):
+    # the production annihilator applied to identity columns
+    return op.annihilate(np.eye(len(op.basis), dtype=complex))
+
+
+def dense_dag(op):
+    # the production creator applied to identity columns
+    return op.create(np.eye(len(op.basis), dtype=complex))
+
+
+def dense_swap(op):
+    # the production register swap applied to identity columns, as a
+    # 2F x 2F matrix over qubit (|0>, |1>) x Fock
+    f = len(op.basis)
+    cols = np.eye(2 * f, dtype=complex).reshape(2, f, 2 * f)
+    return op.swap(cols).reshape(2 * f, 2 * f)
+
+
+def csr(m):
+    # a production (row, col, data) matrix as scipy CSR
+    return sparse.coo_matrix((m.data, (m.row, m.col)), shape=m.shape).tocsr()
+
+
 # ---------------------------------------------------------------- basis
 
 
@@ -120,7 +143,8 @@ def test_mode_annihilator_matches_loop_reference_bytes(n, m_max):
         c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         c[rng.random(n) < 0.3] = 0.0
         c[0] = 0.0
-        _assert_same_csr_bytes(mode_annihilator(c, basis), _loop_annihilator(c, basis))
+        got = sparse.csr_matrix(dense(mode_annihilator(c, basis)))
+        _assert_same_csr_bytes(got, _loop_annihilator(c, basis))
 
 
 def _ref_bonds(lattice):
@@ -155,7 +179,7 @@ def test_kinetic_and_pair_counts_match_loop_reference(n, m_max):
     for boundary in (Boundary.RING, Boundary.CHAIN):
         lattice = Lattice(n, boundary)
         want = _loop_kinetic(basis, lattice)
-        _assert_same_csr_bytes(kinetic_matrix(basis, lattice), want)
+        _assert_same_csr_bytes(csr(kinetic_matrix(basis, lattice)), want)
         pairs = [
             sum(s >> (p - 1) & s >> (q - 1) & 1 for p, q in _ref_bonds(lattice))
             for s in basis.states
@@ -178,10 +202,25 @@ def test_annihilation_table_memory():
     assert peak < 37.5 * 2**20
 
 
+def test_ladder_memory():
+    # two gather tables with an intp index, a uint8 site and an int8 sign
+    # per table entry keep 20 B per entry
+    basis = fock_basis(16, 16)
+    entries = len(basis.annihilation_table[0])
+    tracemalloc.start()
+    try:
+        ladder = basis.ladder
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sorted(ladder) == list(range(1, 17))
+    assert kept / entries <= 24
+
+
 def test_mode_annihilator_nilpotent():
     basis = fock_basis(5, 3)
     rng = np.random.default_rng(0)
-    a = mode_annihilator(random_mode(5, rng), basis)
+    a = dense(mode_annihilator(random_mode(5, rng), basis))
     assert abs(a @ a).max() < 1e-14
 
 
@@ -189,12 +228,11 @@ def test_creation_antisymmetry_sign():
     basis = fock_basis(4, 2)
     vac = np.zeros(len(basis), dtype=complex)
     vac[0] = 1.0
-    a1d = mode_annihilator(np.eye(4)[0], basis).conjugate().transpose()
-    a2d = mode_annihilator(np.eye(4)[1], basis).conjugate().transpose()
-    left = a1d @ (a2d @ vac)
-    right = a2d @ (a1d @ vac)
-    assert np.allclose(np.asarray(left).ravel(), -np.asarray(right).ravel(),
-                       atol=1e-14)
+    a1d = mode_annihilator(np.eye(4)[0], basis).create
+    a2d = mode_annihilator(np.eye(4)[1], basis).create
+    left = a1d(a2d(vac))
+    right = a2d(a1d(vac))
+    assert np.allclose(left, -right, atol=1e-14)
 
 
 def test_anticommutator_matches_overlap_below_truncation():
@@ -203,10 +241,9 @@ def test_anticommutator_matches_overlap_below_truncation():
     rng = np.random.default_rng(2)
     f_mode = random_mode(n, rng)
     g_mode = random_mode(n, rng)
-    fa = mode_annihilator(f_mode, basis)
-    ga = mode_annihilator(g_mode, basis)
-    anti = (fa @ ga.conjugate().transpose()
-            + ga.conjugate().transpose() @ fa).toarray()
+    fa = dense(mode_annihilator(f_mode, basis))
+    gd = dense_dag(mode_annihilator(g_mode, basis))
+    anti = fa @ gd + gd @ fa
     want = np.vdot(f_mode, g_mode)
     # exact identity away from the top particle-number sector, where the
     # raising half of the anticommutator is cut off by the truncation
@@ -219,8 +256,10 @@ def test_self_anticommutator_is_identity_full_space():
     n = 5
     basis = fock_basis(n, n)
     rng = np.random.default_rng(3)
-    g = mode_annihilator(random_mode(n, rng), basis)
-    anti = (g @ g.conjugate().transpose() + g.conjugate().transpose() @ g).toarray()
+    op = mode_annihilator(random_mode(n, rng), basis)
+    g, gd = dense(op), dense_dag(op)
+    assert np.array_equal(gd, g.conj().T)
+    anti = g @ gd + gd @ g
     assert np.max(np.abs(anti - np.eye(len(basis)))) < 1e-12
 
 
@@ -231,9 +270,7 @@ def test_mode_creator_reproduces_amplitudes():
     v = random_mode(n, rng)
     vac = np.zeros(len(basis), dtype=complex)
     vac[0] = 1.0
-    created = np.asarray(
-        mode_annihilator(v, basis).conjugate().transpose() @ vac
-    ).ravel()
+    created = mode_annihilator(v, basis).create(vac)
     amps = np.zeros(n, dtype=complex)
     for i, s in enumerate(basis.states):
         if s.bit_count() == 1:
@@ -267,7 +304,7 @@ def test_jordan_wigner_cross_check():
     for i, s in enumerate(basis.states):
         perm[kron_index(s), i] = 1.0
     for j in range(1, n + 1):
-        ours = mode_annihilator(np.eye(n)[j - 1], basis).toarray()
+        ours = dense(mode_annihilator(np.eye(n)[j - 1], basis))
         theirs = perm.T @ jw_annihilator(j) @ perm
         assert np.max(np.abs(ours - theirs)) < 1e-14
 
@@ -287,12 +324,10 @@ def test_encoder_creates_mode_from_raised_register():
     f = len(basis)
     vec = np.zeros(2 * f, dtype=complex)
     vec[f] = 1.0  # |1> x vacuum
-    out = u @ vec
+    out = dense_swap(u) @ vec
     vac = np.zeros(f, dtype=complex)
     vac[0] = 1.0
-    created = np.asarray(
-        mode_annihilator(g, basis).conjugate().transpose() @ vac
-    ).ravel()
+    created = mode_annihilator(g, basis).create(vac)
     assert np.allclose(out[:f], created, atol=1e-12)
     assert np.linalg.norm(out[f:]) < 1e-12
 
@@ -302,7 +337,7 @@ def test_encoder_leaves_lowered_register_alone():
     f = len(basis)
     vec = np.zeros(2 * f, dtype=complex)
     vec[0] = 1.0  # |0> x vacuum
-    out = u @ vec
+    out = dense_swap(u) @ vec
     assert abs(out[0] - 1.0) < 1e-12
     assert np.linalg.norm(out[1:]) < 1e-12
 
@@ -312,8 +347,8 @@ def test_encoder_unitary_on_reachable_sector():
     occ = np.array([s.bit_count() for s in basis.states])
     total = np.concatenate([occ, occ + 1])
     keep = total <= basis.max_particles
-    defect = (u.conjugate().transpose() @ u
-              - sparse.identity(2 * len(basis))).toarray()
+    u = dense_swap(u)
+    defect = u.conj().T @ u - np.eye(2 * len(basis))
     assert np.max(np.abs(defect[np.ix_(keep, keep)])) < 1e-10
 
 
@@ -323,8 +358,8 @@ def swap_block_exponential(mode_coeffs, basis):
     # by dense matrix exponentials
     from scipy.linalg import expm
 
-    a = mode_annihilator(mode_coeffs, basis).toarray()
-    ad = a.conj().T
+    op = mode_annihilator(mode_coeffs, basis)
+    a, ad = dense(op), dense_dag(op)
     f = len(basis)
     zero = np.zeros((f, f), dtype=complex)
     # qubit blocks: s+ = |1><0| puts g in the lower-left block
@@ -338,20 +373,18 @@ def test_encoder_matches_exponential_form_full_space():
     basis = fock_basis(n, n)
     lat = Lattice(n)
     g = gaussian_packet(PacketParams(1.2, 2, 4, Region(1, 4)), lat)
-    u5 = build_encoder(g, basis).toarray()
+    u5 = dense_swap(build_encoder(g, basis))
     ue = swap_block_exponential(g, basis)
     assert np.max(np.abs(u5 - ue)) < 1e-10
 
 
 def test_decoder_swaps_matched_mode():
     basis, lat, g, _ = encoder_fixture()
-    v = build_encoder(g, basis)
+    v = dense_swap(build_encoder(g, basis))
     f = len(basis)
     vac = np.zeros(f, dtype=complex)
     vac[0] = 1.0
-    created = np.asarray(
-        mode_annihilator(g, basis).conjugate().transpose() @ vac
-    ).ravel()
+    created = mode_annihilator(g, basis).create(vac)
     vec = np.zeros(2 * f, dtype=complex)
     vec[:f] = created  # |0> x h^dag|vac>
     out = v @ vec
@@ -369,6 +402,45 @@ def test_encoder_rejects_unnormalized_mode():
         build_encoder(np.ones(4, dtype=complex), basis)
 
 
+def test_flipped_table_sign_fails_the_unitarity_check():
+    basis = fock_basis(6, 3)
+    g = random_mode(6, np.random.default_rng(5))
+    build_encoder(g, basis)
+    rows, cols, sites, signs = basis.annihilation_table
+    # an entry of a two-particle state: no phase of one basis state absorbs it
+    entry = int(np.flatnonzero(basis.particle_counts[cols] == 2)[0])
+    flipped = signs.copy()
+    flipped[entry] *= -1
+    bad = dataclasses.replace(basis)
+    bad.__dict__["annihilation_table"] = (rows, cols, sites, flipped)
+    with pytest.raises(RuntimeError, match="not unitary on the reachable sector"):
+        build_encoder(g, bad)
+
+
+def test_swap_skips_zero_blocks_and_matches_dense_reference():
+    basis = fock_basis(8, 3)
+    sec, f = basis.sectors, len(basis)
+    op = build_encoder(random_mode(8, np.random.default_rng(8)), basis)
+    a = dense(op)
+    ad = a.conj().T
+    eye = np.eye(f)
+    reference = np.block([[eye - ad @ a, ad], [a, eye - a @ ad]])
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((2, f, 5)) + 1j * rng.standard_normal((2, f, 5))
+    # (excitation, column) pairs whose register-0 sector e and register-1
+    # sector e-1 are both zero; in column 4 only register-0 sector 2 is zero
+    unreached = [(1, 0), (2, 0), (3, 0), (1, 1), (3, 2), (2, 3), (3, 3)]
+    for e, c in unreached:
+        x[0, sec[e], c] = x[1, sec[e - 1], c] = 0.0
+    x[0, sec[2], 4] = 0.0
+    y = op.swap(x)
+    want = (reference @ x.reshape(2 * f, 5)).reshape(2, f, 5)
+    assert np.max(np.abs(y - want)) < 1e-12
+    for e, c in unreached:
+        assert np.all(y[0, sec[e], c] == 0) and np.all(y[1, sec[e - 1], c] == 0)
+    assert np.any(y[0, sec[2], 4] != 0)
+
+
 # ---------------------------------------------------------------- evolution
 
 
@@ -377,7 +449,7 @@ def test_excitation_conservation_commutators():
     basis = fock_basis(n, m_max)
     lat = Lattice(n)
     g = gaussian_packet(PacketParams(1.0, 2, 4, Region(1, 3)), lat)
-    u = build_encoder(g, basis).toarray()
+    u = dense_swap(build_encoder(g, basis))
     f = len(basis)
     occ = np.array([s.bit_count() for s in basis.states], dtype=float)
     number = np.diag(np.concatenate([occ, occ + 1.0]))
@@ -459,7 +531,7 @@ def test_many_body_single_particle_sector_matches_lattice():
     g = gaussian_packet(PacketParams(1.35, 2, 6, Region(1, 3)), lat)
     vac = np.zeros(len(basis), dtype=complex)
     vac[0] = 1.0
-    f1 = np.asarray(mode_annihilator(g, basis).conjugate().transpose() @ vac).ravel()
+    f1 = mode_annihilator(g, basis).create(vac)
     ev = ExactEvolver(tight_binding_hamiltonian(basis, lat))
     t = 1.9
     fT = ev.apply(FockVector(f1, basis, 0, 0), t).tensor
@@ -497,7 +569,8 @@ def test_exact_evolver_matches_dense_expm(m_max, j_coupling):
 def _peierls_hamiltonian(basis, lattice, phi):
     # hopping with a phase e^{i phi} on every bond: complex Hermitian and
     # particle-number conserving, so its sector eigenvectors are complex
-    a = [mode_annihilator(np.eye(basis.n_sites)[j], basis) for j in range(basis.n_sites)]
+    a = [sparse.csr_matrix(dense(mode_annihilator(np.eye(basis.n_sites)[j], basis)))
+         for j in range(basis.n_sites)]
     hop = sum(np.exp(1j * phi) * a[p - 1].conjugate().T @ a[q - 1]
               for p, q in fock._bonds(lattice))
     return fock.ManyBodyHamiltonian("peierls", basis, (hop + hop.conjugate().T).tocsr())
@@ -525,27 +598,27 @@ def test_exact_evolver_keeps_zero_blocks_and_matches_dense_expm(model):
     zero = [(0, 0, 1), (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1), (2, 0, 0), (2, 1, 1),
             (3, 1, 0)]
     for k, a, b in zero:
-        x[a, ev.sectors[k], b] = 0.0
+        x[a, basis.sectors[k], b] = 0.0
     fv = FockVector(x, basis, 1, 1)
     for t in (0.0, 0.7, 5.3):
         got = ev.apply(fv, t).tensor
         want = np.einsum("fg,agb->afb", expm(-1j * t * ham.matrix.toarray()), x)
         assert np.max(np.abs(got - want)) < 1e-11
         for k, a, b in zero:
-            assert np.all(got[a, ev.sectors[k], b] == 0)
+            assert np.all(got[a, basis.sectors[k], b] == 0)
 
 
 def test_exact_evolver_rejects_non_hermitian_and_number_changing():
     n = 4
     basis = fock_basis(n, 2)
-    k = kinetic_matrix(basis, Lattice(n))
+    k = csr(kinetic_matrix(basis, Lattice(n)))
     nudge = sparse.csr_matrix(([1.0], ([1], [2])), shape=k.shape)
     # a one-sided entry within the one-particle sector, below and above tolerance
     ExactEvolver(fock.ManyBodyHamiltonian("nudged", basis, (k + 1e-14 * nudge).tocsr()))
     with pytest.raises(ValueError, match="not Hermitian"):
         ExactEvolver(fock.ManyBodyHamiltonian("skewed", basis, (k + 1e-9 * nudge).tocsr()))
     # Hermitian, but a + a^dag changes the particle number
-    a = mode_annihilator(np.eye(n)[0], basis)
+    a = sparse.csr_matrix(dense(mode_annihilator(np.eye(n)[0], basis)))
     mixing = (k + a + a.conjugate().transpose()).tocsr()
     with pytest.raises(ValueError, match="between particle-number sectors"):
         ExactEvolver(fock.ManyBodyHamiltonian("pairing", basis, mixing))
@@ -624,7 +697,7 @@ def test_residual_t0_matches_direct_product_evaluation():
     resid = encoding_residual_norm(actual, pairs, [g0, g0], basis)
 
     f = len(basis)
-    u = build_encoder(g0, basis).toarray()
+    u = dense_swap(build_encoder(g0, basis))
     eye2 = np.eye(2)
     eyef = np.eye(f)
     u1 = np.einsum("ac,bd,xy->abxcdy", eye2, eye2, eyef).reshape(4 * f, 4 * f)
@@ -639,10 +712,10 @@ def test_residual_t0_matches_direct_product_evaluation():
     vac[0] = 1.0
     psi = np.kron(np.array(pairs[0]), np.kron(np.array(pairs[1]), vac))
     final = u_a2 @ (u_a1 @ psi)
-    creator = mode_annihilator(g0, basis).conjugate().transpose()
+    creator = dense_dag(mode_annihilator(g0, basis))
     ideal_fock = vac.copy()
     for c, d in pairs:
-        ideal_fock = c * ideal_fock + d * np.asarray(creator @ ideal_fock).ravel()
+        ideal_fock = c * ideal_fock + d * (creator @ ideal_fock)
     ideal = np.zeros(4 * f, dtype=complex)
     ideal[:f] = ideal_fock  # A registers both |0>
     assert np.isclose(resid, np.linalg.norm(final - ideal), atol=1e-10)
@@ -772,7 +845,7 @@ def test_interaction_error_single_particle_zero():
     g = gaussian_packet(PacketParams(1.0, 4, 6, Region(2, 6)), lat)
     vac = np.zeros(len(basis), dtype=complex)
     vac[0] = 1.0
-    one = np.asarray(mode_annihilator(g, basis).conjugate().transpose() @ vac).ravel()
+    one = mode_annihilator(g, basis).create(vac)
     fv = FockVector(one, basis, 0, 0)
     assert tj_interaction_error(fv, lat) == 0.0
 
@@ -812,7 +885,7 @@ def test_evolution_difference_trivial_cases():
     g = gaussian_packet(PacketParams(1.0, 4, 8, Region(2, 6)), lat)
     vac = np.zeros(len(basis), dtype=complex)
     vac[0] = 1.0
-    one = np.asarray(mode_annihilator(g, basis).conjugate().transpose() @ vac).ravel()
+    one = mode_annihilator(g, basis).create(vac)
     fv = FockVector(one, basis, 0, 0)
     assert evolution_difference(fv, 0.8, 1.0, 3.0, lat) < 1e-10
 

@@ -319,8 +319,11 @@ def test_spectral_leakage_budget_packet():
 
 
 def test_import_does_not_load_scipy_integrate():
-    # quad is imported inside fourier_airy_overlap, on first use only
-    code = "import fermiwire, sys; assert 'scipy.integrate' not in sys.modules"
+    # quad is imported inside fourier_airy_overlap, on first use only, and
+    # the Fock oracle runs on numpy alone: no scipy module at all
+    code = ("import fermiwire, fermiwire.cli, sys; "
+            "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]; "
+            "assert not loaded, loaded")
     src = str(Path(fermiwire.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
