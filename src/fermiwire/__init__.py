@@ -13,7 +13,6 @@ from .lattice import (
     Boundary,
     Lattice,
     Spectrum,
-    basis_state,
     build_hopping,
     diagonalize,
     dispersion,
@@ -33,11 +32,9 @@ from .wavepacket import (
     characteristic_width,
     circular_centroid,
     centroid_shift,
-    fourier_airy_overlap,
     gaussian_packet,
     measured_width,
     overlap,
-    overlap_decay_estimate,
     region_weight,
     sigma_for_budget,
     sigma_sites_for_budget,
@@ -48,7 +45,6 @@ from .protocol import (
     ErrorBudgetReport,
     ProtocolPlan,
     ScalingFit,
-    accumulate_error,
     decode_mode,
     encoding_error_bound,
     error_budget,
@@ -72,8 +68,6 @@ __all__ = [
     "ScalingFit",
     "Spectrum",
     "WidthReport",
-    "accumulate_error",
-    "basis_state",
     "broadening_prediction",
     "build_hopping",
     "carrier_mode",
@@ -88,7 +82,6 @@ __all__ = [
     "error_budget",
     "fit_rate_scaling",
     "fock",
-    "fourier_airy_overlap",
     "gaussian_packet",
     "group_velocity",
     "harness",
@@ -96,7 +89,6 @@ __all__ = [
     "measured_width",
     "min_wait_time",
     "overlap",
-    "overlap_decay_estimate",
     "plan_protocol",
     "propagate",
     "propagation_error",

@@ -27,20 +27,6 @@ from .harness import (
     run,
 )
 
-_SUBCOMMANDS = {
-    "dispersion": "Dispersion",
-    "packet": "Packet",
-    "transit": "Transit",
-    "broadening": "Broadening",
-    "overlap-decay": "OverlapDecay",
-    "error-budget": "ErrorBudget",
-    "min-wait-sweep": "MinWaitSweep",
-    "rate-fit": "RateFit",
-    "oracle-protocol": "OracleProtocol",
-    "oracle-bounds": "OracleBounds",
-    "tj-check": "TJCheck",
-}
-
 
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -48,8 +34,8 @@ def _parser() -> argparse.ArgumentParser:
         description="wavepacket wire transmission experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, experiment in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=f"run the {experiment} experiment")
+    for command, spec in EXPERIMENTS.items():
+        p = sub.add_parser(command, help=f"run the {spec.name} experiment")
         p.add_argument("--config", help="config file of key = value lines")
         p.add_argument("--out", help="output path (stdout when omitted)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -73,7 +59,7 @@ def _collect_values(args) -> dict:
                 values = parse_config_text(fh.read())
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-    experiment = _SUBCOMMANDS[args.command]
+    experiment = EXPERIMENTS[args.command].name
     if "experiment" in values and values["experiment"] != experiment:
         raise ConfigError(
             f"config names experiment {values['experiment']!r} but the "

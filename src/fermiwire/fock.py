@@ -73,8 +73,8 @@ SIX_DESIGN_STATES: dict[str, np.ndarray] = {
 class FockBasis:
     """Truncated occupation basis: bitmasks with at most max_particles bits.
 
-    Site j occupies bit j-1.  ``states[0]`` is the vacuum; ``index`` maps a
-    bitmask back to its position; it and the arrays below are cached per basis.
+    Site j occupies bit j-1.  ``states[0]`` is the vacuum; the arrays and
+    tables below are cached per basis.
     """
 
     n_sites: int
@@ -83,10 +83,6 @@ class FockBasis:
 
     def __len__(self) -> int:
         return len(self.states)
-
-    @cached_property
-    def index(self) -> dict[int, int]:
-        return {s: i for i, s in enumerate(self.states)}
 
     @cached_property
     def masks(self) -> np.ndarray:
@@ -320,14 +316,6 @@ class CooMatrix:
     def nnz(self) -> int:
         return len(self.data)
 
-    def tocoo(self) -> CooMatrix:
-        return self
-
-    def toarray(self) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=self.data.dtype)
-        np.add.at(out, (self.row, self.col), self.data)
-        return out
-
 
 def kinetic_matrix(basis: FockBasis, lattice: Lattice) -> CooMatrix:
     """Nearest-neighbour hopping sum a_j^dag a_{j+1} + h.c. (unit coupling).
@@ -359,24 +347,21 @@ def adjacent_pair_counts(basis: FockBasis, lattice: Lattice) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ManyBodyHamiltonian:
-    """Lattice Hamiltonian on a truncated basis.
+    """Lattice Hamiltonian on a truncated basis; any matrix with ``row``,
+    ``col`` and ``data`` arrays serves.
 
-    kind "tight-binding" is the unit-coupling kinetic term; kind "t-J"
-    adds a density-density interaction, t_hop * kinetic + j_coupling *
-    sum_bonds n_j n_{j+1}, with bonds following the lattice boundary.  The
-    kinetic sign is fixed to match the tight-binding anchor, so t_hop = 1,
-    J = 0 reproduces it exactly.  Any matrix with ``tocoo()`` serves.
+    ``tight_binding_hamiltonian`` is the unit-coupling kinetic term and
+    ``tj_hamiltonian`` adds t_hop * kinetic + j_coupling * sum_bonds
+    n_j n_{j+1} (bonds follow the lattice boundary), so t_hop = 1, J = 0
+    reproduces the tight-binding anchor exactly.
     """
 
-    kind: str
     basis: FockBasis
     matrix: CooMatrix
-    t_hop: float = 1.0
-    j_coupling: float = 0.0
 
 
 def tight_binding_hamiltonian(basis: FockBasis, lattice: Lattice) -> ManyBodyHamiltonian:
-    return ManyBodyHamiltonian("tight-binding", basis, kinetic_matrix(basis, lattice))
+    return ManyBodyHamiltonian(basis, kinetic_matrix(basis, lattice))
 
 
 def tj_hamiltonian(
@@ -390,7 +375,7 @@ def tj_hamiltonian(
     pairs = adjacent_pair_counts(basis, lattice)
     mat = CooMatrix(np.concatenate([k.row, diag]), np.concatenate([k.col, diag]),
                     np.concatenate([t_hop * k.data, j_coupling * pairs]), k.shape)
-    return ManyBodyHamiltonian("t-J", basis, mat, t_hop, j_coupling)
+    return ManyBodyHamiltonian(basis, mat)
 
 
 class ExactEvolver:
@@ -402,7 +387,7 @@ class ExactEvolver:
     """
 
     def __init__(self, hamiltonian: ManyBodyHamiltonian):
-        h = hamiltonian.matrix.tocoo()
+        h = hamiltonian.matrix
         self.basis = hamiltonian.basis
         k_row = self.basis.particle_counts[h.row]
         k_col = self.basis.particle_counts[h.col]
@@ -496,20 +481,6 @@ def vacuum_vector(
         amp = np.kron(amp, np.array([1.0, 0.0], dtype=complex))
     shape = (2,) * n_a + (len(basis),) + (2,) * n_b
     return FockVector(amp.reshape(shape), basis, n_a, n_b)
-
-
-def total_excitation_operator(basis: FockBasis, n_a: int, n_b: int) -> np.ndarray:
-    """Diagonal of (fermion number + raised-register count) on the global tensor."""
-    shape = (2,) * n_a + (len(basis),) + (2,) * n_b
-    occ = basis.particle_counts.reshape((1,) * n_a + (-1,) + (1,) * n_b)
-    diag = np.zeros(shape) + occ
-    for axis in range(n_a + n_b):
-        pos = axis if axis < n_a else axis + 1
-        qub = np.array([0.0, 1.0]).reshape(
-            tuple(2 if i == pos else 1 for i in range(len(shape)))
-        )
-        diag = diag + qub
-    return diag
 
 
 def schedule(plan: ProtocolPlan) -> list[tuple[float, int, int]]:
@@ -607,17 +578,6 @@ def reduced_qubit(fv: FockVector, side: str, idx: int) -> np.ndarray:
     axis = fv.register_axis(side, idx)
     x = np.moveaxis(fv.tensor, axis, 0).reshape(2, -1)
     return x @ x.conj().T
-
-
-def validate_qubit_state(rho: np.ndarray, atol: float = 1e-10):
-    if rho.shape != (2, 2):
-        raise ValueError("density matrix must be 2x2")
-    if np.max(np.abs(rho - rho.conj().T)) > atol:
-        raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > 1e-9:
-        raise ValueError("density matrix trace is not one")
-    if np.min(np.linalg.eigvalsh((rho + rho.conj().T) / 2)) < -atol:
-        raise ValueError("density matrix has a negative eigenvalue")
 
 
 def average_fidelity(channel_outputs: Mapping[str, np.ndarray]) -> float:
@@ -758,5 +718,4 @@ def two_packet_state(
     nrm = np.linalg.norm(state)
     if nrm < 1e-12:
         raise ValueError("packet modes coincide; two-particle state vanishes")
-    fv = FockVector((state / nrm).reshape(len(basis)), basis, 0, 0)
-    return fv
+    return FockVector(state / nrm, basis, 0, 0)

@@ -1,5 +1,8 @@
 """Batch harness: flat-file configs, experiment dispatch, tabular output.
 
+``EXPERIMENTS`` is the one table of experiments: config validation, the
+dispatch in ``run`` and the CLI subcommands all read it.
+
 Config files hold one ``key = value`` pair per line with ``#`` comments.
 Every run echoes its full effective configuration (defaults applied) in
 the output metadata, and identical (config, seed) pairs produce byte
@@ -15,6 +18,7 @@ import json
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -53,20 +57,6 @@ from .protocol import (
 )
 from . import fock
 
-EXPERIMENTS = (
-    "Dispersion",
-    "Packet",
-    "Transit",
-    "Broadening",
-    "OverlapDecay",
-    "ErrorBudget",
-    "MinWaitSweep",
-    "RateFit",
-    "OracleProtocol",
-    "OracleBounds",
-    "TJCheck",
-)
-
 _INT_KEYS = {"N", "M", "seed", "n_min", "n_max"}
 _FLOAT_KEYS = {"c", "kappa", "nu", "epsilon", "t", "s", "J"}
 _STR_KEYS = {"experiment", "output"}
@@ -74,34 +64,15 @@ _ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
 
 _DEFAULTS = {"c": 9.0, "kappa": 1.0, "nu": 2.0, "epsilon": 0.01}
 
-_REQUIRED = {
-    "Dispersion": {"N"},
-    "Packet": {"N"},
-    "Transit": {"N"},
-    "Broadening": {"N"},
-    "OverlapDecay": {"n_min", "n_max"},
-    "ErrorBudget": {"N", "M"},
-    "MinWaitSweep": {"n_min", "n_max", "M"},
-    "RateFit": {"n_min", "n_max", "M"},
-    "OracleProtocol": {"N", "M"},
-    "OracleBounds": {"N", "M"},
-    "TJCheck": {"N", "J"},
-}
-
-# experiments whose packets ride the maximal-velocity carrier k0 = 3N/4
-_K0_DEPENDENT = {
-    "Packet",
-    "Transit",
-    "Broadening",
-    "OverlapDecay",
-    "ErrorBudget",
-    "MinWaitSweep",
-    "RateFit",
-}
-
-
 class ConfigError(ValueError):
     pass
+
+
+class Experiment(NamedTuple):
+    name: str
+    required: set
+    runner: Callable
+    carrier: bool  # its packets ride the carrier k0 = 3N/4, so N % 4 == 0
 
 
 @dataclass
@@ -133,9 +104,12 @@ def _coerce(key: str, raw: str):
             raise ConfigError(f"key {key!r} expects an integer, got {raw!r}") from None
     if key in _FLOAT_KEYS:
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             raise ConfigError(f"key {key!r} expects a number, got {raw!r}") from None
+        if not np.isfinite(value):
+            raise ConfigError(f"key {key!r} expects a finite number, got {raw!r}")
+        return value
     return raw
 
 
@@ -166,38 +140,35 @@ def build_config(values: dict) -> RunConfig:
     if "experiment" not in values:
         raise ConfigError("missing required key 'experiment'")
     experiment = values.pop("experiment")
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(
-            f"unknown experiment {experiment!r}; choose from {', '.join(EXPERIMENTS)}"
-        )
+    spec = _experiment(experiment)
     seed = int(values.pop("seed", 0))
     output = values.pop("output", None)
-    missing = _REQUIRED[experiment] - set(values)
+    missing = spec.required - set(values)
     if missing:
         raise ConfigError(
             f"experiment {experiment} is missing required keys: {sorted(missing)}"
         )
-    applied = {}
-    for key, default in _DEFAULTS.items():
-        if key not in values:
-            values[key] = default
-            applied[key] = default
-    if experiment in _K0_DEPENDENT:
+    applied = {key: v for key, v in _DEFAULTS.items() if key not in values}
+    values.update(applied)
+    if spec.carrier:
         for key in ("N", "n_min", "n_max"):
             if key in values and values[key] % 4:
                 raise ConfigError(
                     f"experiment {experiment} needs {key} divisible by 4, "
                     f"got {values[key]}"
                 )
-    for key in ("N", "n_min", "n_max"):
-        if key in values and values[key] < 4:
-            raise ConfigError(f"{key} must be at least 4, got {values[key]}")
+    for key, least in (("N", 4), ("n_min", 4), ("n_max", 4), ("M", 1)):
+        if key in values and values[key] < least:
+            raise ConfigError(f"{key} must be at least {least}, got {values[key]}")
     return RunConfig(experiment, values, seed, output, applied)
 
 
-def load_config(path) -> RunConfig:
-    text = Path(path).read_text(encoding="utf-8")
-    return build_config(parse_config_text(text))
+def _experiment(name: str) -> Experiment:
+    for spec in EXPERIMENTS.values():
+        if spec.name == name:
+            return spec
+    names = ", ".join(spec.name for spec in EXPERIMENTS.values())
+    raise ConfigError(f"unknown experiment {name!r}; choose from {names}")
 
 
 def _budget(params: dict) -> PacketBudget:
@@ -208,12 +179,8 @@ def _sweep_sizes(params: dict) -> list[int]:
     n_min, n_max = params["n_min"], params["n_max"]
     if n_min > n_max:
         raise ConfigError(f"n_min = {n_min} exceeds n_max = {n_max}")
-    sizes = []
-    n = n_min
-    while n <= n_max:
-        sizes.append(n)
-        n *= 2
-    return sizes
+    # n_min * 2^i for every i with 2^i <= n_max // n_min
+    return [n_min << i for i in range((n_max // n_min).bit_length())]
 
 
 def _run_dispersion(params):
@@ -326,31 +293,11 @@ def _run_errorbudget(params):
     budget = _budget(params)
     plan = plan_protocol(params["N"], params["M"], budget, params["epsilon"])
     rep = error_budget(plan)
-    rows = [
-        [
-            plan.n,
-            plan.m_signals,
-            plan.wait,
-            plan.decode_time,
-            rep.eps_e,
-            rep.eps_p,
-            rep.eps_d,
-            rep.fidelity_bound,
-            rep.clamped,
-        ]
-    ]
-    cols = [
-        "N",
-        "M",
-        "wait",
-        "decode_time",
-        "eps_e",
-        "eps_p",
-        "eps_d",
-        "fidelity_bound",
-        "clamped",
-    ]
-    return cols, rows, {}
+    cols = ["N", "M", "wait", "decode_time", "eps_e", "eps_p", "eps_d",
+            "fidelity_bound", "clamped"]
+    row = [plan.n, plan.m_signals, plan.wait, plan.decode_time,
+           rep.eps_e, rep.eps_p, rep.eps_d, rep.fidelity_bound, rep.clamped]
+    return cols, [row], {}
 
 
 def _min_wait_rows(params):
@@ -490,27 +437,35 @@ def _run_tjcheck(params):
     return ["s", "norm_difference", "s_times_eps_i", "satisfied"], rows, meta
 
 
-_RUNNERS = {
-    "Dispersion": _run_dispersion,
-    "Packet": _run_packet,
-    "Transit": _run_transit,
-    "Broadening": _run_broadening,
-    "OverlapDecay": _run_overlapdecay,
-    "ErrorBudget": _run_errorbudget,
-    "MinWaitSweep": _run_minwaitsweep,
-    "RateFit": _run_ratefit,
-    "OracleProtocol": _run_oracleprotocol,
-    "OracleBounds": _run_oraclebounds,
-    "TJCheck": _run_tjcheck,
+# subcommand -> experiment, in the order of the CLI help and the error texts
+EXPERIMENTS = {
+    "dispersion": Experiment("Dispersion", {"N"}, _run_dispersion, False),
+    "packet": Experiment("Packet", {"N"}, _run_packet, True),
+    "transit": Experiment("Transit", {"N"}, _run_transit, True),
+    "broadening": Experiment("Broadening", {"N"}, _run_broadening, True),
+    "overlap-decay": Experiment(
+        "OverlapDecay", {"n_min", "n_max"}, _run_overlapdecay, True
+    ),
+    "error-budget": Experiment("ErrorBudget", {"N", "M"}, _run_errorbudget, True),
+    "min-wait-sweep": Experiment(
+        "MinWaitSweep", {"n_min", "n_max", "M"}, _run_minwaitsweep, True
+    ),
+    "rate-fit": Experiment("RateFit", {"n_min", "n_max", "M"}, _run_ratefit, True),
+    "oracle-protocol": Experiment(
+        "OracleProtocol", {"N", "M"}, _run_oracleprotocol, False
+    ),
+    "oracle-bounds": Experiment("OracleBounds", {"N", "M"}, _run_oraclebounds, False),
+    "tj-check": Experiment("TJCheck", {"N", "J"}, _run_tjcheck, False),
 }
 
 
 def run(config: RunConfig) -> ResultTable:
     """Execute the configured experiment; identical config and seed give
     identical data rows."""
+    runner = _experiment(config.experiment).runner
     started = time.perf_counter()
     try:
-        columns, rows, extra = _RUNNERS[config.experiment](config.params)
+        columns, rows, extra = runner(config.params)
     except ConfigError:
         raise
     except Exception as exc:

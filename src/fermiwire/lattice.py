@@ -46,10 +46,6 @@ class Lattice:
         if self.n_sites < 4:
             raise ValueError(f"need at least 4 sites, got {self.n_sites}")
 
-    def positions(self) -> np.ndarray:
-        """Ring-fraction positions x_j = j/N for sites j = 1..N."""
-        return np.arange(1, self.n_sites + 1) / self.n_sites
-
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -196,17 +192,3 @@ def propagate(state: np.ndarray, t: float, spectrum: Spectrum) -> np.ndarray:
     coeffs = spectrum.eigenvectors.conj().T @ state
     return spectrum.eigenvectors @ (np.exp(-1j * spectrum.eigenvalues * t) * coeffs)
 
-
-def basis_state(n: int, j: int) -> np.ndarray:
-    """The state |j> with the particle pinned at site j (1-based)."""
-    if not 1 <= j <= n:
-        raise ValueError(f"site {j} outside 1..{n}")
-    v = np.zeros(n, dtype=complex)
-    v[j - 1] = 1.0
-    return v
-
-
-def random_state(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-like random normalized state on N sites."""
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return v / np.linalg.norm(v)

@@ -65,8 +65,8 @@ class ProtocolPlan:
     def __post_init__(self):
         if self.m_signals < 1:
             raise ValueError("need at least one signal")
-        if self.wait <= 0 or self.decode_time <= 0:
-            raise ValueError("wait and decode time must be positive")
+        if not (0 < self.wait < np.inf and 0 < self.decode_time < np.inf):
+            raise ValueError("wait and decode time must be finite and positive")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
 
@@ -80,7 +80,6 @@ class ErrorBudgetReport:
     eps_d: float
     fidelity_bound: float
     clamped: bool
-    eps_i: float | None = None
 
 
 @dataclass(frozen=True)
@@ -244,25 +243,19 @@ def translated_envelope(
 
 def propagation_error(
     packet: PacketParams,
+    gt: np.ndarray,
     t: float,
     lattice: Lattice,
-    spectrum: Spectrum,
     velocity: float | None = None,
     omega3: float | None = None,
 ) -> float:
-    """Shape-retention deficit of the evolved packet after time t.
+    """Shape-retention deficit of the packet gt, already propagated to time t.
 
     Returns 1 - |<ideal|g(t)>| against the translated-and-broadened
     envelope of the same packet: zero for dispersionless transport, and
     growing with the chirp, asymmetry and shed ripple of the real
     evolution.  velocity/omega3 overrides follow translated_envelope.
     """
-    gt = propagate(gaussian_packet(packet, lattice), t, spectrum)
-    return _shape_deficit(packet, gt, t, lattice, velocity, omega3)
-
-
-def _shape_deficit(packet, gt, t, lattice, velocity=None, omega3=None) -> float:
-    """1 - |<ideal|gt>| for the packet already propagated to time t."""
     ideal = translated_envelope(packet, t, lattice, velocity, omega3)
     return max(0.0, 1.0 - abs(overlap(ideal, gt)))
 
@@ -278,14 +271,8 @@ def error_budget(plan: ProtocolPlan) -> ErrorBudgetReport:
         else 0.0
     )
     gT = propagate(g0, plan.decode_time, spectrum)
-    eps_p = _shape_deficit(plan.packet, gT, plan.decode_time, lattice)
+    eps_p = propagation_error(plan.packet, gT, plan.decode_time, lattice)
     _, eps_d = decode_mode(gT, plan.region_b)
-    return _with_bound(eps_e, eps_p, eps_d)
-
-
-def _with_bound(
-    eps_e: float, eps_p: float, eps_d: float, eps_i: float | None = None
-) -> ErrorBudgetReport:
     raw = 1.0 - eps_e - eps_p - eps_d
     return ErrorBudgetReport(
         eps_e=eps_e,
@@ -293,15 +280,7 @@ def _with_bound(
         eps_d=eps_d,
         fidelity_bound=max(0.0, raw),
         clamped=raw < 0.0,
-        eps_i=eps_i,
     )
-
-
-def accumulate_error(report: ErrorBudgetReport, lam: float) -> ErrorBudgetReport:
-    """Scale the encoding error linearly for M = lambda * N^(2/3) signals."""
-    if lam < 1.0:
-        raise ValueError(f"lambda must be >= 1, got {lam}")
-    return _with_bound(report.eps_e * lam, report.eps_p, report.eps_d, report.eps_i)
 
 
 def min_wait_time(

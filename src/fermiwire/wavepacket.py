@@ -7,9 +7,8 @@ A packet is a normalized single-particle state
 supported on a contiguous site region, with gamma fixing the squared
 amplitude sum to one.  The module also provides the width-budget formulas
 that pick sigma and the region from a momentum cutoff Lambda = kappa*N^(2/3),
-the cubic-dispersion broadening prediction, and overlap estimators
-(closed-form Gaussian decay and the numerically integrated Gaussian-cubic
-Fourier integral).
+the cubic-dispersion broadening prediction and the spectral leakage
+past that cutoff.
 
 Width and position measurements use the circular embedding x -> e^{2*pi*i*x}
 so that packets wrapping the ring are handled; reported widths are in ring
@@ -280,53 +279,6 @@ def width_report(
         predicted_ratio=broadening_prediction(l0_angle, t, omega3),
         measured_ratio=wt / w0,
     )
-
-
-def overlap_decay_estimate(x1: float, budget: PacketBudget) -> float:
-    """Closed-form overlap decay shape exp(-pi^2 kappa^2 x1^2 / (2c)).
-
-    x1 is the rescaled separation, t = x1 * N^(1/3) / 2.  The undetermined
-    constant prefactor is not modelled; treat the value as a shape to be
-    fit-normalized, invalid for x1 below order one.
-    """
-    return float(np.exp(-np.pi**2 * budget.kappa**2 * x1**2 / (2.0 * budget.c)))
-
-
-def fourier_airy_overlap(
-    budget: PacketBudget,
-    n: int,
-    t: float,
-    include_cubic: bool = True,
-) -> complex:
-    """Gaussian-cubic Fourier integral approximating <g(0)|g(t)>.
-
-    Evaluates 2*sigma*sqrt(pi) * integral of
-    exp(-4 pi^2 sigma^2 k^2) * exp(i(4 pi/N) t k - i (2/3!) (2 pi/N)^3 t k^3)
-    by adaptive quadrature over |k| <= 6/(2 pi sigma); the Gaussian weight
-    beyond that support is below 1e-15.  With the cubic term dropped the
-    result is the exact Gaussian transform.
-    """
-    from scipy.integrate import IntegrationWarning, quad
-
-    sigma = sigma_sites_for_budget(n, budget) / n
-    cut = 6.0 / (2.0 * np.pi * sigma)
-    lin = 4.0 * np.pi * t / n
-    cub = (2.0 / 6.0) * (2.0 * np.pi / n) ** 3 * t if include_cubic else 0.0
-    pref = 2.0 * sigma * np.sqrt(np.pi)
-
-    def integrand(k: float) -> complex:
-        return pref * np.exp(-4.0 * np.pi**2 * sigma**2 * k**2) * np.exp(
-            1j * (lin * k - cub * k**3)
-        )
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
-        try:
-            re = quad(lambda k: integrand(k).real, -cut, cut, epsabs=1e-10, limit=400)[0]
-            im = quad(lambda k: integrand(k).imag, -cut, cut, epsabs=1e-10, limit=400)[0]
-        except IntegrationWarning as exc:
-            raise RuntimeError(f"overlap quadrature did not converge: {exc}") from exc
-    return complex(re, im)
 
 
 def spectral_leakage(

@@ -1,0 +1,97 @@
+"""Independent references and checks that the tests compare fermiwire against.
+
+None of these is run by an experiment: they are random inputs, closed
+forms and a quadrature written apart from the package code they check.
+"""
+
+from __future__ import annotations
+
+import warnings
+
+import numpy as np
+from scipy.integrate import IntegrationWarning, quad
+
+from fermiwire.fock import FockBasis
+from fermiwire.wavepacket import PacketBudget, sigma_sites_for_budget
+
+
+def random_state(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-like random normalized state on N sites."""
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return v / np.linalg.norm(v)
+
+
+def basis_index(basis: FockBasis) -> dict[int, int]:
+    """Position of each bitmask in the basis."""
+    return {s: i for i, s in enumerate(basis.states)}
+
+
+def total_excitation_operator(basis: FockBasis, n_a: int, n_b: int) -> np.ndarray:
+    """Diagonal of (fermion number + raised-register count) on the global tensor."""
+    shape = (2,) * n_a + (len(basis),) + (2,) * n_b
+    occ = basis.particle_counts.reshape((1,) * n_a + (-1,) + (1,) * n_b)
+    diag = np.zeros(shape) + occ
+    for axis in range(n_a + n_b):
+        pos = axis if axis < n_a else axis + 1
+        qub = np.array([0.0, 1.0]).reshape(
+            tuple(2 if i == pos else 1 for i in range(len(shape)))
+        )
+        diag = diag + qub
+    return diag
+
+
+def validate_qubit_state(rho: np.ndarray, atol: float = 1e-10):
+    """Raise ValueError unless rho is a 2x2 density matrix."""
+    if rho.shape != (2, 2):
+        raise ValueError("density matrix must be 2x2")
+    if np.max(np.abs(rho - rho.conj().T)) > atol:
+        raise ValueError("density matrix is not Hermitian")
+    if abs(np.trace(rho).real - 1.0) > 1e-9:
+        raise ValueError("density matrix trace is not one")
+    if np.min(np.linalg.eigvalsh((rho + rho.conj().T) / 2)) < -atol:
+        raise ValueError("density matrix has a negative eigenvalue")
+
+
+def overlap_decay_estimate(x1: float, budget: PacketBudget) -> float:
+    """Closed-form overlap decay shape exp(-pi^2 kappa^2 x1^2 / (2c)).
+
+    x1 is the rescaled separation, t = x1 * N^(1/3) / 2.  The undetermined
+    constant prefactor is not modelled; treat the value as a shape to be
+    fit-normalized, invalid for x1 below order one.
+    """
+    return float(np.exp(-np.pi**2 * budget.kappa**2 * x1**2 / (2.0 * budget.c)))
+
+
+def fourier_airy_overlap(
+    budget: PacketBudget,
+    n: int,
+    t: float,
+    include_cubic: bool = True,
+) -> complex:
+    """Gaussian-cubic Fourier integral approximating <g(0)|g(t)>.
+
+    Evaluates 2*sigma*sqrt(pi) * integral of
+    exp(-4 pi^2 sigma^2 k^2) * exp(i(4 pi/N) t k - i (2/3!) (2 pi/N)^3 t k^3)
+    by adaptive quadrature over |k| <= 6/(2 pi sigma); the Gaussian weight
+    beyond that support is below 1e-15.  With the cubic term dropped the
+    result is the exact Gaussian transform.
+    """
+    sigma = sigma_sites_for_budget(n, budget) / n
+    cut = 6.0 / (2.0 * np.pi * sigma)
+    lin = 4.0 * np.pi * t / n
+    cub = (2.0 / 6.0) * (2.0 * np.pi / n) ** 3 * t if include_cubic else 0.0
+    pref = 2.0 * sigma * np.sqrt(np.pi)
+
+    def integrand(k: float) -> complex:
+        return pref * np.exp(-4.0 * np.pi**2 * sigma**2 * k**2) * np.exp(
+            1j * (lin * k - cub * k**3)
+        )
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        try:
+            re = quad(lambda k: integrand(k).real, -cut, cut, epsabs=1e-10, limit=400)[0]
+            im = quad(lambda k: integrand(k).imag, -cut, cut, epsabs=1e-10, limit=400)[0]
+        except IntegrationWarning as exc:
+            raise RuntimeError(f"overlap quadrature did not converge: {exc}") from exc
+    return complex(re, im)

@@ -1,15 +1,20 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fermiwire
 from fermiwire.cli import main
 from fermiwire.harness import (
+    EXPERIMENTS,
     ConfigError,
     ResultTable,
     build_config,
     emit,
-    load_config,
     parse_config_text,
     render_csv,
     render_json,
@@ -67,14 +72,6 @@ def test_missing_required_key():
 def test_unknown_experiment():
     with pytest.raises(ConfigError, match="unknown experiment"):
         make_config("experiment = Nonsense\nN = 64\n")
-
-
-def test_load_config_from_file(tmp_path):
-    path = tmp_path / "run.cfg"
-    path.write_text("experiment = Dispersion\nN = 16\nseed = 3\n")
-    cfg = load_config(path)
-    assert cfg.seed == 3
-    assert cfg.params["N"] == 16
 
 
 # ---------------------------------------------------------------- running
@@ -338,6 +335,74 @@ def test_cli_subcommand_experiment_mismatch(tmp_path):
 def test_cli_reports_bad_key():
     code = main(["dispersion", "--set", "bogus=1"])
     assert code == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["oracle-protocol", "--set", "N=10", "--set", "M=2", "--set", "t=nan"],
+     "key 't' expects a finite number, got 'nan'"),
+    (["oracle-protocol", "--set", "N=10", "--set", "M=2", "--set", "t=inf"],
+     "key 't' expects a finite number, got 'inf'"),
+    (["tj-check", "--set", "N=10", "--set", "J=inf"],
+     "key 'J' expects a finite number, got 'inf'"),
+    (["error-budget", "--set", "N=64", "--set", "M=2", "--set", "epsilon=-NaN"],
+     "key 'epsilon' expects a finite number, got '-NaN'"),
+    (["rate-fit", "--set", "n_min=256", "--set", "n_max=1024", "--set", "M=0"],
+     "M must be at least 1, got 0"),
+], ids=["t-nan", "t-inf", "J-inf", "epsilon-nan", "M-0"])
+def test_cli_rejects_bad_numbers_before_running(argv, message, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"fermiwire: error: {message}\n"
+
+
+# one small run of every subcommand
+SMALL_RUNS = {
+    "dispersion": ["N=8"],
+    "packet": ["N=64"],
+    "transit": ["N=64"],
+    "broadening": ["N=64"],
+    "overlap-decay": ["n_min=64", "n_max=128"],
+    "error-budget": ["N=64", "M=2"],
+    "min-wait-sweep": ["n_min=64", "n_max=128", "M=2"],
+    "rate-fit": ["n_min=64", "n_max=256", "M=2"],
+    "oracle-protocol": ["N=8", "M=1"],
+    "oracle-bounds": ["N=8", "M=1"],
+    "tj-check": ["N=8", "J=1"],
+}
+
+# scipy is a test-only dependency: with every scipy import blocked, the
+# package imports and every subcommand still runs
+_WITHOUT_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None
+from fermiwire import cli
+
+def loaded():
+    return [m for m, mod in sys.modules.items()
+            if m.split(".")[0] == "scipy" and mod is not None]
+
+assert not loaded(), loaded()
+runs, out = json.loads(sys.argv[1]), sys.argv[2]
+for command, settings in runs.items():
+    argv = [command, "--out", f"{out}/{command}.csv"]
+    for item in settings:
+        argv += ["--set", item]
+    assert cli.main(argv) == 0, command
+assert not loaded(), loaded()
+"""
+
+
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    assert list(SMALL_RUNS) == list(EXPERIMENTS)
+    src = str(Path(fermiwire.__file__).parents[1])
+    subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, json.dumps(SMALL_RUNS), str(tmp_path)],
+        check=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == sorted(
+        f"{command}.csv" for command in SMALL_RUNS
+    )
 
 
 def test_cli_honors_config_output_path(tmp_path):

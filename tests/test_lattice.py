@@ -1,18 +1,17 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from references import random_state
 
 from fermiwire.lattice import (
     Boundary,
     Lattice,
-    basis_state,
     build_hopping,
     diagonalize,
     dispersion,
     dispersion_third_derivative,
     group_velocity,
     propagate,
-    random_state,
     ring_spectrum,
     transit_time,
 )
@@ -21,11 +20,6 @@ from fermiwire.lattice import (
 def test_lattice_rejects_tiny():
     with pytest.raises(ValueError):
         Lattice(3)
-
-
-def test_lattice_positions():
-    x = Lattice(8).positions()
-    assert np.allclose(x, np.arange(1, 9) / 8)
 
 
 def test_build_hopping_ring_row_sums():
@@ -156,7 +150,7 @@ def test_propagate_basis_state_dense_oracle():
     h = build_hopping(Lattice(n))
     vals, vecs = np.linalg.eigh(h)
     u = (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
-    state = basis_state(n, 1)
+    state = np.eye(n, dtype=complex)[0]
     assert np.max(np.abs(propagate(state, t, spec) - u @ state)) < 1e-8
 
 

@@ -13,7 +13,6 @@ from fermiwire.lattice import (
     ring_spectrum,
 )
 from fermiwire.protocol import (
-    accumulate_error,
     angular_distance,
     decode_mode,
     encoding_error_bound,
@@ -240,12 +239,11 @@ def test_propagation_error_zero_for_linear_dispersion():
     )
     toy = Spectrum(lat, eigenvalues)
     g0 = gaussian_packet(params, lat)
-    assert np.max(np.abs(propagate(g0, t0, toy) - np.roll(g0, shift_sites))) < 1e-10
+    gt = propagate(g0, t0, toy)
+    assert np.max(np.abs(gt - np.roll(g0, shift_sites))) < 1e-10
     # d omega/dk of the toy dispersion, and no cubic term
     toy_velocity = 2.0 * np.pi * shift_sites / (n * t0)
-    eps_p = propagation_error(
-        params, t0, lat, toy, velocity=toy_velocity, omega3=0.0
-    )
+    eps_p = propagation_error(params, gt, t0, lat, velocity=toy_velocity, omega3=0.0)
     assert eps_p < 1e-8
 
 
@@ -256,7 +254,9 @@ def test_propagation_error_fixture_default_packet():
     params = sigma_for_budget(n, BUDGET)
     from fermiwire.lattice import transit_time
 
-    assert propagation_error(params, transit_time(n), lat, spec) <= 0.05
+    t = transit_time(n)
+    gt = propagate(gaussian_packet(params, lat), t, spec)
+    assert propagation_error(params, gt, t, lat) <= 0.05
 
 
 def test_propagation_error_zero_at_time_zero():
@@ -264,7 +264,8 @@ def test_propagation_error_zero_at_time_zero():
     lat = Lattice(n)
     spec = ring_spectrum(n)
     params = sigma_for_budget(n, BUDGET)
-    assert propagation_error(params, 0.0, lat, spec) < 1e-12
+    g0 = propagate(gaussian_packet(params, lat), 0.0, spec)
+    assert propagation_error(params, g0, 0.0, lat) < 1e-12
 
 
 def test_propagation_error_monotone_in_c():
@@ -282,11 +283,20 @@ def test_propagation_error_monotone_in_c():
         t = angular_distance(n, params.center, bob) / abs(
             group_velocity(params.wavenumber, n)
         )
-        values.append(propagation_error(params, t, lat, spec))
+        gt = propagate(gaussian_packet(params, lat), t, spec)
+        values.append(propagation_error(params, gt, t, lat))
     assert values[0] > values[1] > values[2]
 
 
 # ---------------------------------------------------------------- reports
+
+
+@pytest.mark.parametrize("field", ["wait", "decode_time"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_plan_rejects_non_finite_times(field, value):
+    plan = plan_protocol(512, 2, BUDGET, 0.01, wait=10.0)
+    with pytest.raises(ValueError, match="finite and positive"):
+        replace(plan, **{field: value})
 
 
 def test_error_budget_identity_and_clamp():
@@ -297,20 +307,6 @@ def test_error_budget_identity_and_clamp():
             rep.fidelity_bound + rep.eps_e + rep.eps_p + rep.eps_d, 1.0, atol=1e-12
         )
     assert rep.fidelity_bound >= 0.0
-
-
-def test_accumulate_error_scaling():
-    plan = plan_protocol(512, 2, BUDGET, 0.01, wait=10.0)
-    rep = error_budget(plan)
-    same = accumulate_error(rep, 1.0)
-    assert same.eps_e == rep.eps_e
-    doubled = accumulate_error(rep, 2.0)
-    assert np.isclose(doubled.eps_e, 2 * rep.eps_e, rtol=1e-12)
-    assert doubled.eps_p == rep.eps_p
-    huge = accumulate_error(rep, 1e9)
-    assert huge.fidelity_bound == 0.0 and huge.clamped
-    with pytest.raises(ValueError):
-        accumulate_error(rep, 0.5)
 
 
 # ---------------------------------------------------------------- min wait

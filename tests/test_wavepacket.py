@@ -1,12 +1,7 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
+from references import fourier_airy_overlap, overlap_decay_estimate
 
-import fermiwire
 from fermiwire.lattice import Lattice, propagate, ring_spectrum, transit_time
 from fermiwire.wavepacket import (
     PacketBudget,
@@ -17,11 +12,9 @@ from fermiwire.wavepacket import (
     centroid_shift,
     characteristic_width,
     circular_centroid,
-    fourier_airy_overlap,
     gaussian_packet,
     measured_width,
     overlap,
-    overlap_decay_estimate,
     region_weight,
     sigma_for_budget,
     sigma_sites_for_budget,
@@ -317,13 +310,3 @@ def test_spectral_leakage_budget_packet():
         assert leak <= np.exp(-c) * 1.5
     assert all(x > y for x, y in zip(leaks, leaks[1:]))
 
-
-def test_import_does_not_load_scipy_integrate():
-    # quad is imported inside fourier_airy_overlap, on first use only, and
-    # the Fock oracle runs on numpy alone: no scipy module at all
-    code = ("import fermiwire, fermiwire.cli, sys; "
-            "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]; "
-            "assert not loaded, loaded")
-    src = str(Path(fermiwire.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
