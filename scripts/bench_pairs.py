@@ -10,7 +10,11 @@ change is the working tree.  Pair i runs
     python3 perfbench/run.py --workload W --seed S+i --trace 0
 
 once on each side, the base first on even i and the change first on odd i,
-and reads the JSON object on the last line each run prints.  The output
+and reads the JSON object on the last line each run prints.  Every run
+gets ``PYTHONDONTWRITEBYTECODE=1`` and ``PYTHONPYCACHEPREFIX`` set to an
+empty directory, so neither side loads bytecode the other lacks (the
+export has no ``__pycache__``, the working tree may): both compile every
+module from source.  The output
 records the environment, each side's per-metric runs, median and quartiles,
 how many pairs the change won on each metric (ties count for neither side;
 the direction comes from ``BENCHMARK.json``), and the pair count.
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
 import statistics
 import subprocess
@@ -45,11 +50,11 @@ def export(rev: str, dest: Path) -> None:
     archive.unlink()
 
 
-def bench(tree: Path, workload: str, seed: int) -> tuple[dict, dict]:
+def bench(tree: Path, workload: str, seed: int, env: dict) -> tuple[dict, dict]:
     """One benchmark run; returns (result object, environment)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, env=env)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n"
@@ -98,10 +103,15 @@ def main(argv=None) -> int:
                   + (" with local changes" if _git("status", "--porcelain") else ""),
         "command": "python3 perfbench/run.py --workload W --seed S --trace 0",
         "order": "pair i runs the base first when i is even, the change first when odd",
+        "bytecode": "both sides compile from source: PYTHONDONTWRITEBYTECODE=1, "
+                    "PYTHONPYCACHEPREFIX set to an empty directory",
         "workloads": {},
     }
     tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
+        (tmp / "pycache").mkdir()
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+               "PYTHONPYCACHEPREFIX": str(tmp / "pycache")}
         export(args.base, tmp)
         trees = {"base": tmp / "tree", "change": ROOT}
         for workload in args.workload:
@@ -109,9 +119,9 @@ def main(argv=None) -> int:
             seeds = [args.seed + i for i in range(args.pairs)]
             for i, seed in enumerate(seeds):
                 for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
-                    result, env = bench(trees[side], workload, seed)
+                    result, recorded = bench(trees[side], workload, seed, env)
                     runs[side].append(result)
-                    report.setdefault("environment", {k: v for k, v in env.items()
+                    report.setdefault("environment", {k: v for k, v in recorded.items()
                                                       if k != "seed"})
                     print(f"{workload} pair {i} seed {seed} {side}: "
                           f"exp_s.p50 {result['metrics']['exp_s.p50']['value']:.4f}",

@@ -53,7 +53,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .lattice import Boundary, Lattice, ring_spectrum, propagate
+from .lattice import Lattice, ring_spectrum, propagate
 from .protocol import ProtocolPlan, decode_mode
 from .wavepacket import gaussian_packet
 
@@ -237,19 +237,12 @@ class ModeOperator:
         """a^dag from sector k-1 to sector k on (size_{k-1}, C) amplitudes."""
         return _gather(*self._tables[k][1], x)
 
-    def annihilate(self, x: np.ndarray) -> np.ndarray:
-        """a on the leading (Fock) axis of x."""
-        return self._per_sector(x, self.lower, 0)
-
     def create(self, x: np.ndarray) -> np.ndarray:
         """a^dag on the leading (Fock) axis of x; the top sector has no image."""
-        return self._per_sector(x, self.lift, 1)
-
-    def _per_sector(self, x, step, rise: int) -> np.ndarray:
         cols = np.asarray(x, dtype=complex).reshape(len(self.basis), -1)
         y, sec = np.zeros_like(cols), self.basis.sectors
         for k in range(1, len(sec)):
-            y[sec[k - 1 + rise]] = step(k, cols[sec[k - rise]])
+            y[sec[k]] = self.lift(k, cols[sec[k - 1]])
         return y.reshape(np.shape(x))
 
     def swap(self, x: np.ndarray) -> np.ndarray:
@@ -295,14 +288,6 @@ def mode_annihilator(coeffs: np.ndarray, basis: FockBasis) -> ModeOperator:
     return ModeOperator(coeffs, basis)
 
 
-def _bonds(lattice: Lattice) -> list[tuple[int, int]]:
-    n = lattice.n_sites
-    bonds = [(j, j + 1) for j in range(1, n)]
-    if lattice.boundary is Boundary.RING:
-        bonds.append((n, 1))
-    return bonds
-
-
 @dataclass(frozen=True, eq=False)
 class CooMatrix:
     """Sparse matrix as (row, col, data) triplets; repeated entries add."""
@@ -325,7 +310,7 @@ def kinetic_matrix(basis: FockBasis, lattice: Lattice) -> CooMatrix:
     strictly between the ends.
     """
     masks, cols, hops, data = basis.masks, [], [], []
-    for p, q in _bonds(lattice):
+    for p, q in lattice.bonds:
         lo, hi = sorted((p, q))
         ends = np.uint64((1 << (p - 1)) | (1 << (q - 1)))
         col = np.flatnonzero(np.bitwise_count(masks & ends) == 1)
@@ -340,64 +325,48 @@ def kinetic_matrix(basis: FockBasis, lattice: Lattice) -> CooMatrix:
 def adjacent_pair_counts(basis: FockBasis, lattice: Lattice) -> np.ndarray:
     """Per-basis-state count of occupied nearest-neighbour pairs."""
     masks, counts = basis.masks, np.zeros(len(basis))
-    for p, q in _bonds(lattice):
+    for p, q in lattice.bonds:
         counts += (masks >> np.uint64(p - 1)) & (masks >> np.uint64(q - 1)) & 1
     return counts
 
 
-@dataclass(frozen=True)
-class ManyBodyHamiltonian:
-    """Lattice Hamiltonian on a truncated basis; any matrix with ``row``,
-    ``col`` and ``data`` arrays serves.
+def tj_hamiltonian(basis: FockBasis, lattice: Lattice, j_coupling: float) -> CooMatrix:
+    """Kinetic term plus j_coupling * sum_bonds n_j n_{j+1}.
 
-    ``tight_binding_hamiltonian`` is the unit-coupling kinetic term and
-    ``tj_hamiltonian`` adds t_hop * kinetic + j_coupling * sum_bonds
-    n_j n_{j+1} (bonds follow the lattice boundary), so t_hop = 1, J = 0
-    reproduces the tight-binding anchor exactly.
+    The hopping is the unit of energy; bonds follow the lattice boundary,
+    so J = 0 reproduces ``kinetic_matrix`` exactly.
     """
-
-    basis: FockBasis
-    matrix: CooMatrix
-
-
-def tight_binding_hamiltonian(basis: FockBasis, lattice: Lattice) -> ManyBodyHamiltonian:
-    return ManyBodyHamiltonian(basis, kinetic_matrix(basis, lattice))
-
-
-def tj_hamiltonian(
-    basis: FockBasis,
-    lattice: Lattice,
-    t_hop: float = 1.0,
-    j_coupling: float = 0.0,
-) -> ManyBodyHamiltonian:
     k = kinetic_matrix(basis, lattice)
     diag = np.arange(len(basis))
     pairs = adjacent_pair_counts(basis, lattice)
-    mat = CooMatrix(np.concatenate([k.row, diag]), np.concatenate([k.col, diag]),
-                    np.concatenate([t_hop * k.data, j_coupling * pairs]), k.shape)
-    return ManyBodyHamiltonian(basis, mat)
+    return CooMatrix(np.concatenate([k.row, diag]), np.concatenate([k.col, diag]),
+                     np.concatenate([k.data, j_coupling * pairs]), k.shape)
 
 
 class ExactEvolver:
     """exp(-i t H) applied to states in H's eigenbasis, sector by sector.
 
-    The sectors are the particle-number runs of the ordered basis
-    (``FockBasis.sectors``), each scattered into a dense block and
-    diagonalized once; H must be Hermitian with no entries between them.
+    H is any matrix on the basis with ``row``, ``col`` and ``data`` arrays
+    and a ``shape`` (a ``CooMatrix``, or a scipy COO matrix).  The sectors
+    are the particle-number runs of the ordered basis (``FockBasis.sectors``),
+    each scattered into a dense block and diagonalized once; H must be
+    Hermitian with no entries between them.
     """
 
-    def __init__(self, hamiltonian: ManyBodyHamiltonian):
-        h = hamiltonian.matrix
-        self.basis = hamiltonian.basis
-        k_row = self.basis.particle_counts[h.row]
-        k_col = self.basis.particle_counts[h.col]
-        if np.any((k_row != k_col) & (h.data != 0)):
+    def __init__(self, basis: FockBasis, matrix):
+        if matrix.shape != (len(basis),) * 2:
+            raise ValueError(f"Hamiltonian of shape {matrix.shape} does not act "
+                             f"on the {len(basis)}-state basis")
+        self.basis = basis
+        row, col, data = matrix.row, matrix.col, matrix.data
+        k_row, k_col = basis.particle_counts[row], basis.particle_counts[col]
+        if np.any((k_row != k_col) & (data != 0)):
             raise ValueError("Hamiltonian has entries between particle-number sectors")
         self.eigen = []
-        for k, s in enumerate(self.basis.sectors):
+        for k, s in enumerate(basis.sectors):
             on = (k_row == k) & (k_col == k)
-            block = np.zeros((s.stop - s.start,) * 2, dtype=h.data.dtype)
-            np.add.at(block, (h.row[on] - s.start, h.col[on] - s.start), h.data[on])
+            block = np.zeros((s.stop - s.start,) * 2, dtype=data.dtype)
+            np.add.at(block, (row[on] - s.start, col[on] - s.start), data[on])
             if np.abs(block - block.conj().T).max() > 1e-12:
                 raise ValueError("Hamiltonian is not Hermitian (max |H - H^dag| > 1e-12)")
             self.eigen.append(np.linalg.eigh(block))
@@ -458,11 +427,9 @@ def build_encoder(g_coeffs: np.ndarray, basis: FockBasis) -> ModeOperator:
 
 
 def vacuum_vector(
-    basis: FockBasis, n_a: int, n_b: int, messages: Sequence[np.ndarray] | None = None
+    basis: FockBasis, n_a: int, n_b: int, messages: Sequence[np.ndarray]
 ) -> FockVector:
     """Product state: message qubits x lattice vacuum x receiver |0> qubits."""
-    if messages is None:
-        messages = [np.array([1.0, 0.0], dtype=complex)] * n_a
     if len(messages) != n_a:
         raise ValueError(f"expected {n_a} message states, got {len(messages)}")
     amp = np.array([1.0 + 0.0j])
@@ -534,14 +501,13 @@ class ProtocolEngine:
             raise ValueError("basis and plan lattice sizes differ")
         self.plan = plan
         self.basis = basis
-        self.lattice = Lattice(plan.n)
-        spectrum = ring_spectrum(plan.n)
-        self.g0 = gaussian_packet(plan.packet, self.lattice)
-        gT = propagate(self.g0, plan.decode_time, spectrum)
-        self.h, self.eps_d = decode_mode(gT, plan.region_b)
-        self.encoder = build_encoder(self.g0, basis)
-        self.decoder = build_encoder(self.h, basis)
-        self.evolver = ExactEvolver(tight_binding_hamiltonian(basis, self.lattice))
+        lattice = Lattice(plan.n)
+        g0 = gaussian_packet(plan.packet, lattice)
+        h, _ = decode_mode(propagate(g0, plan.decode_time, ring_spectrum(plan.n)),
+                           plan.region_b)
+        self.encoder = build_encoder(g0, basis)
+        self.decoder = build_encoder(h, basis)
+        self.evolver = ExactEvolver(basis, kinetic_matrix(basis, lattice))
 
     def run(self, messages: Sequence[np.ndarray]) -> FockVector:
         """Run the full timed encode/evolve/decode sequence exactly.
@@ -556,21 +522,32 @@ class ProtocolEngine:
         m = self.plan.m_signals
         if len(messages) != m:
             raise ValueError(f"expected {m} messages, got {len(messages)}")
-        fv = vacuum_vector(self.basis, m, m, messages)
-        now = 0.0
+        events, now = [], 0.0
         for tau, kind, idx in schedule(self.plan):
-            if tau > now + 1e-12:
-                fv = self.evolver.apply(fv, tau - now)
-                now = tau
-            op = self.encoder if kind == 0 else self.decoder
-            side = "A" if kind == 0 else "B"
-            fv = _apply_register_block(fv, op, side, idx)
-            if abs(fv.norm() - 1.0) > 1e-10:
-                raise RuntimeError(
-                    f"norm drifted to {fv.norm()!r} after {side}{idx}; "
-                    "amplitude leaked out of the truncated sector"
-                )
+            op, side = (self.decoder, "B") if kind else (self.encoder, "A")
+            events.append((tau - now, op, side, idx))
+            now = tau
+        fv = _run_events(vacuum_vector(self.basis, m, m, messages), events, self.evolver)
         return exchange_correction(fv, exchange_pairs(self.plan))
+
+
+def _run_events(fv: FockVector, events, evolver: ExactEvolver) -> FockVector:
+    """Apply (gap, operator, side, register) events in order.
+
+    Each evolves for its gap when the gap exceeds 1e-12, then swaps the
+    register with the operator's mode; any amplitude leaking out of the
+    excitation-conserving sector aborts the run.
+    """
+    for gap, op, side, idx in events:
+        if gap > 1e-12:
+            fv = evolver.apply(fv, gap)
+        fv = _apply_register_block(fv, op, side, idx)
+        if abs(fv.norm() - 1.0) > 1e-10:
+            raise RuntimeError(
+                f"norm drifted to {fv.norm()!r} after {side}{idx}; "
+                "amplitude leaked out of the truncated sector"
+            )
+    return fv
 
 
 def reduced_qubit(fv: FockVector, side: str, idx: int) -> np.ndarray:
@@ -632,34 +609,31 @@ def run_encoding_sequence(
     coeff_pairs are the (c, d) amplitudes of each message qubit;
     encoders are the ``build_encoder`` operators swapped into each register in
     turn; waits are the M-1 gaps between consecutive encodings, evolved
-    under ``evolver``, whose basis the run uses.
+    under ``evolver``, whose basis the run uses.  Like ``ProtocolEngine.run``
+    it aborts when amplitude leaks out of the truncated sector.
     """
     m = len(coeff_pairs)
-    if len(encoders) != m or len(waits) != m - 1:
-        raise ValueError("need one encoder per signal and M-1 waits")
+    if len(encoders) != m or len(waits) != m - 1 or any(w < 0 for w in waits):
+        raise ValueError("need one encoder per signal and M-1 non-negative waits")
     messages = [np.array([c, d], dtype=complex) for c, d in coeff_pairs]
-    fv = vacuum_vector(evolver.basis, m, 0, messages)
-    for alpha in range(1, m + 1):
-        fv = _apply_register_block(fv, encoders[alpha - 1], "A", alpha)
-        if alpha <= m - 1:
-            fv = evolver.apply(fv, waits[alpha - 1])
-    return fv
+    events = [(gap, op, "A", alpha)
+              for alpha, (gap, op) in enumerate(zip([0.0, *waits], encoders), start=1)]
+    return _run_events(vacuum_vector(evolver.basis, m, 0, messages), events, evolver)
 
 
 def encoding_residual_norm(
     actual: FockVector,
     coeff_pairs: Sequence[tuple[complex, complex]],
     modes_now: Sequence[np.ndarray],
-    basis: FockBasis,
 ) -> float:
     """Norm distance from the ideal independent-mode product state.
 
-    The ideal keeps every message register in |0> and builds
-    (c_M + d_M op_M^dag) ... (c_1 + d_1 op_1^dag) |vac> from the supplied
-    current-time mode vectors (signal 1 applied first); it is deliberately
-    not renormalized.
+    The ideal, on the basis of ``actual``, keeps every message register in
+    |0> and builds (c_M + d_M op_M^dag) ... (c_1 + d_1 op_1^dag) |vac> from
+    the supplied current-time mode vectors (signal 1 applied first); it is
+    deliberately not renormalized.
     """
-    m = len(coeff_pairs)
+    basis, m = actual.basis, len(coeff_pairs)
     if actual.n_a != m or len(modes_now) != m:
         raise ValueError("coefficient, mode and register counts must agree")
     state = np.zeros(len(basis), dtype=complex)
@@ -684,20 +658,16 @@ def tj_interaction_error(fv: FockVector, lattice: Lattice) -> float:
 
 
 def evolution_difference(
-    fv: FockVector,
-    s: float,
-    t_hop: float,
-    j_coupling: float,
-    lattice: Lattice,
+    fv: FockVector, s: float, j_coupling: float, lattice: Lattice
 ) -> float:
     """Norm difference between interacting and free evolution of a state.
 
-    Evolves under t_hop * kinetic + J * interaction and under the plain
-    tight-binding kinetic term, both exactly, and returns the norm of the
-    difference; compare against |s| times the interaction norm.
+    Evolves under kinetic + J * interaction and under the plain kinetic
+    term, both exactly, and returns the norm of the difference; compare
+    against |s| |J| times the interaction norm.
     """
-    free = ExactEvolver(tight_binding_hamiltonian(fv.basis, lattice))
-    inter = ExactEvolver(tj_hamiltonian(fv.basis, lattice, t_hop, j_coupling))
+    free = ExactEvolver(fv.basis, kinetic_matrix(fv.basis, lattice))
+    inter = ExactEvolver(fv.basis, tj_hamiltonian(fv.basis, lattice, j_coupling))
     a = inter.apply(fv, s)
     b = free.apply(fv, s)
     return float(np.linalg.norm(a.tensor - b.tensor))

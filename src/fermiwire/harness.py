@@ -71,6 +71,7 @@ class ConfigError(ValueError):
 class Experiment(NamedTuple):
     name: str
     required: set
+    optional: set  # read when given; experiment, seed and output are always accepted
     runner: Callable
     carrier: bool  # its packets ride the carrier k0 = 3N/4, so N % 4 == 0
 
@@ -148,6 +149,9 @@ def build_config(values: dict) -> RunConfig:
         raise ConfigError(
             f"experiment {experiment} is missing required keys: {sorted(missing)}"
         )
+    unread = set(values) - spec.required - spec.optional
+    if unread:
+        raise ConfigError(f"experiment {experiment} does not read keys: {sorted(unread)}")
     applied = {key: v for key, v in _DEFAULTS.items() if key not in values}
     values.update(applied)
     if spec.carrier:
@@ -306,11 +310,11 @@ def _min_wait_rows(params):
     target = params["epsilon"]
     rows = []
     for n in _sweep_sizes(params):
-        spectrum = ring_spectrum(n)
         try:
-            t_star = min_wait_time(n, m, budget, target, spectrum)
+            t_star = min_wait_time(n, m, budget, target)
             g0 = gaussian_packet(sigma_for_budget(n, budget), Lattice(n))
-            rows.append([n, t_star, encoding_error_bound(g0, t_star, m, spectrum), ""])
+            bound = encoding_error_bound(g0, t_star, m, ring_spectrum(n))
+            rows.append([n, t_star, bound, ""])
         except (RuntimeError, ValueError) as exc:
             rows.append([n, float("nan"), float("nan"), str(exc)])
     return rows
@@ -379,7 +383,7 @@ def _run_oraclebounds(params):
         (complex(np.sqrt(1 - 0.4 * a / m), 0.0), complex(0.0, np.sqrt(0.4 * a / m)))
         for a in range(1, m + 1)
     ]
-    evolver = fock.ExactEvolver(fock.tight_binding_hamiltonian(basis, lattice))
+    evolver = fock.ExactEvolver(basis, fock.kinetic_matrix(basis, lattice))
     rows = []
     for sigma in (0.6, 1.0, 1.4, 1.8):
         g0 = gaussian_packet(PacketParams(sigma, center, k0, region), lattice)
@@ -391,27 +395,27 @@ def _run_oraclebounds(params):
             modes_now = [
                 propagate(g0, (m - alpha) * t, spectrum) for alpha in range(1, m + 1)
             ]
-            resid = fock.encoding_residual_norm(actual, coeff_pairs, modes_now, basis)
+            resid = fock.encoding_residual_norm(actual, coeff_pairs, modes_now)
             bound = encoding_error_bound(g0, t, m, spectrum)
             rows.append([t, sigma, resid, bound, resid <= bound + 1e-8])
     meta = {"all_satisfied": all(r[4] for r in rows)}
     return ["t", "sigma_sites", "residual_norm", "bound", "satisfied"], rows, meta
 
 
-def separating_pair(n: int, sigma: float = 1.0, gap: int = 3):
+def separating_pair(n: int):
     """Two packet parameter sets that drift apart under free evolution.
 
-    The first rides the negative-velocity carrier near N/4, the second the
+    Both are one site wide on five sites, centered three sites apart.  The
+    first rides the negative-velocity carrier near N/4, the second the
     positive one near 3N/4, so their initial contact only decays; this is
     the regime where the first-order interaction bound is meaningful.
     """
-    k_minus, k_plus = carrier_mode(n, -1), carrier_mode(n)
     ca = max(3, n // 3)
-    cb = ca + gap
+    cb = ca + 3
     if cb + 2 > n:
         raise ValueError(f"lattice of {n} sites too small for the packet pair")
-    pa = PacketParams(sigma, ca, k_minus, Region(ca - 2, ca + 2))
-    pb = PacketParams(sigma, cb, k_plus, Region(cb - 2, cb + 2))
+    pa = PacketParams(1.0, ca, carrier_mode(n, -1), Region(ca - 2, ca + 2))
+    pb = PacketParams(1.0, cb, carrier_mode(n), Region(cb - 2, cb + 2))
     return pa, pb
 
 
@@ -426,8 +430,8 @@ def _run_tjcheck(params):
     grid = [params["s"]] if "s" in params else [0.1, 0.5, 1.0]
     rows = []
     for s in grid:
-        diff = fock.evolution_difference(state, s, 1.0, j_coupling, lattice)
-        bound = abs(s) * j_coupling * eps_i
+        diff = fock.evolution_difference(state, s, j_coupling, lattice)
+        bound = abs(s * j_coupling) * eps_i
         rows.append([s, diff, bound, diff <= bound + 1e-6])
     meta = {
         "eps_i": eps_i,
@@ -437,25 +441,29 @@ def _run_tjcheck(params):
     return ["s", "norm_difference", "s_times_eps_i", "satisfied"], rows, meta
 
 
+_BUDGET_KEYS = {"c", "kappa", "nu"}
+_PLAN_KEYS = _BUDGET_KEYS | {"epsilon"}
 # subcommand -> experiment, in the order of the CLI help and the error texts
 EXPERIMENTS = {
-    "dispersion": Experiment("Dispersion", {"N"}, _run_dispersion, False),
-    "packet": Experiment("Packet", {"N"}, _run_packet, True),
-    "transit": Experiment("Transit", {"N"}, _run_transit, True),
-    "broadening": Experiment("Broadening", {"N"}, _run_broadening, True),
+    "dispersion": Experiment("Dispersion", {"N"}, set(), _run_dispersion, False),
+    "packet": Experiment("Packet", {"N"}, _BUDGET_KEYS, _run_packet, True),
+    "transit": Experiment("Transit", {"N"}, _BUDGET_KEYS, _run_transit, True),
+    "broadening": Experiment("Broadening", {"N"}, _BUDGET_KEYS, _run_broadening, True),
     "overlap-decay": Experiment(
-        "OverlapDecay", {"n_min", "n_max"}, _run_overlapdecay, True
+        "OverlapDecay", {"n_min", "n_max"}, _BUDGET_KEYS, _run_overlapdecay, True
     ),
-    "error-budget": Experiment("ErrorBudget", {"N", "M"}, _run_errorbudget, True),
+    "error-budget": Experiment("ErrorBudget", {"N", "M"}, _PLAN_KEYS, _run_errorbudget, True),
     "min-wait-sweep": Experiment(
-        "MinWaitSweep", {"n_min", "n_max", "M"}, _run_minwaitsweep, True
+        "MinWaitSweep", {"n_min", "n_max", "M"}, _PLAN_KEYS, _run_minwaitsweep, True
     ),
-    "rate-fit": Experiment("RateFit", {"n_min", "n_max", "M"}, _run_ratefit, True),
+    "rate-fit": Experiment(
+        "RateFit", {"n_min", "n_max", "M"}, _PLAN_KEYS, _run_ratefit, True
+    ),
     "oracle-protocol": Experiment(
-        "OracleProtocol", {"N", "M"}, _run_oracleprotocol, False
+        "OracleProtocol", {"N", "M"}, _PLAN_KEYS | {"t"}, _run_oracleprotocol, False
     ),
-    "oracle-bounds": Experiment("OracleBounds", {"N", "M"}, _run_oraclebounds, False),
-    "tj-check": Experiment("TJCheck", {"N", "J"}, _run_tjcheck, False),
+    "oracle-bounds": Experiment("OracleBounds", {"N", "M"}, set(), _run_oraclebounds, False),
+    "tj-check": Experiment("TJCheck", {"N", "J"}, {"s"}, _run_tjcheck, False),
 }
 
 

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 import numpy.fft  # noqa: F401  every ring path transforms; load it at import
 
-NORM_ATOL = 1e-8
+NORM_TOL = 1e-8
 
 
 class Boundary(Enum):
@@ -45,6 +45,13 @@ class Lattice:
     def __post_init__(self):
         if self.n_sites < 4:
             raise ValueError(f"need at least 4 sites, got {self.n_sites}")
+
+    @property
+    def bonds(self) -> list[tuple[int, int]]:
+        """Nearest-neighbour site pairs (j, j+1), plus (N, 1) on a ring."""
+        n = self.n_sites
+        bonds = [(j, j + 1) for j in range(1, n)]
+        return bonds + [(n, 1)] if self.boundary is Boundary.RING else bonds
 
 
 @dataclass(frozen=True)
@@ -93,22 +100,19 @@ def _check_mode(k, n: int) -> int:
     return k
 
 
-def require_normalized(state: np.ndarray, atol: float = NORM_ATOL) -> np.ndarray:
+def require_normalized(state: np.ndarray) -> np.ndarray:
     state = np.asarray(state, dtype=complex)
     nrm = np.linalg.norm(state)
-    if abs(nrm - 1.0) > atol:
+    if abs(nrm - 1.0) > NORM_TOL:
         raise ValueError(f"state is not normalized (norm = {nrm!r})")
     return state
 
 
 def build_hopping(lattice: Lattice) -> np.ndarray:
     """Unit nearest-neighbour coupling matrix; ring wraps indices mod N."""
-    n = lattice.n_sites
-    m = np.zeros((n, n))
-    for i in range(n - 1):
-        m[i, i + 1] = m[i + 1, i] = 1.0
-    if lattice.boundary is Boundary.RING:
-        m[0, n - 1] = m[n - 1, 0] = 1.0
+    m = np.zeros((lattice.n_sites,) * 2)
+    for p, q in lattice.bonds:
+        m[p - 1, q - 1] = m[q - 1, p - 1] = 1.0
     return m
 
 

@@ -116,10 +116,14 @@ def plan_protocol(
     the mode nearest 3N/4, so it drifts toward the receiver through
     increasing position.  The decode time is the center-to-center angular
     offset over |v(k0)| rather than the bare half-ring figure, since the
-    finite region widths shift the arrival.  The wait defaults to the
-    smallest time pushing the encoding bound below epsilon/3 (an even
-    split of the error budget), which needs N divisible by 4; with an
-    explicit wait any N >= 4 whose regions fit is planned.
+    finite region widths shift the arrival.  The wait defaults to
+    ``min_wait_time(n, m, budget, epsilon/3)``, which needs N divisible by
+    4: the smallest time pushing the encoding bound of the budget packet
+    ``sigma_for_budget`` (about 8.4*N^(1/3) sites at c = 9) below
+    epsilon/3.  The plan's own packet is clipped to the sender region, so
+    ``error_budget`` can report eps_e above epsilon/3 for this wait
+    (0.0117 at N = 1024, M = 4, epsilon = 0.01).  With an explicit wait
+    any N >= 4 whose regions fit is planned.
     """
     if wait is None and n % 4:
         raise ValueError(f"N = {n} is not divisible by 4")
@@ -141,7 +145,7 @@ def plan_protocol(
         group_velocity(k0, n)
     )
     if wait is None:
-        wait = min_wait_time(n, m, budget, epsilon / 3.0, ring_spectrum(n))
+        wait = min_wait_time(n, m, budget, epsilon / 3.0)
     return ProtocolPlan(
         n=n,
         m_signals=m,
@@ -283,49 +287,43 @@ def error_budget(plan: ProtocolPlan) -> ErrorBudgetReport:
     )
 
 
-def min_wait_time(
-    n: int,
-    m: int,
-    budget: PacketBudget,
-    epsilon_e_target: float,
-    spectrum: Spectrum,
-    packet: PacketParams | None = None,
-) -> float:
-    """Smallest inter-signal wait meeting an encoding-error target.
+def min_wait_time(n: int, m: int, budget: PacketBudget, target: float) -> float:
+    """Smallest inter-signal wait at which the budget packet
+    ``sigma_for_budget(n, budget)`` on the N-site ring meets an
+    encoding-error target.
 
     Scans a geometric grid of waits up to the ring-recurrence guard N/4,
     takes the first grid point whose bound is at or below the target, and
     refines against the nearest bracketing point above to 1% relative.
     Monotonicity of the bound is not assumed.
     """
-    if not 0.0 < epsilon_e_target < 1.0:
-        raise ValueError(f"target must lie in (0, 1), got {epsilon_e_target}")
+    if not 0.0 < target < 1.0:
+        raise ValueError(f"target must lie in (0, 1), got {target}")
     if m < 1:
         raise ValueError("need at least one signal")
-    if packet is None:
-        packet = sigma_for_budget(n, budget)
-    weights = _mode_weights(gaussian_packet(packet, Lattice(n)), spectrum)
-    omega = spectrum.eigenvalues
+    spectrum = ring_spectrum(n)
+    g0 = gaussian_packet(sigma_for_budget(n, budget), Lattice(n))
+    weights, omega = _mode_weights(g0, spectrum), spectrum.eigenvalues
     cap = n / 4.0
     grid = np.geomspace(max(0.05, 0.02 * n ** (1.0 / 3.0)), cap, 64)
     best = np.inf
     for i, t in enumerate(grid):
         value = _bound_from_weights(weights, omega, float(t), m)
         best = min(best, value)
-        if value <= epsilon_e_target:
+        if value <= target:
             if i == 0:
                 return float(t)
             lo, hi = float(grid[i - 1]), float(t)
             while (hi - lo) / hi > 0.01:
                 mid = float(np.sqrt(lo * hi))
-                if _bound_from_weights(weights, omega, mid, m) <= epsilon_e_target:
+                if _bound_from_weights(weights, omega, mid, m) <= target:
                     hi = mid
                 else:
                     lo = mid
             return hi
     raise RuntimeError(
         f"no wait below the recurrence guard N/4 = {cap} meets the "
-        f"encoding target {epsilon_e_target} (best bound {best:.3e})"
+        f"encoding target {target} (best bound {best:.3e})"
     )
 
 

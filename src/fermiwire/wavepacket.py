@@ -161,37 +161,22 @@ def carrier_mode(n: int, direction: int = +1) -> int:
     return (3 * n + 2) // 4 if direction >= 0 else (n + 2) // 4
 
 
-def sigma_for_budget(
-    n: int,
-    budget: PacketBudget,
-    direction: int = +1,
-    center: int | None = None,
-) -> PacketParams:
+def sigma_for_budget(n: int, budget: PacketBudget) -> PacketParams:
     """Default packet parameters for a budget on an N-site ring.
 
     The width comes from the momentum-cutoff condition (amplitude e^(-c)
     at Lambda = kappa*N^(2/3)).  The support half-width is
     ceil((sqrt(2c) + 2) * sigma), which clips the envelope at amplitude
     e^(-(c+2)) or below so truncation artifacts stay under the momentum
-    cutoff error scale; the region width is then O(c)*N^(1/3) sites.
-    The carrier is carrier_mode(n, direction).
+    cutoff error scale; the region width is then O(c)*N^(1/3) sites,
+    starting at site 1.  The carrier is the forward mode carrier_mode(n).
     """
     if n % 4:
         raise ValueError(f"N = {n} is not divisible by 4")
     sigma = sigma_sites_for_budget(n, budget)
     half = ceil((np.sqrt(2.0 * budget.c) + 2.0) * sigma - 1e-9)
-    k = carrier_mode(n, direction)
-    if center is None:
-        width = min(2 * half + 1, n)
-        region = Region(1, width)
-        return PacketParams(sigma, region.center_site, k, region)
-    lo, hi = center - half, center + half
-    if lo < 1 or hi > n:
-        raise ValueError(
-            f"default region around site {center} (half-width {half}) "
-            f"does not fit in 1..{n}"
-        )
-    return PacketParams(sigma, center, k, Region(lo, hi))
+    region = Region(1, min(2 * half + 1, n))
+    return PacketParams(sigma, region.center_site, carrier_mode(n), region)
 
 
 def overlap(a: np.ndarray, b: np.ndarray) -> complex:

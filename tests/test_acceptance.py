@@ -200,7 +200,7 @@ def test_acceptance_06_encoding_residual_bound():
     ok = True
     for m in (2, 3):
         basis = fock.fock_basis(n, m)
-        evolver = fock.ExactEvolver(fock.tight_binding_hamiltonian(basis, lattice))
+        evolver = fock.ExactEvolver(basis, fock.kinetic_matrix(basis, lattice))
         pairs = [
             (complex(np.sqrt(1 - 0.3 * a)), complex(0, np.sqrt(0.3 * a)))
             for a in np.linspace(0.5, 1.0, m)
@@ -216,7 +216,7 @@ def test_acceptance_06_encoding_residual_bound():
                 modes_now = [
                     propagate(g0, (m - a) * t, spec) for a in range(1, m + 1)
                 ]
-                resid = fock.encoding_residual_norm(actual, pairs, modes_now, basis)
+                resid = fock.encoding_residual_norm(actual, pairs, modes_now)
                 bound = encoding_error_bound(g0, t, m, spec)
                 points += 1
                 worst_gap = max(worst_gap, resid - bound)
@@ -281,7 +281,7 @@ def test_acceptance_09_tj_interaction_bound():
     ok = eps_i > 0
     details = [f"eps_I {eps_i:.4f}"]
     for s in (0.1, 0.5, 1.0):
-        diff = fock.evolution_difference(state, s, 1.0, 1.0, lattice)
+        diff = fock.evolution_difference(state, s, 1.0, lattice)
         bound = s * eps_i
         good = diff <= bound + 1e-6
         ok = ok and good
@@ -294,8 +294,7 @@ def test_acceptance_10_headline_scaling():
     t0 = timed()
     samples = []
     for n in (256, 512, 1024, 2048, 4096, 8192):
-        spec = ring_spectrum(n)
-        samples.append((n, min_wait_time(n, 4, BUDGET, 0.01, spec)))
+        samples.append((n, min_wait_time(n, 4, BUDGET, 0.01)))
     fit = fit_rate_scaling(samples)
     ok = 0.26 <= fit.exponent <= 0.40 and fit.r_squared >= 0.9
     report(10, ok, f"minimal wait ~ N^{fit.exponent:.4f} "

@@ -24,7 +24,6 @@ from fermiwire.fock import (
     mode_annihilator,
     reduced_qubit,
     run_encoding_sequence,
-    tight_binding_hamiltonian,
     tj_hamiltonian,
     tj_interaction_error,
     two_design_fidelities,
@@ -41,8 +40,12 @@ def random_mode(n, rng):
 
 
 def dense(op):
-    # the production annihilator applied to identity columns
-    return op.annihilate(np.eye(len(op.basis), dtype=complex))
+    # the production annihilator, sector by sector from ``lower`` on
+    # identity columns
+    sec, out = op.basis.sectors, np.zeros((len(op.basis),) * 2, dtype=complex)
+    for k in range(1, len(sec)):
+        out[sec[k - 1], sec[k]] = op.lower(k, np.eye(sec[k].stop - sec[k].start))
+    return out
 
 
 def dense_dag(op):
@@ -178,6 +181,7 @@ def test_kinetic_and_pair_counts_match_loop_reference(n, m_max):
     basis = fock_basis(n, m_max)
     for boundary in (Boundary.RING, Boundary.CHAIN):
         lattice = Lattice(n, boundary)
+        assert lattice.bonds == _ref_bonds(lattice)
         want = _loop_kinetic(basis, lattice)
         _assert_same_csr_bytes(csr(kinetic_matrix(basis, lattice)), want)
         pairs = [
@@ -454,7 +458,7 @@ def test_excitation_conservation_commutators():
     occ = np.array([s.bit_count() for s in basis.states], dtype=float)
     number = np.diag(np.concatenate([occ, occ + 1.0]))
     assert np.max(np.abs(u @ number - number @ u)) < 1e-10
-    ham = csr(tight_binding_hamiltonian(basis, lat).matrix).toarray()
+    ham = csr(kinetic_matrix(basis, lat)).toarray()
     number_f = np.diag(occ)
     assert np.max(np.abs(ham @ number_f - number_f @ ham)) < 1e-12
 
@@ -532,7 +536,7 @@ def test_many_body_single_particle_sector_matches_lattice():
     vac = np.zeros(len(basis), dtype=complex)
     vac[0] = 1.0
     f1 = mode_annihilator(g, basis).create(vac)
-    ev = ExactEvolver(tight_binding_hamiltonian(basis, lat))
+    ev = ExactEvolver(basis, kinetic_matrix(basis, lat))
     t = 1.9
     fT = ev.apply(FockVector(f1, basis, 0, 0), t).tensor
     amps = np.zeros(n, dtype=complex)
@@ -553,16 +557,16 @@ def test_exact_evolver_matches_dense_expm(m_max, j_coupling):
     basis = fock_basis(n, m_max)
     lat = Lattice(n)
     if j_coupling is None:
-        ham = tight_binding_hamiltonian(basis, lat)
+        ham = kinetic_matrix(basis, lat)
     else:
-        ham = tj_hamiltonian(basis, lat, 1.0, j_coupling)
-    ev = ExactEvolver(ham)
+        ham = tj_hamiltonian(basis, lat, j_coupling)
+    ev = ExactEvolver(basis, ham)
     rng = np.random.default_rng(7)
     shape = (2, len(basis), 2)
     x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     fv = FockVector(x, basis, 1, 1)
     for t in (0.0, 0.7, 5.3):
-        want = np.einsum("fg,agb->afb", expm(-1j * t * csr(ham.matrix).toarray()), x)
+        want = np.einsum("fg,agb->afb", expm(-1j * t * csr(ham).toarray()), x)
         assert np.max(np.abs(ev.apply(fv, t).tensor - want)) < 1e-11
 
 
@@ -572,8 +576,8 @@ def _peierls_hamiltonian(basis, lattice, phi):
     a = [sparse.csr_matrix(dense(mode_annihilator(np.eye(basis.n_sites)[j], basis)))
          for j in range(basis.n_sites)]
     hop = sum(np.exp(1j * phi) * a[p - 1].conjugate().T @ a[q - 1]
-              for p, q in fock._bonds(lattice))
-    return fock.ManyBodyHamiltonian(basis, (hop + hop.conjugate().T).tocoo())
+              for p, q in _ref_bonds(lattice))
+    return (hop + hop.conjugate().T).tocoo()
 
 
 @pytest.mark.parametrize("model", ["tight-binding", "t-J", "peierls"])
@@ -584,11 +588,11 @@ def test_exact_evolver_keeps_zero_blocks_and_matches_dense_expm(model):
     basis = fock_basis(n, 3)
     lat = Lattice(n)
     ham = {
-        "tight-binding": lambda: tight_binding_hamiltonian(basis, lat),
-        "t-J": lambda: tj_hamiltonian(basis, lat, 1.0, 1.3),
+        "tight-binding": lambda: kinetic_matrix(basis, lat),
+        "t-J": lambda: tj_hamiltonian(basis, lat, 1.3),
         "peierls": lambda: _peierls_hamiltonian(basis, lat, 0.37),
     }[model]()
-    ev = ExactEvolver(ham)
+    ev = ExactEvolver(basis, ham)
     # the real models take the real-eigenvector product, the Peierls one the complex
     assert all(np.iscomplexobj(v) == (model == "peierls") for _, v in ev.eigen)
     rng = np.random.default_rng(11)
@@ -602,7 +606,7 @@ def test_exact_evolver_keeps_zero_blocks_and_matches_dense_expm(model):
     fv = FockVector(x, basis, 1, 1)
     for t in (0.0, 0.7, 5.3):
         got = ev.apply(fv, t).tensor
-        want = np.einsum("fg,agb->afb", expm(-1j * t * csr(ham.matrix).toarray()), x)
+        want = np.einsum("fg,agb->afb", expm(-1j * t * csr(ham).toarray()), x)
         assert np.max(np.abs(got - want)) < 1e-11
         for k, a, b in zero:
             assert np.all(got[a, basis.sectors[k], b] == 0)
@@ -614,14 +618,17 @@ def test_exact_evolver_rejects_non_hermitian_and_number_changing():
     k = csr(kinetic_matrix(basis, Lattice(n)))
     nudge = sparse.csr_matrix(([1.0], ([1], [2])), shape=k.shape)
     # a one-sided entry within the one-particle sector, below and above tolerance
-    ExactEvolver(fock.ManyBodyHamiltonian(basis, (k + 1e-14 * nudge).tocoo()))
+    ExactEvolver(basis, (k + 1e-14 * nudge).tocoo())
     with pytest.raises(ValueError, match="not Hermitian"):
-        ExactEvolver(fock.ManyBodyHamiltonian(basis, (k + 1e-9 * nudge).tocoo()))
+        ExactEvolver(basis, (k + 1e-9 * nudge).tocoo())
     # Hermitian, but a + a^dag changes the particle number
     a = sparse.csr_matrix(dense(mode_annihilator(np.eye(n)[0], basis)))
     mixing = (k + a + a.conjugate().transpose()).tocoo()
     with pytest.raises(ValueError, match="between particle-number sectors"):
-        ExactEvolver(fock.ManyBodyHamiltonian(basis, mixing))
+        ExactEvolver(basis, mixing)
+    # a matrix built on another basis
+    with pytest.raises(ValueError, match=r"shape \(42, 42\) does not act on the 11-state"):
+        ExactEvolver(basis, kinetic_matrix(fock_basis(n + 2, 3), Lattice(n + 2)))
 
 
 # ---------------------------------------------------------------- protocol
@@ -658,11 +665,11 @@ def test_collision_residual_positive_and_bounded():
     g0 = gaussian_packet(PacketParams(1.0, 3, 8, Region(1, 5)), lat)
     t = 0.4  # deliberate collision
     pairs = [(0.6 + 0j, 0.8j), (1 / np.sqrt(2) + 0j, 1 / np.sqrt(2) + 0j)]
-    evolver = ExactEvolver(tight_binding_hamiltonian(basis, lat))
+    evolver = ExactEvolver(basis, kinetic_matrix(basis, lat))
     enc = build_encoder(g0, basis)
     actual = run_encoding_sequence(pairs, [enc, enc], [t], evolver)
     modes_now = [propagate(g0, t, spec), g0]
-    resid = encoding_residual_norm(actual, pairs, modes_now, basis)
+    resid = encoding_residual_norm(actual, pairs, modes_now)
     bound = encoding_error_bound(g0, t, 2, spec)
     assert resid > 1e-3
     assert resid <= bound + 1e-8
@@ -676,11 +683,13 @@ def test_residual_zero_for_orthogonal_modes():
     g2 = gaussian_packet(PacketParams(0.8, 6, 6, Region(5, 7)), lat)
     pairs = [(0.6 + 0j, 0.8j), (0.8 + 0j, 0.6 + 0j)]
     # zero wait, disjoint supports: exact product of independent modes
-    evolver = ExactEvolver(tight_binding_hamiltonian(basis, lat))
+    evolver = ExactEvolver(basis, kinetic_matrix(basis, lat))
     encoders = [build_encoder(g1, basis), build_encoder(g2, basis)]
     actual = run_encoding_sequence(pairs, encoders, [0.0], evolver)
-    resid = encoding_residual_norm(actual, pairs, [g1, g2], basis)
+    resid = encoding_residual_norm(actual, pairs, [g1, g2])
     assert resid < 1e-10
+    with pytest.raises(ValueError, match="M-1 non-negative waits"):
+        run_encoding_sequence(pairs, encoders, [-0.5], evolver)
 
 
 def test_residual_t0_matches_direct_product_evaluation():
@@ -691,10 +700,10 @@ def test_residual_t0_matches_direct_product_evaluation():
     basis = fock_basis(n, 2)
     g0 = gaussian_packet(PacketParams(1.0, 3, 6, Region(1, 5)), lat)
     pairs = [(0.6 + 0j, 0.8j), (0.0j, 1.0 + 0j)]
-    evolver = ExactEvolver(tight_binding_hamiltonian(basis, lat))
+    evolver = ExactEvolver(basis, kinetic_matrix(basis, lat))
     enc = build_encoder(g0, basis)
     actual = run_encoding_sequence(pairs, [enc, enc], [0.0], evolver)
-    resid = encoding_residual_norm(actual, pairs, [g0, g0], basis)
+    resid = encoding_residual_norm(actual, pairs, [g0, g0])
 
     f = len(basis)
     u = dense_swap(build_encoder(g0, basis))
@@ -757,7 +766,7 @@ def test_reduced_qubit_product_state():
 
 def test_reduced_qubit_entangled_register():
     basis = fock_basis(4, 1)
-    fv = vacuum_vector(basis, 1, 1)
+    fv = vacuum_vector(basis, 1, 1, [np.array([1.0, 0.0])])
     # entangle A1 with the lattice: (|0, vac> + |1, site1>)/sqrt(2)
     tensor = np.zeros_like(fv.tensor)
     tensor[0, 0, 0] = 1 / np.sqrt(2)
@@ -881,13 +890,13 @@ def test_evolution_difference_trivial_cases():
 
     pa, pb = separating_pair(n)
     st = two_packet_state(basis, lat, pa, pb)
-    assert evolution_difference(st, 0.8, 1.0, 0.0, lat) < 1e-10
+    assert evolution_difference(st, 0.8, 0.0, lat) < 1e-10
     g = gaussian_packet(PacketParams(1.0, 4, 8, Region(2, 6)), lat)
     vac = np.zeros(len(basis), dtype=complex)
     vac[0] = 1.0
     one = mode_annihilator(g, basis).create(vac)
     fv = FockVector(one, basis, 0, 0)
-    assert evolution_difference(fv, 0.8, 1.0, 3.0, lat) < 1e-10
+    assert evolution_difference(fv, 0.8, 3.0, lat) < 1e-10
 
 
 def test_evolution_difference_bounded_for_separating_pair():
@@ -901,7 +910,7 @@ def test_evolution_difference_bounded_for_separating_pair():
     eps_i = tj_interaction_error(st, lat)
     assert eps_i > 0
     for s in (0.1, 0.5, 1.0):
-        diff = evolution_difference(st, s, 1.0, 1.0, lat)
+        diff = evolution_difference(st, s, 1.0, lat)
         assert diff <= s * eps_i + 1e-6
 
 
@@ -915,7 +924,7 @@ def test_evolution_difference_violation_is_detectable():
     pb = PacketParams(1.0, 6, 2, Region(4, 8))  # moving -theta, toward pa
     st = two_packet_state(basis, lat, pa, pb)
     eps_i = tj_interaction_error(st, lat)
-    diff = evolution_difference(st, 1.0, 1.0, 1.0, lat)
+    diff = evolution_difference(st, 1.0, 1.0, lat)
     assert diff > eps_i + 1e-6
 
 

@@ -348,7 +348,13 @@ def test_cli_reports_bad_key():
      "key 'epsilon' expects a finite number, got '-NaN'"),
     (["rate-fit", "--set", "n_min=256", "--set", "n_max=1024", "--set", "M=0"],
      "M must be at least 1, got 0"),
-], ids=["t-nan", "t-inf", "J-inf", "epsilon-nan", "M-0"])
+    # keys the experiment never reads
+    (["dispersion", "--set", "N=8", "--set", "J=5"],
+     "experiment Dispersion does not read keys: ['J']"),
+    (["oracle-protocol", "--set", "N=8", "--set", "M=1", "--set", "s=0.3"],
+     "experiment OracleProtocol does not read keys: ['s']"),
+], ids=["t-nan", "t-inf", "J-inf", "epsilon-nan", "M-0",
+        "dispersion-J", "oracle-protocol-s"])
 def test_cli_rejects_bad_numbers_before_running(argv, message, capsys):
     assert main(argv) == 1
     captured = capsys.readouterr()
@@ -418,3 +424,46 @@ def test_tjcheck_single_s_override():
     table = run(cfg)
     assert [row[0] for row in table.rows] == [0.25]
     assert table.rows[0][3]
+
+
+def test_tjcheck_attractive_coupling_bound_uses_abs_j():
+    # the first-order bound is |s| |J| eps_i, so J = -1 passes exactly as J = 1
+    rows = {j: run(make_config(f"experiment = TJCheck\nN = 10\nJ = {j}\n")).rows
+            for j in (1, -1)}
+    assert all(row[3] for row in rows[-1])
+    assert [row[2] for row in rows[-1]] == [row[2] for row in rows[1]]
+
+
+# keys each experiment reads besides its required ones
+READS = {
+    "dispersion": set(),
+    "packet": {"c", "kappa", "nu"},
+    "transit": {"c", "kappa", "nu"},
+    "broadening": {"c", "kappa", "nu"},
+    "overlap-decay": {"c", "kappa", "nu"},
+    "error-budget": {"c", "kappa", "nu", "epsilon"},
+    "min-wait-sweep": {"c", "kappa", "nu", "epsilon"},
+    "rate-fit": {"c", "kappa", "nu", "epsilon"},
+    "oracle-protocol": {"c", "kappa", "nu", "epsilon", "t"},
+    "oracle-bounds": set(),
+    "tj-check": {"s"},
+}
+SAMPLE = {"N": 8, "M": 1, "n_min": 8, "n_max": 16, "c": 9.0, "kappa": 1.0,
+          "nu": 2.0, "epsilon": 0.01, "t": 2.0, "s": 0.3, "J": 1.0}
+
+
+@pytest.mark.parametrize("command", list(READS))
+def test_build_config_accepts_only_keys_the_experiment_reads(command):
+    assert list(READS) == list(EXPERIMENTS)
+    spec = EXPERIMENTS[command]
+    accepted = spec.required | READS[command]
+    cfg = build_config({"experiment": spec.name, "seed": 3, "output": "x.csv",
+                        **{key: SAMPLE[key] for key in accepted}})
+    assert cfg.seed == 3 and cfg.output == "x.csv"
+    for key in sorted(set(SAMPLE) - accepted):
+        values = {"experiment": spec.name, key: SAMPLE[key],
+                  **{k: SAMPLE[k] for k in spec.required}}
+        message = rf"{spec.name} does not read keys: \['{key}'\]"
+        with pytest.raises(ConfigError, match=message):
+            build_config(values)
+

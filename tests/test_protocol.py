@@ -231,7 +231,10 @@ def test_propagation_error_zero_for_linear_dispersion():
     # toy spectrum linear in the mode index: exact lattice translation
     n = 128
     lat = Lattice(n)
-    params = sigma_for_budget(n, BUDGET, center=n // 4)
+    params = sigma_for_budget(n, BUDGET)
+    shift = n // 4 - params.center
+    region = Region(params.region.start + shift, params.region.stop + shift)
+    params = replace(params, center=n // 4, region=region)
     shift_sites = 16
     t0 = 4.0
     eigenvalues = np.array(
@@ -309,6 +312,14 @@ def test_error_budget_identity_and_clamp():
     assert rep.fidelity_bound >= 0.0
 
 
+@pytest.mark.xfail(strict=True, reason="the default wait is searched for the budget "
+                   "packet, wider than the plan's packet clipped to the sender region")
+def test_default_wait_meets_the_encoding_share():
+    # eps_e is 0.0117 here, against the epsilon/3 = 0.0033 the wait aims for
+    plan = plan_protocol(1024, 4, BUDGET, 0.01)
+    assert error_budget(plan).eps_e <= plan.epsilon / 3.0
+
+
 # ---------------------------------------------------------------- min wait
 
 
@@ -318,31 +329,28 @@ def test_min_wait_consistency_with_bound():
     g0 = gaussian_packet(sigma_for_budget(n, BUDGET), Lattice(n))
     t0 = 1.5 * n ** (1 / 3)
     target = 3.0 * abs(overlap(g0, propagate(g0, t0, spec)))
-    t_star = min_wait_time(n, 2, BUDGET, target, spec)
+    t_star = min_wait_time(n, 2, BUDGET, target)
     assert t_star <= t0 * 1.02
 
 
 def test_min_wait_sweep_finite():
     for n in (256, 512, 1024):
-        spec = ring_spectrum(n)
-        t_star = min_wait_time(n, 4, BUDGET, 0.01, spec)
+        t_star = min_wait_time(n, 4, BUDGET, 0.01)
         assert np.isfinite(t_star) and 0 < t_star < n / 4
 
 
 def test_min_wait_doubling_m_less_than_doubles():
     n = 512
-    spec = ring_spectrum(n)
-    t4 = min_wait_time(n, 4, BUDGET, 0.01, spec)
-    t8 = min_wait_time(n, 8, BUDGET, 0.01, spec)
+    t4 = min_wait_time(n, 4, BUDGET, 0.01)
+    t8 = min_wait_time(n, 8, BUDGET, 0.01)
     assert t4 <= t8 < 2 * t4
 
 
 def test_min_wait_unreachable_target_raises():
     # below the numerical noise floor of the overlap sums
     n = 256
-    spec = ring_spectrum(n)
     with pytest.raises(RuntimeError):
-        min_wait_time(n, 4, BUDGET, 1e-20, spec)
+        min_wait_time(n, 4, BUDGET, 1e-20)
 
 
 def test_min_wait_exponent_converges_to_one_third():
@@ -352,7 +360,7 @@ def test_min_wait_exponent_converges_to_one_third():
     # 0.0087; the local exponents are 0.334 from 2^15 upward, so a band of
     # 0.01 around 1/3 holds the fit over 2^13..2^17.
     samples = [
-        (n, min_wait_time(n, 4, BUDGET, 0.01, ring_spectrum(n)))
+        (n, min_wait_time(n, 4, BUDGET, 0.01))
         for n in (2**13, 2**14, 2**15, 2**16, 2**17)
     ]
     fit = fit_rate_scaling(samples)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from references import fourier_airy_overlap, overlap_decay_estimate
@@ -89,10 +91,10 @@ def test_carrier_mode_nearest_quarter_modes():
 
 
 def test_sigma_for_budget_directions():
-    p_fwd = sigma_for_budget(64, BUDGET, direction=+1)
-    p_bwd = sigma_for_budget(64, BUDGET, direction=-1)
-    assert p_fwd.wavenumber == 48
-    assert p_bwd.wavenumber == 16
+    # the budget packet rides the forward carrier; carrier_mode(n, -1)
+    # still gives the backward one
+    assert sigma_for_budget(64, BUDGET).wavenumber == carrier_mode(64) == 48
+    assert carrier_mode(64, -1) == 16
 
 
 # ---------------------------------------------------------------- overlaps
@@ -146,7 +148,10 @@ def test_raw_gaussian_weight_outside_default_region():
     leftovers = []
     for c in (1.0, 4.0, 9.0, 16.0):
         budget = PacketBudget(c=c, kappa=1.0)
-        params = sigma_for_budget(n, budget, center=n // 2)
+        params = sigma_for_budget(n, budget)
+        shift = n // 2 - params.center
+        region = Region(params.region.start + shift, params.region.stop + shift)
+        params = replace(params, center=n // 2, region=region)
         full = PacketParams(
             params.sigma_sites, params.center, params.wavenumber, Region(1, n)
         )
