@@ -3,18 +3,18 @@
     python3 scripts/bench_pairs.py --base HEAD --workload oracle-protocol \\
         --pairs 10 --seed 1000 --out BENCH_6.json
 
-Run from the root of a git checkout.  The base revision is exported with
-``git archive`` into a temporary directory (``TMPDIR`` chooses where); the
-change is the working tree.  Pair i runs
+Run from the root of a git checkout.  Both sides are exported into a
+temporary directory (``TMPDIR`` chooses where): the base revision with
+``git archive``, the change as the working tree stands, uncommitted edits
+and untracked files that git does not ignore included.  Pair i runs
 
     python3 perfbench/run.py --workload W --seed S+i --trace 0
 
-once on each side, the base first on even i and the change first on odd i,
-and reads the JSON object on the last line each run prints.  Every run
-gets ``PYTHONDONTWRITEBYTECODE=1`` and ``PYTHONPYCACHEPREFIX`` set to an
-empty directory, so neither side loads bytecode the other lacks (the
-export has no ``__pycache__``, the working tree may): both compile every
-module from source.  The output
+in each export, the base first on even i and the change first on odd i,
+and reads the JSON object on the last line each run prints.  Neither
+export holds a ``__pycache__``, and every run inherits the caller's
+environment unchanged, so both sides compile and cache bytecode alike.
+The output
 records the environment, each side's per-metric runs, median and quartiles,
 how many pairs the change won on each metric (ties count for neither side;
 the direction comes from ``BENCHMARK.json``), and the pair count.
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import shutil
 import statistics
 import subprocess
@@ -42,19 +41,33 @@ def _git(*args: str) -> str:
 
 
 def export(rev: str, dest: Path) -> None:
-    archive = dest / "base.tar"
+    """Extract the committed tree of ``rev`` into ``dest``."""
+    archive = dest.with_suffix(".tar")
     with archive.open("wb") as fh:
         subprocess.run(["git", "archive", rev], cwd=ROOT, check=True, stdout=fh)
     with tarfile.open(archive) as tar:
-        tar.extractall(dest / "tree", filter="data")
+        tar.extractall(dest, filter="data")
     archive.unlink()
 
 
-def bench(tree: Path, workload: str, seed: int, env: dict) -> tuple[dict, dict]:
+def export_worktree(dest: Path) -> None:
+    """Copy the working tree into ``dest``: every tracked file that still
+    exists, as edited, and every untracked file git does not ignore."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=ROOT, check=True, capture_output=True, text=True).stdout
+    for name in filter(None, listed.split("\0")):
+        source = ROOT / name
+        if source.is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, dest / name)
+
+
+def bench(tree: Path, workload: str, seed: int) -> tuple[dict, dict]:
     """One benchmark run; returns (result object, environment)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, env=env)
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n"
@@ -103,23 +116,21 @@ def main(argv=None) -> int:
                   + (" with local changes" if _git("status", "--porcelain") else ""),
         "command": "python3 perfbench/run.py --workload W --seed S --trace 0",
         "order": "pair i runs the base first when i is even, the change first when odd",
-        "bytecode": "both sides compile from source: PYTHONDONTWRITEBYTECODE=1, "
-                    "PYTHONPYCACHEPREFIX set to an empty directory",
+        "bytecode": "both sides are clean exports without __pycache__ and run "
+                    "in the caller's environment, so they compile and cache alike",
         "workloads": {},
     }
     tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
-        (tmp / "pycache").mkdir()
-        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
-               "PYTHONPYCACHEPREFIX": str(tmp / "pycache")}
-        export(args.base, tmp)
-        trees = {"base": tmp / "tree", "change": ROOT}
+        trees = {"base": tmp / "base", "change": tmp / "change"}
+        export(args.base, trees["base"])
+        export_worktree(trees["change"])
         for workload in args.workload:
             runs: dict[str, list[dict]] = {"base": [], "change": []}
             seeds = [args.seed + i for i in range(args.pairs)]
             for i, seed in enumerate(seeds):
                 for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
-                    result, recorded = bench(trees[side], workload, seed, env)
+                    result, recorded = bench(trees[side], workload, seed)
                     runs[side].append(result)
                     report.setdefault("environment", {k: v for k, v in recorded.items()
                                                       if k != "seed"})

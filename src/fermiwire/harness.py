@@ -152,7 +152,9 @@ def build_config(values: dict) -> RunConfig:
     unread = set(values) - spec.required - spec.optional
     if unread:
         raise ConfigError(f"experiment {experiment} does not read keys: {sorted(unread)}")
-    applied = {key: v for key, v in _DEFAULTS.items() if key not in values}
+    applied = {
+        key: v for key, v in _DEFAULTS.items() if key in spec.optional and key not in values
+    }
     values.update(applied)
     if spec.carrier:
         for key in ("N", "n_min", "n_max"):
@@ -164,6 +166,11 @@ def build_config(values: dict) -> RunConfig:
     for key, least in (("N", 4), ("n_min", 4), ("n_max", 4), ("M", 1)):
         if key in values and values[key] < least:
             raise ConfigError(f"{key} must be at least {least}, got {values[key]}")
+    if "epsilon" in values and not 0.0 < values["epsilon"] < 1.0:
+        raise ConfigError(f"key 'epsilon' must lie in (0, 1), got {values['epsilon']}")
+    for key in ("c", "kappa", "nu", "t"):
+        if key in values and values[key] <= 0.0:
+            raise ConfigError(f"key {key!r} must be positive, got {values[key]}")
     return RunConfig(experiment, values, seed, output, applied)
 
 

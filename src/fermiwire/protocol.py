@@ -296,6 +296,18 @@ def min_wait_time(n: int, m: int, budget: PacketBudget, target: float) -> float:
     takes the first grid point whose bound is at or below the target, and
     refines against the nearest bracketing point above to 1% relative.
     Monotonicity of the bound is not assumed.
+
+    The search sums the bound only over the packet's spectral support, the
+    modes of weight at least eps/N (eps the machine epsilon), and decides
+    each ``value <= target`` on that sum unless it lies within a certified
+    margin of the target, where it takes the full sum; so every decision,
+    and t*, is the one the full sum gives.  The margin: the dropped weights
+    total delta < eps, since each is below eps/N, so dropping them moves
+    each overlap S_j = <g(0)|g(j t)> by at most delta.  The weights sum to
+    1 and |z_k| = 1, so rounding moves each float S_j by at most 2N*eps,
+    on either sum.  The bound adds 3(M-j) values |S_j|, and
+    3 * sum_{j<M} (M-j) = 1.5 M(M-1), so the two sums differ by at most
+    1.5 M(M-1) (delta + 4N*eps).
     """
     if not 0.0 < target < 1.0:
         raise ValueError(f"target must lie in (0, 1), got {target}")
@@ -304,23 +316,33 @@ def min_wait_time(n: int, m: int, budget: PacketBudget, target: float) -> float:
     spectrum = ring_spectrum(n)
     g0 = gaussian_packet(sigma_for_budget(n, budget), Lattice(n))
     weights, omega = _mode_weights(g0, spectrum), spectrum.eigenvalues
+    eps = np.finfo(float).eps
+    keep = weights >= eps / n
+    slack = 1.5 * m * (m - 1) * (weights[~keep].sum() + 4 * n * eps)
+    support = weights[keep], omega[keep]
+
+    def meets_target(t: float) -> bool:
+        value = _bound_from_weights(*support, t, m)
+        if abs(value - target) <= slack:
+            value = _bound_from_weights(weights, omega, t, m)
+        return value <= target
+
     cap = n / 4.0
     grid = np.geomspace(max(0.05, 0.02 * n ** (1.0 / 3.0)), cap, 64)
-    best = np.inf
     for i, t in enumerate(grid):
-        value = _bound_from_weights(weights, omega, float(t), m)
-        best = min(best, value)
-        if value <= target:
+        if meets_target(float(t)):
             if i == 0:
                 return float(t)
             lo, hi = float(grid[i - 1]), float(t)
             while (hi - lo) / hi > 0.01:
                 mid = float(np.sqrt(lo * hi))
-                if _bound_from_weights(weights, omega, mid, m) <= target:
+                if meets_target(mid):
                     hi = mid
                 else:
                     lo = mid
             return hi
+    # the message reports the full-spectrum bound, as encoding_error_bound does
+    best = min(_bound_from_weights(weights, omega, float(t), m) for t in grid)
     raise RuntimeError(
         f"no wait below the recurrence guard N/4 = {cap} meets the "
         f"encoding target {target} (best bound {best:.3e})"

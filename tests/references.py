@@ -12,7 +12,14 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from fermiwire.fock import FockBasis
-from fermiwire.wavepacket import PacketBudget, sigma_sites_for_budget
+from fermiwire.lattice import Lattice, ring_spectrum
+from fermiwire.protocol import _bound_from_weights, _mode_weights
+from fermiwire.wavepacket import (
+    PacketBudget,
+    gaussian_packet,
+    sigma_for_budget,
+    sigma_sites_for_budget,
+)
 
 
 def random_state(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -95,3 +102,44 @@ def fourier_airy_overlap(
         except IntegrationWarning as exc:
             raise RuntimeError(f"overlap quadrature did not converge: {exc}") from exc
     return complex(re, im)
+
+
+def wait_grid(n: int) -> np.ndarray:
+    """The geometric grid of waits the minimal-wait search scans."""
+    return np.geomspace(max(0.05, 0.02 * n ** (1.0 / 3.0)), n / 4.0, 64)
+
+
+def full_spectrum_bounds(n: int, m: int, budget: PacketBudget):
+    """The encoding bound of the budget packet as a function of the wait,
+    summed over all N ring modes."""
+    spectrum = ring_spectrum(n)
+    g0 = gaussian_packet(sigma_for_budget(n, budget), Lattice(n))
+    weights, omega = _mode_weights(g0, spectrum), spectrum.eigenvalues
+    return lambda t: _bound_from_weights(weights, omega, t, m)
+
+
+def min_wait_full_spectrum(n: int, m: int, budget: PacketBudget, target: float) -> float:
+    """The minimal-wait search deciding every step on the full-spectrum
+    bound: first grid point at or below the target, then bisection in log
+    space against the grid point before it to 1% relative."""
+    bound = full_spectrum_bounds(n, m, budget)
+    grid = wait_grid(n)
+    best = np.inf
+    for i, t in enumerate(grid):
+        value = bound(float(t))
+        best = min(best, value)
+        if value <= target:
+            if i == 0:
+                return float(t)
+            lo, hi = float(grid[i - 1]), float(t)
+            while (hi - lo) / hi > 0.01:
+                mid = float(np.sqrt(lo * hi))
+                if bound(mid) <= target:
+                    hi = mid
+                else:
+                    lo = mid
+            return hi
+    raise RuntimeError(
+        f"no wait below the recurrence guard N/4 = {n / 4.0} meets the "
+        f"encoding target {target} (best bound {best:.3e})"
+    )

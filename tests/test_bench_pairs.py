@@ -10,30 +10,52 @@ bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
 
+def _git(repo, *args):
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                   cwd=repo, check=True, capture_output=True)
+
+
 def test_both_sides_compile_from_source(monkeypatch, tmp_path):
-    # every benchmark child, base and change alike, runs without writing
-    # bytecode and with an empty bytecode cache, so neither side can load
-    # a __pycache__ the other lacks
+    # both sides run in fresh exports, never in the checkout, with the
+    # caller's environment unchanged: the base from git, the change from
+    # the working tree with its uncommitted edits and untracked files
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+    (repo / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    (repo / ".gitignore").write_text("ignored.txt\n")
+    (repo / "src" / "mod.py").write_text("VALUE = 1\n")
+    _git(repo, "init", "-q")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "base")
+    (repo / "src" / "mod.py").write_text("VALUE = 2\n")
+    (repo / "src" / "new.py").write_text("")
+    (repo / "ignored.txt").write_text("")
+
     seen = []
     result = {"metrics": {"exp_s.p50": {"unit": "s", "value": 0.1}},
               "correct": True, "failed": 0}
+    real_run = subprocess.run
 
-    def fake_run(cmd, cwd=None, env=None, **kwargs):
+    def fake_run(cmd, cwd=None, **kwargs):
         if cmd[0] == "git":
-            return subprocess.CompletedProcess(cmd, 0, "rev\n", "")
-        prefix = Path(env["PYTHONPYCACHEPREFIX"])
-        seen.append((Path(cwd), env["PYTHONDONTWRITEBYTECODE"], prefix,
-                     prefix.is_dir() and not any(prefix.iterdir())))
+            return real_run(cmd, cwd=cwd, **kwargs)
+        tree = Path(cwd)
+        seen.append((tree, kwargs.get("env"), (tree / "src" / "mod.py").read_text(),
+                     sorted(p.name for p in tree.rglob("*") if p.is_file())))
         return subprocess.CompletedProcess(cmd, 0, "env {}\n" + json.dumps(result), "")
 
-    monkeypatch.setattr(bench_pairs, "ROOT", ROOT)
-    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: (dest / "tree").mkdir())
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
     out = tmp_path / "pairs.json"
     assert bench_pairs.main(["--workload", "oracle-protocol", "--pairs", "2",
                              "--out", str(out)]) == 0
-    trees = [cwd for cwd, *_ in seen]
-    assert len(seen) == 4 and trees.count(ROOT) == 2
-    assert all(flag == "1" and empty for _, flag, _, empty in seen)
-    assert len({prefix for *_, prefix, _ in seen}) == 1
-    assert "from source" in json.loads(out.read_text())["bytecode"]
+    assert len(seen) == 4
+    assert all(env is None for _, env, _, _ in seen)
+    trees = {tree for tree, *_ in seen}
+    assert len(trees) == 2 and repo not in trees
+    by_source = {source: files for _, _, source, files in seen}
+    assert by_source == {
+        "VALUE = 1\n": [".gitignore", "BENCHMARK.json", "mod.py"],
+        "VALUE = 2\n": [".gitignore", "BENCHMARK.json", "mod.py", "new.py"],
+    }
+    assert "__pycache__" in json.loads(out.read_text())["bytecode"]

@@ -33,8 +33,11 @@ def test_minimal_config_fills_and_echoes_defaults():
     cfg = make_config("experiment = Dispersion\nN = 64\n")
     assert cfg.experiment == "Dispersion"
     assert cfg.params["N"] == 64
+    assert cfg.applied_defaults == {}
+    cfg = make_config("experiment = ErrorBudget\nN = 64\nM = 2\n")
     assert cfg.applied_defaults == {"c": 9.0, "kappa": 1.0, "nu": 2.0,
                                     "epsilon": 0.01}
+    assert cfg.params == {"N": 64, "M": 2, **cfg.applied_defaults}
 
 
 def test_config_comments_and_blank_lines():
@@ -353,8 +356,20 @@ def test_cli_reports_bad_key():
      "experiment Dispersion does not read keys: ['J']"),
     (["oracle-protocol", "--set", "N=8", "--set", "M=1", "--set", "s=0.3"],
      "experiment OracleProtocol does not read keys: ['s']"),
+    # values outside the range the experiment can use
+    (["rate-fit", "--set", "n_min=256", "--set", "n_max=1024", "--set", "M=4",
+      "--set", "epsilon=1.5"],
+     "key 'epsilon' must lie in (0, 1), got 1.5"),
+    (["min-wait-sweep", "--set", "n_min=256", "--set", "n_max=512", "--set", "M=4",
+      "--set", "epsilon=-0.5"],
+     "key 'epsilon' must lie in (0, 1), got -0.5"),
+    (["packet", "--set", "N=64", "--set", "nu=0"],
+     "key 'nu' must be positive, got 0.0"),
+    (["oracle-protocol", "--set", "N=8", "--set", "M=1", "--set", "t=0"],
+     "key 't' must be positive, got 0.0"),
 ], ids=["t-nan", "t-inf", "J-inf", "epsilon-nan", "M-0",
-        "dispersion-J", "oracle-protocol-s"])
+        "dispersion-J", "oracle-protocol-s",
+        "epsilon-above-1", "epsilon-negative", "nu-0", "t-0"])
 def test_cli_rejects_bad_numbers_before_running(argv, message, capsys):
     assert main(argv) == 1
     captured = capsys.readouterr()
@@ -460,6 +475,9 @@ def test_build_config_accepts_only_keys_the_experiment_reads(command):
     cfg = build_config({"experiment": spec.name, "seed": 3, "output": "x.csv",
                         **{key: SAMPLE[key] for key in accepted}})
     assert cfg.seed == 3 and cfg.output == "x.csv"
+    assert set(build_config({"experiment": spec.name,
+                             **{k: SAMPLE[k] for k in spec.required}})
+               .applied_defaults) <= READS[command]
     for key in sorted(set(SAMPLE) - accepted):
         values = {"experiment": spec.name, key: SAMPLE[key],
                   **{k: SAMPLE[k] for k in spec.required}}

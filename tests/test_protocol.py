@@ -2,8 +2,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from references import full_spectrum_bounds, min_wait_full_spectrum, wait_grid
 
 import fermiwire.lattice
+import fermiwire.protocol
 from fermiwire.lattice import (
     Boundary,
     Lattice,
@@ -351,6 +353,55 @@ def test_min_wait_unreachable_target_raises():
     n = 256
     with pytest.raises(RuntimeError):
         min_wait_time(n, 4, BUDGET, 1e-20)
+
+
+def _search_outcome(search, n, m, target):
+    try:
+        return search(n, m, BUDGET, target)
+    except RuntimeError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 8])
+def test_min_wait_matches_full_spectrum_search(m):
+    # summing over the spectral support changes no decision of the search:
+    # t*, and the message of a size no wait serves, match the full sum
+    outcomes = [
+        (_search_outcome(min_wait_time, n, m, target),
+         _search_outcome(min_wait_full_spectrum, n, m, target))
+        for n in (4 << i for i in range(13))  # 4 .. 16384
+        for target in (0.01 / 3, 0.01, 0.1)
+    ]
+    assert [ours for ours, _ in outcomes] == [ref for _, ref in outcomes]
+    assert any(isinstance(ours, str) for ours, _ in outcomes)
+
+
+@pytest.mark.parametrize("n, m", [(256, 2), (256, 4), (1024, 2), (1024, 4),
+                                  (8192, 2), (8192, 4)])
+def test_min_wait_ties_fall_back_to_the_full_sum(n, m):
+    # a target equal to the full-spectrum bound at a grid point is met
+    # there exactly; the support sum alone can land just above it
+    bound = full_spectrum_bounds(n, m, BUDGET)
+    targets = [v for v in (bound(float(t)) for t in wait_grid(n)) if 0.0 < v < 1.0]
+    assert len(targets) >= 10
+    for target in targets:
+        assert (_search_outcome(min_wait_time, n, m, target)
+                == _search_outcome(min_wait_full_spectrum, n, m, target)), target
+
+
+def test_readme_min_wait_search_sums_only_the_spectral_support(monkeypatch):
+    lengths = []
+    bound = fermiwire.protocol._bound_from_weights
+
+    def counted(weights, omega, t, m):
+        lengths.append(len(omega))
+        return bound(weights, omega, t, m)
+
+    monkeypatch.setattr(fermiwire.protocol, "_bound_from_weights", counted)
+    for n in (256, 512, 1024, 2048, 4096, 8192):
+        lengths.clear()
+        min_wait_time(n, 4, BUDGET, 0.01)
+        assert lengths and max(lengths) < n, n
 
 
 def test_min_wait_exponent_converges_to_one_third():
