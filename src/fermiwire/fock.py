@@ -30,11 +30,14 @@ sector and (g^dag)^2 = 0.  The signs behind both are checked once per basis
 (``FockBasis.ladder_defect``), the norm of g per encoder; the tests keep
 the equivalent two-exponential product as a reference.
 
-Time evolution never forms an F x F propagator: ``ExactEvolver`` scatters
-each particle-number sector (a contiguous run of the basis) into a dense
-block, diagonalizes it once, and applies exp(-iHt) in that eigenbasis.
-Per sector it multiplies only the register columns that hold amplitude
-(a zero column stays zero), with real products for real eigenvectors.
+Time evolution never forms an F x F propagator: ``ExactEvolver`` applies
+exp(-iHt) in the eigenbasis of (particle number, ring momentum) blocks.
+A Hamiltonian that commutes with the fermionic ring translation
+(``FockBasis.translation``) splits each particle-number sector into N
+momentum blocks of orbit representatives, the standard exact-
+diagonalization construction (Sandvik, AIP Conf. Proc. 1297, 135 (2010));
+any other keeps each sector as one block.  Per sector only the register
+columns that hold amplitude move (a zero column stays zero).
 
 Registers carry no Jordan-Wigner string, so when signal beta is still in
 the wire as signal alpha < beta is decoded, a_h anticommutes past beta's
@@ -119,6 +122,21 @@ class FockBasis:
         sites = np.broadcast_to(np.arange(self.n_sites, dtype=np.uint8), occ.shape)[occ]
         rows = self._find(masks[cols] ^ bits[sites]).astype(np.int32)
         return rows, cols, sites, signs
+
+    @cached_property
+    def translation(self) -> tuple[np.ndarray, np.ndarray]:
+        """(index, sign) with T|states[i]> = sign[i] |states[index[i]]>.
+
+        T is the ring translation a_j^dag -> a_{j+1}^dag, a_N^dag -> a_1^dag:
+        it rotates the mask by one site, and a particle wrapping from site N
+        to site 1 moves past the k-1 others to the front of the creation
+        string, which adds the sign (-1)^(k-1).
+        """
+        masks, n = self.masks, self.n_sites
+        wraps = masks >> np.uint64(n - 1)
+        rotated = ((masks << np.uint64(1)) & np.uint64((1 << n) - 1)) | wraps
+        sign = np.where((wraps == 1) & (self.particle_counts % 2 == 0), -1, 1)
+        return self._find(rotated), sign.astype(np.int8)
 
     @cached_property
     def ladder(self) -> dict[int, tuple[tuple[np.ndarray, ...], ...]]:
@@ -344,13 +362,20 @@ def tj_hamiltonian(basis: FockBasis, lattice: Lattice, j_coupling: float) -> Coo
 
 
 class ExactEvolver:
-    """exp(-i t H) applied to states in H's eigenbasis, sector by sector.
+    """exp(-i t H) applied in (particle number, ring momentum) blocks.
 
     H is any matrix on the basis with ``row``, ``col`` and ``data`` arrays
-    and a ``shape`` (a ``CooMatrix``, or a scipy COO matrix).  The sectors
-    are the particle-number runs of the ordered basis (``FockBasis.sectors``),
-    each scattered into a dense block and diagonalized once; H must be
-    Hermitian with no entries between them.
+    and a ``shape`` (a ``CooMatrix``, or a scipy COO matrix); it must be
+    Hermitian with no entries between the particle-number sectors
+    (``FockBasis.sectors``).  When it also commutes with the ring
+    translation T (``FockBasis.translation``), each sector splits into
+    orbits of T; their momentum states |r, q> = sqrt(p_r)/N sum_j
+    e^{-2 pi i q j/N} T^j |r>, for representative r of period p_r and
+    q = 0..N-1, block-diagonalize H.  Block H_q is built from the
+    representatives' columns alone, and all blocks of a sector are
+    diagonalized by one batched ``eigh``, zero-padded to the largest.
+    Any other H runs the same code with a group of order 1: every state
+    is its own orbit and each sector one block.
     """
 
     def __init__(self, basis: FockBasis, matrix):
@@ -358,41 +383,136 @@ class ExactEvolver:
             raise ValueError(f"Hamiltonian of shape {matrix.shape} does not act "
                              f"on the {len(basis)}-state basis")
         self.basis = basis
-        row, col, data = matrix.row, matrix.col, matrix.data
+        row, col = np.asarray(matrix.row, np.intp), np.asarray(matrix.col, np.intp)
+        data = np.asarray(matrix.data)
         k_row, k_col = basis.particle_counts[row], basis.particle_counts[col]
         if np.any((k_row != k_col) & (data != 0)):
             raise ValueError("Hamiltonian has entries between particle-number sectors")
-        self.eigen = []
+        entries = row, col, data
+        if _coo_gap(len(basis), entries, (col, row, data.conj())) > 1e-12:
+            raise ValueError("Hamiltonian is not Hermitian (max |H - H^dag| > 1e-12)")
+        shift, sign = basis.translation
+        moved = shift[row], shift[col], data * sign[row] * sign[col]
+        order = basis.n_sites if _coo_gap(len(basis), entries, moved) <= 1e-12 else 1
+        self.orbits, self.eigen = [], []
         for k, s in enumerate(basis.sectors):
             on = (k_row == k) & (k_col == k)
-            block = np.zeros((s.stop - s.start,) * 2, dtype=data.dtype)
-            np.add.at(block, (row[on] - s.start, col[on] - s.start), data[on])
-            if np.abs(block - block.conj().T).max() > 1e-12:
-                raise ValueError("Hamiltonian is not Hermitian (max |H - H^dag| > 1e-12)")
-            self.eigen.append(np.linalg.eigh(block))
+            local = row[on] - s.start, col[on] - s.start, data[on]
+            orbits = _Orbits.of(shift[s] - s.start, sign[s], order)
+            self.orbits.append(orbits)
+            self.eigen.append(np.linalg.eigh(orbits.blocks(*local)))
 
     def apply(self, fv: FockVector, t: float) -> FockVector:
         """exp(-i t H) on the Fock axis; register axes ride along as columns.
 
-        Each sector multiplies only its nonzero columns; real eigenvectors act
-        on their float view, so they are never cast to complex.
+        Per sector, only the nonzero columns move: one gather along the
+        orbits, an FFT over the orbit axis, one batched block product,
+        the inverse FFT and a gather back.
         """
         x = np.moveaxis(fv.tensor, fv.fock_axis, 0)
         cols = x.reshape(x.shape[0], -1).astype(complex, copy=False)
         y = np.zeros(cols.shape, dtype=complex)
-        for s, (w, v) in zip(self.basis.sectors, self.eigen):
+        for s, orbits, (w, v) in zip(self.basis.sectors, self.orbits, self.eigen):
             live = np.flatnonzero(np.any(cols[s] != 0, axis=0))
             if live.size == 0:
                 continue
-            c = np.ascontiguousarray(cols[s, live])
-            phase = np.exp(-1j * w * t)[:, None]
-            if np.isrealobj(v):
-                z = phase * (v.T @ c.view(float)).view(complex)
-                y[s, live] = (v @ z.view(float)).view(complex)
-            else:
-                y[s, live] = v @ (phase * (v.conj().T @ c))
+            z = orbits.to_blocks(cols[s, live])
+            # v^dag z as (z^dag v)^dag, so v is never conjugated
+            z = np.matmul(z.conj().swapaxes(1, 2), v).conj().swapaxes(1, 2)
+            y[s, live] = orbits.from_blocks(np.matmul(v, np.exp(-1j * t * w)[..., None] * z))
         tensor = np.moveaxis(y.reshape(x.shape), 0, fv.fock_axis)
         return FockVector(tensor, fv.basis, fv.n_a, fv.n_b)
+
+
+def _coo_gap(size: int, a, b) -> float:
+    """Largest |entry| of A - B for two (row, col, data) triplets; repeats add."""
+    keys = np.concatenate([a[0] * size + a[1], b[0] * size + b[1]])
+    _, where = np.unique(keys, return_inverse=True)
+    diff = np.concatenate([a[2], -b[2]]).astype(complex)
+    total = np.bincount(where, diff.real) + 1j * np.bincount(where, diff.imag)
+    return float(np.abs(total).max(initial=0.0))
+
+
+@dataclass(frozen=True)
+class _Orbits:
+    """One particle-number sector split into orbits of a translation group.
+
+    For representative r (each orbit's first state in basis order) and
+    j = 0..order-1, ``state[j, r]`` is the local index of T^j r, and
+    T^j |r> = ``sign[j, r]`` |state[j, r]>; the orbit has ``period[r]``
+    distinct states.  Momentum q = 0..order-1 carries a state of orbit r
+    exactly when e^{2 pi i q p_r / order} equals the sign with which
+    T^{p_r} returns r; ``block[q, r]`` is then r's row in block q, and -1
+    otherwise.  ``owner[s]`` is j * R + r for the state s = T^j r, j < p_r.
+    """
+
+    state: np.ndarray
+    sign: np.ndarray
+    period: np.ndarray
+    block: np.ndarray
+    owner: np.ndarray
+
+    @classmethod
+    def of(cls, shift: np.ndarray, sign: np.ndarray, order: int) -> _Orbits:
+        cur = low = np.arange(len(shift))
+        for _ in range(order - 1):
+            cur = shift[cur]
+            low = np.minimum(low, cur)
+        reps = np.flatnonzero(low == np.arange(len(shift)))
+        state = np.empty((order, len(reps)), dtype=np.intp)
+        signs = np.empty((order, len(reps)))
+        cur, acc = reps, np.ones(len(reps))
+        for j in range(order):
+            state[j], signs[j] = cur, acc
+            acc, cur = acc * sign[cur], shift[cur]
+        # j = 0..order-1 passes r once per period; T^order is the identity
+        period = order // np.count_nonzero(state == state[0], axis=0)
+        wrap = signs[period % order, np.arange(len(reps))]
+        q = np.arange(order)[:, None]
+        fits = (2 * q * period + (wrap < 0) * order) % (2 * order) == 0
+        block = np.where(fits, np.cumsum(fits, axis=1) - 1, -1)
+        j, r = np.nonzero(np.arange(order)[:, None] < period)
+        owner = np.empty(len(shift), dtype=np.intp)
+        owner[state[j, r]] = j * len(reps) + r
+        return cls(state, signs, period, block, owner)
+
+    def blocks(self, row: np.ndarray, col: np.ndarray, data: np.ndarray) -> np.ndarray:
+        """The zero-padded H_q for every q from the sector's (row, col, data);
+        <r', q| H |r, q> sums H[s, r] sign e^{2 pi i q j / order} sqrt(p_r / p_r')
+        over the states s = sign T^j r' of orbit r'."""
+        order, count = self.state.shape
+        rep = np.full(len(self.owner), -1)
+        rep[self.state[0]] = np.arange(count)
+        keep = rep[col] >= 0
+        c = rep[col[keep]]
+        j, r = np.divmod(self.owner[row[keep]], count)
+        value = data[keep] * self.sign[j, r] * np.sqrt(self.period[c] / self.period[r])
+        q = np.arange(order)[:, None]
+        terms = value * np.exp(2j * np.pi * q * j / order)
+        rows, cols = self.block[:, r], self.block[:, c]
+        ok = (rows >= 0) & (cols >= 0)
+        size = self.block.max() + 1
+        out = np.zeros((order, size, size), dtype=complex)
+        np.add.at(out, (np.broadcast_to(q, ok.shape)[ok], rows[ok], cols[ok]), terms[ok])
+        return out
+
+    def to_blocks(self, x: np.ndarray) -> np.ndarray:
+        """Sector amplitudes (states, C) to padded momentum blocks (order, D, C)."""
+        weight = self.sign * np.sqrt(self.period)
+        a = np.fft.ifft(x[self.state] * weight[..., None], axis=0)
+        q, r = np.nonzero(self.block >= 0)
+        z = np.zeros((len(a), self.block.max() + 1, x.shape[1]), dtype=complex)
+        z[q, self.block[q, r]] = a[q, r]
+        return z
+
+    def from_blocks(self, z: np.ndarray) -> np.ndarray:
+        """The inverse of ``to_blocks``."""
+        q, r = np.nonzero(self.block >= 0)
+        a = np.zeros(self.state.shape + z.shape[2:], dtype=complex)
+        a[q, r] = z[q, self.block[q, r]]
+        y = np.fft.fft(a, axis=0).reshape(-1, z.shape[2])[self.owner]
+        j, r = np.divmod(self.owner, self.state.shape[1])
+        return y * (self.sign[j, r] / np.sqrt(self.period[r]))[:, None]
 
 
 def _apply_register_block(
@@ -550,13 +670,6 @@ def _run_events(fv: FockVector, events, evolver: ExactEvolver) -> FockVector:
     return fv
 
 
-def reduced_qubit(fv: FockVector, side: str, idx: int) -> np.ndarray:
-    """2x2 reduced density matrix of one ancilla register."""
-    axis = fv.register_axis(side, idx)
-    x = np.moveaxis(fv.tensor, axis, 0).reshape(2, -1)
-    return x @ x.conj().T
-
-
 def average_fidelity(channel_outputs: Mapping[str, np.ndarray]) -> float:
     """Uniform average of <psi|rho|psi> over the six Pauli-axis inputs.
 
@@ -579,21 +692,28 @@ def two_design_fidelities(
     """Protocol channel outputs and average fidelity per receiver register.
 
     Feeds each of the six axis states into every message register at once
-    and collects the reduced receiver states.  Returns the outputs and
-    fidelities of the exchange-corrected channel, then the fidelities
-    without Bob's CZ gates.
+    and reads every receiver state from the B registers' 2^M x 2^M density
+    matrix.  Returns the outputs and fidelities of the exchange-corrected
+    channel, then the fidelities without Bob's CZ gates, which are a sign
+    pattern on that matrix.
     """
     engine = ProtocolEngine(plan, basis)
-    pairs = exchange_pairs(plan)
     m = plan.m_signals
+    # column alpha-1 holds B_alpha's bit of each B-register basis state
+    bits = (np.arange(2**m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
+    cz = np.ones(2**m)
+    for a, b in exchange_pairs(plan):
+        cz[(bits[:, a - 1] & bits[:, b - 1]) == 1] *= -1
     outputs: dict[int, dict[str, np.ndarray]] = {a: {} for a in range(1, m + 1)}
     raw: dict[int, dict[str, np.ndarray]] = {a: {} for a in range(1, m + 1)}
     for label, psi in SIX_DESIGN_STATES.items():
-        fv = engine.run([psi] * m)
-        undone = exchange_correction(fv, pairs)
-        for alpha in range(1, m + 1):
-            outputs[alpha][label] = reduced_qubit(fv, "B", alpha)
-            raw[alpha][label] = reduced_qubit(undone, "B", alpha)
+        x = engine.run([psi] * m).tensor.reshape(-1, 2**m)
+        joint = x.T @ x.conj()
+        for rho, out in ((joint, outputs), (joint * np.outer(cz, cz), raw)):
+            for alpha in range(1, m + 1):
+                r = rho.reshape(2 ** (alpha - 1), 2, 2 ** (m - alpha),
+                                2 ** (alpha - 1), 2, 2 ** (m - alpha))
+                out[alpha][label] = np.einsum("aibajb->ij", r)
     fids = {a: average_fidelity(outputs[a]) for a in outputs}
     return outputs, fids, {a: average_fidelity(raw[a]) for a in raw}
 

@@ -318,10 +318,7 @@ def _min_wait_rows(params):
     rows = []
     for n in _sweep_sizes(params):
         try:
-            t_star = min_wait_time(n, m, budget, target)
-            g0 = gaussian_packet(sigma_for_budget(n, budget), Lattice(n))
-            bound = encoding_error_bound(g0, t_star, m, ring_spectrum(n))
-            rows.append([n, t_star, bound, ""])
+            rows.append([n, *min_wait_time(n, m, budget, target), ""])
         except (RuntimeError, ValueError) as exc:
             rows.append([n, float("nan"), float("nan"), str(exc)])
     return rows

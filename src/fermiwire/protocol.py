@@ -116,9 +116,9 @@ def plan_protocol(
     the mode nearest 3N/4, so it drifts toward the receiver through
     increasing position.  The decode time is the center-to-center angular
     offset over |v(k0)| rather than the bare half-ring figure, since the
-    finite region widths shift the arrival.  The wait defaults to
-    ``min_wait_time(n, m, budget, epsilon/3)``, which needs N divisible by
-    4: the smallest time pushing the encoding bound of the budget packet
+    finite region widths shift the arrival.  The wait defaults to the t*
+    of ``min_wait_time(n, m, budget, epsilon/3)``, which needs N divisible
+    by 4: the smallest time pushing the encoding bound of the budget packet
     ``sigma_for_budget`` (about 8.4*N^(1/3) sites at c = 9) below
     epsilon/3.  The plan's own packet is clipped to the sender region, so
     ``error_budget`` can report eps_e above epsilon/3 for this wait
@@ -145,7 +145,7 @@ def plan_protocol(
         group_velocity(k0, n)
     )
     if wait is None:
-        wait = min_wait_time(n, m, budget, epsilon / 3.0)
+        wait, _ = min_wait_time(n, m, budget, epsilon / 3.0)
     return ProtocolPlan(
         n=n,
         m_signals=m,
@@ -287,10 +287,13 @@ def error_budget(plan: ProtocolPlan) -> ErrorBudgetReport:
     )
 
 
-def min_wait_time(n: int, m: int, budget: PacketBudget, target: float) -> float:
-    """Smallest inter-signal wait at which the budget packet
+def min_wait_time(
+    n: int, m: int, budget: PacketBudget, target: float
+) -> tuple[float, float]:
+    """Smallest inter-signal wait t* at which the budget packet
     ``sigma_for_budget(n, budget)`` on the N-site ring meets an
-    encoding-error target.
+    encoding-error target, and the full-spectrum bound at t* (the value
+    ``encoding_error_bound`` gives there).
 
     Scans a geometric grid of waits up to the ring-recurrence guard N/4,
     takes the first grid point whose bound is at or below the target, and
@@ -331,16 +334,16 @@ def min_wait_time(n: int, m: int, budget: PacketBudget, target: float) -> float:
     grid = np.geomspace(max(0.05, 0.02 * n ** (1.0 / 3.0)), cap, 64)
     for i, t in enumerate(grid):
         if meets_target(float(t)):
-            if i == 0:
-                return float(t)
-            lo, hi = float(grid[i - 1]), float(t)
-            while (hi - lo) / hi > 0.01:
-                mid = float(np.sqrt(lo * hi))
-                if meets_target(mid):
-                    hi = mid
-                else:
-                    lo = mid
-            return hi
+            hi = float(t)
+            if i > 0:
+                lo = float(grid[i - 1])
+                while (hi - lo) / hi > 0.01:
+                    mid = float(np.sqrt(lo * hi))
+                    if meets_target(mid):
+                        hi = mid
+                    else:
+                        lo = mid
+            return hi, _bound_from_weights(weights, omega, hi, m)
     # the message reports the full-spectrum bound, as encoding_error_bound does
     best = min(_bound_from_weights(weights, omega, float(t), m) for t in grid)
     raise RuntimeError(

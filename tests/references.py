@@ -1,7 +1,8 @@
 """Independent references and checks that the tests compare fermiwire against.
 
 None of these is run by an experiment: they are random inputs, closed
-forms and a quadrature written apart from the package code they check.
+forms, a quadrature and dense or per-register forms of what the package
+computes, written apart from the package code they check.
 """
 
 from __future__ import annotations
@@ -11,9 +12,9 @@ import warnings
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from fermiwire.fock import FockBasis
+from fermiwire.fock import FockBasis, FockVector
 from fermiwire.lattice import Lattice, ring_spectrum
-from fermiwire.protocol import _bound_from_weights, _mode_weights
+from fermiwire.protocol import _bound_from_weights, _mode_weights, encoding_error_bound
 from fermiwire.wavepacket import (
     PacketBudget,
     gaussian_packet,
@@ -45,6 +46,43 @@ def total_excitation_operator(basis: FockBasis, n_a: int, n_b: int) -> np.ndarra
         )
         diag = diag + qub
     return diag
+
+
+def reduced_qubit(fv: FockVector, side: str, idx: int) -> np.ndarray:
+    """2x2 reduced density matrix of one ancilla register."""
+    axis = fv.register_axis(side, idx)
+    x = np.moveaxis(fv.tensor, axis, 0).reshape(2, -1)
+    return x @ x.conj().T
+
+
+class SectorEvolver:
+    """exp(-i t H) from one dense ``eigh`` per particle-number sector.
+
+    Takes the same (basis, matrix) as ``fock.ExactEvolver`` and is a drop-in
+    replacement for it; it uses no symmetry, so it is the reference for the
+    momentum blocks.
+    """
+
+    def __init__(self, basis: FockBasis, matrix):
+        self.basis = basis
+        counts = basis.particle_counts
+        k_row, k_col = counts[matrix.row], counts[matrix.col]
+        self.eigen = []
+        for k, s in enumerate(basis.sectors):
+            on = (k_row == k) & (k_col == k)
+            block = np.zeros((s.stop - s.start,) * 2, dtype=matrix.data.dtype)
+            np.add.at(block, (matrix.row[on] - s.start, matrix.col[on] - s.start),
+                      matrix.data[on])
+            self.eigen.append(np.linalg.eigh(block))
+
+    def apply(self, fv: FockVector, t: float) -> FockVector:
+        x = np.moveaxis(fv.tensor, fv.fock_axis, 0)
+        cols = x.reshape(x.shape[0], -1)
+        y = np.zeros(cols.shape, dtype=complex)
+        for s, (w, v) in zip(self.basis.sectors, self.eigen):
+            y[s] = v @ (np.exp(-1j * w * t)[:, None] * (v.conj().T @ cols[s]))
+        tensor = np.moveaxis(y.reshape(x.shape), 0, fv.fock_axis)
+        return FockVector(tensor, fv.basis, fv.n_a, fv.n_b)
 
 
 def validate_qubit_state(rho: np.ndarray, atol: float = 1e-10):
@@ -118,10 +156,18 @@ def full_spectrum_bounds(n: int, m: int, budget: PacketBudget):
     return lambda t: _bound_from_weights(weights, omega, t, m)
 
 
-def min_wait_full_spectrum(n: int, m: int, budget: PacketBudget, target: float) -> float:
+def _encoding_bound_at(n: int, m: int, budget: PacketBudget, t: float) -> float:
+    g0 = gaussian_packet(sigma_for_budget(n, budget), Lattice(n))
+    return encoding_error_bound(g0, t, m, ring_spectrum(n))
+
+
+def min_wait_full_spectrum(
+    n: int, m: int, budget: PacketBudget, target: float
+) -> tuple[float, float]:
     """The minimal-wait search deciding every step on the full-spectrum
     bound: first grid point at or below the target, then bisection in log
-    space against the grid point before it to 1% relative."""
+    space against the grid point before it to 1% relative.  Returns t* and
+    ``encoding_error_bound`` at t*."""
     bound = full_spectrum_bounds(n, m, budget)
     grid = wait_grid(n)
     best = np.inf
@@ -130,7 +176,7 @@ def min_wait_full_spectrum(n: int, m: int, budget: PacketBudget, target: float) 
         best = min(best, value)
         if value <= target:
             if i == 0:
-                return float(t)
+                return float(t), _encoding_bound_at(n, m, budget, float(t))
             lo, hi = float(grid[i - 1]), float(t)
             while (hi - lo) / hi > 0.01:
                 mid = float(np.sqrt(lo * hi))
@@ -138,7 +184,7 @@ def min_wait_full_spectrum(n: int, m: int, budget: PacketBudget, target: float) 
                     hi = mid
                 else:
                     lo = mid
-            return hi
+            return hi, _encoding_bound_at(n, m, budget, hi)
     raise RuntimeError(
         f"no wait below the recurrence guard N/4 = {n / 4.0} meets the "
         f"encoding target {target} (best bound {best:.3e})"

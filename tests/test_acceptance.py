@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
-from references import basis_index, fourier_airy_overlap, random_state
+from references import basis_index, fourier_airy_overlap, random_state, reduced_qubit
 
 from fermiwire.lattice import (
     Lattice,
@@ -294,7 +294,7 @@ def test_acceptance_10_headline_scaling():
     t0 = timed()
     samples = []
     for n in (256, 512, 1024, 2048, 4096, 8192):
-        samples.append((n, min_wait_time(n, 4, BUDGET, 0.01)))
+        samples.append((n, min_wait_time(n, 4, BUDGET, 0.01)[0]))
     fit = fit_rate_scaling(samples)
     ok = 0.26 <= fit.exponent <= 0.40 and fit.r_squared >= 0.9
     report(10, ok, f"minimal wait ~ N^{fit.exponent:.4f} "
@@ -315,7 +315,7 @@ def test_acceptance_11_average_fidelity_identity():
 
     def wire_output(psi):
         fv = engine.run([np.asarray(psi, dtype=complex)])
-        return fock.reduced_qubit(fv, "B", 1)
+        return reduced_qubit(fv, "B", 1)
 
     e00 = wire_output([1.0, 0.0])
     e11 = wire_output([0.0, 1.0])

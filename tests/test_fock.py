@@ -4,10 +4,16 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy import sparse
-from references import basis_index, total_excitation_operator, validate_qubit_state
+from references import (
+    SectorEvolver,
+    basis_index,
+    reduced_qubit,
+    total_excitation_operator,
+    validate_qubit_state,
+)
 
 from fermiwire.lattice import Boundary, Lattice, propagate, ring_spectrum
-from fermiwire.protocol import encoding_error_bound, plan_protocol
+from fermiwire.protocol import encoding_error_bound, error_budget, plan_protocol
 from fermiwire.wavepacket import PacketBudget, PacketParams, Region, gaussian_packet
 from fermiwire import fock
 from fermiwire.fock import (
@@ -22,7 +28,6 @@ from fermiwire.fock import (
     fock_basis,
     kinetic_matrix,
     mode_annihilator,
-    reduced_qubit,
     run_encoding_sequence,
     tj_hamiltonian,
     tj_interaction_error,
@@ -546,13 +551,32 @@ def test_many_body_single_particle_sector_matches_lattice():
     assert np.max(np.abs(amps - propagate(g, t, spec))) < 1e-12
 
 
-@pytest.mark.parametrize("m_max", [3, 8])
-@pytest.mark.parametrize("j_coupling", [None, 1.3])
-def test_exact_evolver_matches_dense_expm(m_max, j_coupling):
-    # independent reference: dense expm of the whole truncated H, applied
-    # to a random state with one sender and one receiver register
+def _assert_matches_dense_expm(ev, ham, x, zero=()):
+    # independent reference: dense expm of the whole truncated H; the
+    # (sector, sender, receiver) blocks listed in zero must stay exactly zero
     from scipy.linalg import expm
 
+    basis = ev.basis
+    fv = FockVector(x, basis, 1, 1)
+    for t in (0.0, 0.7, 5.3):
+        got = ev.apply(fv, t).tensor
+        want = np.einsum("fg,agb->afb", expm(-1j * t * csr(ham).toarray()), x)
+        assert np.max(np.abs(got - want)) < 1e-11
+        for k, a, b in zero:
+            assert np.all(got[a, basis.sectors[k], b] == 0)
+
+
+def _random_columns(basis, seed):
+    rng = np.random.default_rng(seed)
+    shape = (2, len(basis), 2)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("m_max", [3, 8])
+@pytest.mark.parametrize("j_coupling", [None, 1.3, -1.3])
+def test_exact_evolver_matches_dense_expm(m_max, j_coupling):
+    # one sender and one receiver register on N = 8; m_max = 8 is the full
+    # Fock space, whose even sectors wrap with a sign
     n = 8
     basis = fock_basis(n, m_max)
     lat = Lattice(n)
@@ -560,14 +584,32 @@ def test_exact_evolver_matches_dense_expm(m_max, j_coupling):
         ham = kinetic_matrix(basis, lat)
     else:
         ham = tj_hamiltonian(basis, lat, j_coupling)
-    ev = ExactEvolver(basis, ham)
-    rng = np.random.default_rng(7)
-    shape = (2, len(basis), 2)
-    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    fv = FockVector(x, basis, 1, 1)
-    for t in (0.0, 0.7, 5.3):
-        want = np.einsum("fg,agb->afb", expm(-1j * t * csr(ham).toarray()), x)
-        assert np.max(np.abs(ev.apply(fv, t).tensor - want)) < 1e-11
+    _assert_matches_dense_expm(ExactEvolver(basis, ham), ham, _random_columns(basis, 7))
+
+
+@pytest.mark.parametrize("boundary", [Boundary.RING, Boundary.CHAIN])
+@pytest.mark.parametrize("n, m_max", [(7, 7), (9, 4)])
+@pytest.mark.parametrize("j_coupling", [None, -0.8])
+def test_exact_evolver_matches_dense_expm_on_odd_lattices(n, m_max, boundary, j_coupling):
+    basis = fock_basis(n, m_max)
+    lat = Lattice(n, boundary)
+    ham = kinetic_matrix(basis, lat) if j_coupling is None else tj_hamiltonian(
+        basis, lat, j_coupling)
+    _assert_matches_dense_expm(ExactEvolver(basis, ham), ham, _random_columns(basis, 3))
+
+
+def test_translation_moves_each_creator_one_site():
+    # T a_j^dag T^dag = a_{j+1}^dag (a_N^dag -> a_1^dag), checked against the
+    # dense production creators on the full Fock space of an odd and an even ring
+    for n in (5, 6):
+        basis = fock_basis(n, n)
+        index, sign = basis.translation
+        t = np.zeros((len(basis),) * 2)
+        t[index, np.arange(len(basis))] = sign
+        assert np.allclose(t @ t.T, np.eye(len(basis)), atol=0)
+        creators = [dense_dag(mode_annihilator(np.eye(n)[j], basis)) for j in range(n)]
+        for j in range(n):
+            assert np.array_equal(t @ creators[j], creators[(j + 1) % n] @ t)
 
 
 def _peierls_hamiltonian(basis, lattice, phi):
@@ -580,36 +622,47 @@ def _peierls_hamiltonian(basis, lattice, phi):
     return (hop + hop.conjugate().T).tocoo()
 
 
-@pytest.mark.parametrize("model", ["tight-binding", "t-J", "peierls"])
-def test_exact_evolver_keeps_zero_blocks_and_matches_dense_expm(model):
-    from scipy.linalg import expm
+def _impurity_hamiltonian(basis, lattice):
+    # the ring hopping plus a potential on site 1: Hermitian, but not
+    # translation invariant
+    k = kinetic_matrix(basis, lattice)
+    diag = np.arange(len(basis))
+    return fock.CooMatrix(np.concatenate([k.row, diag]), np.concatenate([k.col, diag]),
+                          np.concatenate([k.data, 0.4 * (basis.masks & 1)]), k.shape)
 
+
+# model: (boundary, whether H commutes with the ring translation, H on a basis and lattice)
+_MODELS = {
+    "tight-binding": (Boundary.RING, True, kinetic_matrix),
+    "t-J": (Boundary.RING, True, lambda b, lat: tj_hamiltonian(b, lat, 1.3)),
+    "t-J at -J": (Boundary.RING, True, lambda b, lat: tj_hamiltonian(b, lat, -1.3)),
+    "peierls": (Boundary.RING, True, lambda b, lat: _peierls_hamiltonian(b, lat, 0.37)),
+    "chain": (Boundary.CHAIN, False, lambda b, lat: tj_hamiltonian(b, lat, 1.3)),
+    "ring impurity": (Boundary.RING, False, _impurity_hamiltonian),
+}
+
+
+@pytest.mark.parametrize("model", list(_MODELS))
+def test_exact_evolver_keeps_zero_blocks_and_matches_dense_expm(model):
+    boundary, symmetric, build = _MODELS[model]
     n = 8
     basis = fock_basis(n, 3)
-    lat = Lattice(n)
-    ham = {
-        "tight-binding": lambda: kinetic_matrix(basis, lat),
-        "t-J": lambda: tj_hamiltonian(basis, lat, 1.3),
-        "peierls": lambda: _peierls_hamiltonian(basis, lat, 0.37),
-    }[model]()
+    lat = Lattice(n, boundary)
+    ham = build(basis, lat)
     ev = ExactEvolver(basis, ham)
-    # the real models take the real-eigenvector product, the Peierls one the complex
-    assert all(np.iscomplexobj(v) == (model == "peierls") for _, v in ev.eigen)
-    rng = np.random.default_rng(11)
-    shape = (2, len(basis), 2)
-    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    x = _random_columns(basis, 11)
     # (sector, sender, receiver) blocks set exactly to zero; sector 1 entirely
     zero = [(0, 0, 1), (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1), (2, 0, 0), (2, 1, 1),
             (3, 1, 0)]
     for k, a, b in zero:
         x[a, basis.sectors[k], b] = 0.0
-    fv = FockVector(x, basis, 1, 1)
-    for t in (0.0, 0.7, 5.3):
-        got = ev.apply(fv, t).tensor
-        want = np.einsum("fg,agb->afb", expm(-1j * t * csr(ham).toarray()), x)
-        assert np.max(np.abs(got - want)) < 1e-11
-        for k, a, b in zero:
-            assert np.all(got[a, basis.sectors[k], b] == 0)
+    _assert_matches_dense_expm(ev, ham, x, zero)
+    # a translation-invariant H splits each sector into N momentum blocks;
+    # any other H keeps every sector whole (the top one has 560 states at N=16)
+    big = fock_basis(16, 3)
+    blocks = ExactEvolver(big, build(big, Lattice(16, boundary))).eigen
+    assert max(v.shape[-1] for _, v in blocks) == (35 if symmetric else 560)
+    assert [len(w) for w, _ in blocks] == [16 if symmetric else 1] * 4
 
 
 def test_exact_evolver_rejects_non_hermitian_and_number_changing():
@@ -819,6 +872,48 @@ def test_two_design_equals_haar_monte_carlo():
     )
     se = fids.std(ddof=1) / np.sqrt(len(fids))
     assert abs(exact - fids.mean()) < 3 * se
+
+
+def test_two_design_reads_receivers_from_the_b_register_state():
+    # corrected and raw receiver states against one reduced_qubit per
+    # register on the engine's output, with and without Bob's CZ gates
+    plan = plan_protocol(12, 3, dataclasses.replace(BUDGET, nu=1.0), 0.1, wait=1.0)
+    plan = dataclasses.replace(plan, wait=0.4 * plan.decode_time)
+    pairs = fock.exchange_pairs(plan)
+    assert pairs == [(1, 2), (1, 3), (2, 3)]
+    basis = fock_basis(12, 3)
+    outputs, fids, raw_fids = two_design_fidelities(plan, basis)
+    engine = ProtocolEngine(plan, basis)
+    raw = {a: {} for a in range(1, 4)}
+    for label, psi in SIX_DESIGN_STATES.items():
+        fv = engine.run([psi] * 3)
+        undone = fock.exchange_correction(fv, pairs)
+        for a in range(1, 4):
+            assert np.max(np.abs(outputs[a][label] - reduced_qubit(fv, "B", a))) < 1e-14
+            raw[a][label] = reduced_qubit(undone, "B", a)
+    for a in range(1, 4):
+        # every register sits in a corrected pair, so its raw channel differs
+        assert abs(raw_fids[a] - fids[a]) > 1e-3
+        assert abs(raw_fids[a] - average_fidelity(raw[a])) < 1e-14
+        assert abs(fids[a] - average_fidelity(outputs[a])) < 1e-14
+
+
+def test_pipelined_oracle_at_n24_matches_one_eigh_per_sector(monkeypatch):
+    # N=24, M=3 at wait T/2 (top sector 2024 states, 24 momentum blocks of
+    # at most 85): corrected and raw fidelities against the dense reference
+    plan = plan_protocol(24, 3, BUDGET, 0.01, wait=1.0)
+    plan = dataclasses.replace(plan, wait=plan.decode_time / 2)
+    assert fock.exchange_pairs(plan) == [(1, 2), (1, 3), (2, 3)]
+    basis = fock_basis(24, 3)
+    _, fids, raw = two_design_fidelities(plan, basis)
+    monkeypatch.setattr(fock, "ExactEvolver", SectorEvolver)
+    _, ref_fids, ref_raw = two_design_fidelities(plan, basis)
+    for a in range(1, 4):
+        assert abs(fids[a] - ref_fids[a]) < 1e-10
+        assert abs(raw[a] - ref_raw[a]) < 1e-10
+    bound = error_budget(plan).fidelity_bound
+    assert bound > 0.5
+    assert all(f >= bound for f in fids.values())
 
 
 # ---------------------------------------------------------------- t-J
