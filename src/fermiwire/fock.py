@@ -44,6 +44,13 @@ the wire as signal alpha < beta is decoded, a_h anticommutes past beta's
 creator and B_alpha picks up (-1)^{n_beta}.  The receiver undoes this with
 CZ(B_alpha, B_beta) after decoding, for every pair with
 (beta - alpha) * wait <= decode_time (``exchange_pairs``).
+
+Every step conserves the total excitation: raised A registers plus
+fermions plus raised B registers.  The six product inputs psi^M of the
+two-design average therefore need one run, not six: the |+>^M run's
+excitation-n part is, up to the factor 2^(-M/2), the run of every input's
+components with n raised registers, and ``two_design_fidelities`` weights
+those parts per input.
 """
 
 from __future__ import annotations
@@ -549,10 +556,14 @@ def build_encoder(g_coeffs: np.ndarray, basis: FockBasis) -> ModeOperator:
 def vacuum_vector(
     basis: FockBasis, n_a: int, n_b: int, messages: Sequence[np.ndarray]
 ) -> FockVector:
-    """Product state: message qubits x lattice vacuum x receiver |0> qubits."""
+    """Product state: message qubits x lattice vacuum x receiver |0> qubits.
+
+    Only the [A, vacuum, B = 0..0] slice is nonzero; it is the outer
+    product of the messages times the vacuum amplitude 1.
+    """
     if len(messages) != n_a:
         raise ValueError(f"expected {n_a} message states, got {len(messages)}")
-    amp = np.array([1.0 + 0.0j])
+    amp = np.ones((), dtype=complex)
     for psi in messages:
         psi = np.asarray(psi, dtype=complex)
         if psi.shape != (2,):
@@ -560,14 +571,12 @@ def vacuum_vector(
         nrm = np.linalg.norm(psi)
         if abs(nrm - 1.0) > 1e-8:
             raise ValueError("message states must be normalized")
-        amp = np.kron(amp, psi)
-    vac = np.zeros(len(basis), dtype=complex)
-    vac[0] = 1.0
-    amp = np.kron(amp, vac)
-    for _ in range(n_b):
-        amp = np.kron(amp, np.array([1.0, 0.0], dtype=complex))
-    shape = (2,) * n_a + (len(basis),) + (2,) * n_b
-    return FockVector(amp.reshape(shape), basis, n_a, n_b)
+        amp = np.multiply.outer(amp, psi)
+    tensor = np.zeros((2,) * n_a + (len(basis),) + (2,) * n_b, dtype=complex)
+    # the factor is the vacuum amplitude; multiplying by it signs zero parts
+    # as the full tensor product would
+    tensor[(Ellipsis, 0) + (0,) * n_b] = amp * (1.0 + 0.0j)
+    return FockVector(tensor, basis, n_a, n_b)
 
 
 def schedule(plan: ProtocolPlan) -> list[tuple[float, int, int]]:
@@ -696,19 +705,41 @@ def two_design_fidelities(
     matrix.  Returns the outputs and fidelities of the exchange-corrected
     channel, then the fidelities without Bob's CZ gates, which are a sign
     pattern on that matrix.
+
+    One run with input |+>^M serves all six inputs.  Every step conserves
+    the total excitation (raised A registers + fermions + raised B
+    registers): H conserves particle number, the swap maps register-0
+    sector e to register-1 sector e-1, and the CZ gates are diagonal.  The
+    input psi^M is sum_a psi_0^(M-|a|) psi_1^|a| |a>, so its final state is
+    sum_n c_n T_n with T_n the excitation-n part of the |+>^M run's final
+    tensor T and c_n = 2^(M/2) psi_0^(M-n) psi_1^n.  A row of T, an A index
+    a and a Fock state with k particles, has excitation r = |a| + k; with
+    G_r[b, b'] the sum of T[row, b] conj(T[row, b']) over the rows of
+    excitation r, each input's B-register matrix is
+    sum_r c_(r+|b|) conj(c_(r+|b'|)) G_r[b, b'], where c_n = 0 above n = M.
     """
     engine = ProtocolEngine(plan, basis)
-    m = plan.m_signals
-    # column alpha-1 holds B_alpha's bit of each B-register basis state
-    bits = (np.arange(2**m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
-    cz = np.ones(2**m)
+    m, dim = plan.m_signals, 2**plan.m_signals
+    # column alpha-1 holds B_alpha's bit of each register basis state
+    bits = (np.arange(dim)[:, None] >> np.arange(m - 1, -1, -1)) & 1
+    weight = bits.sum(axis=1)
+    cz = np.ones(dim)
     for a, b in exchange_pairs(plan):
         cz[(bits[:, a - 1] & bits[:, b - 1]) == 1] *= -1
+    x = engine.run([SIX_DESIGN_STATES["x+"]] * m).tensor.reshape(dim, len(basis), dim)
+    gram = np.zeros((m + 1, dim, dim), dtype=complex)
+    for k, s in enumerate(basis.sectors):
+        for p in range(m + 1 - k):
+            y = x[weight == p, s].reshape(-1, dim)
+            gram[p + k] += y.T @ y.conj()
+    # excitation r + |b| of each (r, b), capped at M + 1 where c_n is 0
+    excitation = np.minimum(np.arange(m + 1)[:, None] + weight, m + 1)
+    n = np.arange(m + 1)
     outputs: dict[int, dict[str, np.ndarray]] = {a: {} for a in range(1, m + 1)}
     raw: dict[int, dict[str, np.ndarray]] = {a: {} for a in range(1, m + 1)}
     for label, psi in SIX_DESIGN_STATES.items():
-        x = engine.run([psi] * m).tensor.reshape(-1, 2**m)
-        joint = x.T @ x.conj()
+        c = np.append(2.0 ** (m / 2) * psi[0] ** (m - n) * psi[1] ** n, 0.0)[excitation]
+        joint = np.einsum("rb,rc,rbc->bc", c, c.conj(), gram)
         for rho, out in ((joint, outputs), (joint * np.outer(cz, cz), raw)):
             for alpha in range(1, m + 1):
                 r = rho.reshape(2 ** (alpha - 1), 2, 2 ** (m - alpha),

@@ -874,28 +874,104 @@ def test_two_design_equals_haar_monte_carlo():
     assert abs(exact - fids.mean()) < 3 * se
 
 
-def test_two_design_reads_receivers_from_the_b_register_state():
-    # corrected and raw receiver states against one reduced_qubit per
-    # register on the engine's output, with and without Bob's CZ gates
-    plan = plan_protocol(12, 3, dataclasses.replace(BUDGET, nu=1.0), 0.1, wait=1.0)
-    plan = dataclasses.replace(plan, wait=0.4 * plan.decode_time)
+def _oracle_test_plan(n, m, wait):
+    # wait maps the decode time T to the wait between signals
+    plan = plan_protocol(n, m, dataclasses.replace(BUDGET, nu=1.0), 0.1, wait=1.0)
+    return dataclasses.replace(plan, wait=wait(plan.decode_time))
+
+
+RECEIVER_CASES = [
+    pytest.param(8, 1, lambda t_dec: t_dec + 1.0, id="N8-M1-sequential"),
+    pytest.param(12, 2, lambda t_dec: t_dec / 2, id="N12-M2-half-T"),
+    pytest.param(12, 3, lambda t_dec: 0.4 * t_dec, id="N12-M3-0.4T"),
+    pytest.param(12, 4, lambda t_dec: 1.0, id="N12-M4-t1"),
+]
+
+
+@pytest.mark.parametrize("n, m, wait", RECEIVER_CASES)
+def test_two_design_reads_receivers_from_the_b_register_state(n, m, wait):
+    # corrected and raw receiver states against six separate engine runs,
+    # one reduced_qubit per register, with and without Bob's CZ gates
+    plan = _oracle_test_plan(n, m, wait)
     pairs = fock.exchange_pairs(plan)
-    assert pairs == [(1, 2), (1, 3), (2, 3)]
-    basis = fock_basis(12, 3)
+    basis = fock_basis(n, m)
     outputs, fids, raw_fids = two_design_fidelities(plan, basis)
     engine = ProtocolEngine(plan, basis)
-    raw = {a: {} for a in range(1, 4)}
+    raw = {a: {} for a in range(1, m + 1)}
     for label, psi in SIX_DESIGN_STATES.items():
-        fv = engine.run([psi] * 3)
+        fv = engine.run([psi] * m)
         undone = fock.exchange_correction(fv, pairs)
-        for a in range(1, 4):
+        for a in range(1, m + 1):
             assert np.max(np.abs(outputs[a][label] - reduced_qubit(fv, "B", a))) < 1e-14
             raw[a][label] = reduced_qubit(undone, "B", a)
-    for a in range(1, 4):
-        # every register sits in a corrected pair, so its raw channel differs
-        assert abs(raw_fids[a] - fids[a]) > 1e-3
+    paired = {a for pair in pairs for a in pair}
+    for a in range(1, m + 1):
+        # a register in a corrected pair has a different raw channel
+        assert (abs(raw_fids[a] - fids[a]) > 1e-3) == (a in paired)
         assert abs(raw_fids[a] - average_fidelity(raw[a])) < 1e-14
         assert abs(fids[a] - average_fidelity(outputs[a])) < 1e-14
+
+
+def test_plus_run_splits_into_the_axis_runs_by_excitation_number():
+    # psi^M = sum_a psi_0^(M-|a|) psi_1^|a| |a> and every step conserves
+    # the total excitation, so the |+>^M run's excitation-n part, times
+    # 2^(M/2), is the run of the input with only that part: z+ for n = 0
+    # and z- for n = M
+    m = 3
+    plan = _oracle_test_plan(12, m, lambda t_dec: 0.4 * t_dec)
+    assert fock.exchange_pairs(plan) == [(1, 2), (1, 3), (2, 3)]
+    basis = fock_basis(12, m)
+    engine = ProtocolEngine(plan, basis)
+    plus = engine.run([SIX_DESIGN_STATES["x+"]] * m).tensor
+    excitation = total_excitation_operator(basis, m, m)
+    for label, n in (("z+", 0), ("z-", m)):
+        part = np.where(excitation == n, plus, 0.0) * 2.0 ** (m / 2)
+        axis_run = engine.run([SIX_DESIGN_STATES[label]] * m).tensor
+        assert np.max(np.abs(part - axis_run)) < 1e-14
+
+
+def test_two_design_runs_the_protocol_once(monkeypatch):
+    calls = []
+    run = ProtocolEngine.run
+
+    def counted(self, messages):
+        calls.append(len(messages))
+        return run(self, messages)
+
+    monkeypatch.setattr(ProtocolEngine, "run", counted)
+    plan = _oracle_test_plan(12, 3, lambda t_dec: 0.4 * t_dec)
+    two_design_fidelities(plan, fock_basis(12, 3))
+    assert calls == [3]
+
+
+def test_vacuum_vector_matches_the_kron_product():
+    basis = fock_basis(8, 3)
+    rng = np.random.default_rng(13)
+    states = list(SIX_DESIGN_STATES.values()) + [random_mode(2, rng) for _ in range(3)]
+    for n_a, n_b in ((0, 0), (1, 0), (1, 1), (2, 3), (3, 3)):
+        for k in range(len(states)):
+            messages = [states[(k + i) % len(states)] for i in range(n_a)]
+            amp = np.array([1.0 + 0.0j])
+            for psi in messages:
+                amp = np.kron(amp, psi)
+            vac = np.zeros(len(basis), dtype=complex)
+            vac[0] = 1.0
+            amp = np.kron(amp, vac)
+            for _ in range(n_b):
+                amp = np.kron(amp, np.array([1.0, 0.0], dtype=complex))
+            shape = (2,) * n_a + (len(basis),) + (2,) * n_b
+            ref = amp.reshape(shape)
+            got = vacuum_vector(basis, n_a, n_b, messages).tensor
+            # equal everywhere; the kron chain leaves -0.0 on some zeros
+            assert np.array_equal(got, ref)
+            live = (Ellipsis, 0) + (0,) * n_b
+            assert got[live].tobytes() == ref[live].tobytes()
+    with pytest.raises(ValueError, match="expected 2 message states, got 1"):
+        vacuum_vector(basis, 2, 0, states[:1])
+    with pytest.raises(ValueError, match="qubit 2-vectors"):
+        vacuum_vector(basis, 1, 0, [np.ones(3) / np.sqrt(3)])
+    with pytest.raises(ValueError, match="must be normalized"):
+        vacuum_vector(basis, 1, 0, [np.array([1.0, 1.0])])
 
 
 def test_pipelined_oracle_at_n24_matches_one_eigh_per_sector(monkeypatch):
