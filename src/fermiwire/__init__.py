@@ -52,7 +52,6 @@ from .protocol import (
     line_fit,
     min_wait_time,
     plan_protocol,
-    propagation_error,
 )
 from . import fock
 from . import harness
@@ -91,7 +90,6 @@ __all__ = [
     "overlap",
     "plan_protocol",
     "propagate",
-    "propagation_error",
     "region_weight",
     "ring_spectrum",
     "sigma_for_budget",

@@ -618,7 +618,11 @@ def exchange_correction(fv: FockVector, pairs: Sequence[tuple[int, int]]) -> Foc
 
 
 class ProtocolEngine:
-    """Cached operators for repeated runs of one plan on one basis."""
+    """Encoder, decoder and exact evolver of one plan on one basis.
+
+    ``run`` performs the timed protocol for one list of messages;
+    ``two_design_fidelities`` needs a single run for all six inputs.
+    """
 
     def __init__(self, plan: ProtocolPlan, basis: FockBasis):
         if plan.m_signals > basis.max_particles:

@@ -17,6 +17,7 @@ import io
 import json
 import time
 from dataclasses import dataclass, field, replace
+from math import ceil
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -53,16 +54,16 @@ from .protocol import (
     line_fit,
     min_wait_time,
     plan_protocol,
-    region_size,
+    receiver_region,
 )
 from . import fock
 
 _INT_KEYS = {"N", "M", "seed", "n_min", "n_max"}
-_FLOAT_KEYS = {"c", "kappa", "nu", "epsilon", "t", "s", "J"}
+_FLOAT_KEYS = {"c", "kappa", "epsilon", "t", "s", "J"}
 _STR_KEYS = {"experiment", "output"}
 _ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
 
-_DEFAULTS = {"c": 9.0, "kappa": 1.0, "nu": 2.0, "epsilon": 0.01}
+_DEFAULTS = {"c": 9.0, "kappa": 1.0, "epsilon": 0.01}
 
 class ConfigError(ValueError):
     pass
@@ -168,7 +169,7 @@ def build_config(values: dict) -> RunConfig:
             raise ConfigError(f"{key} must be at least {least}, got {values[key]}")
     if "epsilon" in values and not 0.0 < values["epsilon"] < 1.0:
         raise ConfigError(f"key 'epsilon' must lie in (0, 1), got {values['epsilon']}")
-    for key in ("c", "kappa", "nu", "t"):
+    for key in ("c", "kappa", "t"):
         if key in values and values[key] <= 0.0:
             raise ConfigError(f"key {key!r} must be positive, got {values[key]}")
     return RunConfig(experiment, values, seed, output, applied)
@@ -183,7 +184,7 @@ def _experiment(name: str) -> Experiment:
 
 
 def _budget(params: dict) -> PacketBudget:
-    return PacketBudget(c=params["c"], kappa=params["kappa"], nu=params["nu"])
+    return PacketBudget(c=params["c"], kappa=params["kappa"])
 
 
 def _sweep_sizes(params: dict) -> list[int]:
@@ -234,8 +235,7 @@ def _run_transit(params):
     g0 = gaussian_packet(pk, lattice)
     t_nominal = transit_time(n)
     k0 = pk.wavenumber
-    start_b = n // 2
-    bob_center = Region(start_b, start_b + region_size(n, budget.nu) - 1).center_site
+    bob_center = receiver_region(n, len(pk.region)).center_site
     arrival = angular_distance(n, pk.center, bob_center) / abs(group_velocity(k0, n))
     times = np.linspace(0.0, arrival, 9)
     rows = []
@@ -304,10 +304,10 @@ def _run_errorbudget(params):
     budget = _budget(params)
     plan = plan_protocol(params["N"], params["M"], budget, params["epsilon"])
     rep = error_budget(plan)
-    cols = ["N", "M", "wait", "decode_time", "eps_e", "eps_p", "eps_d",
-            "fidelity_bound", "clamped"]
+    cols = ["N", "M", "wait", "decode_time", "eps_e", "eps_d", "fidelity_bound",
+            "clamped"]
     row = [plan.n, plan.m_signals, plan.wait, plan.decode_time,
-           rep.eps_e, rep.eps_p, rep.eps_d, rep.fidelity_bound, rep.clamped]
+           rep.eps_e, rep.eps_d, rep.fidelity_bound, rep.clamped]
     return cols, [row], {}
 
 
@@ -338,10 +338,11 @@ def _run_ratefit(params):
 
 
 def _oracle_plan(params):
-    budget = _budget(params)
     n, m = params["N"], params["M"]
-    nu = min(budget.nu, 2.0 if n >= 12 else 1.0)
-    plan = plan_protocol(n, m, replace(budget, nu=nu), params["epsilon"], wait=1.0)
+    # regions of ceil(2 N^(1/3)) sites, ceil(N^(1/3)) below N = 12: the
+    # budget packet's support does not fit on an exact-diagonalization ring
+    width = ceil((2.0 if n >= 12 else 1.0) * n ** (1.0 / 3.0) - 1e-9)
+    plan = plan_protocol(n, m, _budget(params), params["epsilon"], wait=1.0, width=width)
     # sequential operation: at exact-diagonalization scale the wire holds
     # one signal at a time, so later signals do not sit under a decode
     return replace(plan, wait=params.get("t", plan.decode_time + 1.0))
@@ -364,7 +365,6 @@ def _run_oracleprotocol(params):
         "average_fidelity_raw": {str(a): raw_fids[a] for a in raw_fids},
         "exchange_cz_pairs": [list(p) for p in fock.exchange_pairs(plan)],
         "eps_e": rep.eps_e,
-        "eps_p": rep.eps_p,
         "eps_d": rep.eps_d,
         "fidelity_bound": bound,
         "bound_satisfied": all(fids[a] >= bound - 1e-6 for a in fids),
@@ -445,7 +445,7 @@ def _run_tjcheck(params):
     return ["s", "norm_difference", "s_times_eps_i", "satisfied"], rows, meta
 
 
-_BUDGET_KEYS = {"c", "kappa", "nu"}
+_BUDGET_KEYS = {"c", "kappa"}
 _PLAN_KEYS = _BUDGET_KEYS | {"epsilon"}
 # subcommand -> experiment, in the order of the CLI help and the error texts
 EXPERIMENTS = {

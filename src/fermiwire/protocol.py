@@ -1,34 +1,37 @@
 """Protocol planning and closed-form error accounting.
 
-A plan fixes the sender/receiver regions (ceil(nu*N^(1/3)) sites each, the
-receiver starting at site N/2), the encoding packet, the inter-signal wait
-t and the decode time T.  The decode time is the center-to-center angular
-distance divided by the packet's angular speed |v(k0)|, so the packet
-centroid actually sits on the receiver's region when decoding happens.
+A plan fixes one packet, the sender/receiver regions, the inter-signal
+wait t and the decode time T.  The packet is the budget packet
+``sigma_for_budget(N, budget)`` and both regions are its support, the
+receiver starting at site N/2; the exact oracle passes narrower regions.
+The decode time is the center-to-center angular distance divided by the
+packet's angular speed |v(k0)|, so the packet centroid actually sits on
+the receiver's region when decoding happens.
 
 Error channels:
 
 * encoding: 3 * sum_{j=1}^{M-1} (M-j) |<g(0)|g(j t)>|, the closed-form
   bound on the residual left behind by earlier signals, evaluated from the
   packet's mode weights (one FFT per packet, O(N) per wait);
-* propagation: shape-retention deficit 1 - |<ideal|g(T)>| against the
-  analytically translated and broadened envelope;
 * decoding: amplitude deficit 1 - sqrt(weight of g(T) in R_B).
 
-The fidelity lower bound is 1 minus their sum, clamped at zero.
+The fidelity lower bound is 1 minus their sum, clamped at zero.  The
+receiver decodes h = g(T) restricted to R_B, so whatever shape g(T) has,
+the amplitude it receives is exactly 1 - eps_d: dispersion costs only
+through the weight it pushes out of R_B, and needs no channel of its own.
+That argument covers one signal in the wire; a signal decoded while a
+later one is in the ring can fall below the bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
 
 import numpy as np
 
 from .lattice import (
     Lattice,
     Spectrum,
-    dispersion_third_derivative,
     group_velocity,
     propagate,
     require_normalized,
@@ -38,7 +41,6 @@ from .wavepacket import (
     PacketBudget,
     PacketParams,
     Region,
-    broadening_prediction,
     carrier_mode,
     gaussian_packet,
     overlap,
@@ -76,7 +78,6 @@ class ErrorBudgetReport:
     """Per-channel error magnitudes and the resulting fidelity lower bound."""
 
     eps_e: float
-    eps_p: float
     eps_d: float
     fidelity_bound: float
     clamped: bool
@@ -92,14 +93,14 @@ class ScalingFit:
     r_squared: float
 
 
-def region_size(n: int, nu: float) -> int:
-    """Access-region width ceil(nu * N^(1/3)) in sites."""
-    return ceil(nu * n ** (1.0 / 3.0) - 1e-9)
-
-
 def angular_distance(n: int, site_from: int, site_to: int) -> float:
     """Forward angular distance 2*pi*((site_to - site_from) mod N)/N."""
     return 2.0 * np.pi * ((site_to - site_from) % n) / n
+
+
+def receiver_region(n: int, width: int) -> Region:
+    """The receiver's access region: ``width`` sites from site N/2."""
+    return Region(n // 2, n // 2 + width - 1)
 
 
 def plan_protocol(
@@ -108,41 +109,42 @@ def plan_protocol(
     budget: PacketBudget,
     epsilon: float,
     wait: float | None = None,
+    width: int | None = None,
 ) -> ProtocolPlan:
     """Plan an M-signal run on an N-site ring.
 
-    Regions are ceil(nu*N^(1/3)) sites; the sender holds sites 1.. and the
-    receiver starts at site N/2.  The packet carrier is carrier_mode(N),
-    the mode nearest 3N/4, so it drifts toward the receiver through
+    With ``width`` omitted the plan's packet is the budget packet
+    ``sigma_for_budget(n, budget)`` and both regions are its support,
+    2*ceil((sqrt(2c) + 2) sigma) + 1 sites (45 at N = 128, 87 at N = 1024
+    for c = 9), so c sets the region width.  An explicit ``width`` gives
+    regions of that many sites and clips the packet's envelope to the
+    sender's; the exact oracle uses it for rings too small for the budget
+    support.  The sender holds sites 1.. and the receiver
+    ``receiver_region(n, width)``.  The carrier is carrier_mode(N), the
+    mode nearest 3N/4, so the packet drifts toward the receiver through
     increasing position.  The decode time is the center-to-center angular
     offset over |v(k0)| rather than the bare half-ring figure, since the
     finite region widths shift the arrival.  The wait defaults to the t*
-    of ``min_wait_time(n, m, budget, epsilon/3)``, which needs N divisible
-    by 4: the smallest time pushing the encoding bound of the budget packet
-    ``sigma_for_budget`` (about 8.4*N^(1/3) sites at c = 9) below
-    epsilon/3.  The plan's own packet is clipped to the sender region, so
-    ``error_budget`` can report eps_e above epsilon/3 for this wait
-    (0.0117 at N = 1024, M = 4, epsilon = 0.01).  With an explicit wait
+    of ``min_wait_time(n, m, budget, epsilon/3)``, searched for the budget
+    packet and needing N divisible by 4.  With an explicit wait and width
     any N >= 4 whose regions fit is planned.
     """
-    if wait is None and n % 4:
-        raise ValueError(f"N = {n} is not divisible by 4")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    w = region_size(n, budget.nu)
-    region_a = Region(1, w)
-    start_b = n // 2
-    if start_b + w - 1 > n or w >= start_b:
-        raise ValueError(
-            f"regions of {w} sites overlap on an N = {n} ring; "
-            f"reduce nu = {budget.nu}"
-        )
-    region_b = Region(start_b, start_b + w - 1)
-    k0 = carrier_mode(n)
-    sigma = sigma_sites_for_budget(n, budget)
-    packet = PacketParams(sigma, region_a.center_site, k0, region_a)
+    if width is None:
+        packet = sigma_for_budget(n, budget)
+        region_a = packet.region
+    else:
+        region_a = Region(1, width)
+        sigma = sigma_sites_for_budget(n, budget)
+        packet = PacketParams(sigma, region_a.center_site, carrier_mode(n), region_a)
+    w = len(region_a)
+    region_b = receiver_region(n, w)
+    if region_b.stop > n or w >= region_b.start:
+        hint = f"; lower c = {budget.c} or raise N" if width is None else ""
+        raise ValueError(f"regions of {w} sites overlap on an N = {n} ring{hint}")
     t_decode = angular_distance(n, region_a.center_site, region_b.center_site) / abs(
-        group_velocity(k0, n)
+        group_velocity(packet.wavenumber, n)
     )
     if wait is None:
         wait, _ = min_wait_time(n, m, budget, epsilon / 3.0)
@@ -209,78 +211,19 @@ def decode_mode(gT: np.ndarray, region_b: Region) -> tuple[np.ndarray, float]:
     return h, max(eps_d, 0.0)
 
 
-def translated_envelope(
-    packet: PacketParams,
-    t: float,
-    lattice: Lattice,
-    velocity: float | None = None,
-    omega3: float | None = None,
-) -> np.ndarray:
-    """Analytic prediction for the evolved packet: translate and broaden.
-
-    The packet's clipped envelope is carried along the ring by the angular
-    drift v(k0)*t (support shifted by the rounded site offset, center by
-    the exact drift) and its width is scaled by the cubic broadening
-    prediction; the carrier phase is kept.  At t = 0 this reproduces the
-    packet exactly.  velocity and omega3 default to the ring dispersion
-    at the packet carrier; tests may override them to match a toy
-    dispersion.
-    """
-    n = lattice.n_sites
-    v = group_velocity(packet.wavenumber, n) if velocity is None else velocity
-    if omega3 is None:
-        omega3 = dispersion_third_derivative(n, packet.wavenumber)
-    sigma_angle = 2.0 * np.pi * packet.sigma_sites / n
-    ratio = broadening_prediction(sigma_angle / np.sqrt(2.0), t, omega3)
-    drift_sites = v * t * n / (2.0 * np.pi)
-    support = (packet.region.indices() + int(round(drift_sites))) % n
-    j = support + 1
-    theta = 2.0 * np.pi * j / n
-    mu = 2.0 * np.pi * packet.center / n + v * t
-    d = (theta - mu + np.pi) % (2.0 * np.pi) - np.pi
-    ideal = np.zeros(n, dtype=complex)
-    ideal[support] = np.exp(-(d**2) / (2.0 * (sigma_angle * ratio) ** 2)) * np.exp(
-        2j * np.pi * packet.wavenumber * j / n
-    )
-    return ideal / np.linalg.norm(ideal)
-
-
-def propagation_error(
-    packet: PacketParams,
-    gt: np.ndarray,
-    t: float,
-    lattice: Lattice,
-    velocity: float | None = None,
-    omega3: float | None = None,
-) -> float:
-    """Shape-retention deficit of the packet gt, already propagated to time t.
-
-    Returns 1 - |<ideal|g(t)>| against the translated-and-broadened
-    envelope of the same packet: zero for dispersionless transport, and
-    growing with the chirp, asymmetry and shed ripple of the real
-    evolution.  velocity/omega3 overrides follow translated_envelope.
-    """
-    ideal = translated_envelope(packet, t, lattice, velocity, omega3)
-    return max(0.0, 1.0 - abs(overlap(ideal, gt)))
-
-
 def error_budget(plan: ProtocolPlan) -> ErrorBudgetReport:
-    """Evaluate all three error channels of a plan and the fidelity bound."""
-    lattice = Lattice(plan.n)
+    """Evaluate both error channels of a plan and the fidelity bound."""
     spectrum = ring_spectrum(plan.n)
-    g0 = gaussian_packet(plan.packet, lattice)
+    g0 = gaussian_packet(plan.packet, Lattice(plan.n))
     eps_e = (
         encoding_error_bound(g0, plan.wait, plan.m_signals, spectrum)
         if plan.m_signals > 1
         else 0.0
     )
-    gT = propagate(g0, plan.decode_time, spectrum)
-    eps_p = propagation_error(plan.packet, gT, plan.decode_time, lattice)
-    _, eps_d = decode_mode(gT, plan.region_b)
-    raw = 1.0 - eps_e - eps_p - eps_d
+    _, eps_d = decode_mode(propagate(g0, plan.decode_time, spectrum), plan.region_b)
+    raw = 1.0 - eps_e - eps_d
     return ErrorBudgetReport(
         eps_e=eps_e,
-        eps_p=eps_p,
         eps_d=eps_d,
         fidelity_bound=max(0.0, raw),
         clamped=raw < 0.0,

@@ -82,19 +82,18 @@ class PacketParams:
 
 @dataclass(frozen=True)
 class PacketBudget:
-    """Error-budget knobs: exponent c, momentum-cutoff kappa, region nu.
+    """Error-budget knobs: exponent c and momentum-cutoff kappa.
 
     c sets the tolerated exponential error scale e^(-c); kappa scales the
-    momentum cutoff Lambda = kappa*N^(2/3); nu scales protocol region
-    sizes, |R| = ceil(nu*N^(1/3)).
+    momentum cutoff Lambda = kappa*N^(2/3).  Together they fix the packet
+    width and, through its support, the protocol regions.
     """
 
     c: float
     kappa: float
-    nu: float = 2.0
 
     def __post_init__(self):
-        if self.c <= 0 or self.kappa <= 0 or self.nu <= 0:
+        if self.c <= 0 or self.kappa <= 0:
             raise ValueError("budget parameters must be strictly positive")
 
     def cutoff(self, n: int) -> float:

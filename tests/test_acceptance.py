@@ -105,7 +105,7 @@ def test_acceptance_02_group_velocity():
 def test_acceptance_03_transit_time_nominal():
     t0 = timed()
     n = 1024
-    plan = plan_protocol(n, 1, replace(BUDGET, nu=2.0), 0.1, wait=1.0)
+    plan = plan_protocol(n, 1, BUDGET, 0.1, wait=1.0, width=21)
     lattice = Lattice(n)
     spec = ring_spectrum(n)
     g0 = gaussian_packet(sigma_for_budget(n, BUDGET), lattice)
@@ -123,7 +123,7 @@ def test_acceptance_03_transit_time_nominal():
 def test_acceptance_03b_arrival_at_planned_decode_time():
     t0 = timed()
     n = 1024
-    plan = plan_protocol(n, 1, replace(BUDGET, nu=2.0), 0.1, wait=1.0)
+    plan = plan_protocol(n, 1, BUDGET, 0.1, wait=1.0, width=21)
     lattice = Lattice(n)
     spec = ring_spectrum(n)
     params = sigma_for_budget(n, BUDGET)
@@ -230,9 +230,9 @@ def test_acceptance_07_fidelity_lower_bound():
     t0 = timed()
     ok = True
     worst = np.inf
-    for n, nu in ((8, 1.0), (10, 1.0), (12, 2.0)):
+    for n, width in ((8, 2), (10, 3), (12, 5)):
         for m in (1, 2, 3):
-            plan = plan_protocol(n, m, replace(BUDGET, nu=nu), 0.1, wait=1.0)
+            plan = plan_protocol(n, m, BUDGET, 0.1, wait=1.0, width=width)
             plan = replace(plan, wait=plan.decode_time + 1.0)
             basis = fock.fock_basis(n, m)
             _, fids, _ = fock.two_design_fidelities(plan, basis)
@@ -241,7 +241,7 @@ def test_acceptance_07_fidelity_lower_bound():
                 margin = fids[alpha] - (rep.fidelity_bound - 1e-6)
                 worst = min(worst, margin)
                 ok = ok and margin >= 0.0
-    report(7, ok, f"min margin of F_alpha over 1-eps_E-eps_P-eps_D-1e-6: "
+    report(7, ok, f"min margin of F_alpha over 1-eps_E-eps_D-1e-6: "
                   f"{worst:+.4f} across N in (8,10,12), M <= 3, "
                   f"{timed()-t0:.2f}s")
     assert ok
@@ -250,7 +250,7 @@ def test_acceptance_07_fidelity_lower_bound():
 def test_acceptance_08_truncation_equivalence():
     t0 = timed()
     n, m = 8, 2
-    plan = plan_protocol(n, m, replace(BUDGET, nu=1.0), 0.1, wait=3.0)
+    plan = plan_protocol(n, m, BUDGET, 0.1, wait=3.0, width=2)
     msgs = [np.array([0.6, 0.8j]), np.array([1.0, -1.0j]) / np.sqrt(2)]
     small = fock.ProtocolEngine(plan, fock.fock_basis(n, m)).run(msgs)
     full = fock.ProtocolEngine(plan, fock.fock_basis(n, n)).run(msgs)
@@ -309,7 +309,7 @@ def test_acceptance_11_average_fidelity_identity():
 
     # channel 3 is the actual wire channel, reconstructed as a linear map
     # on density matrices from four pure-input protocol runs
-    plan = plan_protocol(8, 1, replace(BUDGET, nu=1.0), 0.1, wait=2.0)
+    plan = plan_protocol(8, 1, BUDGET, 0.1, wait=2.0, width=2)
     basis = fock.fock_basis(8, 1)
     engine = fock.ProtocolEngine(plan, basis)
 

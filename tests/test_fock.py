@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+from math import ceil
 
 import numpy as np
 import pytest
@@ -469,7 +470,7 @@ def test_excitation_conservation_commutators():
 
 
 def test_total_excitation_conserved_through_protocol():
-    plan = plan_protocol(10, 2, dataclasses.replace(BUDGET, nu=1.0), 0.1, wait=4.0)
+    plan = plan_protocol(10, 2, BUDGET, 0.1, wait=4.0, width=3)
     basis = fock_basis(10, 2)
     diag = total_excitation_operator(basis, 2, 2)
     msgs = [np.array([0.6, 0.8]), np.array([0.0, 1.0])]
@@ -483,8 +484,7 @@ def test_total_excitation_conserved_through_protocol():
 
 @pytest.mark.parametrize("n, m, fraction", [(10, 2, 0.5), (12, 3, 0.6)])
 def test_protocol_run_has_no_weight_above_m_excitations(n, m, fraction):
-    budget = dataclasses.replace(BUDGET, nu=1.0)
-    plan = plan_protocol(n, m, budget, 0.1, wait=1.0)
+    plan = plan_protocol(n, m, BUDGET, 0.1, wait=1.0, width=3)
     plan = dataclasses.replace(plan, wait=fraction * plan.decode_time)
     basis = fock_basis(n, m)
     msgs = [SIX_DESIGN_STATES["x+"], SIX_DESIGN_STATES["y-"], SIX_DESIGN_STATES["z-"]][:m]
@@ -495,7 +495,7 @@ def test_protocol_run_has_no_weight_above_m_excitations(n, m, fraction):
 
 
 def test_exchange_pairs_follow_the_schedule():
-    plan = plan_protocol(12, 3, dataclasses.replace(BUDGET, nu=1.0), 0.1, wait=1.0)
+    plan = plan_protocol(12, 3, BUDGET, 0.1, wait=1.0, width=3)
     t_dec = plan.decode_time
     pairs = {
         frac: fock.exchange_pairs(dataclasses.replace(plan, wait=frac * t_dec))
@@ -688,7 +688,7 @@ def test_exact_evolver_rejects_non_hermitian_and_number_changing():
 
 
 def test_protocol_engine_vacuum_message_leaves_receiver_cold():
-    plan = plan_protocol(8, 1, dataclasses.replace(BUDGET, nu=1.0), 0.1, wait=2.0)
+    plan = plan_protocol(8, 1, BUDGET, 0.1, wait=2.0, width=2)
     basis = fock_basis(8, 1)
     fv = ProtocolEngine(plan, basis).run([np.array([1.0, 0.0])])
     rho = reduced_qubit(fv, "B", 1)
@@ -697,7 +697,7 @@ def test_protocol_engine_vacuum_message_leaves_receiver_cold():
 
 
 def test_protocol_engine_perfect_transport_toy():
-    plan = plan_protocol(8, 1, dataclasses.replace(BUDGET, nu=1.0), 0.1, wait=2.0)
+    plan = plan_protocol(8, 1, BUDGET, 0.1, wait=2.0, width=2)
     toy = dataclasses.replace(plan, region_b=Region(1, 8))
     basis = fock_basis(8, 1)
     _, fids, _ = two_design_fidelities(toy, basis)
@@ -705,7 +705,7 @@ def test_protocol_engine_perfect_transport_toy():
 
 
 def test_protocol_engine_rejects_oversubscribed_basis():
-    plan = plan_protocol(8, 2, dataclasses.replace(BUDGET, nu=1.0), 0.1, wait=2.0)
+    plan = plan_protocol(8, 2, BUDGET, 0.1, wait=2.0, width=2)
     with pytest.raises(ValueError):
         ProtocolEngine(plan, fock_basis(8, 1)).run([SIX_DESIGN_STATES["z+"]] * 2)
 
@@ -784,7 +784,7 @@ def test_residual_t0_matches_direct_product_evaluation():
 
 
 def test_truncated_matches_full_space():
-    plan = plan_protocol(8, 2, dataclasses.replace(BUDGET, nu=1.0), 0.1, wait=3.0)
+    plan = plan_protocol(8, 2, BUDGET, 0.1, wait=3.0, width=2)
     msgs = [np.array([0.6, 0.8j]), np.array([1, -1j]) / np.sqrt(2)]
     small = ProtocolEngine(plan, fock_basis(8, 2)).run(msgs)
     full = ProtocolEngine(plan, fock_basis(8, 8)).run(msgs)
@@ -875,8 +875,9 @@ def test_two_design_equals_haar_monte_carlo():
 
 
 def _oracle_test_plan(n, m, wait):
-    # wait maps the decode time T to the wait between signals
-    plan = plan_protocol(n, m, dataclasses.replace(BUDGET, nu=1.0), 0.1, wait=1.0)
+    # wait maps the decode time T to the wait between signals; the regions
+    # are ceil(N^(1/3)) sites
+    plan = plan_protocol(n, m, BUDGET, 0.1, wait=1.0, width=ceil(n ** (1 / 3) - 1e-9))
     return dataclasses.replace(plan, wait=wait(plan.decode_time))
 
 
@@ -977,7 +978,7 @@ def test_vacuum_vector_matches_the_kron_product():
 def test_pipelined_oracle_at_n24_matches_one_eigh_per_sector(monkeypatch):
     # N=24, M=3 at wait T/2 (top sector 2024 states, 24 momentum blocks of
     # at most 85): corrected and raw fidelities against the dense reference
-    plan = plan_protocol(24, 3, BUDGET, 0.01, wait=1.0)
+    plan = plan_protocol(24, 3, BUDGET, 0.01, wait=1.0, width=6)
     plan = dataclasses.replace(plan, wait=plan.decode_time / 2)
     assert fock.exchange_pairs(plan) == [(1, 2), (1, 3), (2, 3)]
     basis = fock_basis(24, 3)
@@ -1103,17 +1104,39 @@ def test_evolution_difference_violation_is_detectable():
 
 
 def test_fidelity_bound_holds_on_small_grid():
-    from fermiwire.protocol import error_budget
+    # (N, region width, M, wait as a function of the decode time T): one
+    # signal in the wire at a time, then N=24 pipelined at T/2 and at T
+    sequential = [
+        (n, width, m, lambda t_dec: t_dec + 1.0)
+        for n, width in ((8, 2), (10, 3), (12, 5))
+        for m in (1, 2)
+    ]
+    pipelined = [(24, 6, 2, lambda t_dec: t_dec / 2), (24, 6, 2, lambda t_dec: t_dec)]
+    for n, width, m, wait in sequential + pipelined:
+        plan = plan_protocol(n, m, BUDGET, 0.1, wait=1.0, width=width)
+        plan = dataclasses.replace(plan, wait=wait(plan.decode_time))
+        basis = fock_basis(n, m)
+        outputs, fids, _ = two_design_fidelities(plan, basis)
+        rep = error_budget(plan)
+        assert rep.fidelity_bound == max(0.0, 1.0 - rep.eps_e - rep.eps_d)
+        if n == 24:  # the pipelined bounds are far from vacuous
+            assert rep.fidelity_bound > 0.85
+        for alpha in fids:
+            assert fids[alpha] >= rep.fidelity_bound - 1e-6
+            for rho in outputs[alpha].values():
+                validate_qubit_state(rho)
 
-    for n, nu in ((8, 1.0), (10, 1.0), (12, 2.0)):
-        for m in (1, 2):
-            budget = dataclasses.replace(BUDGET, nu=nu)
-            plan = plan_protocol(n, m, budget, 0.1, wait=1.0)
-            plan = dataclasses.replace(plan, wait=plan.decode_time + 1.0)
-            basis = fock_basis(n, m)
-            outputs, fids, _ = two_design_fidelities(plan, basis)
-            rep = error_budget(plan)
-            for alpha in fids:
-                assert fids[alpha] >= rep.fidelity_bound - 1e-6
-                for rho in outputs[alpha].values():
-                    validate_qubit_state(rho)
+
+@pytest.mark.xfail(strict=True, reason="the two-channel bound is argued for one signal "
+                   "in the wire; decoded while signal 2 is in the ring, register 1 "
+                   "reads 0.9685 against a bound of 0.9763")
+def test_fidelity_bound_holds_with_an_exchange_pair_at_n28():
+    # wait exactly T: signal 2 is encoded as signal 1 is decoded, so Bob
+    # corrects the pair (1, 2); just past T register 1 reads the one-signal
+    # closed form 0.9847
+    plan = plan_protocol(28, 2, BUDGET, 0.1, wait=1.0, width=7)
+    plan = dataclasses.replace(plan, wait=plan.decode_time)
+    assert fock.exchange_pairs(plan) == [(1, 2)]
+    _, fids, _ = two_design_fidelities(plan, fock_basis(28, 2))
+    bound = error_budget(plan).fidelity_bound
+    assert all(f >= bound - 1e-6 for f in fids.values())

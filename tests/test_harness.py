@@ -35,8 +35,7 @@ def test_minimal_config_fills_and_echoes_defaults():
     assert cfg.params["N"] == 64
     assert cfg.applied_defaults == {}
     cfg = make_config("experiment = ErrorBudget\nN = 64\nM = 2\n")
-    assert cfg.applied_defaults == {"c": 9.0, "kappa": 1.0, "nu": 2.0,
-                                    "epsilon": 0.01}
+    assert cfg.applied_defaults == {"c": 9.0, "kappa": 1.0, "epsilon": 0.01}
     assert cfg.params == {"N": 64, "M": 2, **cfg.applied_defaults}
 
 
@@ -235,10 +234,19 @@ def test_error_budget_experiment_row():
     table = run(cfg)
     (row,) = table.rows
     by = dict(zip(table.columns, row))
-    assert by["eps_e"] >= 0 and by["eps_p"] >= 0 and by["eps_d"] >= 0
+    assert by["eps_e"] >= 0 and by["eps_d"] >= 0
     if not by["clamped"]:
-        total = by["fidelity_bound"] + by["eps_e"] + by["eps_p"] + by["eps_d"]
+        total = by["fidelity_bound"] + by["eps_e"] + by["eps_d"]
         assert np.isclose(total, 1.0, atol=1e-12)
+
+
+def test_error_budget_experiment_certifies_epsilon():
+    cfg = make_config("experiment = ErrorBudget\nN = 1024\nM = 4\n")
+    table = run(cfg)
+    (row,) = table.rows
+    by = dict(zip(table.columns, row))
+    assert by["eps_e"] <= cfg.params["epsilon"] / 3.0
+    assert by["fidelity_bound"] >= 1.0 - cfg.params["epsilon"]
 
 
 # ---------------------------------------------------------------- emission
@@ -363,18 +371,29 @@ def test_cli_reports_bad_key():
     (["min-wait-sweep", "--set", "n_min=256", "--set", "n_max=512", "--set", "M=4",
       "--set", "epsilon=-0.5"],
      "key 'epsilon' must lie in (0, 1), got -0.5"),
-    (["packet", "--set", "N=64", "--set", "nu=0"],
-     "key 'nu' must be positive, got 0.0"),
+    (["packet", "--set", "N=64", "--set", "nu=2"],
+     "line 1: unknown key 'nu'"),
     (["oracle-protocol", "--set", "N=8", "--set", "M=1", "--set", "t=0"],
      "key 't' must be positive, got 0.0"),
 ], ids=["t-nan", "t-inf", "J-inf", "epsilon-nan", "M-0",
         "dispersion-J", "oracle-protocol-s",
-        "epsilon-above-1", "epsilon-negative", "nu-0", "t-0"])
+        "epsilon-above-1", "epsilon-negative", "nu-unknown", "t-0"])
 def test_cli_rejects_bad_numbers_before_running(argv, message, capsys):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"fermiwire: error: {message}\n"
+
+
+def test_cli_refuses_a_ring_too_small_for_the_budget_regions(capsys):
+    # the budget packet's support, 35 sites at c = 9, sets both regions
+    assert main(["error-budget", "--set", "N=64", "--set", "M=4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "fermiwire: error: experiment ErrorBudget failed: regions of 35 sites "
+        "overlap on an N = 64 ring; lower c = 9.0 or raise N\n"
+    )
 
 
 # one small run of every subcommand
@@ -384,7 +403,7 @@ SMALL_RUNS = {
     "transit": ["N=64"],
     "broadening": ["N=64"],
     "overlap-decay": ["n_min=64", "n_max=128"],
-    "error-budget": ["N=64", "M=2"],
+    "error-budget": ["N=128", "M=2"],
     "min-wait-sweep": ["n_min=64", "n_max=128", "M=2"],
     "rate-fit": ["n_min=64", "n_max=256", "M=2"],
     "oracle-protocol": ["N=8", "M=1"],
@@ -452,19 +471,19 @@ def test_tjcheck_attractive_coupling_bound_uses_abs_j():
 # keys each experiment reads besides its required ones
 READS = {
     "dispersion": set(),
-    "packet": {"c", "kappa", "nu"},
-    "transit": {"c", "kappa", "nu"},
-    "broadening": {"c", "kappa", "nu"},
-    "overlap-decay": {"c", "kappa", "nu"},
-    "error-budget": {"c", "kappa", "nu", "epsilon"},
-    "min-wait-sweep": {"c", "kappa", "nu", "epsilon"},
-    "rate-fit": {"c", "kappa", "nu", "epsilon"},
-    "oracle-protocol": {"c", "kappa", "nu", "epsilon", "t"},
+    "packet": {"c", "kappa"},
+    "transit": {"c", "kappa"},
+    "broadening": {"c", "kappa"},
+    "overlap-decay": {"c", "kappa"},
+    "error-budget": {"c", "kappa", "epsilon"},
+    "min-wait-sweep": {"c", "kappa", "epsilon"},
+    "rate-fit": {"c", "kappa", "epsilon"},
+    "oracle-protocol": {"c", "kappa", "epsilon", "t"},
     "oracle-bounds": set(),
     "tj-check": {"s"},
 }
 SAMPLE = {"N": 8, "M": 1, "n_min": 8, "n_max": 16, "c": 9.0, "kappa": 1.0,
-          "nu": 2.0, "epsilon": 0.01, "t": 2.0, "s": 0.3, "J": 1.0}
+          "epsilon": 0.01, "t": 2.0, "s": 0.3, "J": 1.0}
 
 
 @pytest.mark.parametrize("command", list(READS))

@@ -6,6 +6,7 @@ from references import random_state
 from fermiwire.lattice import (
     Boundary,
     Lattice,
+    Spectrum,
     build_hopping,
     diagonalize,
     dispersion,
@@ -122,6 +123,16 @@ def test_propagate_identity_at_zero():
     rng = np.random.default_rng(5)
     state = random_state(8, rng)
     assert np.allclose(propagate(state, 0.0, spec), state, atol=1e-12)
+
+
+def test_propagate_linear_spectrum_translates_exactly():
+    # a toy spectrum linear in the mode index shifts every state by a
+    # whole number of sites
+    n, shift, t = 128, 16, 4.0
+    lat = Lattice(n)
+    toy = Spectrum(lat, 2.0 * np.pi * shift * np.arange(1, n + 1) / (n * t))
+    state = random_state(n, np.random.default_rng(7))
+    assert np.max(np.abs(propagate(state, t, toy) - np.roll(state, shift))) < 1e-10
 
 
 def test_propagate_eigenmode_phase():

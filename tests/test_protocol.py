@@ -9,7 +9,6 @@ import fermiwire.protocol
 from fermiwire.lattice import (
     Boundary,
     Lattice,
-    Spectrum,
     diagonalize,
     propagate,
     ring_spectrum,
@@ -23,9 +22,6 @@ from fermiwire.protocol import (
     line_fit,
     min_wait_time,
     plan_protocol,
-    propagation_error,
-    region_size,
-    translated_envelope,
 )
 from fermiwire.wavepacket import (
     PacketBudget,
@@ -44,7 +40,7 @@ BUDGET = PacketBudget(c=9.0, kappa=1.0)
 
 
 def test_plan_region_sizes():
-    plan = plan_protocol(512, 2, PacketBudget(9.0, 1.0, nu=2.0), 0.01, wait=10.0)
+    plan = plan_protocol(512, 2, BUDGET, 0.01, wait=10.0, width=16)
     assert len(plan.region_a) == 16
     assert len(plan.region_b) == 16
     assert plan.region_a.start == 1
@@ -52,14 +48,22 @@ def test_plan_region_sizes():
 
 
 def test_plan_region_start_large_n():
-    plan = plan_protocol(4096, 1, PacketBudget(9.0, 1.0, nu=2.0), 0.01, wait=10.0)
+    plan = plan_protocol(4096, 1, BUDGET, 0.01, wait=10.0, width=32)
     assert len(plan.region_a) == 32
     assert plan.region_b.start == 2048
 
 
+@pytest.mark.parametrize("n, sites", [(128, 45), (512, 69), (1024, 87), (4096, 137)])
+def test_plan_carries_the_budget_packet_and_its_support(n, sites):
+    plan = plan_protocol(n, 4, BUDGET, 0.01, wait=10.0)
+    assert plan.packet == sigma_for_budget(n, BUDGET)
+    assert plan.region_a == plan.packet.region == Region(1, sites)
+    assert plan.region_b == Region(n // 2, n // 2 + sites - 1)
+
+
 def test_plan_rejects_overlapping_regions():
-    with pytest.raises(ValueError):
-        plan_protocol(16, 1, PacketBudget(9.0, 1.0, nu=4.0), 0.01, wait=1.0)
+    with pytest.raises(ValueError, match="regions of 11 sites overlap on an N = 16 ring$"):
+        plan_protocol(16, 1, BUDGET, 0.01, wait=1.0, width=11)
 
 
 def test_plan_m1_report_has_zero_encoding_error():
@@ -69,17 +73,17 @@ def test_plan_m1_report_has_zero_encoding_error():
 
 
 @pytest.mark.parametrize(
-    "n, nu, region_a, region_b, k0, decode_time",
+    "n, width, region_a, region_b, k0, decode_time",
     [
-        (10, 1.0, (1, 3), (5, 7), 8, 2.1029244484765344),
-        (14, 2.0, (1, 5), (7, 11), 11, 3.077150589817661),
+        (10, 3, (1, 3), (5, 7), 8, 2.1029244484765344),
+        (14, 5, (1, 5), (7, 11), 11, 3.077150589817661),
     ],
     ids=["N10", "N14"],
 )
 def test_plan_small_ring_not_divisible_by_four(
-    n, nu, region_a, region_b, k0, decode_time
+    n, width, region_a, region_b, k0, decode_time
 ):
-    plan = plan_protocol(n, 3, replace(BUDGET, nu=nu), 0.01, wait=1.0)
+    plan = plan_protocol(n, 3, BUDGET, 0.01, wait=1.0, width=width)
     assert (plan.region_a.start, plan.region_a.stop) == region_a
     assert (plan.region_b.start, plan.region_b.stop) == region_b
     assert plan.packet.wavenumber == k0
@@ -88,7 +92,9 @@ def test_plan_small_ring_not_divisible_by_four(
 
 def test_plan_default_wait_needs_n_divisible_by_four():
     with pytest.raises(ValueError, match="divisible by 4"):
-        plan_protocol(10, 2, replace(BUDGET, nu=1.0), 0.01)
+        plan_protocol(10, 2, BUDGET, 0.01, width=3)
+    with pytest.raises(ValueError, match="divisible by 4"):
+        plan_protocol(10, 2, BUDGET, 0.01, wait=1.0)
 
 
 def test_ring_paths_build_no_dense_matrix(monkeypatch):
@@ -214,83 +220,16 @@ def test_decode_error_shrinks_with_region_coefficient():
     lat = Lattice(n)
     spec = ring_spectrum(n)
     values = []
-    for nu in (1.0, 2.0, 3.0):
-        budget = PacketBudget(9.0, 1.0, nu=nu)
-        plan = plan_protocol(n, 1, budget, 0.01, wait=5.0)
+    # ceil(a * N^(1/3)) sites for a = 1, 2, 3
+    for width in (11, 21, 31):
+        plan = plan_protocol(n, 1, BUDGET, 0.01, wait=5.0, width=width)
         g0 = gaussian_packet(plan.packet, lat)
         gT = propagate(g0, plan.decode_time, spec)
         _, eps_d = decode_mode(gT, plan.region_b)
         values.append(eps_d)
-    # each extra nu*N^(1/3) of receiver width cuts the deficit hard
+    # each extra N^(1/3) sites of receiver width cuts the deficit hard
     assert values[1] < 0.5 * values[0]
     assert values[2] < 0.5 * values[1]
-
-
-# ---------------------------------------------------------------- propagation
-
-
-def test_propagation_error_zero_for_linear_dispersion():
-    # toy spectrum linear in the mode index: exact lattice translation
-    n = 128
-    lat = Lattice(n)
-    params = sigma_for_budget(n, BUDGET)
-    shift = n // 4 - params.center
-    region = Region(params.region.start + shift, params.region.stop + shift)
-    params = replace(params, center=n // 4, region=region)
-    shift_sites = 16
-    t0 = 4.0
-    eigenvalues = np.array(
-        [2.0 * np.pi * shift_sites * k / (n * t0) for k in range(1, n + 1)]
-    )
-    toy = Spectrum(lat, eigenvalues)
-    g0 = gaussian_packet(params, lat)
-    gt = propagate(g0, t0, toy)
-    assert np.max(np.abs(gt - np.roll(g0, shift_sites))) < 1e-10
-    # d omega/dk of the toy dispersion, and no cubic term
-    toy_velocity = 2.0 * np.pi * shift_sites / (n * t0)
-    eps_p = propagation_error(params, gt, t0, lat, velocity=toy_velocity, omega3=0.0)
-    assert eps_p < 1e-8
-
-
-def test_propagation_error_fixture_default_packet():
-    n = 2048
-    lat = Lattice(n)
-    spec = ring_spectrum(n)
-    params = sigma_for_budget(n, BUDGET)
-    from fermiwire.lattice import transit_time
-
-    t = transit_time(n)
-    gt = propagate(gaussian_packet(params, lat), t, spec)
-    assert propagation_error(params, gt, t, lat) <= 0.05
-
-
-def test_propagation_error_zero_at_time_zero():
-    n = 512
-    lat = Lattice(n)
-    spec = ring_spectrum(n)
-    params = sigma_for_budget(n, BUDGET)
-    g0 = propagate(gaussian_packet(params, lat), 0.0, spec)
-    assert propagation_error(params, g0, 0.0, lat) < 1e-12
-
-
-def test_propagation_error_monotone_in_c():
-    n = 512
-    lat = Lattice(n)
-    spec = ring_spectrum(n)
-    values = []
-    for c in (4.0, 9.0, 16.0):
-        budget = PacketBudget(c, 1.0)
-        params = sigma_for_budget(n, budget)
-        w = region_size(n, 2.0)
-        bob = n // 2 + (w - 1) // 2
-        from fermiwire.lattice import group_velocity
-
-        t = angular_distance(n, params.center, bob) / abs(
-            group_velocity(params.wavenumber, n)
-        )
-        gt = propagate(gaussian_packet(params, lat), t, spec)
-        values.append(propagation_error(params, gt, t, lat))
-    assert values[0] > values[1] > values[2]
 
 
 # ---------------------------------------------------------------- reports
@@ -309,17 +248,18 @@ def test_error_budget_identity_and_clamp():
     rep = error_budget(plan)
     if not rep.clamped:
         assert np.isclose(
-            rep.fidelity_bound + rep.eps_e + rep.eps_p + rep.eps_d, 1.0, atol=1e-12
+            rep.fidelity_bound + rep.eps_e + rep.eps_d, 1.0, atol=1e-12
         )
     assert rep.fidelity_bound >= 0.0
 
 
-@pytest.mark.xfail(strict=True, reason="the default wait is searched for the budget "
-                   "packet, wider than the plan's packet clipped to the sender region")
-def test_default_wait_meets_the_encoding_share():
-    # eps_e is 0.0117 here, against the epsilon/3 = 0.0033 the wait aims for
-    plan = plan_protocol(1024, 4, BUDGET, 0.01)
-    assert error_budget(plan).eps_e <= plan.epsilon / 3.0
+@pytest.mark.parametrize("n", [128, 1024, 8192])
+def test_default_wait_meets_the_encoding_share(n):
+    # the wait is searched for the packet the plan carries
+    plan = plan_protocol(n, 4, BUDGET, 0.01)
+    rep = error_budget(plan)
+    assert rep.eps_e <= plan.epsilon / 3.0
+    assert rep.fidelity_bound >= 1.0 - plan.epsilon
 
 
 # ---------------------------------------------------------------- min wait
@@ -450,12 +390,3 @@ def test_fit_rejects_degenerate_samples():
         fit_rate_scaling([(256, 1.0), (256, 2.0), (512, 3.0)])
     with pytest.raises(ValueError):
         fit_rate_scaling([(256, 1.0), (512, -2.0), (1024, 3.0)])
-
-
-def test_translated_envelope_matches_packet_at_zero():
-    n = 256
-    lat = Lattice(n)
-    params = sigma_for_budget(n, BUDGET)
-    g0 = gaussian_packet(params, lat)
-    ideal = translated_envelope(params, 0.0, lat)
-    assert np.max(np.abs(ideal - g0)) < 1e-12
