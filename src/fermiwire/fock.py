@@ -30,6 +30,11 @@ sector and (g^dag)^2 = 0.  The signs behind both are checked once per basis
 (``FockBasis.ladder_defect``), the norm of g per encoder; the tests keep
 the equivalent two-exponential product as a reference.
 
+A ``FockVector`` may end in a batch axis of B independent states, shape
+(2,)*M x (fock_dim,) x (2,)*M x (B,).  Swaps and evolution treat it as more
+register columns, and ``ExactEvolver.apply`` takes one time per member, so
+``run_encoding_sequence`` runs the sequences of B waits as one.
+
 Time evolution never forms an F x F propagator: ``ExactEvolver`` applies
 exp(-iHt) in the eigenbasis of (particle number, ring momentum) blocks.
 A Hamiltonian that commutes with the fermionic ring translation
@@ -170,24 +175,25 @@ class FockBasis:
         return rungs
 
     @cached_property
-    def ladder_defect(self) -> float:
-        """Largest entry of {a, a^dag} - 1 and of (a^dag)^2 below the top sector.
+    def ladder_defect(self) -> int:
+        """Count of ladder entries and rows that break the Jordan-Wigner rule.
 
-        Taken for one fixed mode with no zero coefficient, on identity columns
-        in blocks of 64.  Off the diagonal each entry is one pair of sites
-        times a sum of ladder signs: zero certifies the signs for every mode.
+        An entry flips the bit of a site occupied (down) or empty (up) in its
+        source, with sign (-1)^(occupied sites below it); a row's sites ascend
+        strictly, so it lists all such sites.  Zero makes each a_j the exact
+        Jordan-Wigner operator, entry by entry, so every mode sum_j conj(c_j) a_j
+        has {a, a^dag} = |c|^2 below the top sector and (a^dag)^2 = 0.
         """
-        n, sec, worst = self.n_sites, self.sectors, 0.0
-        op = ModeOperator(np.exp(1j * np.arange(n)) / np.sqrt(n), self)
-        for k in range(self.max_particles):
-            d = sec[k].stop - sec[k].start
-            for lo in range(0, d, 64):
-                eye = np.eye(d, min(64, d - lo), -lo, dtype=complex)
-                up = op.lift(k + 1, eye)
-                anti = op.lower(k + 1, up) - eye + (op.lift(k, op.lower(k, eye)) if k else 0)
-                square = op.lift(k + 2, up) if k + 2 <= self.max_particles else 0
-                worst = max(worst, np.abs(anti).max(), np.abs(square).max())
-        return float(worst)
+        masks, sec, bad, one = self.masks, self.sectors, 0, np.uint64(1)
+        for k, rungs in self.ladder.items():
+            for (index, site, sign), src, dst, full in zip(
+                    rungs, (sec[k], sec[k - 1]), (sec[k - 1], sec[k]), (True, False)):
+                source, bit = masks[src][:, None], one << site.astype(np.uint64)
+                odd = np.bitwise_count(source & (bit - one)) & 1
+                ok = ((masks[dst][index] == source ^ bit) & (((source & bit) != 0) == full)
+                      & (sign == np.where(odd, -1, 1)))
+                bad += np.count_nonzero(~ok) + np.count_nonzero(site[:, 1:] <= site[:, :-1])
+        return int(bad)
 
 
 def fock_basis(n_sites: int, max_particles: int) -> FockBasis:
@@ -211,7 +217,8 @@ def fock_basis(n_sites: int, max_particles: int) -> FockBasis:
 
 @dataclass
 class FockVector:
-    """Amplitudes over sender registers x occupation basis x receiver registers."""
+    """Amplitudes over sender registers x occupation basis x receiver registers,
+    with an optional trailing batch axis of independent states."""
 
     tensor: np.ndarray
     basis: FockBasis
@@ -220,15 +227,17 @@ class FockVector:
 
     def __post_init__(self):
         expected = (2,) * self.n_a + (len(self.basis),) + (2,) * self.n_b
-        if self.tensor.shape != expected:
-            raise ValueError(f"tensor shape {self.tensor.shape} != {expected}")
+        if self.tensor.shape[:len(expected)] != expected or self.tensor.ndim > len(expected) + 1:
+            raise ValueError(f"tensor shape {self.tensor.shape} != {expected} (+ batch axis)")
 
     @property
     def fock_axis(self) -> int:
         return self.n_a
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.tensor))
+    @property
+    def batch(self) -> int | None:
+        """Length of the trailing batch axis; None without one."""
+        return self.tensor.shape[-1] if self.tensor.ndim > self.n_a + self.n_b + 1 else None
 
     def register_axis(self, side: str, idx: int) -> int:
         count = self.n_a if side == "A" else self.n_b
@@ -409,13 +418,18 @@ class ExactEvolver:
             self.orbits.append(orbits)
             self.eigen.append(np.linalg.eigh(orbits.blocks(*local)))
 
-    def apply(self, fv: FockVector, t: float) -> FockVector:
-        """exp(-i t H) on the Fock axis; register axes ride along as columns.
+    def apply(self, fv: FockVector, t: float | np.ndarray) -> FockVector:
+        """exp(-i t H) on the Fock axis; register and batch axes ride along as columns.
 
-        Per sector, only the nonzero columns move: one gather along the
-        orbits, an FFT over the orbit axis, one batched block product,
-        the inverse FFT and a gather back.
+        t is one time for every column, or an array of one time per member
+        of the batch axis of fv.  Per sector, only the nonzero columns move:
+        one gather along the orbits, an FFT over the orbit axis, one batched
+        block product, the inverse FFT and a gather back.
         """
+        t = np.asarray(t, dtype=float)
+        if t.ndim and t.shape != (fv.batch,):
+            raise ValueError(f"times of shape {t.shape} need a batch axis of that length, "
+                             f"the state's is {fv.batch}")
         x = np.moveaxis(fv.tensor, fv.fock_axis, 0)
         cols = x.reshape(x.shape[0], -1).astype(complex, copy=False)
         y = np.zeros(cols.shape, dtype=complex)
@@ -426,7 +440,10 @@ class ExactEvolver:
             z = orbits.to_blocks(cols[s, live])
             # v^dag z as (z^dag v)^dag, so v is never conjugated
             z = np.matmul(z.conj().swapaxes(1, 2), v).conj().swapaxes(1, 2)
-            y[s, live] = orbits.from_blocks(np.matmul(v, np.exp(-1j * t * w)[..., None] * z))
+            phase = np.exp((-1j * t) * w[..., None])
+            # the batch axis is the fastest of the columns: column c is member c % B
+            z = (phase[..., live % t.size] if t.ndim else phase) * z
+            y[s, live] = orbits.from_blocks(np.matmul(v, z))
         tensor = np.moveaxis(y.reshape(x.shape), 0, fv.fock_axis)
         return FockVector(tensor, fv.basis, fv.n_a, fv.n_b)
 
@@ -544,11 +561,10 @@ def build_encoder(g_coeffs: np.ndarray, basis: FockBasis) -> ModeOperator:
     nrm = np.linalg.norm(g_coeffs)
     if abs(nrm - 1.0) > 1e-8:
         raise ValueError(f"mode coefficients must be normalized (norm {nrm!r})")
-    defect = max(basis.ladder_defect, abs(nrm**2 - 1.0))
-    if defect > 1e-10:
+    if basis.ladder_defect or abs(nrm**2 - 1.0) > 1e-10:
         raise RuntimeError(
-            f"register swap is not unitary on the reachable sector "
-            f"(defect {defect:.3e})"
+            f"register swap is not unitary on the reachable sector ({basis.ladder_defect} "
+            f"ladder entries break the Jordan-Wigner rule, |g|^2 - 1 = {nrm**2 - 1.0:.3e})"
         )
     return mode_annihilator(g_coeffs, basis)
 
@@ -667,19 +683,22 @@ class ProtocolEngine:
 def _run_events(fv: FockVector, events, evolver: ExactEvolver) -> FockVector:
     """Apply (gap, operator, side, register) events in order.
 
-    Each evolves for its gap when the gap exceeds 1e-12, then swaps the
-    register with the operator's mode; any amplitude leaking out of the
-    excitation-conserving sector aborts the run.
+    Each evolves for its gap (one time, or one per batch member) unless all
+    are at most 1e-12, then swaps the register with the operator's mode; any
+    member's amplitude leaking out of the excitation-conserving sector aborts.
     """
     for gap, op, side, idx in events:
-        if gap > 1e-12:
+        if np.any(np.asarray(gap) > 1e-12):
             fv = evolver.apply(fv, gap)
         fv = _apply_register_block(fv, op, side, idx)
-        if abs(fv.norm() - 1.0) > 1e-10:
-            raise RuntimeError(
-                f"norm drifted to {fv.norm()!r} after {side}{idx}; "
-                "amplitude leaked out of the truncated sector"
-            )
+        # one expression, so no reference to the tensor outlives the check
+        norms = [float(np.linalg.norm(x))
+                 for x in (np.moveaxis(fv.tensor, -1, 0) if fv.batch else [fv.tensor])]
+        for b, nrm in enumerate(norms):
+            if abs(nrm - 1.0) > 1e-10:
+                member = f" in batch member {b}" if fv.batch else ""
+                raise RuntimeError(f"norm drifted to {nrm!r}{member} after {side}{idx}; "
+                                   "amplitude leaked out of the truncated sector")
     return fv
 
 
@@ -756,7 +775,7 @@ def two_design_fidelities(
 def run_encoding_sequence(
     coeff_pairs: Sequence[tuple[complex, complex]],
     encoders: Sequence[ModeOperator],
-    waits: Sequence[float],
+    waits: Sequence[float | np.ndarray],
     evolver: ExactEvolver,
 ) -> FockVector:
     """Apply the encode/evolve sequence only (no receiver registers).
@@ -764,16 +783,32 @@ def run_encoding_sequence(
     coeff_pairs are the (c, d) amplitudes of each message qubit;
     encoders are the ``build_encoder`` operators swapped into each register in
     turn; waits are the M-1 gaps between consecutive encodings, evolved
-    under ``evolver``, whose basis the run uses.  Like ``ProtocolEngine.run``
-    it aborts when amplitude leaks out of the truncated sector.
+    under ``evolver``, whose basis the run uses.  A gap given as a length-B
+    array runs B sequences at once: the result then carries a trailing batch
+    axis whose member b used element b of every array gap (and each float
+    gap as it is).  Like ``ProtocolEngine.run`` it aborts when amplitude
+    leaks out of the truncated sector.
     """
     m = len(coeff_pairs)
-    if len(encoders) != m or len(waits) != m - 1 or any(w < 0 for w in waits):
-        raise ValueError("need one encoder per signal and M-1 non-negative waits")
+    if len(encoders) != m or len(waits) != m - 1:
+        raise ValueError(f"need one encoder per signal and M-1 non-negative waits: "
+                         f"{m} signals, {len(encoders)} encoders, {len(waits)} waits")
+    gaps = [np.asarray(w, dtype=float) for w in waits]
+    sizes = sorted({g.size for g in gaps if g.ndim})
+    if any(g.ndim > 1 for g in gaps) or len(sizes) > 1 or 0 in sizes:
+        raise ValueError(f"array waits must be 1-d and share one nonzero length, "
+                         f"got shapes {[g.shape for g in gaps]}")
+    for i, g in enumerate(gaps, start=1):
+        if np.any(g < 0):
+            raise ValueError(f"need M-1 non-negative waits: "
+                             f"wait {i} has member {float(g.min())!r}")
     messages = [np.array([c, d], dtype=complex) for c, d in coeff_pairs]
+    fv = vacuum_vector(evolver.basis, m, 0, messages)
+    if sizes:
+        fv = FockVector(np.repeat(fv.tensor[..., None], sizes[0], axis=-1), fv.basis, m, 0)
     events = [(gap, op, "A", alpha)
               for alpha, (gap, op) in enumerate(zip([0.0, *waits], encoders), start=1)]
-    return _run_events(vacuum_vector(evolver.basis, m, 0, messages), events, evolver)
+    return _run_events(fv, events, evolver)
 
 
 def encoding_residual_norm(

@@ -388,14 +388,18 @@ def _run_oraclebounds(params):
         for a in range(1, m + 1)
     ]
     evolver = fock.ExactEvolver(basis, fock.kinetic_matrix(basis, lattice))
+    waits = (0.3, 0.8, 1.3, 1.8, 2.3)
     rows = []
     for sigma in (0.6, 1.0, 1.4, 1.8):
         g0 = gaussian_packet(PacketParams(sigma, center, k0, region), lattice)
         encoder = fock.build_encoder(g0, basis)
-        for t in (0.3, 0.8, 1.3, 1.8, 2.3):
-            actual = fock.run_encoding_sequence(
-                coeff_pairs, [encoder] * m, [t] * (m - 1), evolver
-            )
+        # one run for every wait; M = 1 has no gap, hence no batch axis
+        runs = fock.run_encoding_sequence(
+            coeff_pairs, [encoder] * m, [np.array(waits)] * (m - 1), evolver
+        )
+        for i, t in enumerate(waits):
+            tensor = runs.tensor[..., i] if runs.batch else runs.tensor
+            actual = fock.FockVector(tensor, basis, m, 0)
             modes_now = [
                 propagate(g0, (m - alpha) * t, spectrum) for alpha in range(1, m + 1)
             ]

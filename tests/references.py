@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from fermiwire.fock import FockBasis, FockVector
+from fermiwire.fock import FockBasis, FockVector, ModeOperator
 from fermiwire.lattice import Lattice, ring_spectrum
 from fermiwire.protocol import _bound_from_weights, _mode_weights, encoding_error_bound
 from fermiwire.wavepacket import (
@@ -83,6 +83,27 @@ class SectorEvolver:
             y[s] = v @ (np.exp(-1j * w * t)[:, None] * (v.conj().T @ cols[s]))
         tensor = np.moveaxis(y.reshape(x.shape), 0, fv.fock_axis)
         return FockVector(tensor, fv.basis, fv.n_a, fv.n_b)
+
+
+def operational_ladder_defect(basis: FockBasis) -> float:
+    """Largest entry of {a, a^dag} - 1 and of (a^dag)^2 below the top sector.
+
+    Taken for one fixed mode with no zero coefficient, on identity columns
+    in blocks of 64.  Off the diagonal each entry is one pair of sites
+    times a sum of ladder signs, so zero certifies the signs for every
+    mode; it is the operational counterpart of ``FockBasis.ladder_defect``.
+    """
+    n, sec, worst = basis.n_sites, basis.sectors, 0.0
+    op = ModeOperator(np.exp(1j * np.arange(n)) / np.sqrt(n), basis)
+    for k in range(basis.max_particles):
+        d = sec[k].stop - sec[k].start
+        for lo in range(0, d, 64):
+            eye = np.eye(d, min(64, d - lo), -lo, dtype=complex)
+            up = op.lift(k + 1, eye)
+            anti = op.lower(k + 1, up) - eye + (op.lift(k, op.lower(k, eye)) if k else 0)
+            square = op.lift(k + 2, up) if k + 2 <= basis.max_particles else 0
+            worst = max(worst, np.abs(anti).max(), np.abs(square).max())
+    return float(worst)
 
 
 def validate_qubit_state(rho: np.ndarray, atol: float = 1e-10):

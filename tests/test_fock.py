@@ -8,6 +8,7 @@ from scipy import sparse
 from references import (
     SectorEvolver,
     basis_index,
+    operational_ladder_defect,
     reduced_qubit,
     total_excitation_operator,
     validate_qubit_state,
@@ -427,6 +428,34 @@ def test_flipped_table_sign_fails_the_unitarity_check():
         build_encoder(g, bad)
 
 
+@pytest.mark.parametrize("n", [10, 14])
+def test_ladder_certificate_agrees_with_the_operational_check(n):
+    basis = fock_basis(n, 3)
+    assert basis.ladder_defect == 0
+    assert operational_ladder_defect(basis) <= 1e-12
+
+
+@pytest.mark.parametrize("part", ["sign", "target"])
+@pytest.mark.parametrize("rung", [0, 1])
+def test_one_corrupted_ladder_entry_fails_the_unitarity_check(part, rung):
+    # rung 0 is the down table, rung 1 the up table, of the 2-particle sector
+    basis = fock_basis(6, 3)
+    g = random_mode(6, np.random.default_rng(6))
+    build_encoder(g, basis)
+    ladder = {k: tuple(tuple(a.copy() for a in t) for t in pair)
+              for k, pair in basis.ladder.items()}
+    index, _, sign = ladder[2][rung]
+    if part == "sign":
+        sign[0, 0] *= -1
+    else:
+        index[0, 0] = (index[0, 0] + 1) % (index.max() + 1)
+    bad = dataclasses.replace(basis)
+    bad.__dict__["ladder"] = ladder
+    assert bad.ladder_defect == 1
+    with pytest.raises(RuntimeError, match=r"not unitary on the reachable sector \(1 ladder"):
+        build_encoder(g, bad)
+
+
 def test_swap_skips_zero_blocks_and_matches_dense_reference():
     basis = fock_basis(8, 3)
     sec, f = basis.sectors, len(basis)
@@ -491,7 +520,7 @@ def test_protocol_run_has_no_weight_above_m_excitations(n, m, fraction):
     fv = ProtocolEngine(plan, basis).run(msgs)
     diag = total_excitation_operator(basis, m, m)
     assert np.sum(np.abs(fv.tensor[diag > m]) ** 2) == 0.0
-    assert abs(fv.norm() - 1.0) < 1e-10
+    assert abs(np.linalg.norm(fv.tensor) - 1.0) < 1e-10
 
 
 def test_exchange_pairs_follow_the_schedule():
@@ -743,6 +772,92 @@ def test_residual_zero_for_orthogonal_modes():
     assert resid < 1e-10
     with pytest.raises(ValueError, match="M-1 non-negative waits"):
         run_encoding_sequence(pairs, encoders, [-0.5], evolver)
+
+
+def _encoding_setup(m):
+    # the acceptance-06 lattice, evolver and message amplitudes
+    lattice = Lattice(10)
+    basis = fock_basis(10, m)
+    evolver = ExactEvolver(basis, kinetic_matrix(basis, lattice))
+    pairs = [(complex(np.sqrt(1 - 0.3 * a)), complex(0, np.sqrt(0.3 * a)))
+             for a in np.linspace(0.5, 1.0, m)]
+    return lattice, basis, evolver, pairs
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_batched_waits_match_serial_runs(m):
+    lattice, basis, evolver, pairs = _encoding_setup(m)
+    waits = np.array([0.3, 0.8, 1.3, 1.8, 2.3])
+    for sigma in (0.6, 1.0, 1.4, 1.8):
+        g0 = gaussian_packet(PacketParams(sigma, 3, 8, Region(1, 5)), lattice)
+        encoders = [build_encoder(g0, basis)] * m
+        batch = run_encoding_sequence(pairs, encoders, [waits] * (m - 1), evolver)
+        assert batch.batch == 5
+        # a float gap next to an array gap serves every member alike
+        mixed = run_encoding_sequence(pairs, encoders, [0.5] + [waits] * (m - 2), evolver)
+        for i, t in enumerate(waits):
+            serial = run_encoding_sequence(pairs, encoders, [t] * (m - 1), evolver)
+            assert np.abs(batch.tensor[..., i] - serial.tensor).max() <= 1e-14
+            if m == 3:
+                serial = run_encoding_sequence(pairs, encoders, [0.5, t], evolver)
+                assert np.abs(mixed.tensor[..., i] - serial.tensor).max() <= 1e-14
+
+
+def test_float_time_matches_a_length_one_batch_bytes():
+    basis = fock_basis(10, 3)
+    evolver = ExactEvolver(basis, kinetic_matrix(basis, Lattice(10)))
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((2, len(basis), 2)) + 1j * rng.standard_normal((2, len(basis), 2))
+    fv = FockVector(x, basis, 1, 1)
+    plain = evolver.apply(fv, 0.7).tensor
+    one = evolver.apply(FockVector(x[..., None], basis, 1, 1), np.array([0.7])).tensor
+    assert plain.tobytes() == one[..., 0].tobytes()
+    # a float time evolves every member of a batch
+    pair = evolver.apply(FockVector(np.stack([x, x], axis=-1), basis, 1, 1), 0.7).tensor
+    assert plain.tobytes() == pair[..., 0].tobytes() == pair[..., 1].tobytes()
+
+
+def test_norm_drift_names_the_batch_member():
+    lattice, basis, evolver, pairs = _encoding_setup(2)
+    g0 = gaussian_packet(PacketParams(1.0, 3, 8, Region(1, 5)), lattice)
+    encoders = [build_encoder(g0, basis)] * 2
+
+    class Leaky:
+        # the exact evolver, with member 2 of every batch scaled up
+        basis = evolver.basis
+
+        def apply(self, fv, t):
+            out = evolver.apply(fv, t)
+            out.tensor[..., 2] *= 1.001
+            return out
+
+    with pytest.raises(RuntimeError, match=r"norm drifted to 1\.00\d+ in batch member 2 after A2"):
+        run_encoding_sequence(pairs, encoders, [np.array([0.3, 0.8, 1.3])], Leaky())
+
+
+def test_encoding_sequence_and_evolver_reject_bad_batches():
+    lattice, basis, evolver, pairs = _encoding_setup(3)
+    g0 = gaussian_packet(PacketParams(1.0, 3, 8, Region(1, 5)), lattice)
+    encoders = [build_encoder(g0, basis)] * 3
+    with pytest.raises(ValueError, match=r"non-negative waits: wait 2 has member -0\.5$"):
+        run_encoding_sequence(pairs, encoders, [0.3, np.array([0.3, -0.5])], evolver)
+    unequal = r"share one nonzero length, got shapes \[\(2,\), \(3,\)\]"
+    with pytest.raises(ValueError, match=unequal):
+        run_encoding_sequence(pairs, encoders, [np.ones(2), np.ones(3)], evolver)
+    with pytest.raises(ValueError, match=r"got shapes \[\(\), \(0,\)\]"):
+        run_encoding_sequence(pairs, encoders, [0.3, np.ones(0)], evolver)
+    with pytest.raises(ValueError, match=r"3 signals, 3 encoders, 1 waits"):
+        run_encoding_sequence(pairs, encoders, [0.3], evolver)
+    messages = [np.array(p) for p in pairs]
+    single = vacuum_vector(basis, 3, 0, messages)
+    with pytest.raises(ValueError, match=r"times of shape \(2,\) need a batch axis of that "
+                                         r"length, the state's is None"):
+        evolver.apply(single, np.array([0.1, 0.2]))
+    batch = FockVector(np.stack([single.tensor] * 3, axis=-1), basis, 3, 0)
+    with pytest.raises(ValueError, match=r"the state's is 3"):
+        evolver.apply(batch, np.array([0.1, 0.2]))
+    with pytest.raises(ValueError, match=r"tensor shape \(2, 2, 2, 176, 3, 1\)"):
+        FockVector(batch.tensor[..., None], basis, 3, 0)
 
 
 def test_residual_t0_matches_direct_product_evaluation():

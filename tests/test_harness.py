@@ -129,11 +129,13 @@ def test_failed_sweep_points_emit_strict_json(tmp_path, capsys):
 
 
 def test_oracle_bounds_all_satisfied():
-    cfg = make_config("experiment = OracleBounds\nN = 10\nM = 2\n")
-    table = run(cfg)
-    assert len(table.rows) == 20
-    assert table.meta["all_satisfied"] is True
-    assert all(row[4] for row in table.rows)
+    # M = 1 has no wait between encodings, so its run carries no batch axis
+    for m in (1, 2):
+        cfg = make_config(f"experiment = OracleBounds\nN = 10\nM = {m}\n")
+        table = run(cfg)
+        assert len(table.rows) == 20
+        assert table.meta["all_satisfied"] is True
+        assert all(row[4] for row in table.rows)
 
 
 def test_tjcheck_rows_satisfied():
@@ -201,6 +203,20 @@ def test_oracle_protocol_pipelined_exchange_correction(n, half_decode):
     assert all(f >= bound for f in meta["average_fidelity"].values())
     assert all(f < bound for f in meta["average_fidelity_raw"].values())
     assert meta["bound_satisfied"] is True
+
+
+def test_oracle_protocol_csv_keeps_its_float_time_bytes():
+    # the README command's rows as the evolver wrote them before it took an
+    # array of times: a float time must still take exactly the same steps
+    table = run(make_config("experiment = OracleProtocol\nN = 10\nM = 2\n"))
+    plus = "0.91554380270030711"
+    assert render_csv(table).splitlines() == [
+        "register,input,fidelity",
+        "1,z+,0.99999999999999933", "1,z-,0.69070660785052995",
+        f"1,x+,{plus}", f"1,x-,{plus}", f"1,y+,{plus}", f"1,y-,{plus}",
+        "2,z+,0.99999999999999933", "2,z-,0.73686751161399755",
+        f"2,x+,{plus}", f"2,x-,{plus}", f"2,y+,{plus}", f"2,y-,{plus}",
+    ]
 
 
 def test_oracle_protocol_single_signal_closed_form():
