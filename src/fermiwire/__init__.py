@@ -10,16 +10,13 @@ harness.
 __version__ = "0.1.0"
 
 from .lattice import (
-    Boundary,
-    Lattice,
-    Spectrum,
-    build_hopping,
-    diagonalize,
     dispersion,
     dispersion_third_derivative,
     group_velocity,
+    mode_amplitudes,
     propagate,
-    ring_spectrum,
+    ring_bonds,
+    ring_energies,
     transit_time,
 )
 from .wavepacket import (
@@ -57,24 +54,19 @@ from . import fock
 from . import harness
 
 __all__ = [
-    "Boundary",
     "ErrorBudgetReport",
-    "Lattice",
     "PacketBudget",
     "PacketParams",
     "ProtocolPlan",
     "Region",
     "ScalingFit",
-    "Spectrum",
     "WidthReport",
     "broadening_prediction",
-    "build_hopping",
     "carrier_mode",
     "centroid_shift",
     "characteristic_width",
     "circular_centroid",
     "decode_mode",
-    "diagonalize",
     "dispersion",
     "dispersion_third_derivative",
     "encoding_error_bound",
@@ -87,11 +79,13 @@ __all__ = [
     "line_fit",
     "measured_width",
     "min_wait_time",
+    "mode_amplitudes",
     "overlap",
     "plan_protocol",
     "propagate",
     "region_weight",
-    "ring_spectrum",
+    "ring_bonds",
+    "ring_energies",
     "sigma_for_budget",
     "sigma_sites_for_budget",
     "spectral_leakage",

@@ -68,7 +68,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .lattice import Lattice, ring_spectrum, propagate
+from .lattice import propagate, ring_bonds
 from .protocol import ProtocolPlan, decode_mode
 from .wavepacket import gaussian_packet
 
@@ -336,15 +336,15 @@ class CooMatrix:
         return len(self.data)
 
 
-def kinetic_matrix(basis: FockBasis, lattice: Lattice) -> CooMatrix:
-    """Nearest-neighbour hopping sum a_j^dag a_{j+1} + h.c. (unit coupling).
+def kinetic_matrix(basis: FockBasis) -> CooMatrix:
+    """Ring hopping sum a_j^dag a_{j+1} + h.c. (unit coupling, a_{N+1} = a_1).
 
     Per bond, each state with exactly one end occupied hops to the state
     with the other end occupied, signed by the parity of the occupied sites
     strictly between the ends.
     """
     masks, cols, hops, data = basis.masks, [], [], []
-    for p, q in lattice.bonds:
+    for p, q in ring_bonds(basis.n_sites):
         lo, hi = sorted((p, q))
         ends = np.uint64((1 << (p - 1)) | (1 << (q - 1)))
         col = np.flatnonzero(np.bitwise_count(masks & ends) == 1)
@@ -356,23 +356,23 @@ def kinetic_matrix(basis: FockBasis, lattice: Lattice) -> CooMatrix:
     return CooMatrix(rows, np.concatenate(cols), np.concatenate(data), (len(basis),) * 2)
 
 
-def adjacent_pair_counts(basis: FockBasis, lattice: Lattice) -> np.ndarray:
-    """Per-basis-state count of occupied nearest-neighbour pairs."""
+def adjacent_pair_counts(basis: FockBasis) -> np.ndarray:
+    """Per-basis-state count of occupied nearest-neighbour pairs on the ring."""
     masks, counts = basis.masks, np.zeros(len(basis))
-    for p, q in lattice.bonds:
+    for p, q in ring_bonds(basis.n_sites):
         counts += (masks >> np.uint64(p - 1)) & (masks >> np.uint64(q - 1)) & 1
     return counts
 
 
-def tj_hamiltonian(basis: FockBasis, lattice: Lattice, j_coupling: float) -> CooMatrix:
+def tj_hamiltonian(basis: FockBasis, j_coupling: float) -> CooMatrix:
     """Kinetic term plus j_coupling * sum_bonds n_j n_{j+1}.
 
-    The hopping is the unit of energy; bonds follow the lattice boundary,
-    so J = 0 reproduces ``kinetic_matrix`` exactly.
+    The hopping is the unit of energy and the bonds are the ring's, so
+    J = 0 reproduces ``kinetic_matrix`` exactly.
     """
-    k = kinetic_matrix(basis, lattice)
+    k = kinetic_matrix(basis)
     diag = np.arange(len(basis))
-    pairs = adjacent_pair_counts(basis, lattice)
+    pairs = adjacent_pair_counts(basis)
     return CooMatrix(np.concatenate([k.row, diag]), np.concatenate([k.col, diag]),
                      np.concatenate([k.data, j_coupling * pairs]), k.shape)
 
@@ -387,9 +387,9 @@ class ExactEvolver:
     translation T (``FockBasis.translation``), each sector splits into
     orbits of T; their momentum states |r, q> = sqrt(p_r)/N sum_j
     e^{-2 pi i q j/N} T^j |r>, for representative r of period p_r and
-    q = 0..N-1, block-diagonalize H.  Block H_q is built from the
-    representatives' columns alone, and all blocks of a sector are
-    diagonalized by one batched ``eigh``, zero-padded to the largest.
+    q = 0..N-1, make H block diagonal.  Block H_q is built from the
+    representatives' columns alone, and all blocks of a sector go through
+    one batched ``eigh``, zero-padded to the largest.
     Any other H runs the same code with a group of order 1: every state
     is its own orbit and each sector one block.
     """
@@ -650,13 +650,11 @@ class ProtocolEngine:
             raise ValueError("basis and plan lattice sizes differ")
         self.plan = plan
         self.basis = basis
-        lattice = Lattice(plan.n)
-        g0 = gaussian_packet(plan.packet, lattice)
-        h, _ = decode_mode(propagate(g0, plan.decode_time, ring_spectrum(plan.n)),
-                           plan.region_b)
+        g0 = gaussian_packet(plan.packet, plan.n)
+        h, _ = decode_mode(propagate(g0, plan.decode_time), plan.region_b)
         self.encoder = build_encoder(g0, basis)
         self.decoder = build_encoder(h, basis)
-        self.evolver = ExactEvolver(basis, kinetic_matrix(basis, lattice))
+        self.evolver = ExactEvolver(basis, kinetic_matrix(basis))
 
     def run(self, messages: Sequence[np.ndarray]) -> FockVector:
         """Run the full timed encode/evolve/decode sequence exactly.
@@ -835,43 +833,38 @@ def encoding_residual_norm(
     return float(np.linalg.norm(actual.tensor - ideal))
 
 
-def tj_interaction_error(fv: FockVector, lattice: Lattice) -> float:
+def tj_interaction_error(fv: FockVector) -> float:
     """Norm of the density-density interaction applied to the state.
 
     The interaction sum_bonds n_j n_{j+1} is diagonal in the occupation
     basis, so this is the RMS adjacent-pair count; it vanishes identically
     on single-particle states.
     """
-    counts = adjacent_pair_counts(fv.basis, lattice)
+    counts = adjacent_pair_counts(fv.basis)
     weighted = fv.tensor * counts.reshape((1,) * fv.n_a + (-1,) + (1,) * fv.n_b)
     return float(np.linalg.norm(weighted))
 
 
 def evolution_difference(
-    fv: FockVector, s: float, j_coupling: float, lattice: Lattice
-) -> float:
+    fv: FockVector, times: Sequence[float], j_coupling: float
+) -> list[float]:
     """Norm difference between interacting and free evolution of a state.
 
-    Evolves under kinetic + J * interaction and under the plain kinetic
-    term, both exactly, and returns the norm of the difference; compare
-    against |s| |J| times the interaction norm.
+    For each time s, evolves under kinetic + J * interaction and under the
+    plain kinetic term, both exactly, and returns the norm of the
+    difference; compare against |s| |J| times the interaction norm.  Each
+    Hamiltonian's eigenbasis is computed once for all the times.
     """
-    free = ExactEvolver(fv.basis, kinetic_matrix(fv.basis, lattice))
-    inter = ExactEvolver(fv.basis, tj_hamiltonian(fv.basis, lattice, j_coupling))
-    a = inter.apply(fv, s)
-    b = free.apply(fv, s)
-    return float(np.linalg.norm(a.tensor - b.tensor))
+    free = ExactEvolver(fv.basis, kinetic_matrix(fv.basis))
+    inter = ExactEvolver(fv.basis, tj_hamiltonian(fv.basis, j_coupling))
+    return [float(np.linalg.norm(inter.apply(fv, s).tensor - free.apply(fv, s).tensor))
+            for s in times]
 
 
-def two_packet_state(
-    basis: FockBasis,
-    lattice: Lattice,
-    params_a,
-    params_b,
-) -> FockVector:
+def two_packet_state(basis: FockBasis, params_a, params_b) -> FockVector:
     """Normalized two-fermion state from two packet modes (no registers)."""
-    ga = gaussian_packet(params_a, lattice)
-    gb = gaussian_packet(params_b, lattice)
+    ga = gaussian_packet(params_a, basis.n_sites)
+    gb = gaussian_packet(params_b, basis.n_sites)
     vac = np.zeros(len(basis), dtype=complex)
     vac[0] = 1.0
     state = mode_annihilator(ga, basis).create(mode_annihilator(gb, basis).create(vac))

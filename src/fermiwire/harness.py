@@ -24,14 +24,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .lattice import (
-    Lattice,
-    dispersion,
-    group_velocity,
-    propagate,
-    ring_spectrum,
-    transit_time,
-)
+from .lattice import dispersion, group_velocity, propagate, transit_time
 from .wavepacket import (
     PacketBudget,
     PacketParams,
@@ -205,9 +198,7 @@ def _run_packet(params):
     n = params["N"]
     budget = _budget(params)
     pk = sigma_for_budget(n, budget)
-    lattice = Lattice(n)
-    state = gaussian_packet(pk, lattice)
-    spectrum = ring_spectrum(n)
+    state = gaussian_packet(pk, n)
     rows = [
         [j, j / n, state[j - 1].real, state[j - 1].imag, abs(state[j - 1]) ** 2]
         for j in range(1, n + 1)
@@ -219,9 +210,7 @@ def _run_packet(params):
         "center": pk.center,
         "wavenumber": pk.wavenumber,
         "width": measured_width(state),
-        "spectral_leakage": spectral_leakage(
-            state, spectrum, pk.wavenumber, budget.cutoff(n)
-        ),
+        "spectral_leakage": spectral_leakage(state, pk.wavenumber, budget.cutoff(n)),
     }
     return ["j", "x", "re", "im", "density"], rows, meta
 
@@ -230,9 +219,7 @@ def _run_transit(params):
     n = params["N"]
     budget = _budget(params)
     pk = sigma_for_budget(n, budget)
-    lattice = Lattice(n)
-    spectrum = ring_spectrum(n)
-    g0 = gaussian_packet(pk, lattice)
+    g0 = gaussian_packet(pk, n)
     t_nominal = transit_time(n)
     k0 = pk.wavenumber
     bob_center = receiver_region(n, len(pk.region)).center_site
@@ -241,7 +228,7 @@ def _run_transit(params):
     rows = []
     start = circular_centroid(g0)
     for t in times:
-        gt = propagate(g0, float(t), spectrum)
+        gt = propagate(g0, float(t))
         shift = centroid_shift(g0, gt)
         rows.append(
             [
@@ -252,7 +239,7 @@ def _run_transit(params):
             ]
         )
     quarter = t_nominal / 4.0
-    g_quarter = propagate(g0, quarter, spectrum)
+    g_quarter = propagate(g0, quarter)
     speed = 2.0 * np.pi * centroid_shift(g0, g_quarter) / quarter
     meta = {
         "transit_nominal": t_nominal,
@@ -269,12 +256,10 @@ def _run_broadening(params):
     n = params["N"]
     budget = _budget(params)
     pk = sigma_for_budget(n, budget)
-    lattice = Lattice(n)
-    spectrum = ring_spectrum(n)
     t_ref = transit_time(n)
     rows = []
     for t in np.linspace(t_ref / 4.0, t_ref, 4):
-        rep = width_report(pk, float(t), lattice, spectrum, budget)
+        rep = width_report(pk, float(t), n, budget)
         rel = abs(rep.measured_ratio - rep.predicted_ratio) / rep.predicted_ratio
         rows.append([float(t), rep.measured_ratio, rep.predicted_ratio, rel])
     return ["t", "measured_ratio", "predicted_ratio", "rel_difference"], rows, {}
@@ -285,12 +270,10 @@ def _run_overlapdecay(params):
     rows = []
     xs, ys = [], []
     for n in _sweep_sizes(params):
-        lattice = Lattice(n)
-        spectrum = ring_spectrum(n)
-        g0 = gaussian_packet(sigma_for_budget(n, budget), lattice)
+        g0 = gaussian_packet(sigma_for_budget(n, budget), n)
         for x1 in np.linspace(0.6, 2.4, 10):
             t = 0.5 * float(x1) * n ** (1.0 / 3.0)
-            mag = abs(overlap(g0, propagate(g0, t, spectrum)))
+            mag = abs(overlap(g0, propagate(g0, t)))
             xval = t**2 * n ** (-2.0 / 3.0)
             rows.append([n, t, xval, mag, -np.log(mag)])
             xs.append(xval)
@@ -377,8 +360,6 @@ def _run_oracleprotocol(params):
 
 def _run_oraclebounds(params):
     n, m = params["N"], params["M"]
-    lattice = Lattice(n)
-    spectrum = ring_spectrum(n)
     basis = fock.fock_basis(n, m)
     k0 = carrier_mode(n)
     region = Region(1, min(5, n // 2))
@@ -387,11 +368,11 @@ def _run_oraclebounds(params):
         (complex(np.sqrt(1 - 0.4 * a / m), 0.0), complex(0.0, np.sqrt(0.4 * a / m)))
         for a in range(1, m + 1)
     ]
-    evolver = fock.ExactEvolver(basis, fock.kinetic_matrix(basis, lattice))
+    evolver = fock.ExactEvolver(basis, fock.kinetic_matrix(basis))
     waits = (0.3, 0.8, 1.3, 1.8, 2.3)
     rows = []
     for sigma in (0.6, 1.0, 1.4, 1.8):
-        g0 = gaussian_packet(PacketParams(sigma, center, k0, region), lattice)
+        g0 = gaussian_packet(PacketParams(sigma, center, k0, region), n)
         encoder = fock.build_encoder(g0, basis)
         # one run for every wait; M = 1 has no gap, hence no batch axis
         runs = fock.run_encoding_sequence(
@@ -400,11 +381,9 @@ def _run_oraclebounds(params):
         for i, t in enumerate(waits):
             tensor = runs.tensor[..., i] if runs.batch else runs.tensor
             actual = fock.FockVector(tensor, basis, m, 0)
-            modes_now = [
-                propagate(g0, (m - alpha) * t, spectrum) for alpha in range(1, m + 1)
-            ]
+            modes_now = [propagate(g0, (m - alpha) * t) for alpha in range(1, m + 1)]
             resid = fock.encoding_residual_norm(actual, coeff_pairs, modes_now)
-            bound = encoding_error_bound(g0, t, m, spectrum)
+            bound = encoding_error_bound(g0, t, m)
             rows.append([t, sigma, resid, bound, resid <= bound + 1e-8])
     meta = {"all_satisfied": all(r[4] for r in rows)}
     return ["t", "sigma_sites", "residual_norm", "bound", "satisfied"], rows, meta
@@ -430,15 +409,13 @@ def separating_pair(n: int):
 def _run_tjcheck(params):
     n = params["N"]
     j_coupling = params["J"]
-    lattice = Lattice(n)
     basis = fock.fock_basis(n, 2)
     pa, pb = separating_pair(n)
-    state = fock.two_packet_state(basis, lattice, pa, pb)
-    eps_i = fock.tj_interaction_error(state, lattice)
+    state = fock.two_packet_state(basis, pa, pb)
+    eps_i = fock.tj_interaction_error(state)
     grid = [params["s"]] if "s" in params else [0.1, 0.5, 1.0]
     rows = []
-    for s in grid:
-        diff = fock.evolution_difference(state, s, j_coupling, lattice)
+    for s, diff in zip(grid, fock.evolution_difference(state, grid, j_coupling)):
         bound = abs(s * j_coupling) * eps_i
         rows.append([s, diff, bound, diff <= bound + 1e-6])
     meta = {

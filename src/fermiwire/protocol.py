@@ -30,12 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import (
-    Lattice,
-    Spectrum,
     group_velocity,
+    mode_amplitudes,
     propagate,
     require_normalized,
-    ring_spectrum,
+    ring_energies,
 )
 from .wavepacket import (
     PacketBudget,
@@ -161,22 +160,19 @@ def plan_protocol(
     )
 
 
-def encoding_error_bound(
-    g0: np.ndarray,
-    t: float,
-    m: int,
-    spectrum: Spectrum,
-) -> float:
-    """Closed-form residual bound 3 * sum_{j<M} (M-j) |<g(0)|g(j t)>|."""
+def encoding_error_bound(g0: np.ndarray, t: float, m: int) -> float:
+    """Closed-form residual bound 3 * sum_{j<M} (M-j) |<g(0)|g(j t)>| on the
+    ring of g0's length."""
     if m < 1:
         raise ValueError("need at least one signal")
     if t <= 0:
         raise ValueError(f"wait must be positive, got {t}")
-    return _bound_from_weights(_mode_weights(g0, spectrum), spectrum.eigenvalues, t, m)
+    weights = _mode_weights(g0)
+    return _bound_from_weights(weights, ring_energies(len(weights)), t, m)
 
 
-def _mode_weights(g0: np.ndarray, spectrum: Spectrum) -> np.ndarray:
-    return np.abs(spectrum.mode_amplitudes(require_normalized(g0))) ** 2
+def _mode_weights(g0: np.ndarray) -> np.ndarray:
+    return np.abs(mode_amplitudes(require_normalized(g0))) ** 2
 
 
 def _bound_from_weights(weights: np.ndarray, omega: np.ndarray, t: float, m: int) -> float:
@@ -213,14 +209,9 @@ def decode_mode(gT: np.ndarray, region_b: Region) -> tuple[np.ndarray, float]:
 
 def error_budget(plan: ProtocolPlan) -> ErrorBudgetReport:
     """Evaluate both error channels of a plan and the fidelity bound."""
-    spectrum = ring_spectrum(plan.n)
-    g0 = gaussian_packet(plan.packet, Lattice(plan.n))
-    eps_e = (
-        encoding_error_bound(g0, plan.wait, plan.m_signals, spectrum)
-        if plan.m_signals > 1
-        else 0.0
-    )
-    _, eps_d = decode_mode(propagate(g0, plan.decode_time, spectrum), plan.region_b)
+    g0 = gaussian_packet(plan.packet, plan.n)
+    eps_e = encoding_error_bound(g0, plan.wait, plan.m_signals) if plan.m_signals > 1 else 0.0
+    _, eps_d = decode_mode(propagate(g0, plan.decode_time), plan.region_b)
     raw = 1.0 - eps_e - eps_d
     return ErrorBudgetReport(
         eps_e=eps_e,
@@ -259,9 +250,8 @@ def min_wait_time(
         raise ValueError(f"target must lie in (0, 1), got {target}")
     if m < 1:
         raise ValueError("need at least one signal")
-    spectrum = ring_spectrum(n)
-    g0 = gaussian_packet(sigma_for_budget(n, budget), Lattice(n))
-    weights, omega = _mode_weights(g0, spectrum), spectrum.eigenvalues
+    g0 = gaussian_packet(sigma_for_budget(n, budget), n)
+    weights, omega = _mode_weights(g0), ring_energies(n)
     eps = np.finfo(float).eps
     keep = weights >= eps / n
     slack = 1.5 * m * (m - 1) * (weights[~keep].sum() + 4 * n * eps)

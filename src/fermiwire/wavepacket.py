@@ -24,12 +24,7 @@ from math import ceil
 
 import numpy as np
 
-from .lattice import (
-    Lattice,
-    Spectrum,
-    dispersion_third_derivative,
-    propagate,
-)
+from .lattice import dispersion_third_derivative, mode_amplitudes, propagate
 
 
 @dataclass(frozen=True)
@@ -110,14 +105,13 @@ class WidthReport:
     measured_ratio: float
 
 
-def gaussian_packet(params: PacketParams, lattice: Lattice) -> np.ndarray:
+def gaussian_packet(params: PacketParams, n: int) -> np.ndarray:
     """Build the normalized Gaussian mode on its support region.
 
     Amplitudes are exp(-(j-l)^2/(2 sigma^2)) * exp(2 pi i k j / N) inside
     the region and zero elsewhere; the normalization is recomputed from
     the clipped envelope, so the returned state has unit norm exactly.
     """
-    n = lattice.n_sites
     region = params.region
     if region.stop > n:
         raise ValueError(f"region [{region.start}, {region.stop}] exceeds N = {n}")
@@ -244,19 +238,15 @@ def broadening_prediction(l0: float, t: float, omega3: float) -> float:
 
 
 def width_report(
-    params: PacketParams,
-    t: float,
-    lattice: Lattice,
-    spectrum: Spectrum,
-    budget: PacketBudget,
+    params: PacketParams, t: float, n: int, budget: PacketBudget
 ) -> WidthReport:
     """Measured versus predicted width growth of a budget packet after t."""
-    g0 = gaussian_packet(params, lattice)
-    gt = propagate(g0, t, spectrum)
+    g0 = gaussian_packet(params, n)
+    gt = propagate(g0, t)
     w0 = measured_width(g0)
     wt = measured_width(gt)
-    omega3 = dispersion_third_derivative(lattice.n_sites, params.wavenumber)
-    l0_angle = 2.0 * np.pi * characteristic_width(lattice.n_sites, budget)
+    omega3 = dispersion_third_derivative(n, params.wavenumber)
+    l0_angle = 2.0 * np.pi * characteristic_width(n, budget)
     return WidthReport(
         l0=w0,
         lt=wt,
@@ -265,17 +255,12 @@ def width_report(
     )
 
 
-def spectral_leakage(
-    state: np.ndarray,
-    spectrum: Spectrum,
-    k0: int,
-    cutoff: float,
-) -> float:
+def spectral_leakage(state: np.ndarray, k0: int, cutoff: float) -> float:
     """Squared amplitude on modes with ring distance |k - k0| > cutoff."""
-    n = spectrum.n_sites
+    amps = mode_amplitudes(state)
+    n = len(amps)
     if not 1 <= k0 <= n:
         raise ValueError(f"mode index {k0} outside 1..{n}")
-    amps = spectrum.mode_amplitudes(state)
     k = np.arange(1, n + 1)
     dist = np.minimum((k - k0) % n, (k0 - k) % n)
     return float(np.sum(np.abs(amps[dist > cutoff]) ** 2))

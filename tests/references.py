@@ -13,7 +13,7 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from fermiwire.fock import FockBasis, FockVector, ModeOperator
-from fermiwire.lattice import Lattice, ring_spectrum
+from fermiwire.lattice import ring_energies
 from fermiwire.protocol import _bound_from_weights, _mode_weights, encoding_error_bound
 from fermiwire.wavepacket import (
     PacketBudget,
@@ -27,6 +27,20 @@ def random_state(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-like random normalized state on N sites."""
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return v / np.linalg.norm(v)
+
+
+def build_hopping(n: int) -> np.ndarray:
+    """Dense N x N hopping matrix of the N-site ring: unit couplings between
+    sites j and j+1 mod N, the matrix that the spectral paths never build."""
+    j = np.arange(n)
+    m = np.zeros((n, n))
+    m[j, (j + 1) % n] = m[(j + 1) % n, j] = 1.0
+    return m
+
+
+def plane_wave(n: int, k: int) -> np.ndarray:
+    """Ring eigenmode w_j(k) = exp(2 pi i j k / N) / sqrt(N), j = 1..N."""
+    return np.exp(2j * np.pi * np.arange(1, n + 1) * k / n) / np.sqrt(n)
 
 
 def basis_index(basis: FockBasis) -> dict[int, int]:
@@ -171,15 +185,14 @@ def wait_grid(n: int) -> np.ndarray:
 def full_spectrum_bounds(n: int, m: int, budget: PacketBudget):
     """The encoding bound of the budget packet as a function of the wait,
     summed over all N ring modes."""
-    spectrum = ring_spectrum(n)
-    g0 = gaussian_packet(sigma_for_budget(n, budget), Lattice(n))
-    weights, omega = _mode_weights(g0, spectrum), spectrum.eigenvalues
+    g0 = gaussian_packet(sigma_for_budget(n, budget), n)
+    weights, omega = _mode_weights(g0), ring_energies(n)
     return lambda t: _bound_from_weights(weights, omega, t, m)
 
 
 def _encoding_bound_at(n: int, m: int, budget: PacketBudget, t: float) -> float:
-    g0 = gaussian_packet(sigma_for_budget(n, budget), Lattice(n))
-    return encoding_error_bound(g0, t, m, ring_spectrum(n))
+    g0 = gaussian_packet(sigma_for_budget(n, budget), n)
+    return encoding_error_bound(g0, t, m)
 
 
 def min_wait_full_spectrum(

@@ -15,16 +15,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
-from references import basis_index, fourier_airy_overlap, random_state, reduced_qubit
-
-from fermiwire.lattice import (
-    Lattice,
+from references import (
+    basis_index,
     build_hopping,
-    group_velocity,
-    propagate,
-    ring_spectrum,
-    transit_time,
+    fourier_airy_overlap,
+    random_state,
+    reduced_qubit,
 )
+
+from fermiwire.lattice import group_velocity, propagate, transit_time
 from fermiwire.wavepacket import (
     PacketBudget,
     PacketParams,
@@ -60,13 +59,12 @@ def timed():
 def test_acceptance_01_spectral_vs_dense_propagator():
     t0 = timed()
     n, t = 8, 3.7
-    spec = ring_spectrum(n)
-    dense = scipy.linalg.expm(-1j * t * build_hopping(Lattice(n)))
+    dense = scipy.linalg.expm(-1j * t * build_hopping(n))
     rng = np.random.default_rng(101)
     worst = 0.0
     for _ in range(10):
         state = random_state(n, rng)
-        diff = np.max(np.abs(propagate(state, t, spec) - dense @ state))
+        diff = np.max(np.abs(propagate(state, t) - dense @ state))
         worst = max(worst, float(diff))
     ok = worst < 1e-8
     report(1, ok, f"max componentwise diff {worst:.2e} (< 1e-8), "
@@ -79,11 +77,9 @@ def test_acceptance_02_group_velocity():
     n = 1024
     params = sigma_for_budget(n, BUDGET)
     assert params.wavenumber == 3 * n // 4
-    lattice = Lattice(n)
-    spec = ring_spectrum(n)
-    g0 = gaussian_packet(params, lattice)
+    g0 = gaussian_packet(params, n)
     quarter = transit_time(n) / 4.0
-    shift_angle = 2 * np.pi * centroid_shift(g0, propagate(g0, quarter, spec))
+    shift_angle = 2 * np.pi * centroid_shift(g0, propagate(g0, quarter))
     speed = abs(shift_angle) / quarter
     target = 4 * np.pi / n
     rel = abs(speed - target) / target
@@ -106,11 +102,9 @@ def test_acceptance_03_transit_time_nominal():
     t0 = timed()
     n = 1024
     plan = plan_protocol(n, 1, BUDGET, 0.1, wait=1.0, width=21)
-    lattice = Lattice(n)
-    spec = ring_spectrum(n)
-    g0 = gaussian_packet(sigma_for_budget(n, BUDGET), lattice)
+    g0 = gaussian_packet(sigma_for_budget(n, BUDGET), n)
     t_nominal = transit_time(n)
-    centroid = circular_centroid(propagate(g0, t_nominal, spec))
+    centroid = circular_centroid(propagate(g0, t_nominal))
     bob = plan.region_b.center_site / n
     dist = abs((centroid - bob + 0.5) % 1.0 - 0.5)
     tol = 2 * characteristic_width(n, BUDGET)
@@ -124,17 +118,15 @@ def test_acceptance_03b_arrival_at_planned_decode_time():
     t0 = timed()
     n = 1024
     plan = plan_protocol(n, 1, BUDGET, 0.1, wait=1.0, width=21)
-    lattice = Lattice(n)
-    spec = ring_spectrum(n)
     params = sigma_for_budget(n, BUDGET)
-    g0 = gaussian_packet(params, lattice)
+    g0 = gaussian_packet(params, n)
     bob = plan.region_b.center_site
     from fermiwire.protocol import angular_distance
 
     arrival = angular_distance(n, params.center, bob) / abs(
         group_velocity(params.wavenumber, n)
     )
-    centroid = circular_centroid(propagate(g0, arrival, spec))
+    centroid = circular_centroid(propagate(g0, arrival))
     dist = abs((centroid - bob / n + 0.5) % 1.0 - 0.5)
     tol = 2 * characteristic_width(n, BUDGET)
     ok = dist <= tol
@@ -150,11 +142,7 @@ def test_acceptance_04_broadening():
     ok = True
     details = []
     for n in (512, 2048):
-        lattice = Lattice(n)
-        spec = ring_spectrum(n)
-        rep = width_report(
-            sigma_for_budget(n, BUDGET), transit_time(n), lattice, spec, BUDGET
-        )
+        rep = width_report(sigma_for_budget(n, BUDGET), transit_time(n), n, BUDGET)
         rel = abs(rep.measured_ratio - rep.predicted_ratio) / rep.predicted_ratio
         ok = ok and rel < 0.15
         ratios.append(rep.measured_ratio)
@@ -171,12 +159,10 @@ def test_acceptance_05_overlap_decay_scaling():
     t0 = timed()
     xs, ys = [], []
     for n in (512, 1024, 2048, 4096):
-        lattice = Lattice(n)
-        spec = ring_spectrum(n)
-        g0 = gaussian_packet(sigma_for_budget(n, BUDGET), lattice)
+        g0 = gaussian_packet(sigma_for_budget(n, BUDGET), n)
         for x1 in np.linspace(0.6, 2.4, 10):
             t = 0.5 * float(x1) * n ** (1 / 3)
-            mag = abs(overlap(g0, propagate(g0, t, spec)))
+            mag = abs(overlap(g0, propagate(g0, t)))
             xs.append(t**2 * n ** (-2 / 3))
             ys.append(-np.log(mag))
     slope, intercept = np.polyfit(xs, ys, 1)
@@ -191,8 +177,6 @@ def test_acceptance_05_overlap_decay_scaling():
 def test_acceptance_06_encoding_residual_bound():
     t0 = timed()
     n = 10
-    lattice = Lattice(n)
-    spec = ring_spectrum(n)
     region = Region(1, 5)
     k0 = 8
     worst_gap = -np.inf
@@ -200,24 +184,24 @@ def test_acceptance_06_encoding_residual_bound():
     ok = True
     for m in (2, 3):
         basis = fock.fock_basis(n, m)
-        evolver = fock.ExactEvolver(basis, fock.kinetic_matrix(basis, lattice))
+        evolver = fock.ExactEvolver(basis, fock.kinetic_matrix(basis))
         pairs = [
             (complex(np.sqrt(1 - 0.3 * a)), complex(0, np.sqrt(0.3 * a)))
             for a in np.linspace(0.5, 1.0, m)
         ]
         for sigma in (0.6, 1.0, 1.4, 1.8):
             params = PacketParams(sigma, region.center_site, k0, region)
-            g0 = gaussian_packet(params, lattice)
+            g0 = gaussian_packet(params, n)
             encoder = fock.build_encoder(g0, basis)
             for t in (0.3, 0.8, 1.3, 1.8, 2.3):
                 actual = fock.run_encoding_sequence(
                     pairs, [encoder] * m, [t] * (m - 1), evolver
                 )
                 modes_now = [
-                    propagate(g0, (m - a) * t, spec) for a in range(1, m + 1)
+                    propagate(g0, (m - a) * t) for a in range(1, m + 1)
                 ]
                 resid = fock.encoding_residual_norm(actual, pairs, modes_now)
-                bound = encoding_error_bound(g0, t, m, spec)
+                bound = encoding_error_bound(g0, t, m)
                 points += 1
                 worst_gap = max(worst_gap, resid - bound)
                 ok = ok and resid <= bound + 1e-8
@@ -271,17 +255,16 @@ def test_acceptance_08_truncation_equivalence():
 def test_acceptance_09_tj_interaction_bound():
     t0 = timed()
     n = 10
-    lattice = Lattice(n)
     basis = fock.fock_basis(n, 2)
     from fermiwire.harness import separating_pair
 
     pa, pb = separating_pair(n)
-    state = fock.two_packet_state(basis, lattice, pa, pb)
-    eps_i = fock.tj_interaction_error(state, lattice)
+    state = fock.two_packet_state(basis, pa, pb)
+    eps_i = fock.tj_interaction_error(state)
     ok = eps_i > 0
     details = [f"eps_I {eps_i:.4f}"]
-    for s in (0.1, 0.5, 1.0):
-        diff = fock.evolution_difference(state, s, 1.0, lattice)
+    grid = (0.1, 0.5, 1.0)
+    for s, diff in zip(grid, fock.evolution_difference(state, grid, 1.0)):
         bound = s * eps_i
         good = diff <= bound + 1e-6
         ok = ok and good
@@ -372,14 +355,12 @@ def test_acceptance_11_average_fidelity_identity():
 def test_acceptance_12_fourier_airy_vs_lattice():
     t0 = timed()
     n = 1024
-    lattice = Lattice(n)
-    spec = ring_spectrum(n)
-    g0 = gaussian_packet(sigma_for_budget(n, BUDGET), lattice)
+    g0 = gaussian_packet(sigma_for_budget(n, BUDGET), n)
     ok = True
     details = []
     for x1 in (1.0, 2.0, 4.0):
         t = 0.5 * x1 * n ** (1 / 3)
-        lattice_val = abs(overlap(g0, propagate(g0, t, spec)))
+        lattice_val = abs(overlap(g0, propagate(g0, t)))
         quad_val = abs(fourier_airy_overlap(BUDGET, n, t))
         rel = abs(lattice_val - quad_val) / quad_val
         good = rel <= 0.05

@@ -14,7 +14,7 @@ from references import (
     validate_qubit_state,
 )
 
-from fermiwire.lattice import Boundary, Lattice, propagate, ring_spectrum
+from fermiwire.lattice import propagate, ring_bonds
 from fermiwire.protocol import encoding_error_bound, error_budget, plan_protocol
 from fermiwire.wavepacket import PacketBudget, PacketParams, Region, gaussian_packet
 from fermiwire import fock
@@ -157,18 +157,16 @@ def test_mode_annihilator_matches_loop_reference_bytes(n, m_max):
         _assert_same_csr_bytes(got, _loop_annihilator(c, basis))
 
 
-def _ref_bonds(lattice):
-    n = lattice.n_sites
-    wrap = [(n, 1)] if lattice.boundary is Boundary.RING else []
-    return [(j, j + 1) for j in range(1, n)] + wrap
+def _ref_bonds(n):
+    return [(j, j + 1) for j in range(1, n)] + [(n, 1)]
 
 
-def _loop_kinetic(basis, lattice):
+def _loop_kinetic(basis):
     # independent reference: hop each occupied site of every state onto an
     # empty neighbour, signing by the occupied sites passed over
     index, rows, cols, data = basis_index(basis), [], [], []
     for col, s in enumerate(basis.states):
-        for p, q in _ref_bonds(lattice):
+        for p, q in _ref_bonds(basis.n_sites):
             for src, dst in ((q, p), (p, q)):
                 bs, bd = 1 << (src - 1), 1 << (dst - 1)
                 if s & bs and not s & bd:
@@ -186,16 +184,13 @@ def _loop_kinetic(basis, lattice):
 @pytest.mark.parametrize("n, m_max", [(6, 2), (8, 3), (8, 8), (14, 3)])
 def test_kinetic_and_pair_counts_match_loop_reference(n, m_max):
     basis = fock_basis(n, m_max)
-    for boundary in (Boundary.RING, Boundary.CHAIN):
-        lattice = Lattice(n, boundary)
-        assert lattice.bonds == _ref_bonds(lattice)
-        want = _loop_kinetic(basis, lattice)
-        _assert_same_csr_bytes(csr(kinetic_matrix(basis, lattice)), want)
-        pairs = [
-            sum(s >> (p - 1) & s >> (q - 1) & 1 for p, q in _ref_bonds(lattice))
-            for s in basis.states
-        ]
-        assert fock.adjacent_pair_counts(basis, lattice).tolist() == pairs
+    assert ring_bonds(n) == _ref_bonds(n)
+    _assert_same_csr_bytes(csr(kinetic_matrix(basis)), _loop_kinetic(basis))
+    pairs = [
+        sum(s >> (p - 1) & s >> (q - 1) & 1 for p, q in _ref_bonds(n))
+        for s in basis.states
+    ]
+    assert fock.adjacent_pair_counts(basis).tolist() == pairs
 
 
 def test_annihilation_table_memory():
@@ -325,13 +320,12 @@ def test_jordan_wigner_cross_check():
 
 def encoder_fixture(n=6, m_max=2):
     basis = fock_basis(n, m_max)
-    lat = Lattice(n)
-    g = gaussian_packet(PacketParams(1.0, 2, 4, Region(1, 3)), lat)
-    return basis, lat, g, build_encoder(g, basis)
+    g = gaussian_packet(PacketParams(1.0, 2, 4, Region(1, 3)), n)
+    return basis, g, build_encoder(g, basis)
 
 
 def test_encoder_creates_mode_from_raised_register():
-    basis, lat, g, u = encoder_fixture()
+    basis, g, u = encoder_fixture()
     f = len(basis)
     vec = np.zeros(2 * f, dtype=complex)
     vec[f] = 1.0  # |1> x vacuum
@@ -344,7 +338,7 @@ def test_encoder_creates_mode_from_raised_register():
 
 
 def test_encoder_leaves_lowered_register_alone():
-    basis, lat, g, u = encoder_fixture()
+    basis, g, u = encoder_fixture()
     f = len(basis)
     vec = np.zeros(2 * f, dtype=complex)
     vec[0] = 1.0  # |0> x vacuum
@@ -354,7 +348,7 @@ def test_encoder_leaves_lowered_register_alone():
 
 
 def test_encoder_unitary_on_reachable_sector():
-    basis, lat, g, u = encoder_fixture()
+    basis, g, u = encoder_fixture()
     occ = np.array([s.bit_count() for s in basis.states])
     total = np.concatenate([occ, occ + 1])
     keep = total <= basis.max_particles
@@ -382,15 +376,14 @@ def swap_block_exponential(mode_coeffs, basis):
 def test_encoder_matches_exponential_form_full_space():
     n = 5
     basis = fock_basis(n, n)
-    lat = Lattice(n)
-    g = gaussian_packet(PacketParams(1.2, 2, 4, Region(1, 4)), lat)
+    g = gaussian_packet(PacketParams(1.2, 2, 4, Region(1, 4)), n)
     u5 = dense_swap(build_encoder(g, basis))
     ue = swap_block_exponential(g, basis)
     assert np.max(np.abs(u5 - ue)) < 1e-10
 
 
 def test_decoder_swaps_matched_mode():
-    basis, lat, g, _ = encoder_fixture()
+    basis, g, _ = encoder_fixture()
     v = dense_swap(build_encoder(g, basis))
     f = len(basis)
     vac = np.zeros(f, dtype=complex)
@@ -486,14 +479,13 @@ def test_swap_skips_zero_blocks_and_matches_dense_reference():
 def test_excitation_conservation_commutators():
     n, m_max = 6, 2
     basis = fock_basis(n, m_max)
-    lat = Lattice(n)
-    g = gaussian_packet(PacketParams(1.0, 2, 4, Region(1, 3)), lat)
+    g = gaussian_packet(PacketParams(1.0, 2, 4, Region(1, 3)), n)
     u = dense_swap(build_encoder(g, basis))
     f = len(basis)
     occ = np.array([s.bit_count() for s in basis.states], dtype=float)
     number = np.diag(np.concatenate([occ, occ + 1.0]))
     assert np.max(np.abs(u @ number - number @ u)) < 1e-10
-    ham = csr(kinetic_matrix(basis, lat)).toarray()
+    ham = csr(kinetic_matrix(basis)).toarray()
     number_f = np.diag(occ)
     assert np.max(np.abs(ham @ number_f - number_f @ ham)) < 1e-12
 
@@ -553,8 +545,7 @@ def test_exchange_correction_is_cz_on_receivers():
 
 def test_hamiltonian_hermitian_and_block_diagonal():
     basis = fock_basis(6, 3)
-    lat = Lattice(6)
-    h = csr(kinetic_matrix(basis, lat)).toarray()
+    h = csr(kinetic_matrix(basis)).toarray()
     assert np.max(np.abs(h - h.conj().T)) < 1e-14
     occ = np.array([s.bit_count() for s in basis.states])
     coupling = h[np.not_equal.outer(occ, occ)]
@@ -564,20 +555,18 @@ def test_hamiltonian_hermitian_and_block_diagonal():
 def test_many_body_single_particle_sector_matches_lattice():
     n = 8
     basis = fock_basis(n, 1)
-    lat = Lattice(n)
-    spec = ring_spectrum(n)
-    g = gaussian_packet(PacketParams(1.35, 2, 6, Region(1, 3)), lat)
+    g = gaussian_packet(PacketParams(1.35, 2, 6, Region(1, 3)), n)
     vac = np.zeros(len(basis), dtype=complex)
     vac[0] = 1.0
     f1 = mode_annihilator(g, basis).create(vac)
-    ev = ExactEvolver(basis, kinetic_matrix(basis, lat))
+    ev = ExactEvolver(basis, kinetic_matrix(basis))
     t = 1.9
     fT = ev.apply(FockVector(f1, basis, 0, 0), t).tensor
     amps = np.zeros(n, dtype=complex)
     for i, s in enumerate(basis.states):
         if s.bit_count() == 1:
             amps[s.bit_length() - 1] = fT[i]
-    assert np.max(np.abs(amps - propagate(g, t, spec))) < 1e-12
+    assert np.max(np.abs(amps - propagate(g, t))) < 1e-12
 
 
 def _assert_matches_dense_expm(ev, ham, x, zero=()):
@@ -608,22 +597,18 @@ def test_exact_evolver_matches_dense_expm(m_max, j_coupling):
     # Fock space, whose even sectors wrap with a sign
     n = 8
     basis = fock_basis(n, m_max)
-    lat = Lattice(n)
     if j_coupling is None:
-        ham = kinetic_matrix(basis, lat)
+        ham = kinetic_matrix(basis)
     else:
-        ham = tj_hamiltonian(basis, lat, j_coupling)
+        ham = tj_hamiltonian(basis, j_coupling)
     _assert_matches_dense_expm(ExactEvolver(basis, ham), ham, _random_columns(basis, 7))
 
 
-@pytest.mark.parametrize("boundary", [Boundary.RING, Boundary.CHAIN])
 @pytest.mark.parametrize("n, m_max", [(7, 7), (9, 4)])
 @pytest.mark.parametrize("j_coupling", [None, -0.8])
-def test_exact_evolver_matches_dense_expm_on_odd_lattices(n, m_max, boundary, j_coupling):
+def test_exact_evolver_matches_dense_expm_on_odd_lattices(n, m_max, j_coupling):
     basis = fock_basis(n, m_max)
-    lat = Lattice(n, boundary)
-    ham = kinetic_matrix(basis, lat) if j_coupling is None else tj_hamiltonian(
-        basis, lat, j_coupling)
+    ham = kinetic_matrix(basis) if j_coupling is None else tj_hamiltonian(basis, j_coupling)
     _assert_matches_dense_expm(ExactEvolver(basis, ham), ham, _random_columns(basis, 3))
 
 
@@ -641,43 +626,40 @@ def test_translation_moves_each_creator_one_site():
             assert np.array_equal(t @ creators[j], creators[(j + 1) % n] @ t)
 
 
-def _peierls_hamiltonian(basis, lattice, phi):
+def _peierls_hamiltonian(basis, phi):
     # hopping with a phase e^{i phi} on every bond: complex Hermitian and
     # particle-number conserving, so its sector eigenvectors are complex
     a = [sparse.csr_matrix(dense(mode_annihilator(np.eye(basis.n_sites)[j], basis)))
          for j in range(basis.n_sites)]
     hop = sum(np.exp(1j * phi) * a[p - 1].conjugate().T @ a[q - 1]
-              for p, q in _ref_bonds(lattice))
+              for p, q in _ref_bonds(basis.n_sites))
     return (hop + hop.conjugate().T).tocoo()
 
 
-def _impurity_hamiltonian(basis, lattice):
+def _impurity_hamiltonian(basis):
     # the ring hopping plus a potential on site 1: Hermitian, but not
     # translation invariant
-    k = kinetic_matrix(basis, lattice)
+    k = kinetic_matrix(basis)
     diag = np.arange(len(basis))
     return fock.CooMatrix(np.concatenate([k.row, diag]), np.concatenate([k.col, diag]),
                           np.concatenate([k.data, 0.4 * (basis.masks & 1)]), k.shape)
 
 
-# model: (boundary, whether H commutes with the ring translation, H on a basis and lattice)
+# model: (whether H commutes with the ring translation, H on a basis)
 _MODELS = {
-    "tight-binding": (Boundary.RING, True, kinetic_matrix),
-    "t-J": (Boundary.RING, True, lambda b, lat: tj_hamiltonian(b, lat, 1.3)),
-    "t-J at -J": (Boundary.RING, True, lambda b, lat: tj_hamiltonian(b, lat, -1.3)),
-    "peierls": (Boundary.RING, True, lambda b, lat: _peierls_hamiltonian(b, lat, 0.37)),
-    "chain": (Boundary.CHAIN, False, lambda b, lat: tj_hamiltonian(b, lat, 1.3)),
-    "ring impurity": (Boundary.RING, False, _impurity_hamiltonian),
+    "tight-binding": (True, kinetic_matrix),
+    "t-J": (True, lambda b: tj_hamiltonian(b, 1.3)),
+    "t-J at -J": (True, lambda b: tj_hamiltonian(b, -1.3)),
+    "peierls": (True, lambda b: _peierls_hamiltonian(b, 0.37)),
+    "ring impurity": (False, _impurity_hamiltonian),
 }
 
 
 @pytest.mark.parametrize("model", list(_MODELS))
 def test_exact_evolver_keeps_zero_blocks_and_matches_dense_expm(model):
-    boundary, symmetric, build = _MODELS[model]
-    n = 8
-    basis = fock_basis(n, 3)
-    lat = Lattice(n, boundary)
-    ham = build(basis, lat)
+    symmetric, build = _MODELS[model]
+    basis = fock_basis(8, 3)
+    ham = build(basis)
     ev = ExactEvolver(basis, ham)
     x = _random_columns(basis, 11)
     # (sector, sender, receiver) blocks set exactly to zero; sector 1 entirely
@@ -689,7 +671,7 @@ def test_exact_evolver_keeps_zero_blocks_and_matches_dense_expm(model):
     # a translation-invariant H splits each sector into N momentum blocks;
     # any other H keeps every sector whole (the top one has 560 states at N=16)
     big = fock_basis(16, 3)
-    blocks = ExactEvolver(big, build(big, Lattice(16, boundary))).eigen
+    blocks = ExactEvolver(big, build(big)).eigen
     assert max(v.shape[-1] for _, v in blocks) == (35 if symmetric else 560)
     assert [len(w) for w, _ in blocks] == [16 if symmetric else 1] * 4
 
@@ -697,7 +679,7 @@ def test_exact_evolver_keeps_zero_blocks_and_matches_dense_expm(model):
 def test_exact_evolver_rejects_non_hermitian_and_number_changing():
     n = 4
     basis = fock_basis(n, 2)
-    k = csr(kinetic_matrix(basis, Lattice(n)))
+    k = csr(kinetic_matrix(basis))
     nudge = sparse.csr_matrix(([1.0], ([1], [2])), shape=k.shape)
     # a one-sided entry within the one-particle sector, below and above tolerance
     ExactEvolver(basis, (k + 1e-14 * nudge).tocoo())
@@ -710,7 +692,7 @@ def test_exact_evolver_rejects_non_hermitian_and_number_changing():
         ExactEvolver(basis, mixing)
     # a matrix built on another basis
     with pytest.raises(ValueError, match=r"shape \(42, 42\) does not act on the 11-state"):
-        ExactEvolver(basis, kinetic_matrix(fock_basis(n + 2, 3), Lattice(n + 2)))
+        ExactEvolver(basis, kinetic_matrix(fock_basis(n + 2, 3)))
 
 
 # ---------------------------------------------------------------- protocol
@@ -741,31 +723,28 @@ def test_protocol_engine_rejects_oversubscribed_basis():
 
 def test_collision_residual_positive_and_bounded():
     n = 10
-    lat = Lattice(n)
-    spec = ring_spectrum(n)
     basis = fock_basis(n, 2)
-    g0 = gaussian_packet(PacketParams(1.0, 3, 8, Region(1, 5)), lat)
+    g0 = gaussian_packet(PacketParams(1.0, 3, 8, Region(1, 5)), n)
     t = 0.4  # deliberate collision
     pairs = [(0.6 + 0j, 0.8j), (1 / np.sqrt(2) + 0j, 1 / np.sqrt(2) + 0j)]
-    evolver = ExactEvolver(basis, kinetic_matrix(basis, lat))
+    evolver = ExactEvolver(basis, kinetic_matrix(basis))
     enc = build_encoder(g0, basis)
     actual = run_encoding_sequence(pairs, [enc, enc], [t], evolver)
-    modes_now = [propagate(g0, t, spec), g0]
+    modes_now = [propagate(g0, t), g0]
     resid = encoding_residual_norm(actual, pairs, modes_now)
-    bound = encoding_error_bound(g0, t, 2, spec)
+    bound = encoding_error_bound(g0, t, 2)
     assert resid > 1e-3
     assert resid <= bound + 1e-8
 
 
 def test_residual_zero_for_orthogonal_modes():
     n = 8
-    lat = Lattice(n)
     basis = fock_basis(n, 2)
-    g1 = gaussian_packet(PacketParams(0.8, 2, 6, Region(1, 3)), lat)
-    g2 = gaussian_packet(PacketParams(0.8, 6, 6, Region(5, 7)), lat)
+    g1 = gaussian_packet(PacketParams(0.8, 2, 6, Region(1, 3)), n)
+    g2 = gaussian_packet(PacketParams(0.8, 6, 6, Region(5, 7)), n)
     pairs = [(0.6 + 0j, 0.8j), (0.8 + 0j, 0.6 + 0j)]
     # zero wait, disjoint supports: exact product of independent modes
-    evolver = ExactEvolver(basis, kinetic_matrix(basis, lat))
+    evolver = ExactEvolver(basis, kinetic_matrix(basis))
     encoders = [build_encoder(g1, basis), build_encoder(g2, basis)]
     actual = run_encoding_sequence(pairs, encoders, [0.0], evolver)
     resid = encoding_residual_norm(actual, pairs, [g1, g2])
@@ -775,21 +754,20 @@ def test_residual_zero_for_orthogonal_modes():
 
 
 def _encoding_setup(m):
-    # the acceptance-06 lattice, evolver and message amplitudes
-    lattice = Lattice(10)
+    # the acceptance-06 ring of 10 sites: basis, evolver and message amplitudes
     basis = fock_basis(10, m)
-    evolver = ExactEvolver(basis, kinetic_matrix(basis, lattice))
+    evolver = ExactEvolver(basis, kinetic_matrix(basis))
     pairs = [(complex(np.sqrt(1 - 0.3 * a)), complex(0, np.sqrt(0.3 * a)))
              for a in np.linspace(0.5, 1.0, m)]
-    return lattice, basis, evolver, pairs
+    return basis, evolver, pairs
 
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_batched_waits_match_serial_runs(m):
-    lattice, basis, evolver, pairs = _encoding_setup(m)
+    basis, evolver, pairs = _encoding_setup(m)
     waits = np.array([0.3, 0.8, 1.3, 1.8, 2.3])
     for sigma in (0.6, 1.0, 1.4, 1.8):
-        g0 = gaussian_packet(PacketParams(sigma, 3, 8, Region(1, 5)), lattice)
+        g0 = gaussian_packet(PacketParams(sigma, 3, 8, Region(1, 5)), 10)
         encoders = [build_encoder(g0, basis)] * m
         batch = run_encoding_sequence(pairs, encoders, [waits] * (m - 1), evolver)
         assert batch.batch == 5
@@ -805,7 +783,7 @@ def test_batched_waits_match_serial_runs(m):
 
 def test_float_time_matches_a_length_one_batch_bytes():
     basis = fock_basis(10, 3)
-    evolver = ExactEvolver(basis, kinetic_matrix(basis, Lattice(10)))
+    evolver = ExactEvolver(basis, kinetic_matrix(basis))
     rng = np.random.default_rng(11)
     x = rng.standard_normal((2, len(basis), 2)) + 1j * rng.standard_normal((2, len(basis), 2))
     fv = FockVector(x, basis, 1, 1)
@@ -818,8 +796,8 @@ def test_float_time_matches_a_length_one_batch_bytes():
 
 
 def test_norm_drift_names_the_batch_member():
-    lattice, basis, evolver, pairs = _encoding_setup(2)
-    g0 = gaussian_packet(PacketParams(1.0, 3, 8, Region(1, 5)), lattice)
+    basis, evolver, pairs = _encoding_setup(2)
+    g0 = gaussian_packet(PacketParams(1.0, 3, 8, Region(1, 5)), 10)
     encoders = [build_encoder(g0, basis)] * 2
 
     class Leaky:
@@ -836,8 +814,8 @@ def test_norm_drift_names_the_batch_member():
 
 
 def test_encoding_sequence_and_evolver_reject_bad_batches():
-    lattice, basis, evolver, pairs = _encoding_setup(3)
-    g0 = gaussian_packet(PacketParams(1.0, 3, 8, Region(1, 5)), lattice)
+    basis, evolver, pairs = _encoding_setup(3)
+    g0 = gaussian_packet(PacketParams(1.0, 3, 8, Region(1, 5)), 10)
     encoders = [build_encoder(g0, basis)] * 3
     with pytest.raises(ValueError, match=r"non-negative waits: wait 2 has member -0\.5$"):
         run_encoding_sequence(pairs, encoders, [0.3, np.array([0.3, -0.5])], evolver)
@@ -864,11 +842,10 @@ def test_residual_t0_matches_direct_product_evaluation():
     # with zero wait the sequence is U2 U1 |psi psi vac>; rebuild it from
     # dense matrix products as an independent path
     n = 8
-    lat = Lattice(n)
     basis = fock_basis(n, 2)
-    g0 = gaussian_packet(PacketParams(1.0, 3, 6, Region(1, 5)), lat)
+    g0 = gaussian_packet(PacketParams(1.0, 3, 6, Region(1, 5)), n)
     pairs = [(0.6 + 0j, 0.8j), (0.0j, 1.0 + 0j)]
-    evolver = ExactEvolver(basis, kinetic_matrix(basis, lat))
+    evolver = ExactEvolver(basis, kinetic_matrix(basis))
     enc = build_encoder(g0, basis)
     actual = run_encoding_sequence(pairs, [enc, enc], [0.0], evolver)
     resid = encoding_residual_norm(actual, pairs, [g0, g0])
@@ -1111,94 +1088,88 @@ def test_pipelined_oracle_at_n24_matches_one_eigh_per_sector(monkeypatch):
 # ---------------------------------------------------------------- t-J
 
 
-def test_chain_boundary_drops_wrap_bond():
-    from fermiwire.lattice import Boundary
-    from fermiwire.fock import adjacent_pair_counts
-
-    basis = fock_basis(6, 2)
-    chain = Lattice(6, Boundary.CHAIN)
-    ring = Lattice(6, Boundary.RING)
-    ends_occupied = basis_index(basis)[0b100001]  # sites 1 and 6
-    assert adjacent_pair_counts(basis, chain)[ends_occupied] == 0.0
-    assert adjacent_pair_counts(basis, ring)[ends_occupied] == 1.0
-    kc = kinetic_matrix(basis, chain)
-    kr = kinetic_matrix(basis, ring)
-    assert kc.nnz < kr.nnz
-
-
 def test_two_packet_state_rejects_coincident_modes():
     basis = fock_basis(8, 2)
-    lat = Lattice(8)
     params = PacketParams(1.0, 4, 6, Region(2, 6))
     with pytest.raises(ValueError):
-        two_packet_state(basis, lat, params, params)
+        two_packet_state(basis, params, params)
 
 
 def test_interaction_error_single_particle_zero():
     n = 8
     basis = fock_basis(n, 2)
-    lat = Lattice(n)
-    g = gaussian_packet(PacketParams(1.0, 4, 6, Region(2, 6)), lat)
+    g = gaussian_packet(PacketParams(1.0, 4, 6, Region(2, 6)), n)
     vac = np.zeros(len(basis), dtype=complex)
     vac[0] = 1.0
     one = mode_annihilator(g, basis).create(vac)
     fv = FockVector(one, basis, 0, 0)
-    assert tj_interaction_error(fv, lat) == 0.0
+    assert tj_interaction_error(fv) == 0.0
 
 
 def test_interaction_error_adjacent_pair_eigenstate():
     n = 6
     basis = fock_basis(n, 2)
-    lat = Lattice(n)
     state = np.zeros(len(basis), dtype=complex)
     state[basis_index(basis)[0b11]] = 1.0  # sites 1 and 2 occupied
     fv = FockVector(state, basis, 0, 0)
-    assert np.isclose(tj_interaction_error(fv, lat), 1.0, atol=1e-14)
+    assert np.isclose(tj_interaction_error(fv), 1.0, atol=1e-14)
 
 
 def test_interaction_error_shrinks_with_separation():
     n = 10
     basis = fock_basis(n, 2)
-    lat = Lattice(n)
     k_minus, k_plus = 3, 8
     near_b = PacketParams(0.8, 5, k_plus, Region(3, 7))
     far_b = PacketParams(0.8, 7, k_plus, Region(5, 9))
     pa = PacketParams(0.8, 3, k_minus, Region(1, 5))
-    eps_near = tj_interaction_error(two_packet_state(basis, lat, pa, near_b), lat)
-    eps_far = tj_interaction_error(two_packet_state(basis, lat, pa, far_b), lat)
+    eps_near = tj_interaction_error(two_packet_state(basis, pa, near_b))
+    eps_far = tj_interaction_error(two_packet_state(basis, pa, far_b))
     assert eps_near >= 10 * eps_far
 
 
 def test_evolution_difference_trivial_cases():
     n = 10
     basis = fock_basis(n, 2)
-    lat = Lattice(n)
     from fermiwire.harness import separating_pair
 
     pa, pb = separating_pair(n)
-    st = two_packet_state(basis, lat, pa, pb)
-    assert evolution_difference(st, 0.8, 0.0, lat) < 1e-10
-    g = gaussian_packet(PacketParams(1.0, 4, 8, Region(2, 6)), lat)
+    st = two_packet_state(basis, pa, pb)
+    assert evolution_difference(st, [0.8], 0.0)[0] < 1e-10
+    g = gaussian_packet(PacketParams(1.0, 4, 8, Region(2, 6)), n)
     vac = np.zeros(len(basis), dtype=complex)
     vac[0] = 1.0
     one = mode_annihilator(g, basis).create(vac)
     fv = FockVector(one, basis, 0, 0)
-    assert evolution_difference(fv, 0.8, 3.0, lat) < 1e-10
+    assert evolution_difference(fv, [0.8], 3.0)[0] < 1e-10
 
 
 def test_evolution_difference_bounded_for_separating_pair():
     n = 10
     basis = fock_basis(n, 2)
-    lat = Lattice(n)
     from fermiwire.harness import separating_pair
 
     pa, pb = separating_pair(n)
-    st = two_packet_state(basis, lat, pa, pb)
-    eps_i = tj_interaction_error(st, lat)
+    st = two_packet_state(basis, pa, pb)
+    eps_i = tj_interaction_error(st)
     assert eps_i > 0
-    for s in (0.1, 0.5, 1.0):
-        diff = evolution_difference(st, s, 1.0, lat)
+    grid = (0.1, 0.5, 1.0)
+    for s, diff in zip(grid, evolution_difference(st, grid, 1.0), strict=True):
         assert diff <= s * eps_i + 1e-6
+
+
+def test_evolution_difference_builds_each_evolver_once(monkeypatch):
+    built = []
+
+    class Counted(ExactEvolver):
+        def __init__(self, basis, matrix):
+            built.append(matrix)
+            super().__init__(basis, matrix)
+
+    monkeypatch.setattr(fock, "ExactEvolver", Counted)
+    basis = fock_basis(8, 2)
+    fv = FockVector(np.eye(len(basis))[3], basis, 0, 0)
+    assert len(evolution_difference(fv, [0.1, 0.5, 1.0, 2.0], 1.0)) == 4
+    assert len(built) == 2
 
 
 def test_evolution_difference_violation_is_detectable():
@@ -1206,12 +1177,11 @@ def test_evolution_difference_violation_is_detectable():
     # still expose it honestly rather than hiding it
     n = 10
     basis = fock_basis(n, 2)
-    lat = Lattice(n)
     pa = PacketParams(1.0, 3, 8, Region(1, 5))  # moving +theta
     pb = PacketParams(1.0, 6, 2, Region(4, 8))  # moving -theta, toward pa
-    st = two_packet_state(basis, lat, pa, pb)
-    eps_i = tj_interaction_error(st, lat)
-    diff = evolution_difference(st, 1.0, 1.0, lat)
+    st = two_packet_state(basis, pa, pb)
+    eps_i = tj_interaction_error(st)
+    diff = evolution_difference(st, [1.0], 1.0)[0]
     assert diff > eps_i + 1e-6
 
 

@@ -95,6 +95,41 @@ def test_run_is_deterministic_byte_for_byte():
     assert a == b
 
 
+# golden CSV -> (subcommand, --set values); a change that moves these bytes
+# on purpose regenerates the file and says why
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_RUNS = {
+    "dispersion.csv": ("dispersion", "N=16"),
+    "packet.csv": ("packet", "N=64"),
+    "transit.csv": ("transit", "N=64"),
+    "broadening.csv": ("broadening", "N=64"),
+    "overlap-decay.csv": ("overlap-decay", "n_min=64", "n_max=256"),
+    "error-budget.csv": ("error-budget", "N=1024", "M=4"),
+    "min-wait-sweep.csv": ("min-wait-sweep", "n_min=256", "n_max=1024", "M=4"),
+    "rate-fit.csv": ("rate-fit", "n_min=256", "n_max=1024", "M=4"),
+    "oracle-protocol.csv": ("oracle-protocol", "N=8", "M=2"),
+    "oracle-protocol-t1.5.csv": ("oracle-protocol", "N=12", "M=2", "t=1.5"),
+    "oracle-bounds.csv": ("oracle-bounds", "N=8", "M=2"),
+    "tj-check.csv": ("tj-check", "N=8", "J=1"),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_RUNS))
+def test_cli_csv_matches_golden_bytes(name, tmp_path):
+    command, *settings = GOLDEN_RUNS[name]
+    out = tmp_path / name
+    argv = [command, "--out", str(out)]
+    for item in settings:
+        argv += ["--set", item]
+    assert main(argv) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_golden_runs_cover_every_subcommand():
+    assert {runs[0] for runs in GOLDEN_RUNS.values()} == set(EXPERIMENTS)
+    assert sorted(p.name for p in GOLDEN.glob("*.csv")) == sorted(GOLDEN_RUNS)
+
+
 def test_min_wait_sweep_tolerates_failed_points():
     # an unreachable target produces error-tagged rows, not an exception
     cfg = make_config(

@@ -2,9 +2,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from references import fourier_airy_overlap, overlap_decay_estimate
+from references import fourier_airy_overlap, overlap_decay_estimate, plane_wave
 
-from fermiwire.lattice import Lattice, propagate, ring_spectrum, transit_time
+from fermiwire.lattice import propagate, transit_time
 from fermiwire.wavepacket import (
     PacketBudget,
     PacketParams,
@@ -28,19 +28,17 @@ BUDGET = PacketBudget(c=9.0, kappa=1.0)
 
 
 def default_packet(n, budget=BUDGET):
-    lattice = Lattice(n)
     params = sigma_for_budget(n, budget)
-    return gaussian_packet(params, lattice), params, lattice
+    return gaussian_packet(params, n), params, n
 
 
 # ---------------------------------------------------------------- packets
 
 
 def test_single_site_region_is_basis_state():
-    lat = Lattice(16)
     params = PacketParams(2.0, 5, 4, Region(5, 5))
     with pytest.warns(RuntimeWarning):
-        state = gaussian_packet(params, lat)
+        state = gaussian_packet(params, 16)
     assert np.isclose(abs(state[4]), 1.0, atol=1e-12)
     assert np.isclose(np.linalg.norm(state), 1.0, atol=1e-12)
 
@@ -51,9 +49,8 @@ def test_packet_normalized():
 
 
 def test_packet_envelope_ratio_at_one_sigma():
-    lat = Lattice(64)
     params = PacketParams(4.0, 8, 16, Region(1, 16))
-    g = gaussian_packet(params, lat)
+    g = gaussian_packet(params, 64)
     ratio = abs(g[8 + 4 - 1]) / abs(g[8 - 1])
     assert np.isclose(ratio, np.exp(-0.5), atol=1e-12)
 
@@ -101,9 +98,8 @@ def test_sigma_for_budget_directions():
 
 
 def test_overlap_self_and_disjoint():
-    lat = Lattice(64)
-    a = gaussian_packet(PacketParams(2.0, 8, 16, Region(1, 16)), lat)
-    b = gaussian_packet(PacketParams(2.0, 40, 16, Region(33, 48)), lat)
+    a = gaussian_packet(PacketParams(2.0, 8, 16, Region(1, 16)), 64)
+    b = gaussian_packet(PacketParams(2.0, 40, 16, Region(33, 48)), 64)
     assert np.isclose(overlap(a, a), 1.0, atol=1e-12)
     assert overlap(a, b) == 0.0
     with pytest.raises(ValueError):
@@ -113,19 +109,16 @@ def test_overlap_self_and_disjoint():
 def test_overlap_regression_fixture_transit_time():
     n = 1024
     state, _, _ = default_packet(n)
-    spec = ring_spectrum(n)
-    value = abs(overlap(state, propagate(state, transit_time(n), spec)))
+    value = abs(overlap(state, propagate(state, transit_time(n))))
     assert value < 0.01
 
 
 def test_overlap_unitary_invariance():
     n = 64
-    lat = Lattice(n)
-    spec = ring_spectrum(n)
-    a = gaussian_packet(PacketParams(2.0, 8, 16, Region(1, 16)), lat)
-    b = gaussian_packet(PacketParams(3.0, 20, 48, Region(12, 30)), lat)
+    a = gaussian_packet(PacketParams(2.0, 8, 16, Region(1, 16)), n)
+    b = gaussian_packet(PacketParams(3.0, 20, 48, Region(12, 30)), n)
     before = abs(overlap(a, b))
-    after = abs(overlap(propagate(a, 5.1, spec), propagate(b, 5.1, spec)))
+    after = abs(overlap(propagate(a, 5.1), propagate(b, 5.1)))
     assert np.isclose(before, after, atol=1e-10)
 
 
@@ -144,7 +137,6 @@ def test_raw_gaussian_weight_outside_default_region():
     # the untruncated envelope leaves only an exponentially small tail
     # outside the default support, decreasing in c
     n = 256
-    lat = Lattice(n)
     leftovers = []
     for c in (1.0, 4.0, 9.0, 16.0):
         budget = PacketBudget(c=c, kappa=1.0)
@@ -155,7 +147,7 @@ def test_raw_gaussian_weight_outside_default_region():
         full = PacketParams(
             params.sigma_sites, params.center, params.wavenumber, Region(1, n)
         )
-        raw = gaussian_packet(full, lat)
+        raw = gaussian_packet(full, n)
         leftovers.append(1.0 - region_weight(raw, params.region))
     # strictly decreasing until the tail sinks below double precision
     for x, y in zip(leftovers, leftovers[1:]):
@@ -178,8 +170,7 @@ def test_measured_width_point_and_uniform():
 
 def test_measured_width_matches_sigma():
     n, s = 256, 8.0
-    lat = Lattice(n)
-    g = gaussian_packet(PacketParams(s, 128, 192, Region(80, 176)), lat)
+    g = gaussian_packet(PacketParams(s, 128, 192, Region(80, 176)), n)
     assert np.isclose(measured_width(g), s / n, rtol=0.05)
 
 
@@ -194,9 +185,8 @@ def test_centroid_motion_matches_group_velocity():
 
     for n in (512, 1024):
         state, params, _ = default_packet(n)
-        spec = ring_spectrum(n)
         t = transit_time(n)
-        shift_angle = 2 * np.pi * centroid_shift(state, propagate(state, t, spec))
+        shift_angle = 2 * np.pi * centroid_shift(state, propagate(state, t))
         expected = group_velocity(params.wavenumber, n) * t
         assert abs(shift_angle - expected) / abs(expected) < 0.03
 
@@ -229,10 +219,8 @@ def test_broadening_prediction_constant_across_n():
 
 def test_width_report_agreement():
     for n in (512, 2048):
-        lat = Lattice(n)
-        spec = ring_spectrum(n)
         params = sigma_for_budget(n, BUDGET)
-        rep = width_report(params, transit_time(n), lat, spec, BUDGET)
+        rep = width_report(params, transit_time(n), n, BUDGET)
         assert rep.l0 > 0 and rep.lt > 0
         rel = abs(rep.measured_ratio - rep.predicted_ratio) / rep.predicted_ratio
         assert rel < 0.15
@@ -253,10 +241,9 @@ def test_overlap_decay_fit_is_linear():
     xs, ys = [], []
     for n in (512, 1024, 2048):
         state, _, _ = default_packet(n)
-        spec = ring_spectrum(n)
         for x1 in np.linspace(0.8, 2.2, 6):
             t = 0.5 * x1 * n ** (1 / 3)
-            mag = abs(overlap(state, propagate(state, t, spec)))
+            mag = abs(overlap(state, propagate(state, t)))
             xs.append(t**2 * n ** (-2 / 3))
             ys.append(-np.log(mag))
     slope, intercept = np.polyfit(xs, ys, 1)
@@ -283,10 +270,9 @@ def test_fourier_airy_gaussian_term_closed_form():
 def test_fourier_airy_matches_lattice():
     n = 1024
     state, _, _ = default_packet(n)
-    spec = ring_spectrum(n)
     for x1 in (1.0, 2.0):
         t = 0.5 * x1 * n ** (1 / 3)
-        lattice_val = abs(overlap(state, propagate(state, t, spec)))
+        lattice_val = abs(overlap(state, propagate(state, t)))
         quad_val = abs(fourier_airy_overlap(BUDGET, n, t))
         assert abs(lattice_val - quad_val) / quad_val < 0.05
 
@@ -296,11 +282,10 @@ def test_fourier_airy_matches_lattice():
 
 def test_spectral_leakage_trivial_cases():
     n = 64
-    spec = ring_spectrum(n)
-    vec = spec.eigenvector(48)
-    assert spectral_leakage(vec, spec, 48, 1.0) < 1e-24
+    vec = plane_wave(n, 48)
+    assert spectral_leakage(vec, 48, 1.0) < 1e-24
     state, params, _ = default_packet(n)
-    assert spectral_leakage(state, spec, params.wavenumber, n / 2) == 0.0
+    assert spectral_leakage(state, params.wavenumber, n / 2) == 0.0
 
 
 def test_spectral_leakage_budget_packet():
@@ -309,8 +294,7 @@ def test_spectral_leakage_budget_packet():
     for c in (1.0, 4.0, 9.0, 16.0):
         budget = PacketBudget(c=c, kappa=1.0)
         state, params, _ = default_packet(n, budget)
-        spec = ring_spectrum(n)
-        leak = spectral_leakage(state, spec, params.wavenumber, budget.cutoff(n))
+        leak = spectral_leakage(state, params.wavenumber, budget.cutoff(n))
         leaks.append(leak)
         assert leak <= np.exp(-c) * 1.5
     assert all(x > y for x, y in zip(leaks, leaks[1:]))
