@@ -1,4 +1,4 @@
-"""Command-line front end: one subcommand per experiment.
+"""Command-line front end: one positional argument names the experiment.
 
 Examples:
 
@@ -33,21 +33,19 @@ def _parser() -> argparse.ArgumentParser:
         prog="fermiwire",
         description="wavepacket wire transmission experiments",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, spec in EXPERIMENTS.items():
-        p = sub.add_parser(command, help=f"run the {spec.name} experiment")
-        p.add_argument("--config", help="config file of key = value lines")
-        p.add_argument("--out", help="output path (stdout when omitted)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--seed", type=int, help="integer seed recorded in output")
-        p.add_argument(
-            "--set",
-            dest="overrides",
-            action="append",
-            default=[],
-            metavar="KEY=VALUE",
-            help="override one config key (repeatable)",
-        )
+    parser.add_argument("command", choices=list(EXPERIMENTS), help="the experiment to run")
+    parser.add_argument("--config", help="config file of key = value lines")
+    parser.add_argument("--out", help="output path (stdout when omitted)")
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    parser.add_argument("--seed", type=int, help="integer seed recorded in output")
+    parser.add_argument(
+        "--set",
+        dest="overrides",
+        action="append",
+        default=[],
+        metavar="KEY=VALUE",
+        help="override one config key (repeatable)",
+    )
     return parser
 
 
@@ -59,19 +57,20 @@ def _collect_values(args) -> dict:
                 values = parse_config_text(fh.read())
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-    experiment = EXPERIMENTS[args.command].name
-    if "experiment" in values and values["experiment"] != experiment:
-        raise ConfigError(
-            f"config names experiment {values['experiment']!r} but the "
-            f"subcommand selects {experiment!r}"
-        )
-    values["experiment"] = experiment
+    overrides: dict = {}
     for item in args.overrides:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, _, raw = item.partition("=")
-        parsed = parse_config_text(f"{key.strip()} = {raw.strip()}")
-        values.update(parsed)
+        overrides.update(parse_config_text(f"{key.strip()} = {raw.strip()}"))
+    experiment = EXPERIMENTS[args.command].name
+    # neither the config file nor a --set may name another experiment
+    for named in (values.get("experiment"), overrides.get("experiment")):
+        if named not in (None, experiment):
+            raise ConfigError(
+                f"config names experiment {named!r} but the subcommand selects {experiment!r}"
+            )
+    values.update(overrides, experiment=experiment)
     if args.seed is not None:
         values["seed"] = args.seed
     return values

@@ -689,10 +689,8 @@ def _run_events(fv: FockVector, events, evolver: ExactEvolver) -> FockVector:
         if np.any(np.asarray(gap) > 1e-12):
             fv = evolver.apply(fv, gap)
         fv = _apply_register_block(fv, op, side, idx)
-        # one expression, so no reference to the tensor outlives the check
-        norms = [float(np.linalg.norm(x))
-                 for x in (np.moveaxis(fv.tensor, -1, 0) if fv.batch else [fv.tensor])]
-        for b, nrm in enumerate(norms):
+        norms = np.sqrt(_member_squares(fv.tensor)) if fv.batch else [np.linalg.norm(fv.tensor)]
+        for b, nrm in enumerate(map(float, norms)):
             if abs(nrm - 1.0) > 1e-10:
                 member = f" in batch member {b}" if fv.batch else ""
                 raise RuntimeError(f"norm drifted to {nrm!r}{member} after {side}{idx}; "
@@ -809,28 +807,47 @@ def run_encoding_sequence(
     return _run_events(fv, events, evolver)
 
 
+def _member_squares(x: np.ndarray) -> np.ndarray:
+    # sum of |x|^2 over every axis but the last, one reduction read in place
+    axes = list(range(x.ndim))
+    return sum(np.einsum(p, axes, p, axes, axes[-1:]) for p in (x.real, x.imag))
+
+
 def encoding_residual_norm(
     actual: FockVector,
     coeff_pairs: Sequence[tuple[complex, complex]],
-    modes_now: Sequence[np.ndarray],
-) -> float:
+    modes_now: Sequence[np.ndarray] | np.ndarray,
+) -> float | np.ndarray:
     """Norm distance from the ideal independent-mode product state.
 
-    The ideal, on the basis of ``actual``, keeps every message register in
-    |0> and builds (c_M + d_M op_M^dag) ... (c_1 + d_1 op_1^dag) |vac> from
-    the supplied current-time mode vectors (signal 1 applied first); it is
-    deliberately not renormalized.
+    The ideal, on the basis of ``actual``, keeps every register in |0> and
+    builds (c_M + d_M a^dag(f_M)) ... (c_1 + d_1 a^dag(f_1)) |vac> from the
+    current-time mode vectors f (signal 1 applied first); it is deliberately
+    not renormalized.  modes_now is (M, N), or (M, B, N) with one norm per
+    member of a batch axis of B.  Each lift gathers on the basis ladder with
+    weights f[site] * sign; the ideal lives in the registers' |0..0> slice,
+    and the rest of the tensor is read in place.
     """
-    basis, m = actual.basis, len(coeff_pairs)
-    if actual.n_a != m or len(modes_now) != m:
-        raise ValueError("coefficient, mode and register counts must agree")
-    state = np.zeros(len(basis), dtype=complex)
-    state[0] = 1.0
-    for (c, d), mode in zip(coeff_pairs, modes_now):
-        state = c * state + d * mode_annihilator(np.asarray(mode), basis).create(state)
-    ideal = np.zeros_like(actual.tensor)
-    ideal[(0,) * actual.n_a + (slice(None),) + (0,) * actual.n_b] = state
-    return float(np.linalg.norm(actual.tensor - ideal))
+    basis, m, b, n = actual.basis, len(coeff_pairs), actual.batch, actual.basis.n_sites
+    modes = np.asarray(modes_now, dtype=complex)
+    want = (actual.n_a, n) if b is None else (actual.n_a, b, n)
+    if m != actual.n_a or modes.shape != want:
+        raise ValueError(f"need M = {actual.n_a} coefficient pairs and modes (M, N) without a "
+                         f"batch axis or (M, B, N) with one, here {want}; got {m}, {modes.shape}")
+    state = np.zeros((b or 1, len(basis)), dtype=complex)
+    state[:, 0] = 1.0
+    for (c, d), f in zip(coeff_pairs, modes.reshape(m, -1, n)):
+        lifted = np.zeros_like(state)
+        for k, ((index, site, sign), _) in basis.ladder.items():
+            gathered = state[:, basis.sectors[k - 1]][:, index]
+            lifted[:, basis.sectors[k]] = np.einsum("brj,brj->br", f[:, site] * sign, gathered)
+        state = c * state + d * lifted
+    # peel the registers one at a time: index 1 is all residual, index 0 holds the rest
+    x, total = np.moveaxis(actual.tensor if b else actual.tensor[..., None], m, -2), 0.0
+    for _ in range(m + actual.n_b):
+        x, total = x[0], total + _member_squares(x[1])
+    norms = np.sqrt(total + _member_squares(x - state.T))
+    return norms if b else float(norms[0])
 
 
 def tj_interaction_error(fv: FockVector) -> float:

@@ -110,13 +110,14 @@ def mode_amplitudes(state: np.ndarray) -> np.ndarray:
     return np.exp(-2j * np.pi * k / n) * f[k % n] / np.sqrt(n)
 
 
-def propagate(state: np.ndarray, t: float) -> np.ndarray:
+def propagate(state: np.ndarray, t: float | np.ndarray) -> np.ndarray:
     """Evolve a normalized state by exp(-i*t*H) on the ring of its length.
 
     One FFT each way, identical to the spectral sum over the plane waves.
-    Norm is preserved exactly up to rounding.
+    Norm is preserved exactly up to rounding.  A 1-D array of times gives
+    one row per time, each the bytes of the call with that time alone.
     """
     state = require_normalized(_site_amplitudes(state))
     # fft bin m carries mode k = m for m >= 1 and k = N for m = 0
     omega = np.roll(ring_energies(state.shape[0]), 1)
-    return np.fft.ifft(np.fft.fft(state) * np.exp(-1j * omega * t))
+    return np.fft.ifft(np.fft.fft(state) * np.exp(-1j * omega * np.asarray(t)[..., None]))

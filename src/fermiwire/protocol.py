@@ -160,15 +160,19 @@ def plan_protocol(
     )
 
 
-def encoding_error_bound(g0: np.ndarray, t: float, m: int) -> float:
+def encoding_error_bound(g0: np.ndarray, t: float | np.ndarray, m: int) -> float | np.ndarray:
     """Closed-form residual bound 3 * sum_{j<M} (M-j) |<g(0)|g(j t)>| on the
-    ring of g0's length."""
+    ring of g0's length.  A 1-D array of waits gives one bound per wait from
+    one set of mode weights, each the value of the call with that wait alone."""
     if m < 1:
         raise ValueError("need at least one signal")
-    if t <= 0:
+    waits = np.asarray(t, dtype=float)
+    if np.any(waits <= 0):
         raise ValueError(f"wait must be positive, got {t}")
     weights = _mode_weights(g0)
-    return _bound_from_weights(weights, ring_energies(len(weights)), t, m)
+    omega = ring_energies(len(weights))
+    values = [_bound_from_weights(weights, omega, float(w), m) for w in waits.ravel()]
+    return np.reshape(values, waits.shape) if waits.ndim else values[0]
 
 
 def _mode_weights(g0: np.ndarray) -> np.ndarray:

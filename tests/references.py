@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from fermiwire.fock import FockBasis, FockVector, ModeOperator
+from fermiwire.fock import FockBasis, FockVector, ModeOperator, mode_annihilator
 from fermiwire.lattice import ring_energies
 from fermiwire.protocol import _bound_from_weights, _mode_weights, encoding_error_bound
 from fermiwire.wavepacket import (
@@ -118,6 +118,21 @@ def operational_ladder_defect(basis: FockBasis) -> float:
             square = op.lift(k + 2, up) if k + 2 <= basis.max_particles else 0
             worst = max(worst, np.abs(anti).max(), np.abs(square).max())
     return float(worst)
+
+
+def residual_norm_per_point(actual: FockVector, coeff_pairs, modes_now) -> float:
+    """Norm distance of one state (no batch axis) from the ideal product
+    (c_M + d_M a^dag(f_M)) ... (c_1 + d_1 a^dag(f_1)) |vac> with every register
+    in |0>: one ``mode_annihilator(f).create`` per mode and the norm of the
+    full difference tensor."""
+    basis = actual.basis
+    state = np.zeros(len(basis), dtype=complex)
+    state[0] = 1.0
+    for (c, d), mode in zip(coeff_pairs, modes_now):
+        state = c * state + d * mode_annihilator(np.asarray(mode), basis).create(state)
+    ideal = np.zeros_like(actual.tensor)
+    ideal[(0,) * actual.n_a + (slice(None),) + (0,) * actual.n_b] = state
+    return float(np.linalg.norm(actual.tensor - ideal))
 
 
 def validate_qubit_state(rho: np.ndarray, atol: float = 1e-10):

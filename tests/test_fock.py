@@ -10,13 +10,20 @@ from references import (
     basis_index,
     operational_ladder_defect,
     reduced_qubit,
+    residual_norm_per_point,
     total_excitation_operator,
     validate_qubit_state,
 )
 
 from fermiwire.lattice import propagate, ring_bonds
 from fermiwire.protocol import encoding_error_bound, error_budget, plan_protocol
-from fermiwire.wavepacket import PacketBudget, PacketParams, Region, gaussian_packet
+from fermiwire.wavepacket import (
+    PacketBudget,
+    PacketParams,
+    Region,
+    carrier_mode,
+    gaussian_packet,
+)
 from fermiwire import fock
 from fermiwire.fock import (
     ExactEvolver,
@@ -751,6 +758,66 @@ def test_residual_zero_for_orthogonal_modes():
     assert resid < 1e-10
     with pytest.raises(ValueError, match="M-1 non-negative waits"):
         run_encoding_sequence(pairs, encoders, [-0.5], evolver)
+
+
+@pytest.mark.parametrize("n", [8, 10, 14])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_batched_residuals_match_the_per_point_reference(n, m):
+    basis = fock_basis(n, m)
+    evolver = ExactEvolver(basis, kinetic_matrix(basis))
+    pairs = [(complex(np.sqrt(1 - 0.4 * a / m)), complex(0, np.sqrt(0.4 * a / m)))
+             for a in range(1, m + 1)]
+    waits = np.array([0.3, 0.8, 1.3, 1.8, 2.3])
+    for sigma in (0.6, 1.4):
+        g0 = gaussian_packet(PacketParams(sigma, 3, carrier_mode(n), Region(1, 5)), n)
+        encoders = [build_encoder(g0, basis)] * m
+        runs = run_encoding_sequence(pairs, encoders, [waits] * (m - 1), evolver)
+        tensor = runs.tensor if runs.batch else np.stack([runs.tensor] * len(waits), -1)
+        batch = FockVector(tensor, basis, m, 0)
+        modes = np.array([[propagate(g0, (m - a) * t) for t in waits] for a in range(1, m + 1)])
+        got = encoding_residual_norm(batch, pairs, modes)
+        assert got.shape == waits.shape
+        for i in range(len(waits)):
+            member = FockVector(tensor[..., i], basis, m, 0)
+            expected = residual_norm_per_point(member, pairs, modes[:, i])
+            assert abs(got[i] - expected) <= 1e-14
+            # the same state without a batch axis, modes as a list of M vectors
+            single = encoding_residual_norm(member, pairs, list(modes[:, i]))
+            assert isinstance(single, float)
+            assert abs(single - expected) <= 1e-14
+
+
+def test_batched_residual_reads_every_register_slice():
+    # amplitude in every register slice, a receiver register, random modes
+    # and a permuted (non-contiguous) tensor, as the event loop leaves one
+    rng = np.random.default_rng(5)
+    basis = fock_basis(8, 2)
+    x = rng.standard_normal((len(basis), 2, 2, 2, 3)) + 1j * rng.standard_normal(
+        (len(basis), 2, 2, 2, 3))
+    fv = FockVector(np.moveaxis(x, 0, 2), basis, 2, 1)
+    assert not fv.tensor.flags.c_contiguous
+    pairs = [(0.6 + 0j, 0.8j), (0.8 + 0j, 0.6 + 0j)]
+    modes = np.array([[random_mode(8, rng) for _ in range(3)] for _ in range(2)])
+    got = encoding_residual_norm(fv, pairs, modes)
+    for i in range(3):
+        member = FockVector(fv.tensor[..., i], basis, 2, 1)
+        expected = residual_norm_per_point(member, pairs, modes[:, i])
+        assert abs(got[i] - expected) <= 1e-14 * expected
+
+
+def test_residual_rejects_modes_of_another_shape():
+    basis, evolver, pairs = _encoding_setup(2)
+    g0 = gaussian_packet(PacketParams(1.0, 3, 8, Region(1, 5)), 10)
+    encoders = [build_encoder(g0, basis)] * 2
+    batch = run_encoding_sequence(pairs, encoders, [np.array([0.3, 0.8, 1.3])], evolver)
+    single = FockVector(batch.tensor[..., 0], basis, 2, 0)
+    both = r"modes \(M, N\) without a batch axis or \(M, B, N\) with one"
+    with pytest.raises(ValueError, match=both + r", here \(2, 3, 10\); got 2, \(2, 10\)$"):
+        encoding_residual_norm(batch, pairs, [g0, g0])
+    with pytest.raises(ValueError, match=both + r", here \(2, 10\); got 2, \(2, 3, 10\)$"):
+        encoding_residual_norm(single, pairs, np.stack([[g0] * 3] * 2))
+    with pytest.raises(ValueError, match=r"need M = 2 coefficient pairs.*got 1, \(1, 10\)$"):
+        encoding_residual_norm(single, pairs[:1], [g0])
 
 
 def _encoding_setup(m):

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import fermiwire
-from fermiwire.cli import main
+from fermiwire import fock, harness
+from fermiwire.cli import _parser, main
 from fermiwire.harness import (
     EXPERIMENTS,
     ConfigError,
@@ -171,6 +172,27 @@ def test_oracle_bounds_all_satisfied():
         assert len(table.rows) == 20
         assert table.meta["all_satisfied"] is True
         assert all(row[4] for row in table.rows)
+
+
+def test_oracle_bounds_builds_the_reference_side_once_per_packet_width(monkeypatch):
+    calls = {"ModeOperator": 0, "propagate": 0, "encoding_error_bound": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(fock.ModeOperator, "__init__",
+                        counted("ModeOperator", fock.ModeOperator.__init__))
+    for name in ("propagate", "encoding_error_bound"):
+        monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
+    table = run(make_config("experiment = OracleBounds\nN = 8\nM = 2\n"))
+    widths = len({row[1] for row in table.rows})
+    assert widths == 4
+    # the encoder is the one mode operator; modes and bounds come as arrays
+    assert calls == {"ModeOperator": widths, "propagate": widths,
+                     "encoding_error_bound": widths}
 
 
 def test_tjcheck_rows_satisfied():
@@ -392,6 +414,45 @@ def test_cli_subcommand_experiment_mismatch(tmp_path):
     cfg.write_text("experiment = Packet\nN = 8\n")
     code = main(["dispersion", "--config", str(cfg)])
     assert code == 1
+
+
+def test_cli_set_cannot_name_another_experiment(capsys):
+    argv = ["dispersion", "--set", "experiment=ErrorBudget", "--set", "N=1024", "--set", "M=4"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("fermiwire: error: config names experiment 'ErrorBudget' but "
+                            "the subcommand selects 'Dispersion'\n")
+    # naming the subcommand's own experiment is no conflict
+    assert main(["dispersion", "--set", "experiment=Dispersion", "--set", "N=8"]) == 0
+
+
+def test_cli_help_lists_every_experiment(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "{" + ",".join(EXPERIMENTS) + "}" in out
+
+
+def test_cli_unknown_experiment_exits_with_code_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["no-such-experiment", "--set", "N=8"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'no-such-experiment'" in capsys.readouterr().err
+
+
+def test_readme_command_lines_parse():
+    readme = Path(__file__).parents[1] / "README.md"
+    lines = [ln.split() for ln in readme.read_text().splitlines()
+             if ln.startswith("fermiwire ")]
+    assert {words[1] for words in lines} == set(EXPERIMENTS)
+    for words in lines:
+        args = _parser().parse_args(words[1:])
+        options = dict(zip(words[2::2], words[3::2]))
+        assert args.command == words[1]
+        assert args.overrides == [v for k, v in zip(words[2::2], words[3::2]) if k == "--set"]
+        assert (args.out, args.format) == (options.get("--out"), options.get("--format", "csv"))
 
 
 def test_cli_reports_bad_key():

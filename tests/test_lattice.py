@@ -198,3 +198,13 @@ def test_mode_amplitudes_recover_coefficients():
     coeffs[9] = 0.8j
     state = sum(c * plane_wave(n, k + 1) for k, c in enumerate(coeffs) if c)
     assert np.allclose(mode_amplitudes(state), coeffs, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [8, 14, 64, 1024])
+def test_propagate_times_array_rows_are_the_scalar_bytes(n):
+    state = random_state(n, np.random.default_rng(n))
+    times = np.array([0.0, 0.3, 0.8, 2.3, 4.6, -1.7, 0.1 * n])
+    rows = propagate(state, times)
+    assert rows.shape == (len(times), n)
+    for row, t in zip(rows, times):
+        assert row.tobytes() == propagate(state, float(t)).tobytes()

@@ -376,3 +376,16 @@ def test_fit_rejects_degenerate_samples():
         fit_rate_scaling([(256, 1.0), (256, 2.0), (512, 3.0)])
     with pytest.raises(ValueError):
         fit_rate_scaling([(256, 1.0), (512, -2.0), (1024, 3.0)])
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_encoding_bound_waits_array_is_the_scalar_bytes(m):
+    n = 256
+    g0 = gaussian_packet(sigma_for_budget(n, BUDGET), n)
+    waits = np.array([0.3, 0.8, 2.3, 7.5, n / 4.0])
+    values = encoding_error_bound(g0, waits, m)
+    assert values.shape == waits.shape
+    for value, t in zip(values, waits):
+        assert value.tobytes() == np.float64(encoding_error_bound(g0, float(t), m)).tobytes()
+    with pytest.raises(ValueError, match="wait must be positive"):
+        encoding_error_bound(g0, np.array([0.3, 0.0]), m)
