@@ -4,9 +4,10 @@
         --pairs 10 --seed 1000 --out BENCH_6.json
 
 Run from the root of a git checkout.  Both sides are exported into a
-temporary directory (``TMPDIR`` chooses where): the base revision with
-``git archive``, the change as the working tree stands, uncommitted edits
-and untracked files that git does not ignore included.  Pair i runs
+temporary directory (``TMPDIR`` chooses where), under paths of one length:
+the base revision with ``git archive`` into ``side0``, the change as the
+working tree stands, uncommitted edits and untracked files that git does
+not ignore included, into ``side1``.  Pair i runs
 
     python3 perfbench/run.py --workload W --seed S+i --trace 0
 
@@ -122,7 +123,8 @@ def main(argv=None) -> int:
     }
     tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
-        trees = {"base": tmp / "base", "change": tmp / "change"}
+        # names of one length, so the two sides' paths lay out alike in memory
+        trees = {"base": tmp / "side0", "change": tmp / "side1"}
         export(args.base, trees["base"])
         export_worktree(trees["change"])
         for workload in args.workload:

@@ -8,11 +8,12 @@ m_max set bits, ordered by particle number and then lexicographically on
 
 fixes the fermionic sign of a_j to (-1)^(number of occupied sites left of j).
 
-No operator is stored as a matrix.  ``FockBasis.ladder`` turns the cached
-annihilation table into gather tables between neighbouring particle-number
-sectors, so a mode's a and a^dag (``ModeOperator``) are one gather and one
-batched product per sector.  Hamiltonians are (row, col, data) triplets
-(``CooMatrix``; the kinetic term is built per bond from the masks).
+No operator is stored as a matrix.  ``FockBasis.ladder`` holds gather
+tables between neighbouring particle-number sectors, built from the masks,
+so a mode's a and a^dag (``ModeOperator``) are one gather and one batched
+product per sector.  The one Hamiltonian is the ring t-J form, hopping
+plus J sum_j n_j n_{j+1}, as (row, col, data) triplets (``CooMatrix``,
+built per bond from the masks); ``ExactEvolver`` builds it from J.
 
 Ancilla registers are ordinary qubits tensored outside the Fock factor:
 the global state tensor has shape (2,)*M x (fock_dim,) x (2,)*M for the
@@ -37,12 +38,11 @@ register columns, and ``ExactEvolver.apply`` takes one time per member, so
 
 Time evolution never forms an F x F propagator: ``ExactEvolver`` applies
 exp(-iHt) in the eigenbasis of (particle number, ring momentum) blocks.
-A Hamiltonian that commutes with the fermionic ring translation
-(``FockBasis.translation``) splits each particle-number sector into N
-momentum blocks of orbit representatives, the standard exact-
-diagonalization construction (Sandvik, AIP Conf. Proc. 1297, 135 (2010));
-any other keeps each sector as one block.  Per sector only the register
-columns that hold amplitude move (a zero column stays zero).
+H commutes with the fermionic ring translation (``FockBasis.translation``),
+so each particle-number sector splits into N momentum blocks of orbit
+representatives, the standard exact-diagonalization construction (Sandvik,
+AIP Conf. Proc. 1297, 135 (2010)).  Per sector only the register columns
+that hold amplitude move (a zero column stays zero).
 
 Registers carry no Jordan-Wigner string, so when signal beta is still in
 the wire as signal alpha < beta is decoded, a_h anticommutes past beta's
@@ -120,22 +120,6 @@ class FockBasis:
         return order[np.searchsorted(self.masks[order], masks)]
 
     @cached_property
-    def annihilation_table(self) -> tuple[np.ndarray, ...]:
-        """(rows, cols, sites, signs) with a_site |states[col]> = sign |states[row]>,
-        one entry per occupied site of each state (state first, site ascending);
-        int32 rows and cols, uint8 sites, int8 signs."""
-        masks = self.masks
-        bits = np.uint64(1) << np.arange(self.n_sites, dtype=np.uint64)
-        occ = np.column_stack([(masks & b) != 0 for b in bits])
-        # an odd count of occupied sites up to the site leaves an even count left of it
-        odd = np.logical_xor.accumulate(occ, axis=1)[occ]
-        signs = np.where(odd, np.int8(1), np.int8(-1))
-        cols = np.repeat(np.arange(len(masks), dtype=np.int32), self.particle_counts)
-        sites = np.broadcast_to(np.arange(self.n_sites, dtype=np.uint8), occ.shape)[occ]
-        rows = self._find(masks[cols] ^ bits[sites]).astype(np.int32)
-        return rows, cols, sites, signs
-
-    @cached_property
     def translation(self) -> tuple[np.ndarray, np.ndarray]:
         """(index, sign) with T|states[i]> = sign[i] |states[index[i]]>.
 
@@ -152,27 +136,32 @@ class FockBasis:
 
     @cached_property
     def ladder(self) -> dict[int, tuple[tuple[np.ndarray, ...], ...]]:
-        """ladder[k] = (down, up) for k = 1..max_particles, from the annihilation table.
+        """ladder[k] = (down, up) for k = 1..max_particles, built from the masks.
 
         Each is an (index, site, sign) triple of equal-shape arrays; index is
-        local to its sector, sign that of a_site between the two states.
-        down (size_k, k): each k-particle state's occupied sites, pointing
-        into sector k-1.  up (size_{k-1}, N-k+1): each (k-1)-particle
-        state's empty sites, pointing into sector k.
+        local to its sector, sign that of a_site between the two states, and
+        sites ascend along each row.  down (size_k, k): each k-particle
+        state's occupied sites, pointing into sector k-1.  up (size_{k-1},
+        N-k+1): each (k-1)-particle state's empty sites, pointing into sector k.
         """
-        rows, cols, sites, signs = self.annihilation_table
-        sec, rungs, start = self.sectors, {}, 0
-        for k in range(1, self.max_particles + 1):
-            # the table lists sector k's states in order, k entries each
-            stop = start + (sec[k].stop - sec[k].start) * k
-            r = (rows[start:stop] - sec[k - 1].start).astype(np.intp)
-            c = (cols[start:stop] - sec[k].start).astype(np.intp)
-            s, g = sites[start:stop], signs[start:stop]
-            up, width = np.lexsort((s, r)), self.n_sites - k + 1
-            rungs[k] = (tuple(a.reshape(-1, k) for a in (r, s, g)),
-                        tuple(a[up].reshape(-1, width) for a in (c, s, g)))
-            start = stop
-        return rungs
+        sec = self.sectors
+        return {k: (self._hops(sec[k], sec[k - 1], True), self._hops(sec[k - 1], sec[k], False))
+                for k in range(1, self.max_particles + 1)}
+
+    def _hops(self, src: slice, dst: slice, occupied: bool) -> tuple[np.ndarray, ...]:
+        """(index, site, sign) rows of the occupied (or empty) sites of src's states."""
+        masks, targets = self.masks[src], self.masks[dst]
+        occ = ((masks[:, None] >> np.arange(self.n_sites, dtype=np.uint64)) & np.uint64(1)) == 1
+        # an odd count of occupied sites up to a site leaves an even count
+        # left of it when it is occupied, an odd count when it is empty
+        odd = np.logical_xor.accumulate(occ, axis=1)
+        pick = occ if occupied else ~occ
+        state, site = np.nonzero(pick)
+        sign = np.where(odd[pick] == occupied, np.int8(1), np.int8(-1))
+        order = np.argsort(targets)
+        moved = masks[state] ^ (np.uint64(1) << site.astype(np.uint64))
+        index = order[np.searchsorted(targets[order], moved)]
+        return tuple(a.reshape(len(masks), -1) for a in (index, site.astype(np.uint8), sign))
 
     @cached_property
     def ladder_defect(self) -> int:
@@ -249,12 +238,20 @@ class FockVector:
 class ModeOperator:
     """The annihilator a = sum_j conj(c_j) a_j of one mode, and its adjoint.
 
-    Both act through the basis ladder: per sector, one gather of the
-    amplitudes at the connected states and one batched product with the
-    weights conj(c_site) * sign (for a) or c_site * sign (for a^dag).
+    coeffs are single-particle state amplitudes, so a^dag |vac> reproduces
+    exactly the state sum_j c_j |j> and {a(f), a(g)^dag} = <f|g> * identity
+    away from the truncation boundary.  Both act through the basis ladder:
+    per sector, one gather of the amplitudes at the connected states and one
+    batched product with the weights conj(c_site) * sign (for a) or
+    c_site * sign (for a^dag).
     """
 
     def __init__(self, coeffs: np.ndarray, basis: FockBasis):
+        coeffs = np.asarray(coeffs, dtype=complex)
+        if coeffs.shape != (basis.n_sites,):
+            raise ValueError(
+                f"coefficient length {coeffs.shape} does not match {basis.n_sites} sites"
+            )
         self.basis = basis
         conj = np.conj(coeffs)
         self._tables = {
@@ -304,22 +301,6 @@ class ModeOperator:
 def _gather(index: np.ndarray, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
     # row r of the result is sum_j weights[r, j] * x[index[r, j]]
     return np.matmul(weights[:, None, :], np.take(x, index, axis=0))[:, 0]
-
-
-def mode_annihilator(coeffs: np.ndarray, basis: FockBasis) -> ModeOperator:
-    """Annihilator of the mode whose creator makes the state sum_j c_j |j>.
-
-    coeffs are single-particle state amplitudes: the returned operator is
-    sum_j conj(c_j) a_j, so its adjoint applied to the vacuum reproduces
-    exactly those amplitudes and {mode(f), mode(g)^dag} = <f|g> * identity
-    away from the truncation boundary.
-    """
-    coeffs = np.asarray(coeffs, dtype=complex)
-    if coeffs.shape != (basis.n_sites,):
-        raise ValueError(
-            f"coefficient length {coeffs.shape} does not match {basis.n_sites} sites"
-        )
-    return ModeOperator(coeffs, basis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -378,45 +359,37 @@ def tj_hamiltonian(basis: FockBasis, j_coupling: float) -> CooMatrix:
 
 
 class ExactEvolver:
-    """exp(-i t H) applied in (particle number, ring momentum) blocks.
+    """exp(-i t H) of the ring t-J Hamiltonian in (particle number, ring
+    momentum) blocks.
 
-    H is any matrix on the basis with ``row``, ``col`` and ``data`` arrays
-    and a ``shape`` (a ``CooMatrix``, or a scipy COO matrix); it must be
-    Hermitian with no entries between the particle-number sectors
-    (``FockBasis.sectors``).  When it also commutes with the ring
-    translation T (``FockBasis.translation``), each sector splits into
-    orbits of T; their momentum states |r, q> = sqrt(p_r)/N sum_j
-    e^{-2 pi i q j/N} T^j |r>, for representative r of period p_r and
-    q = 0..N-1, make H block diagonal.  Block H_q is built from the
-    representatives' columns alone, and all blocks of a sector go through
-    one batched ``eigh``, zero-padded to the largest.
-    Any other H runs the same code with a group of order 1: every state
-    is its own orbit and each sector one block.
+    H = ``tj_hamiltonian(basis, j_coupling)`` conserves the particle number
+    and commutes with the ring translation T (``FockBasis.translation``), so
+    each sector splits into orbits of T; their momentum states |r, q> =
+    sqrt(p_r)/N sum_j e^{-2 pi i q j/N} T^j |r>, for representative r of
+    period p_r and q = 0..N-1, make H block diagonal.  Block H_q is built
+    from the representatives' columns alone and checked Hermitian to 1e-12;
+    all blocks of a sector go through one batched ``eigh``, zero-padded to
+    the largest.
     """
 
-    def __init__(self, basis: FockBasis, matrix):
-        if matrix.shape != (len(basis),) * 2:
-            raise ValueError(f"Hamiltonian of shape {matrix.shape} does not act "
-                             f"on the {len(basis)}-state basis")
+    def __init__(self, basis: FockBasis, j_coupling: float = 0.0):
+        if not np.isfinite(j_coupling):
+            raise ValueError(f"j_coupling must be finite, got {float(j_coupling)}")
         self.basis = basis
-        row, col = np.asarray(matrix.row, np.intp), np.asarray(matrix.col, np.intp)
-        data = np.asarray(matrix.data)
-        k_row, k_col = basis.particle_counts[row], basis.particle_counts[col]
-        if np.any((k_row != k_col) & (data != 0)):
-            raise ValueError("Hamiltonian has entries between particle-number sectors")
-        entries = row, col, data
-        if _coo_gap(len(basis), entries, (col, row, data.conj())) > 1e-12:
-            raise ValueError("Hamiltonian is not Hermitian (max |H - H^dag| > 1e-12)")
-        shift, sign = basis.translation
-        moved = shift[row], shift[col], data * sign[row] * sign[col]
-        order = basis.n_sites if _coo_gap(len(basis), entries, moved) <= 1e-12 else 1
+        h = tj_hamiltonian(basis, j_coupling)
+        k_row = basis.particle_counts[h.row]
         self.orbits, self.eigen = [], []
         for k, s in enumerate(basis.sectors):
-            on = (k_row == k) & (k_col == k)
-            local = row[on] - s.start, col[on] - s.start, data[on]
-            orbits = _Orbits.of(shift[s] - s.start, sign[s], order)
+            on = k_row == k
+            orbits = _Orbits.of(basis, s)
+            blocks = orbits.blocks(h.row[on] - s.start, h.col[on] - s.start, h.data[on])
+            # one block at a time: the padded stack can be most of the memory
+            gap = max(float(np.abs(b - b.conj().T).max()) for b in blocks)
+            if gap > 1e-12:
+                raise RuntimeError(f"momentum blocks of sector {k} are not Hermitian "
+                                   f"(max |H_q - H_q^dag| = {gap:.3e} > 1e-12)")
             self.orbits.append(orbits)
-            self.eigen.append(np.linalg.eigh(orbits.blocks(*local)))
+            self.eigen.append(np.linalg.eigh(blocks))
 
     def apply(self, fv: FockVector, t: float | np.ndarray) -> FockVector:
         """exp(-i t H) on the Fock axis; register and batch axes ride along as columns.
@@ -448,24 +421,15 @@ class ExactEvolver:
         return FockVector(tensor, fv.basis, fv.n_a, fv.n_b)
 
 
-def _coo_gap(size: int, a, b) -> float:
-    """Largest |entry| of A - B for two (row, col, data) triplets; repeats add."""
-    keys = np.concatenate([a[0] * size + a[1], b[0] * size + b[1]])
-    _, where = np.unique(keys, return_inverse=True)
-    diff = np.concatenate([a[2], -b[2]]).astype(complex)
-    total = np.bincount(where, diff.real) + 1j * np.bincount(where, diff.imag)
-    return float(np.abs(total).max(initial=0.0))
-
-
 @dataclass(frozen=True)
 class _Orbits:
-    """One particle-number sector split into orbits of a translation group.
+    """One particle-number sector split into orbits of the ring translation.
 
     For representative r (each orbit's first state in basis order) and
-    j = 0..order-1, ``state[j, r]`` is the local index of T^j r, and
+    j = 0..N-1, ``state[j, r]`` is the local index of T^j r, and
     T^j |r> = ``sign[j, r]`` |state[j, r]>; the orbit has ``period[r]``
-    distinct states.  Momentum q = 0..order-1 carries a state of orbit r
-    exactly when e^{2 pi i q p_r / order} equals the sign with which
+    distinct states.  Momentum q = 0..N-1 carries a state of orbit r
+    exactly when e^{2 pi i q p_r / N} equals the sign with which
     T^{p_r} returns r; ``block[q, r]`` is then r's row in block q, and -1
     otherwise.  ``owner[s]`` is j * R + r for the state s = T^j r, j < p_r.
     """
@@ -477,51 +441,53 @@ class _Orbits:
     owner: np.ndarray
 
     @classmethod
-    def of(cls, shift: np.ndarray, sign: np.ndarray, order: int) -> _Orbits:
+    def of(cls, basis: FockBasis, sector: slice) -> _Orbits:
+        shift, sign = basis.translation
+        shift, sign, n = shift[sector] - sector.start, sign[sector], basis.n_sites
         cur = low = np.arange(len(shift))
-        for _ in range(order - 1):
+        for _ in range(n - 1):
             cur = shift[cur]
             low = np.minimum(low, cur)
         reps = np.flatnonzero(low == np.arange(len(shift)))
-        state = np.empty((order, len(reps)), dtype=np.intp)
-        signs = np.empty((order, len(reps)))
+        state = np.empty((n, len(reps)), dtype=np.intp)
+        signs = np.empty((n, len(reps)))
         cur, acc = reps, np.ones(len(reps))
-        for j in range(order):
+        for j in range(n):
             state[j], signs[j] = cur, acc
             acc, cur = acc * sign[cur], shift[cur]
-        # j = 0..order-1 passes r once per period; T^order is the identity
-        period = order // np.count_nonzero(state == state[0], axis=0)
-        wrap = signs[period % order, np.arange(len(reps))]
-        q = np.arange(order)[:, None]
-        fits = (2 * q * period + (wrap < 0) * order) % (2 * order) == 0
+        # j = 0..n-1 passes r once per period; T^n is the identity
+        period = n // np.count_nonzero(state == state[0], axis=0)
+        wrap = signs[period % n, np.arange(len(reps))]
+        q = np.arange(n)[:, None]
+        fits = (2 * q * period + (wrap < 0) * n) % (2 * n) == 0
         block = np.where(fits, np.cumsum(fits, axis=1) - 1, -1)
-        j, r = np.nonzero(np.arange(order)[:, None] < period)
+        j, r = np.nonzero(np.arange(n)[:, None] < period)
         owner = np.empty(len(shift), dtype=np.intp)
         owner[state[j, r]] = j * len(reps) + r
         return cls(state, signs, period, block, owner)
 
     def blocks(self, row: np.ndarray, col: np.ndarray, data: np.ndarray) -> np.ndarray:
         """The zero-padded H_q for every q from the sector's (row, col, data);
-        <r', q| H |r, q> sums H[s, r] sign e^{2 pi i q j / order} sqrt(p_r / p_r')
+        <r', q| H |r, q> sums H[s, r] sign e^{2 pi i q j / n} sqrt(p_r / p_r')
         over the states s = sign T^j r' of orbit r'."""
-        order, count = self.state.shape
+        n, count = self.state.shape
         rep = np.full(len(self.owner), -1)
         rep[self.state[0]] = np.arange(count)
         keep = rep[col] >= 0
         c = rep[col[keep]]
         j, r = np.divmod(self.owner[row[keep]], count)
         value = data[keep] * self.sign[j, r] * np.sqrt(self.period[c] / self.period[r])
-        q = np.arange(order)[:, None]
-        terms = value * np.exp(2j * np.pi * q * j / order)
+        q = np.arange(n)[:, None]
+        terms = value * np.exp(2j * np.pi * q * j / n)
         rows, cols = self.block[:, r], self.block[:, c]
         ok = (rows >= 0) & (cols >= 0)
         size = self.block.max() + 1
-        out = np.zeros((order, size, size), dtype=complex)
+        out = np.zeros((n, size, size), dtype=complex)
         np.add.at(out, (np.broadcast_to(q, ok.shape)[ok], rows[ok], cols[ok]), terms[ok])
         return out
 
     def to_blocks(self, x: np.ndarray) -> np.ndarray:
-        """Sector amplitudes (states, C) to padded momentum blocks (order, D, C)."""
+        """Sector amplitudes (states, C) to padded momentum blocks (n, D, C)."""
         weight = self.sign * np.sqrt(self.period)
         a = np.fft.ifft(x[self.state] * weight[..., None], axis=0)
         q, r = np.nonzero(self.block >= 0)
@@ -558,15 +524,16 @@ def build_encoder(g_coeffs: np.ndarray, basis: FockBasis) -> ModeOperator:
     decoder is the same swap on its mode h.
     """
     g_coeffs = np.asarray(g_coeffs, dtype=complex)
-    nrm = np.linalg.norm(g_coeffs)
-    if abs(nrm - 1.0) > 1e-8:
-        raise ValueError(f"mode coefficients must be normalized (norm {nrm!r})")
-    if basis.ladder_defect or abs(nrm**2 - 1.0) > 1e-10:
+    excess = float(np.linalg.norm(g_coeffs)) ** 2 - 1.0
+    if not abs(excess) <= 1e-10:  # a NaN norm fails too
+        raise ValueError(f"mode coefficients must be normalized (|g|^2 - 1 = {excess:.3e}, "
+                         f"limit 1e-10)")
+    if basis.ladder_defect:
         raise RuntimeError(
             f"register swap is not unitary on the reachable sector ({basis.ladder_defect} "
-            f"ladder entries break the Jordan-Wigner rule, |g|^2 - 1 = {nrm**2 - 1.0:.3e})"
+            f"ladder entries break the Jordan-Wigner rule)"
         )
-    return mode_annihilator(g_coeffs, basis)
+    return ModeOperator(g_coeffs, basis)
 
 
 def vacuum_vector(
@@ -654,7 +621,7 @@ class ProtocolEngine:
         h, _ = decode_mode(propagate(g0, plan.decode_time), plan.region_b)
         self.encoder = build_encoder(g0, basis)
         self.decoder = build_encoder(h, basis)
-        self.evolver = ExactEvolver(basis, kinetic_matrix(basis))
+        self.evolver = ExactEvolver(basis)
 
     def run(self, messages: Sequence[np.ndarray]) -> FockVector:
         """Run the full timed encode/evolve/decode sequence exactly.
@@ -872,8 +839,8 @@ def evolution_difference(
     difference; compare against |s| |J| times the interaction norm.  Each
     Hamiltonian's eigenbasis is computed once for all the times.
     """
-    free = ExactEvolver(fv.basis, kinetic_matrix(fv.basis))
-    inter = ExactEvolver(fv.basis, tj_hamiltonian(fv.basis, j_coupling))
+    free = ExactEvolver(fv.basis)
+    inter = ExactEvolver(fv.basis, j_coupling)
     return [float(np.linalg.norm(inter.apply(fv, s).tensor - free.apply(fv, s).tensor))
             for s in times]
 
@@ -884,7 +851,7 @@ def two_packet_state(basis: FockBasis, params_a, params_b) -> FockVector:
     gb = gaussian_packet(params_b, basis.n_sites)
     vac = np.zeros(len(basis), dtype=complex)
     vac[0] = 1.0
-    state = mode_annihilator(ga, basis).create(mode_annihilator(gb, basis).create(vac))
+    state = ModeOperator(ga, basis).create(ModeOperator(gb, basis).create(vac))
     nrm = np.linalg.norm(state)
     if nrm < 1e-12:
         raise ValueError("packet modes coincide; two-particle state vanishes")

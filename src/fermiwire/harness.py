@@ -368,7 +368,7 @@ def _run_oraclebounds(params):
         (complex(np.sqrt(1 - 0.4 * a / m), 0.0), complex(0.0, np.sqrt(0.4 * a / m)))
         for a in range(1, m + 1)
     ]
-    evolver = fock.ExactEvolver(basis, fock.kinetic_matrix(basis))
+    evolver = fock.ExactEvolver(basis)
     waits = np.array([0.3, 0.8, 1.3, 1.8, 2.3])
     # signal alpha has moved for (M - alpha) waits when the last is encoded
     times = (m - np.arange(1, m + 1))[:, None] * waits

@@ -51,25 +51,21 @@ from .wavepacket import (
 
 @dataclass(frozen=True)
 class ProtocolPlan:
-    """Full parameter set of one M-signal transmission run."""
+    """Full parameter set of one M-signal transmission run; the sender's
+    region is ``packet.region``."""
 
     n: int
     m_signals: int
     wait: float
     decode_time: float
-    region_a: Region
     region_b: Region
     packet: PacketParams
-    budget: PacketBudget
-    epsilon: float
 
     def __post_init__(self):
         if self.m_signals < 1:
             raise ValueError("need at least one signal")
         if not (0 < self.wait < np.inf and 0 < self.decode_time < np.inf):
             raise ValueError("wait and decode time must be finite and positive")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -152,11 +148,8 @@ def plan_protocol(
         m_signals=m,
         wait=wait,
         decode_time=t_decode,
-        region_a=region_a,
         region_b=region_b,
         packet=packet,
-        budget=budget,
-        epsilon=epsilon,
     )
 
 

@@ -10,9 +10,10 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
+from scipy import sparse
 from scipy.integrate import IntegrationWarning, quad
 
-from fermiwire.fock import FockBasis, FockVector, ModeOperator, mode_annihilator
+from fermiwire.fock import FockBasis, FockVector, ModeOperator, tj_hamiltonian
 from fermiwire.lattice import ring_energies
 from fermiwire.protocol import _bound_from_weights, _mode_weights, encoding_error_bound
 from fermiwire.wavepacket import (
@@ -72,21 +73,21 @@ def reduced_qubit(fv: FockVector, side: str, idx: int) -> np.ndarray:
 class SectorEvolver:
     """exp(-i t H) from one dense ``eigh`` per particle-number sector.
 
-    Takes the same (basis, matrix) as ``fock.ExactEvolver`` and is a drop-in
-    replacement for it; it uses no symmetry, so it is the reference for the
-    momentum blocks.
+    Takes the same (basis, j_coupling) as ``fock.ExactEvolver`` and is a
+    drop-in replacement for it; it uses no symmetry, so it is the reference
+    for the momentum blocks.
     """
 
-    def __init__(self, basis: FockBasis, matrix):
+    def __init__(self, basis: FockBasis, j_coupling: float = 0.0):
         self.basis = basis
+        h = tj_hamiltonian(basis, j_coupling)
         counts = basis.particle_counts
-        k_row, k_col = counts[matrix.row], counts[matrix.col]
+        k_row, k_col = counts[h.row], counts[h.col]
         self.eigen = []
         for k, s in enumerate(basis.sectors):
             on = (k_row == k) & (k_col == k)
-            block = np.zeros((s.stop - s.start,) * 2, dtype=matrix.data.dtype)
-            np.add.at(block, (matrix.row[on] - s.start, matrix.col[on] - s.start),
-                      matrix.data[on])
+            block = np.zeros((s.stop - s.start,) * 2)
+            np.add.at(block, (h.row[on] - s.start, h.col[on] - s.start), h.data[on])
             self.eigen.append(np.linalg.eigh(block))
 
     def apply(self, fv: FockVector, t: float) -> FockVector:
@@ -97,6 +98,17 @@ class SectorEvolver:
             y[s] = v @ (np.exp(-1j * w * t)[:, None] * (v.conj().T @ cols[s]))
         tensor = np.moveaxis(y.reshape(x.shape), 0, fv.fock_axis)
         return FockVector(tensor, fv.basis, fv.n_a, fv.n_b)
+
+
+def symmetry_defects(basis: FockBasis, matrix) -> tuple[float, float]:
+    """max |H - H^dag| and max |T H - H T| of a (row, col, data) matrix on the
+    basis, T the signed permutation ``basis.translation``, by sparse products."""
+    f = len(basis)
+    h = sparse.coo_matrix((matrix.data, (matrix.row, matrix.col)), shape=(f, f)).tocsr()
+    index, sign = basis.translation
+    t = sparse.csr_matrix((sign.astype(float), (index, np.arange(f))), shape=(f, f))
+    gaps = (h - h.conj().T, t @ h - h @ t)
+    return tuple(float(abs(g).max()) for g in gaps)
 
 
 def operational_ladder_defect(basis: FockBasis) -> float:
@@ -123,13 +135,13 @@ def operational_ladder_defect(basis: FockBasis) -> float:
 def residual_norm_per_point(actual: FockVector, coeff_pairs, modes_now) -> float:
     """Norm distance of one state (no batch axis) from the ideal product
     (c_M + d_M a^dag(f_M)) ... (c_1 + d_1 a^dag(f_1)) |vac> with every register
-    in |0>: one ``mode_annihilator(f).create`` per mode and the norm of the
+    in |0>: one ``ModeOperator(f).create`` per mode and the norm of the
     full difference tensor."""
     basis = actual.basis
     state = np.zeros(len(basis), dtype=complex)
     state[0] = 1.0
     for (c, d), mode in zip(coeff_pairs, modes_now):
-        state = c * state + d * mode_annihilator(np.asarray(mode), basis).create(state)
+        state = c * state + d * ModeOperator(mode, basis).create(state)
     ideal = np.zeros_like(actual.tensor)
     ideal[(0,) * actual.n_a + (slice(None),) + (0,) * actual.n_b] = state
     return float(np.linalg.norm(actual.tensor - ideal))

@@ -184,7 +184,7 @@ def test_acceptance_06_encoding_residual_bound():
     ok = True
     for m in (2, 3):
         basis = fock.fock_basis(n, m)
-        evolver = fock.ExactEvolver(basis, fock.kinetic_matrix(basis))
+        evolver = fock.ExactEvolver(basis)
         pairs = [
             (complex(np.sqrt(1 - 0.3 * a)), complex(0, np.sqrt(0.3 * a)))
             for a in np.linspace(0.5, 1.0, m)

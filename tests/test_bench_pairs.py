@@ -53,6 +53,8 @@ def test_both_sides_compile_from_source(monkeypatch, tmp_path):
     assert all(env is None for _, env, _, _ in seen)
     trees = {tree for tree, *_ in seen}
     assert len(trees) == 2 and repo not in trees
+    # equal path lengths keep the sides' peak RSS comparable
+    assert len({len(str(tree)) for tree in trees}) == 1
     by_source = {source: files for _, _, source, files in seen}
     assert by_source == {
         "VALUE = 1\n": [".gitignore", "BENCHMARK.json", "mod.py"],

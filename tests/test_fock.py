@@ -11,6 +11,7 @@ from references import (
     operational_ladder_defect,
     reduced_qubit,
     residual_norm_per_point,
+    symmetry_defects,
     total_excitation_operator,
     validate_qubit_state,
 )
@@ -28,6 +29,7 @@ from fermiwire import fock
 from fermiwire.fock import (
     ExactEvolver,
     FockVector,
+    ModeOperator,
     ProtocolEngine,
     SIX_DESIGN_STATES,
     average_fidelity,
@@ -36,7 +38,6 @@ from fermiwire.fock import (
     evolution_difference,
     fock_basis,
     kinetic_matrix,
-    mode_annihilator,
     run_encoding_sequence,
     tj_hamiltonian,
     tj_interaction_error,
@@ -160,7 +161,7 @@ def test_mode_annihilator_matches_loop_reference_bytes(n, m_max):
         c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         c[rng.random(n) < 0.3] = 0.0
         c[0] = 0.0
-        got = sparse.csr_matrix(dense(mode_annihilator(c, basis)))
+        got = sparse.csr_matrix(dense(ModeOperator(c, basis)))
         _assert_same_csr_bytes(got, _loop_annihilator(c, basis))
 
 
@@ -200,40 +201,80 @@ def test_kinetic_and_pair_counts_match_loop_reference(n, m_max):
     assert fock.adjacent_pair_counts(basis).tolist() == pairs
 
 
+def _loop_ladder(basis):
+    # independent reference: walk every state's sites in ascending order;
+    # the sign of a_site is (-1)^(occupied sites below it) in both directions
+    index, ladder = basis_index(basis), {}
+    start = [sec.start for sec in basis.sectors]
+    for k in range(1, basis.max_particles + 1):
+        rungs = []
+        for source, occupied in ((k, True), (k - 1, False)):
+            rows = []
+            for s in basis.states[basis.sectors[source]]:
+                rows.append([])
+                for j in range(basis.n_sites):
+                    if bool(s >> j & 1) == occupied:
+                        sign = -1 if (s & ((1 << j) - 1)).bit_count() % 2 else 1
+                        other = k - 1 if occupied else k
+                        rows[-1].append((index[s ^ (1 << j)] - start[other], j, sign))
+            rungs.append(tuple(np.array([[e[i] for e in row] for row in rows], dtype=dt)
+                               for i, dt in enumerate((np.intp, np.uint8, np.int8))))
+        ladder[k] = tuple(rungs)
+    return ladder
+
+
+@pytest.mark.parametrize("n, m_max", [(6, 3), (8, 8)])
+def test_ladder_matches_loop_reference_bytes(n, m_max):
+    basis = fock_basis(n, m_max)
+    want = _loop_ladder(basis)
+    assert sorted(basis.ladder) == sorted(want) == list(range(1, m_max + 1))
+    for k, rungs in basis.ladder.items():
+        for got, ref in zip(rungs, want[k], strict=True):
+            for g, w in zip(got, ref, strict=True):
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert g.tobytes() == w.tobytes()
+
+
 def test_annihilation_table_memory():
-    # the int64/float64 table with two F x N uint64 temporaries kept
-    # 33 B per entry and peaked at 39.3 MB (37.5 MiB) on this basis
+    # the annihilation table is the ladder's down rungs: each k-particle
+    # state's occupied sites.  The int64/float64 table with two F x N uint64
+    # temporaries kept 33 B per entry and peaked at 39.3 MB (37.5 MiB) on
+    # this basis; an intp index, a uint8 site and an int8 sign keep 10 B
     basis = fock_basis(16, 16)
     tracemalloc.start()
     try:
-        rows = basis.annihilation_table[0]
-        kept, peak = tracemalloc.get_traced_memory()
+        down = [rungs[0] for rungs in basis.ladder.values()]
+        _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(rows) == 16 * 2**15
-    assert kept / len(rows) <= 18
+    entries = sum(index.size for index, _, _ in down)
+    assert entries == 16 * 2**15
+    assert sum(a.nbytes for rung in down for a in rung) / entries <= 10
     assert peak < 37.5 * 2**20
 
 
 def test_ladder_memory():
     # two gather tables with an intp index, a uint8 site and an int8 sign
-    # per table entry keep 20 B per entry
+    # per (state, occupied site) entry keep 20 B per entry, and nothing else
+    # built on the way is kept
     basis = fock_basis(16, 16)
-    entries = len(basis.annihilation_table[0])
+    entries = sum((s.stop - s.start) * k for k, s in enumerate(basis.sectors))
     tracemalloc.start()
     try:
         ladder = basis.ladder
-        kept, _ = tracemalloc.get_traced_memory()
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert entries == 16 * 2**15
     assert sorted(ladder) == list(range(1, 17))
-    assert kept / entries <= 24
+    assert kept / entries <= 21
+    assert peak <= 17.0 * 2**20
 
 
 def test_mode_annihilator_nilpotent():
     basis = fock_basis(5, 3)
     rng = np.random.default_rng(0)
-    a = dense(mode_annihilator(random_mode(5, rng), basis))
+    a = dense(ModeOperator(random_mode(5, rng), basis))
     assert abs(a @ a).max() < 1e-14
 
 
@@ -241,8 +282,8 @@ def test_creation_antisymmetry_sign():
     basis = fock_basis(4, 2)
     vac = np.zeros(len(basis), dtype=complex)
     vac[0] = 1.0
-    a1d = mode_annihilator(np.eye(4)[0], basis).create
-    a2d = mode_annihilator(np.eye(4)[1], basis).create
+    a1d = ModeOperator(np.eye(4)[0], basis).create
+    a2d = ModeOperator(np.eye(4)[1], basis).create
     left = a1d(a2d(vac))
     right = a2d(a1d(vac))
     assert np.allclose(left, -right, atol=1e-14)
@@ -254,8 +295,8 @@ def test_anticommutator_matches_overlap_below_truncation():
     rng = np.random.default_rng(2)
     f_mode = random_mode(n, rng)
     g_mode = random_mode(n, rng)
-    fa = dense(mode_annihilator(f_mode, basis))
-    gd = dense_dag(mode_annihilator(g_mode, basis))
+    fa = dense(ModeOperator(f_mode, basis))
+    gd = dense_dag(ModeOperator(g_mode, basis))
     anti = fa @ gd + gd @ fa
     want = np.vdot(f_mode, g_mode)
     # exact identity away from the top particle-number sector, where the
@@ -269,7 +310,7 @@ def test_self_anticommutator_is_identity_full_space():
     n = 5
     basis = fock_basis(n, n)
     rng = np.random.default_rng(3)
-    op = mode_annihilator(random_mode(n, rng), basis)
+    op = ModeOperator(random_mode(n, rng), basis)
     g, gd = dense(op), dense_dag(op)
     assert np.array_equal(gd, g.conj().T)
     anti = g @ gd + gd @ g
@@ -283,7 +324,7 @@ def test_mode_creator_reproduces_amplitudes():
     v = random_mode(n, rng)
     vac = np.zeros(len(basis), dtype=complex)
     vac[0] = 1.0
-    created = mode_annihilator(v, basis).create(vac)
+    created = ModeOperator(v, basis).create(vac)
     amps = np.zeros(n, dtype=complex)
     for i, s in enumerate(basis.states):
         if s.bit_count() == 1:
@@ -317,7 +358,7 @@ def test_jordan_wigner_cross_check():
     for i, s in enumerate(basis.states):
         perm[kron_index(s), i] = 1.0
     for j in range(1, n + 1):
-        ours = dense(mode_annihilator(np.eye(n)[j - 1], basis))
+        ours = dense(ModeOperator(np.eye(n)[j - 1], basis))
         theirs = perm.T @ jw_annihilator(j) @ perm
         assert np.max(np.abs(ours - theirs)) < 1e-14
 
@@ -339,7 +380,7 @@ def test_encoder_creates_mode_from_raised_register():
     out = dense_swap(u) @ vec
     vac = np.zeros(f, dtype=complex)
     vac[0] = 1.0
-    created = mode_annihilator(g, basis).create(vac)
+    created = ModeOperator(g, basis).create(vac)
     assert np.allclose(out[:f], created, atol=1e-12)
     assert np.linalg.norm(out[f:]) < 1e-12
 
@@ -370,7 +411,7 @@ def swap_block_exponential(mode_coeffs, basis):
     # by dense matrix exponentials
     from scipy.linalg import expm
 
-    op = mode_annihilator(mode_coeffs, basis)
+    op = ModeOperator(mode_coeffs, basis)
     a, ad = dense(op), dense_dag(op)
     f = len(basis)
     zero = np.zeros((f, f), dtype=complex)
@@ -395,7 +436,7 @@ def test_decoder_swaps_matched_mode():
     f = len(basis)
     vac = np.zeros(f, dtype=complex)
     vac[0] = 1.0
-    created = mode_annihilator(g, basis).create(vac)
+    created = ModeOperator(g, basis).create(vac)
     vec = np.zeros(2 * f, dtype=complex)
     vec[:f] = created  # |0> x h^dag|vac>
     out = v @ vec
@@ -411,21 +452,14 @@ def test_encoder_rejects_unnormalized_mode():
     basis = fock_basis(4, 2)
     with pytest.raises(ValueError):
         build_encoder(np.ones(4, dtype=complex), basis)
-
-
-def test_flipped_table_sign_fails_the_unitarity_check():
-    basis = fock_basis(6, 3)
-    g = random_mode(6, np.random.default_rng(5))
-    build_encoder(g, basis)
-    rows, cols, sites, signs = basis.annihilation_table
-    # an entry of a two-particle state: no phase of one basis state absorbs it
-    entry = int(np.flatnonzero(basis.particle_counts[cols] == 2)[0])
-    flipped = signs.copy()
-    flipped[entry] *= -1
-    bad = dataclasses.replace(basis)
-    bad.__dict__["annihilation_table"] = (rows, cols, sites, flipped)
-    with pytest.raises(RuntimeError, match="not unitary on the reachable sector"):
-        build_encoder(g, bad)
+    # one norm check: |g|^2 - 1 = 4e-9 is a bad mode, not a bad basis
+    g = np.full(4, 0.5 * (1 + 2e-9), dtype=complex)
+    with pytest.raises(ValueError, match=r"normalized \(\|g\|\^2 - 1 = 4\.000e-09, limit 1e-10\)$"):
+        build_encoder(g, basis)
+    with pytest.raises(ValueError, match=r"\|g\|\^2 - 1 = nan"):
+        build_encoder(np.full(4, np.nan), basis)
+    with pytest.raises(ValueError, match=r"coefficient length \(3,\) does not match 4 sites"):
+        ModeOperator(np.ones(3), basis)
 
 
 @pytest.mark.parametrize("n", [10, 14])
@@ -565,8 +599,8 @@ def test_many_body_single_particle_sector_matches_lattice():
     g = gaussian_packet(PacketParams(1.35, 2, 6, Region(1, 3)), n)
     vac = np.zeros(len(basis), dtype=complex)
     vac[0] = 1.0
-    f1 = mode_annihilator(g, basis).create(vac)
-    ev = ExactEvolver(basis, kinetic_matrix(basis))
+    f1 = ModeOperator(g, basis).create(vac)
+    ev = ExactEvolver(basis)
     t = 1.9
     fT = ev.apply(FockVector(f1, basis, 0, 0), t).tensor
     amps = np.zeros(n, dtype=complex)
@@ -605,18 +639,19 @@ def test_exact_evolver_matches_dense_expm(m_max, j_coupling):
     n = 8
     basis = fock_basis(n, m_max)
     if j_coupling is None:
-        ham = kinetic_matrix(basis)
+        ham, ev = kinetic_matrix(basis), ExactEvolver(basis)
     else:
-        ham = tj_hamiltonian(basis, j_coupling)
-    _assert_matches_dense_expm(ExactEvolver(basis, ham), ham, _random_columns(basis, 7))
+        ham, ev = tj_hamiltonian(basis, j_coupling), ExactEvolver(basis, j_coupling)
+    _assert_matches_dense_expm(ev, ham, _random_columns(basis, 7))
 
 
 @pytest.mark.parametrize("n, m_max", [(7, 7), (9, 4)])
 @pytest.mark.parametrize("j_coupling", [None, -0.8])
 def test_exact_evolver_matches_dense_expm_on_odd_lattices(n, m_max, j_coupling):
     basis = fock_basis(n, m_max)
-    ham = kinetic_matrix(basis) if j_coupling is None else tj_hamiltonian(basis, j_coupling)
-    _assert_matches_dense_expm(ExactEvolver(basis, ham), ham, _random_columns(basis, 3))
+    j_coupling = 0.0 if j_coupling is None else j_coupling
+    ham = tj_hamiltonian(basis, j_coupling)
+    _assert_matches_dense_expm(ExactEvolver(basis, j_coupling), ham, _random_columns(basis, 3))
 
 
 def test_translation_moves_each_creator_one_site():
@@ -628,78 +663,63 @@ def test_translation_moves_each_creator_one_site():
         t = np.zeros((len(basis),) * 2)
         t[index, np.arange(len(basis))] = sign
         assert np.allclose(t @ t.T, np.eye(len(basis)), atol=0)
-        creators = [dense_dag(mode_annihilator(np.eye(n)[j], basis)) for j in range(n)]
+        creators = [dense_dag(ModeOperator(np.eye(n)[j], basis)) for j in range(n)]
         for j in range(n):
             assert np.array_equal(t @ creators[j], creators[(j + 1) % n] @ t)
 
 
-def _peierls_hamiltonian(basis, phi):
-    # hopping with a phase e^{i phi} on every bond: complex Hermitian and
-    # particle-number conserving, so its sector eigenvectors are complex
-    a = [sparse.csr_matrix(dense(mode_annihilator(np.eye(basis.n_sites)[j], basis)))
-         for j in range(basis.n_sites)]
-    hop = sum(np.exp(1j * phi) * a[p - 1].conjugate().T @ a[q - 1]
-              for p, q in _ref_bonds(basis.n_sites))
-    return (hop + hop.conjugate().T).tocoo()
+@pytest.mark.parametrize("n, m_max", [(5, 5), (6, 6), (7, 7), (8, 8), (9, 9), (16, 4)])
+@pytest.mark.parametrize("j_coupling", [0.0, 1.3, -1.3])
+def test_tj_hamiltonian_is_hermitian_and_translation_invariant(n, m_max, j_coupling):
+    # the symmetries the momentum blocks of ExactEvolver rest on, exactly
+    basis = fock_basis(n, m_max)
+    assert symmetry_defects(basis, tj_hamiltonian(basis, j_coupling)) == (0.0, 0.0)
 
 
-def _impurity_hamiltonian(basis):
-    # the ring hopping plus a potential on site 1: Hermitian, but not
-    # translation invariant
-    k = kinetic_matrix(basis)
-    diag = np.arange(len(basis))
-    return fock.CooMatrix(np.concatenate([k.row, diag]), np.concatenate([k.col, diag]),
-                          np.concatenate([k.data, 0.4 * (basis.masks & 1)]), k.shape)
-
-
-# model: (whether H commutes with the ring translation, H on a basis)
-_MODELS = {
-    "tight-binding": (True, kinetic_matrix),
-    "t-J": (True, lambda b: tj_hamiltonian(b, 1.3)),
-    "t-J at -J": (True, lambda b: tj_hamiltonian(b, -1.3)),
-    "peierls": (True, lambda b: _peierls_hamiltonian(b, 0.37)),
-    "ring impurity": (False, _impurity_hamiltonian),
-}
+_MODELS = {"tight-binding": 0.0, "t-J": 1.3, "t-J at -J": -1.3}
 
 
 @pytest.mark.parametrize("model", list(_MODELS))
 def test_exact_evolver_keeps_zero_blocks_and_matches_dense_expm(model):
-    symmetric, build = _MODELS[model]
+    j_coupling = _MODELS[model]
     basis = fock_basis(8, 3)
-    ham = build(basis)
-    ev = ExactEvolver(basis, ham)
+    ev = ExactEvolver(basis, j_coupling)
     x = _random_columns(basis, 11)
     # (sector, sender, receiver) blocks set exactly to zero; sector 1 entirely
     zero = [(0, 0, 1), (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1), (2, 0, 0), (2, 1, 1),
             (3, 1, 0)]
     for k, a, b in zero:
         x[a, basis.sectors[k], b] = 0.0
-    _assert_matches_dense_expm(ev, ham, x, zero)
-    # a translation-invariant H splits each sector into N momentum blocks;
-    # any other H keeps every sector whole (the top one has 560 states at N=16)
-    big = fock_basis(16, 3)
-    blocks = ExactEvolver(big, build(big)).eigen
-    assert max(v.shape[-1] for _, v in blocks) == (35 if symmetric else 560)
-    assert [len(w) for w, _ in blocks] == [16 if symmetric else 1] * 4
+    _assert_matches_dense_expm(ev, tj_hamiltonian(basis, j_coupling), x, zero)
+    # each sector splits into N momentum blocks: the top one of N=16 has 560
+    # states and blocks of at most 35
+    blocks = ExactEvolver(fock_basis(16, 3), j_coupling).eigen
+    assert max(v.shape[-1] for _, v in blocks) == 35
+    assert [len(w) for w, _ in blocks] == [16] * 4
 
 
-def test_exact_evolver_rejects_non_hermitian_and_number_changing():
-    n = 4
-    basis = fock_basis(n, 2)
-    k = csr(kinetic_matrix(basis))
-    nudge = sparse.csr_matrix(([1.0], ([1], [2])), shape=k.shape)
-    # a one-sided entry within the one-particle sector, below and above tolerance
-    ExactEvolver(basis, (k + 1e-14 * nudge).tocoo())
-    with pytest.raises(ValueError, match="not Hermitian"):
-        ExactEvolver(basis, (k + 1e-9 * nudge).tocoo())
-    # Hermitian, but a + a^dag changes the particle number
-    a = sparse.csr_matrix(dense(mode_annihilator(np.eye(n)[0], basis)))
-    mixing = (k + a + a.conjugate().transpose()).tocoo()
-    with pytest.raises(ValueError, match="between particle-number sectors"):
-        ExactEvolver(basis, mixing)
-    # a matrix built on another basis
-    with pytest.raises(ValueError, match=r"shape \(42, 42\) does not act on the 11-state"):
-        ExactEvolver(basis, kinetic_matrix(fock_basis(n + 2, 3)))
+def test_exact_evolver_rejects_a_one_sided_entry_and_a_non_finite_j(monkeypatch):
+    basis = fock_basis(6, 3)
+    sector = basis.sectors[2]
+    build = fock.tj_hamiltonian
+
+    def nudged(size):
+        # one entry into the sector's first representative, without its mirror
+        def ham(b, j):
+            h = build(b, j)
+            return fock.CooMatrix(np.append(h.row, sector.start + 4),
+                                  np.append(h.col, sector.start),
+                                  np.append(h.data, size), h.shape)
+        return ham
+
+    monkeypatch.setattr(fock, "tj_hamiltonian", nudged(1e-14))
+    ExactEvolver(basis)
+    monkeypatch.setattr(fock, "tj_hamiltonian", nudged(1e-9))
+    with pytest.raises(RuntimeError, match=r"momentum blocks of sector 2 are not Hermitian"):
+        ExactEvolver(basis)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=rf"j_coupling must be finite, got {bad}$"):
+            ExactEvolver(basis, bad)
 
 
 # ---------------------------------------------------------------- protocol
@@ -734,7 +754,7 @@ def test_collision_residual_positive_and_bounded():
     g0 = gaussian_packet(PacketParams(1.0, 3, 8, Region(1, 5)), n)
     t = 0.4  # deliberate collision
     pairs = [(0.6 + 0j, 0.8j), (1 / np.sqrt(2) + 0j, 1 / np.sqrt(2) + 0j)]
-    evolver = ExactEvolver(basis, kinetic_matrix(basis))
+    evolver = ExactEvolver(basis)
     enc = build_encoder(g0, basis)
     actual = run_encoding_sequence(pairs, [enc, enc], [t], evolver)
     modes_now = [propagate(g0, t), g0]
@@ -751,7 +771,7 @@ def test_residual_zero_for_orthogonal_modes():
     g2 = gaussian_packet(PacketParams(0.8, 6, 6, Region(5, 7)), n)
     pairs = [(0.6 + 0j, 0.8j), (0.8 + 0j, 0.6 + 0j)]
     # zero wait, disjoint supports: exact product of independent modes
-    evolver = ExactEvolver(basis, kinetic_matrix(basis))
+    evolver = ExactEvolver(basis)
     encoders = [build_encoder(g1, basis), build_encoder(g2, basis)]
     actual = run_encoding_sequence(pairs, encoders, [0.0], evolver)
     resid = encoding_residual_norm(actual, pairs, [g1, g2])
@@ -764,7 +784,7 @@ def test_residual_zero_for_orthogonal_modes():
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_batched_residuals_match_the_per_point_reference(n, m):
     basis = fock_basis(n, m)
-    evolver = ExactEvolver(basis, kinetic_matrix(basis))
+    evolver = ExactEvolver(basis)
     pairs = [(complex(np.sqrt(1 - 0.4 * a / m)), complex(0, np.sqrt(0.4 * a / m)))
              for a in range(1, m + 1)]
     waits = np.array([0.3, 0.8, 1.3, 1.8, 2.3])
@@ -823,7 +843,7 @@ def test_residual_rejects_modes_of_another_shape():
 def _encoding_setup(m):
     # the acceptance-06 ring of 10 sites: basis, evolver and message amplitudes
     basis = fock_basis(10, m)
-    evolver = ExactEvolver(basis, kinetic_matrix(basis))
+    evolver = ExactEvolver(basis)
     pairs = [(complex(np.sqrt(1 - 0.3 * a)), complex(0, np.sqrt(0.3 * a)))
              for a in np.linspace(0.5, 1.0, m)]
     return basis, evolver, pairs
@@ -850,7 +870,7 @@ def test_batched_waits_match_serial_runs(m):
 
 def test_float_time_matches_a_length_one_batch_bytes():
     basis = fock_basis(10, 3)
-    evolver = ExactEvolver(basis, kinetic_matrix(basis))
+    evolver = ExactEvolver(basis)
     rng = np.random.default_rng(11)
     x = rng.standard_normal((2, len(basis), 2)) + 1j * rng.standard_normal((2, len(basis), 2))
     fv = FockVector(x, basis, 1, 1)
@@ -912,7 +932,7 @@ def test_residual_t0_matches_direct_product_evaluation():
     basis = fock_basis(n, 2)
     g0 = gaussian_packet(PacketParams(1.0, 3, 6, Region(1, 5)), n)
     pairs = [(0.6 + 0j, 0.8j), (0.0j, 1.0 + 0j)]
-    evolver = ExactEvolver(basis, kinetic_matrix(basis))
+    evolver = ExactEvolver(basis)
     enc = build_encoder(g0, basis)
     actual = run_encoding_sequence(pairs, [enc, enc], [0.0], evolver)
     resid = encoding_residual_norm(actual, pairs, [g0, g0])
@@ -933,7 +953,7 @@ def test_residual_t0_matches_direct_product_evaluation():
     vac[0] = 1.0
     psi = np.kron(np.array(pairs[0]), np.kron(np.array(pairs[1]), vac))
     final = u_a2 @ (u_a1 @ psi)
-    creator = dense_dag(mode_annihilator(g0, basis))
+    creator = dense_dag(ModeOperator(g0, basis))
     ideal_fock = vac.copy()
     for c, d in pairs:
         ideal_fock = c * ideal_fock + d * (creator @ ideal_fock)
@@ -1168,7 +1188,7 @@ def test_interaction_error_single_particle_zero():
     g = gaussian_packet(PacketParams(1.0, 4, 6, Region(2, 6)), n)
     vac = np.zeros(len(basis), dtype=complex)
     vac[0] = 1.0
-    one = mode_annihilator(g, basis).create(vac)
+    one = ModeOperator(g, basis).create(vac)
     fv = FockVector(one, basis, 0, 0)
     assert tj_interaction_error(fv) == 0.0
 
@@ -1205,7 +1225,7 @@ def test_evolution_difference_trivial_cases():
     g = gaussian_packet(PacketParams(1.0, 4, 8, Region(2, 6)), n)
     vac = np.zeros(len(basis), dtype=complex)
     vac[0] = 1.0
-    one = mode_annihilator(g, basis).create(vac)
+    one = ModeOperator(g, basis).create(vac)
     fv = FockVector(one, basis, 0, 0)
     assert evolution_difference(fv, [0.8], 3.0)[0] < 1e-10
 
@@ -1228,15 +1248,15 @@ def test_evolution_difference_builds_each_evolver_once(monkeypatch):
     built = []
 
     class Counted(ExactEvolver):
-        def __init__(self, basis, matrix):
-            built.append(matrix)
-            super().__init__(basis, matrix)
+        def __init__(self, basis, j_coupling=0.0):
+            built.append(j_coupling)
+            super().__init__(basis, j_coupling)
 
     monkeypatch.setattr(fock, "ExactEvolver", Counted)
     basis = fock_basis(8, 2)
     fv = FockVector(np.eye(len(basis))[3], basis, 0, 0)
     assert len(evolution_difference(fv, [0.1, 0.5, 1.0, 2.0], 1.0)) == 4
-    assert len(built) == 2
+    assert built == [0.0, 1.0]
 
 
 def test_evolution_difference_violation_is_detectable():

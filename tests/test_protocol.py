@@ -35,15 +35,15 @@ BUDGET = PacketBudget(c=9.0, kappa=1.0)
 
 def test_plan_region_sizes():
     plan = plan_protocol(512, 2, BUDGET, 0.01, wait=10.0, width=16)
-    assert len(plan.region_a) == 16
+    assert len(plan.packet.region) == 16
     assert len(plan.region_b) == 16
-    assert plan.region_a.start == 1
+    assert plan.packet.region.start == 1
     assert plan.region_b.start == 256
 
 
 def test_plan_region_start_large_n():
     plan = plan_protocol(4096, 1, BUDGET, 0.01, wait=10.0, width=32)
-    assert len(plan.region_a) == 32
+    assert len(plan.packet.region) == 32
     assert plan.region_b.start == 2048
 
 
@@ -51,7 +51,7 @@ def test_plan_region_start_large_n():
 def test_plan_carries_the_budget_packet_and_its_support(n, sites):
     plan = plan_protocol(n, 4, BUDGET, 0.01, wait=10.0)
     assert plan.packet == sigma_for_budget(n, BUDGET)
-    assert plan.region_a == plan.packet.region == Region(1, sites)
+    assert plan.packet.region == Region(1, sites)
     assert plan.region_b == Region(n // 2, n // 2 + sites - 1)
 
 
@@ -78,7 +78,7 @@ def test_plan_small_ring_not_divisible_by_four(
     n, width, region_a, region_b, k0, decode_time
 ):
     plan = plan_protocol(n, 3, BUDGET, 0.01, wait=1.0, width=width)
-    assert (plan.region_a.start, plan.region_a.stop) == region_a
+    assert (plan.packet.region.start, plan.packet.region.stop) == region_a
     assert (plan.region_b.start, plan.region_b.stop) == region_b
     assert plan.packet.wavenumber == k0
     assert plan.decode_time == decode_time
@@ -113,7 +113,7 @@ def test_plan_decode_time_is_angular_distance_over_speed():
     plan = plan_protocol(n, 1, BUDGET, 0.01, wait=5.0)
     from fermiwire.lattice import group_velocity
 
-    d = angular_distance(n, plan.region_a.center_site, plan.region_b.center_site)
+    d = angular_distance(n, plan.packet.region.center_site, plan.region_b.center_site)
     assert np.isclose(plan.decode_time, d / abs(group_velocity(3 * n // 4, n)),
                       rtol=1e-12)
     # roughly a quarter of the ring loop, i.e. order N/4
@@ -243,10 +243,11 @@ def test_error_budget_identity_and_clamp():
 @pytest.mark.parametrize("n", [128, 1024, 8192])
 def test_default_wait_meets_the_encoding_share(n):
     # the wait is searched for the packet the plan carries
-    plan = plan_protocol(n, 4, BUDGET, 0.01)
+    epsilon = 0.01
+    plan = plan_protocol(n, 4, BUDGET, epsilon)
     rep = error_budget(plan)
-    assert rep.eps_e <= plan.epsilon / 3.0
-    assert rep.fidelity_bound >= 1.0 - plan.epsilon
+    assert rep.eps_e <= epsilon / 3.0
+    assert rep.fidelity_bound >= 1.0 - epsilon
 
 
 # ---------------------------------------------------------------- min wait
