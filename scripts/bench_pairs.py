@@ -18,7 +18,10 @@ environment unchanged, so both sides compile and cache bytecode alike.
 The output
 records the environment, each side's per-metric runs, median and quartiles,
 how many pairs the change won on each metric (ties count for neither side;
-the direction comes from ``BENCHMARK.json``), and the pair count.
+the direction comes from ``BENCHMARK.json``), and the pair count.  For each
+end-to-end metric it also records ``bound`` from ``BENCHMARK.json`` and
+``within_bound``: whether the change's median is worse than the base median,
+in the metric's worse direction, by at most bound x |base median|.
 """
 
 from __future__ import annotations
@@ -82,19 +85,28 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
-def compare(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
+def compare(runs: dict[str, list[dict]], declared: dict[str, dict]) -> dict:
+    """Per-metric summary of both sides; ``declared`` maps each end-to-end
+    metric name to its ``BENCHMARK.json`` entry (``better`` and ``bound``)."""
     metrics = {}
     for name, meta in runs["base"][0]["metrics"].items():
         base = [r["metrics"][name]["value"] for r in runs["base"]]
         change = [r["metrics"][name]["value"] for r in runs["change"]]
-        sign = 1.0 if better.get(name) == "higher" else -1.0
+        spec = declared.get(name, {})
+        sign = 1.0 if spec.get("better") == "higher" else -1.0
+        sides, bound = (summary(base), summary(change)), spec.get("bound")
+        # how much worse the change's median is, in the metric's worse direction
+        worse_by = sign * (sides[0]["median"] - sides[1]["median"])
         metrics[name] = {
             "unit": meta["unit"],
-            "better": better.get(name),
-            "base": summary(base),
-            "change": summary(change),
+            "better": spec.get("better"),
+            "base": sides[0],
+            "change": sides[1],
             "change_wins": sum(sign * (c - b) > 0 for b, c in zip(base, change)),
             "base_wins": sum(sign * (c - b) < 0 for b, c in zip(base, change)),
+            "bound": bound,
+            "within_bound": (None if bound is None
+                             else worse_by <= bound * abs(sides[0]["median"])),
         }
     return metrics
 
@@ -109,8 +121,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("need at least 2 pairs for quartiles")
-    better = {m["name"]: m["better"]
-              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    declared = {m["name"]: m
+                for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     report = {
         "base": _git("rev-parse", args.base),
         "change": "working tree at " + _git("rev-parse", "HEAD")
@@ -144,7 +156,7 @@ def main(argv=None) -> int:
                 "seeds": seeds,
                 "correct": {s: [r["correct"] for r in runs[s]] for s in runs},
                 "failed": {s: [r["failed"] for r in runs[s]] for s in runs},
-                "metrics": compare(runs, better),
+                "metrics": compare(runs, declared),
             }
     finally:
         shutil.rmtree(tmp, ignore_errors=True)

@@ -31,7 +31,7 @@ sector and (g^dag)^2 = 0.  The signs behind both are checked once per basis
 (``FockBasis.ladder_defect``), the norm of g per encoder; the tests keep
 the equivalent two-exponential product as a reference.
 
-A ``FockVector`` may end in a batch axis of B independent states, shape
+A ``FockVector`` ends in a batch axis of B >= 1 independent states, shape
 (2,)*M x (fock_dim,) x (2,)*M x (B,).  Swaps and evolution treat it as more
 register columns, and ``ExactEvolver.apply`` takes one time per member, so
 ``run_encoding_sequence`` runs the sequences of B waits as one.
@@ -84,24 +84,20 @@ SIX_DESIGN_STATES: dict[str, np.ndarray] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FockBasis:
-    """Truncated occupation basis: bitmasks with at most max_particles bits.
+    """Truncated occupation basis: uint64 bitmasks with at most max_particles bits.
 
-    Site j occupies bit j-1.  ``states[0]`` is the vacuum; the arrays and
+    Site j occupies bit j-1.  ``masks[0]`` is the vacuum; the arrays and
     tables below are cached per basis.
     """
 
     n_sites: int
     max_particles: int
-    states: tuple[int, ...]
+    masks: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.states)
-
-    @cached_property
-    def masks(self) -> np.ndarray:
-        return np.array(self.states, dtype=np.uint64)
+        return len(self.masks)
 
     @cached_property
     def particle_counts(self) -> np.ndarray:
@@ -121,7 +117,7 @@ class FockBasis:
 
     @cached_property
     def translation(self) -> tuple[np.ndarray, np.ndarray]:
-        """(index, sign) with T|states[i]> = sign[i] |states[index[i]]>.
+        """(index, sign) with T|masks[i]> = sign[i] |masks[index[i]]>.
 
         T is the ring translation a_j^dag -> a_{j+1}^dag, a_N^dag -> a_1^dag:
         it rotates the mask by one site, and a particle wrapping from site N
@@ -200,14 +196,14 @@ def fock_basis(n_sites: int, max_particles: int) -> FockBasis:
     return FockBasis(
         n_sites=n_sites,
         max_particles=max_particles,
-        states=tuple(masks),
+        masks=np.array(masks, dtype=np.uint64),
     )
 
 
 @dataclass
 class FockVector:
     """Amplitudes over sender registers x occupation basis x receiver registers,
-    with an optional trailing batch axis of independent states."""
+    with a trailing batch axis of B >= 1 independent states."""
 
     tensor: np.ndarray
     basis: FockBasis
@@ -216,17 +212,17 @@ class FockVector:
 
     def __post_init__(self):
         expected = (2,) * self.n_a + (len(self.basis),) + (2,) * self.n_b
-        if self.tensor.shape[:len(expected)] != expected or self.tensor.ndim > len(expected) + 1:
-            raise ValueError(f"tensor shape {self.tensor.shape} != {expected} (+ batch axis)")
+        if self.tensor.shape[:-1] != expected or not self.tensor.shape[-1]:
+            raise ValueError(f"tensor shape {self.tensor.shape} != {expected} + (batch,)")
 
     @property
     def fock_axis(self) -> int:
         return self.n_a
 
     @property
-    def batch(self) -> int | None:
-        """Length of the trailing batch axis; None without one."""
-        return self.tensor.shape[-1] if self.tensor.ndim > self.n_a + self.n_b + 1 else None
+    def batch(self) -> int:
+        """Length of the trailing batch axis."""
+        return self.tensor.shape[-1]
 
     def register_axis(self, side: str, idx: int) -> int:
         count = self.n_a if side == "A" else self.n_b
@@ -394,15 +390,15 @@ class ExactEvolver:
     def apply(self, fv: FockVector, t: float | np.ndarray) -> FockVector:
         """exp(-i t H) on the Fock axis; register and batch axes ride along as columns.
 
-        t is one time for every column, or an array of one time per member
-        of the batch axis of fv.  Per sector, only the nonzero columns move:
+        t is one finite time for every member of the batch axis of fv, or an
+        array of one per member.  Per sector, only the nonzero columns move:
         one gather along the orbits, an FFT over the orbit axis, one batched
         block product, the inverse FFT and a gather back.
         """
-        t = np.asarray(t, dtype=float)
-        if t.ndim and t.shape != (fv.batch,):
-            raise ValueError(f"times of shape {t.shape} need a batch axis of that length, "
-                             f"the state's is {fv.batch}")
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        if t.ndim != 1 or t.size not in (1, fv.batch) or not np.all(np.isfinite(t)):
+            raise ValueError(f"need one finite time or one per member of the batch of "
+                             f"{fv.batch}, got t = {t.tolist()}")
         x = np.moveaxis(fv.tensor, fv.fock_axis, 0)
         cols = x.reshape(x.shape[0], -1).astype(complex, copy=False)
         y = np.zeros(cols.shape, dtype=complex)
@@ -415,7 +411,7 @@ class ExactEvolver:
             z = np.matmul(z.conj().swapaxes(1, 2), v).conj().swapaxes(1, 2)
             phase = np.exp((-1j * t) * w[..., None])
             # the batch axis is the fastest of the columns: column c is member c % B
-            z = (phase[..., live % t.size] if t.ndim else phase) * z
+            z = phase[..., live % t.size] * z
             y[s, live] = orbits.from_blocks(np.matmul(v, z))
         tensor = np.moveaxis(y.reshape(x.shape), 0, fv.fock_axis)
         return FockVector(tensor, fv.basis, fv.n_a, fv.n_b)
@@ -539,7 +535,7 @@ def build_encoder(g_coeffs: np.ndarray, basis: FockBasis) -> ModeOperator:
 def vacuum_vector(
     basis: FockBasis, n_a: int, n_b: int, messages: Sequence[np.ndarray]
 ) -> FockVector:
-    """Product state: message qubits x lattice vacuum x receiver |0> qubits.
+    """Product state: message qubits x lattice vacuum x receiver |0> qubits (B = 1).
 
     Only the [A, vacuum, B = 0..0] slice is nonzero; it is the outer
     product of the messages times the vacuum amplitude 1.
@@ -552,13 +548,13 @@ def vacuum_vector(
         if psi.shape != (2,):
             raise ValueError("message states must be qubit 2-vectors")
         nrm = np.linalg.norm(psi)
-        if abs(nrm - 1.0) > 1e-8:
-            raise ValueError("message states must be normalized")
+        if not abs(nrm - 1.0) <= 1e-8:  # a NaN norm fails too
+            raise ValueError(f"message states must be normalized, got norm {float(nrm)!r}")
         amp = np.multiply.outer(amp, psi)
-    tensor = np.zeros((2,) * n_a + (len(basis),) + (2,) * n_b, dtype=complex)
+    tensor = np.zeros((2,) * n_a + (len(basis),) + (2,) * n_b + (1,), dtype=complex)
     # the factor is the vacuum amplitude; multiplying by it signs zero parts
     # as the full tensor product would
-    tensor[(Ellipsis, 0) + (0,) * n_b] = amp * (1.0 + 0.0j)
+    tensor[(Ellipsis, 0) + (0,) * n_b + (0,)] = amp * (1.0 + 0.0j)
     return FockVector(tensor, basis, n_a, n_b)
 
 
@@ -656,12 +652,10 @@ def _run_events(fv: FockVector, events, evolver: ExactEvolver) -> FockVector:
         if np.any(np.asarray(gap) > 1e-12):
             fv = evolver.apply(fv, gap)
         fv = _apply_register_block(fv, op, side, idx)
-        norms = np.sqrt(_member_squares(fv.tensor)) if fv.batch else [np.linalg.norm(fv.tensor)]
-        for b, nrm in enumerate(map(float, norms)):
-            if abs(nrm - 1.0) > 1e-10:
-                member = f" in batch member {b}" if fv.batch else ""
-                raise RuntimeError(f"norm drifted to {nrm!r}{member} after {side}{idx}; "
-                                   "amplitude leaked out of the truncated sector")
+        for b, nrm in enumerate(np.sqrt(_member_squares(fv.tensor)).tolist()):
+            if not abs(nrm - 1.0) <= 1e-10:  # a NaN norm fails too
+                raise RuntimeError(f"norm drifted to {nrm!r} in batch member {b} after "
+                                   f"{side}{idx}; amplitude leaked out of the truncated sector")
     return fv
 
 
@@ -738,39 +732,29 @@ def two_design_fidelities(
 def run_encoding_sequence(
     coeff_pairs: Sequence[tuple[complex, complex]],
     encoders: Sequence[ModeOperator],
-    waits: Sequence[float | np.ndarray],
+    waits: Sequence[float] | np.ndarray,
     evolver: ExactEvolver,
 ) -> FockVector:
     """Apply the encode/evolve sequence only (no receiver registers).
 
     coeff_pairs are the (c, d) amplitudes of each message qubit;
     encoders are the ``build_encoder`` operators swapped into each register in
-    turn; waits are the M-1 gaps between consecutive encodings, evolved
-    under ``evolver``, whose basis the run uses.  A gap given as a length-B
-    array runs B sequences at once: the result then carries a trailing batch
-    axis whose member b used element b of every array gap (and each float
-    gap as it is).  Like ``ProtocolEngine.run`` it aborts when amplitude
-    leaks out of the truncated sector.
+    turn; waits are B finite, non-negative waits, one per member of the
+    result's batch axis: member b evolves for waits[b] under ``evolver``,
+    whose basis the run uses, between every pair of consecutive encodings.
+    Like ``ProtocolEngine.run`` it aborts when amplitude leaks out of the
+    truncated sector.
     """
-    m = len(coeff_pairs)
-    if len(encoders) != m or len(waits) != m - 1:
-        raise ValueError(f"need one encoder per signal and M-1 non-negative waits: "
-                         f"{m} signals, {len(encoders)} encoders, {len(waits)} waits")
-    gaps = [np.asarray(w, dtype=float) for w in waits]
-    sizes = sorted({g.size for g in gaps if g.ndim})
-    if any(g.ndim > 1 for g in gaps) or len(sizes) > 1 or 0 in sizes:
-        raise ValueError(f"array waits must be 1-d and share one nonzero length, "
-                         f"got shapes {[g.shape for g in gaps]}")
-    for i, g in enumerate(gaps, start=1):
-        if np.any(g < 0):
-            raise ValueError(f"need M-1 non-negative waits: "
-                             f"wait {i} has member {float(g.min())!r}")
+    m, waits = len(coeff_pairs), np.asarray(waits, dtype=float)
+    if (len(encoders) != m or waits.ndim != 1 or not waits.size
+            or not np.all(np.isfinite(waits) & (waits >= 0))):
+        raise ValueError(f"need {m} encoders and a non-empty 1-d array of finite, non-negative "
+                         f"waits; got {len(encoders)} encoders, waits {waits.tolist()}")
     messages = [np.array([c, d], dtype=complex) for c, d in coeff_pairs]
     fv = vacuum_vector(evolver.basis, m, 0, messages)
-    if sizes:
-        fv = FockVector(np.repeat(fv.tensor[..., None], sizes[0], axis=-1), fv.basis, m, 0)
-    events = [(gap, op, "A", alpha)
-              for alpha, (gap, op) in enumerate(zip([0.0, *waits], encoders), start=1)]
+    fv = FockVector(np.repeat(fv.tensor, waits.size, axis=-1), fv.basis, m, 0)
+    events = [(waits if alpha > 1 else 0.0, op, "A", alpha)
+              for alpha, op in enumerate(encoders, start=1)]
     return _run_events(fv, events, evolver)
 
 
@@ -783,38 +767,36 @@ def _member_squares(x: np.ndarray) -> np.ndarray:
 def encoding_residual_norm(
     actual: FockVector,
     coeff_pairs: Sequence[tuple[complex, complex]],
-    modes_now: Sequence[np.ndarray] | np.ndarray,
-) -> float | np.ndarray:
-    """Norm distance from the ideal independent-mode product state.
+    modes_now: np.ndarray,
+) -> np.ndarray:
+    """Norm distance from the ideal independent-mode product state, per member.
 
     The ideal, on the basis of ``actual``, keeps every register in |0> and
     builds (c_M + d_M a^dag(f_M)) ... (c_1 + d_1 a^dag(f_1)) |vac> from the
     current-time mode vectors f (signal 1 applied first); it is deliberately
-    not renormalized.  modes_now is (M, N), or (M, B, N) with one norm per
-    member of a batch axis of B.  Each lift gathers on the basis ladder with
-    weights f[site] * sign; the ideal lives in the registers' |0..0> slice,
-    and the rest of the tensor is read in place.
+    not renormalized.  modes_now is (M, B, N), one mode per signal and member
+    of the batch axis of B, and the result holds the B norms.  Each lift
+    gathers on the basis ladder with weights f[site] * sign; the ideal lives
+    in the registers' |0..0> slice, and the rest of the tensor is read in place.
     """
     basis, m, b, n = actual.basis, len(coeff_pairs), actual.batch, actual.basis.n_sites
     modes = np.asarray(modes_now, dtype=complex)
-    want = (actual.n_a, n) if b is None else (actual.n_a, b, n)
-    if m != actual.n_a or modes.shape != want:
-        raise ValueError(f"need M = {actual.n_a} coefficient pairs and modes (M, N) without a "
-                         f"batch axis or (M, B, N) with one, here {want}; got {m}, {modes.shape}")
-    state = np.zeros((b or 1, len(basis)), dtype=complex)
+    if m != actual.n_a or modes.shape != (actual.n_a, b, n):
+        raise ValueError(f"need M = {actual.n_a} coefficient pairs and modes of shape "
+                         f"(M, B, N) = {(actual.n_a, b, n)}; got {m}, {modes.shape}")
+    state = np.zeros((b, len(basis)), dtype=complex)
     state[:, 0] = 1.0
-    for (c, d), f in zip(coeff_pairs, modes.reshape(m, -1, n)):
+    for (c, d), f in zip(coeff_pairs, modes):
         lifted = np.zeros_like(state)
         for k, ((index, site, sign), _) in basis.ladder.items():
             gathered = state[:, basis.sectors[k - 1]][:, index]
             lifted[:, basis.sectors[k]] = np.einsum("brj,brj->br", f[:, site] * sign, gathered)
         state = c * state + d * lifted
     # peel the registers one at a time: index 1 is all residual, index 0 holds the rest
-    x, total = np.moveaxis(actual.tensor if b else actual.tensor[..., None], m, -2), 0.0
+    x, total = np.moveaxis(actual.tensor, m, -2), 0.0
     for _ in range(m + actual.n_b):
         x, total = x[0], total + _member_squares(x[1])
-    norms = np.sqrt(total + _member_squares(x - state.T))
-    return norms if b else float(norms[0])
+    return np.sqrt(total + _member_squares(x - state.T))
 
 
 def tj_interaction_error(fv: FockVector) -> float:
@@ -825,7 +807,7 @@ def tj_interaction_error(fv: FockVector) -> float:
     on single-particle states.
     """
     counts = adjacent_pair_counts(fv.basis)
-    weighted = fv.tensor * counts.reshape((1,) * fv.n_a + (-1,) + (1,) * fv.n_b)
+    weighted = fv.tensor * counts.reshape((1,) * fv.n_a + (-1,) + (1,) * fv.n_b + (1,))
     return float(np.linalg.norm(weighted))
 
 
@@ -855,4 +837,4 @@ def two_packet_state(basis: FockBasis, params_a, params_b) -> FockVector:
     nrm = np.linalg.norm(state)
     if nrm < 1e-12:
         raise ValueError("packet modes coincide; two-particle state vanishes")
-    return FockVector(state / nrm, basis, 0, 0)
+    return FockVector((state / nrm)[:, None], basis, 0, 0)

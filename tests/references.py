@@ -46,13 +46,14 @@ def plane_wave(n: int, k: int) -> np.ndarray:
 
 def basis_index(basis: FockBasis) -> dict[int, int]:
     """Position of each bitmask in the basis."""
-    return {s: i for i, s in enumerate(basis.states)}
+    return {s: i for i, s in enumerate(basis.masks.tolist())}
 
 
 def total_excitation_operator(basis: FockBasis, n_a: int, n_b: int) -> np.ndarray:
-    """Diagonal of (fermion number + raised-register count) on the global tensor."""
-    shape = (2,) * n_a + (len(basis),) + (2,) * n_b
-    occ = basis.particle_counts.reshape((1,) * n_a + (-1,) + (1,) * n_b)
+    """Diagonal of (fermion number + raised-register count) on the global
+    tensor of one batch member, shape (2,)*n_a + (F,) + (2,)*n_b + (1,)."""
+    shape = (2,) * n_a + (len(basis),) + (2,) * n_b + (1,)
+    occ = basis.particle_counts.reshape((1,) * n_a + (-1,) + (1,) * n_b + (1,))
     diag = np.zeros(shape) + occ
     for axis in range(n_a + n_b):
         pos = axis if axis < n_a else axis + 1
@@ -64,7 +65,7 @@ def total_excitation_operator(basis: FockBasis, n_a: int, n_b: int) -> np.ndarra
 
 
 def reduced_qubit(fv: FockVector, side: str, idx: int) -> np.ndarray:
-    """2x2 reduced density matrix of one ancilla register."""
+    """2x2 reduced density matrix of one ancilla register of a one-member state."""
     axis = fv.register_axis(side, idx)
     x = np.moveaxis(fv.tensor, axis, 0).reshape(2, -1)
     return x @ x.conj().T
@@ -90,12 +91,16 @@ class SectorEvolver:
             np.add.at(block, (h.row[on] - s.start, h.col[on] - s.start), h.data[on])
             self.eigen.append(np.linalg.eigh(block))
 
-    def apply(self, fv: FockVector, t: float) -> FockVector:
+    def apply(self, fv: FockVector, t: float | np.ndarray) -> FockVector:
+        # t is one time or one per batch member; the batch axis is the
+        # fastest of the flattened columns, so column c is member c % B
         x = np.moveaxis(fv.tensor, fv.fock_axis, 0)
         cols = x.reshape(x.shape[0], -1)
+        times = np.broadcast_to(np.asarray(t, dtype=float), (fv.batch,))
+        times = times[np.arange(cols.shape[1]) % fv.batch]
         y = np.zeros(cols.shape, dtype=complex)
         for s, (w, v) in zip(self.basis.sectors, self.eigen):
-            y[s] = v @ (np.exp(-1j * w * t)[:, None] * (v.conj().T @ cols[s]))
+            y[s] = v @ (np.exp(-1j * np.outer(w, times)) * (v.conj().T @ cols[s]))
         tensor = np.moveaxis(y.reshape(x.shape), 0, fv.fock_axis)
         return FockVector(tensor, fv.basis, fv.n_a, fv.n_b)
 
@@ -132,19 +137,23 @@ def operational_ladder_defect(basis: FockBasis) -> float:
     return float(worst)
 
 
-def residual_norm_per_point(actual: FockVector, coeff_pairs, modes_now) -> float:
-    """Norm distance of one state (no batch axis) from the ideal product
+def residual_norm_per_point(actual: FockVector, coeff_pairs, modes_now) -> np.ndarray:
+    """Norm distance of each batch member from the ideal product
     (c_M + d_M a^dag(f_M)) ... (c_1 + d_1 a^dag(f_1)) |vac> with every register
-    in |0>: one ``ModeOperator(f).create`` per mode and the norm of the
-    full difference tensor."""
-    basis = actual.basis
-    state = np.zeros(len(basis), dtype=complex)
-    state[0] = 1.0
-    for (c, d), mode in zip(coeff_pairs, modes_now):
-        state = c * state + d * ModeOperator(mode, basis).create(state)
-    ideal = np.zeros_like(actual.tensor)
-    ideal[(0,) * actual.n_a + (slice(None),) + (0,) * actual.n_b] = state
-    return float(np.linalg.norm(actual.tensor - ideal))
+    in |0>, modes_now of shape (M, B, N): per member, one
+    ``ModeOperator(f).create`` per mode and the norm of the full difference
+    tensor."""
+    basis, norms = actual.basis, []
+    for b in range(actual.batch):
+        state = np.zeros(len(basis), dtype=complex)
+        state[0] = 1.0
+        for (c, d), mode in zip(coeff_pairs, modes_now[:, b]):
+            state = c * state + d * ModeOperator(mode, basis).create(state)
+        member = actual.tensor[..., b]
+        ideal = np.zeros_like(member)
+        ideal[(0,) * actual.n_a + (slice(None),) + (0,) * actual.n_b] = state
+        norms.append(np.linalg.norm(member - ideal))
+    return np.array(norms)
 
 
 def validate_qubit_state(rho: np.ndarray, atol: float = 1e-10):

@@ -195,12 +195,12 @@ def test_acceptance_06_encoding_residual_bound():
             encoder = fock.build_encoder(g0, basis)
             for t in (0.3, 0.8, 1.3, 1.8, 2.3):
                 actual = fock.run_encoding_sequence(
-                    pairs, [encoder] * m, [t] * (m - 1), evolver
+                    pairs, [encoder] * m, [t], evolver
                 )
-                modes_now = [
-                    propagate(g0, (m - a) * t) for a in range(1, m + 1)
-                ]
-                resid = fock.encoding_residual_norm(actual, pairs, modes_now)
+                modes_now = np.array([
+                    [propagate(g0, (m - a) * t)] for a in range(1, m + 1)
+                ])
+                (resid,) = fock.encoding_residual_norm(actual, pairs, modes_now)
                 bound = encoding_error_bound(g0, t, m)
                 points += 1
                 worst_gap = max(worst_gap, resid - bound)
@@ -240,10 +240,10 @@ def test_acceptance_08_truncation_equivalence():
     full = fock.ProtocolEngine(plan, fock.fock_basis(n, n)).run(msgs)
     small_index, full_index = basis_index(small.basis), basis_index(full.basis)
     worst = 0.0
-    for i, s in enumerate(small.basis.states):
+    for i, s in enumerate(small.basis.masks.tolist()):
         delta = small.tensor[:, :, i, :, :] - full.tensor[:, :, full_index[s], :, :]
         worst = max(worst, float(np.max(np.abs(delta))))
-    for i, s in enumerate(full.basis.states):
+    for i, s in enumerate(full.basis.masks.tolist()):
         if s not in small_index:
             worst = max(worst, float(np.max(np.abs(full.tensor[:, :, i, :, :]))))
     ok = worst < 1e-10

@@ -61,3 +61,30 @@ def test_both_sides_compile_from_source(monkeypatch, tmp_path):
         "VALUE = 2\n": [".gitignore", "BENCHMARK.json", "mod.py", "new.py"],
     }
     assert "__pycache__" in json.loads(out.read_text())["bytecode"]
+
+
+def _fake_runs(name, base, change):
+    def result(value):
+        return {"metrics": {name: {"unit": "1", "value": value}}}
+    return {"base": [result(v) for v in base], "change": [result(v) for v in change]}
+
+
+def test_report_says_whether_each_median_is_within_its_bound():
+    declared = {m["name"]: m
+                for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    # exp_s.p50 is lower-better with a bound of 0.25 of the base median
+    slow = bench_pairs.compare(_fake_runs("exp_s.p50", [0.10] * 3, [0.13] * 3), declared)
+    assert slow["exp_s.p50"]["bound"] == 0.25
+    assert slow["exp_s.p50"]["within_bound"] is False
+    near = bench_pairs.compare(_fake_runs("exp_s.p50", [0.10] * 3, [0.11] * 3), declared)
+    assert near["exp_s.p50"]["within_bound"] is True
+    fast = bench_pairs.compare(_fake_runs("exp_s.p50", [0.10] * 3, [0.05] * 3), declared)
+    assert fast["exp_s.p50"]["within_bound"] is True
+    # ok_frac is higher-better with a bound of 0.01: a 2% drop is out of bound
+    drop = bench_pairs.compare(_fake_runs("ok_frac", [1.0] * 3, [0.98] * 3), declared)
+    assert drop["ok_frac"]["within_bound"] is False
+    rise = bench_pairs.compare(_fake_runs("ok_frac", [0.9] * 3, [1.0] * 3), declared)
+    assert rise["ok_frac"]["within_bound"] is True
+    # a per-layer metric has no bound to judge
+    layer = bench_pairs.compare(_fake_runs("fock.dim", [470] * 3, [470] * 3), declared)
+    assert layer["fock.dim"]["bound"] is None and layer["fock.dim"]["within_bound"] is None

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import tracemalloc
 from math import ceil
 
@@ -95,29 +96,29 @@ def _sorted_scan_basis(n, m_max):
 def test_basis_matches_sorted_scan_and_dimension_guard():
     for n in range(1, 11):
         for m_max in range(1, n + 1):
-            assert list(fock_basis(n, m_max).states) == _sorted_scan_basis(n, m_max)
+            assert fock_basis(n, m_max).masks.tolist() == _sorted_scan_basis(n, m_max)
     big = fock_basis(24, 3)
     assert len(big) == 2325
-    assert big.states[0] == 0 and basis_index(big)[big.states[-1]] == 2324
+    assert big.masks[0] == 0 and basis_index(big)[big.masks.tolist()[-1]] == 2324
     with pytest.raises(ValueError, match=r"N=21, max_particles=21"):
         fock_basis(21, 21)
     with pytest.raises(ValueError, match=r"N=40, max_particles=6"):
         fock_basis(40, 6)
-    assert big.particle_counts.tolist() == [s.bit_count() for s in big.states]
+    assert big.particle_counts.tolist() == [s.bit_count() for s in big.masks.tolist()]
 
 
 def test_basis_ordering_and_vacuum():
     basis = fock_basis(4, 2)
-    assert basis.states[0] == 0
-    counts = [s.bit_count() for s in basis.states]
+    assert basis.masks[0] == 0
+    counts = [s.bit_count() for s in basis.masks.tolist()]
     assert counts == sorted(counts)
     assert len(basis) == 1 + 4 + 6
     # index maps both directions
     index = basis_index(basis)
-    for i, s in enumerate(basis.states):
+    for i, s in enumerate(basis.masks.tolist()):
         assert index[s] == i
     # within a particle number, lexicographic on (n_1, .., n_N)
-    occupations = [tuple((s >> i) & 1 for i in range(4)) for s in basis.states]
+    occupations = [tuple((s >> i) & 1 for i in range(4)) for s in basis.masks.tolist()]
     assert occupations == sorted(occupations, key=lambda o: (sum(o), o))
     assert occupations[index[0b0110]] == (0, 1, 1, 0)
 
@@ -135,7 +136,7 @@ def _assert_same_csr_bytes(got, want):
 def _loop_annihilator(coeffs, basis):
     # independent reference: walk the occupied sites of every basis state
     index, rows, cols, data = basis_index(basis), [], [], []
-    for col, s in enumerate(basis.states):
+    for col, s in enumerate(basis.masks.tolist()):
         rest = s
         while rest:
             bit = rest & -rest
@@ -173,7 +174,7 @@ def _loop_kinetic(basis):
     # independent reference: hop each occupied site of every state onto an
     # empty neighbour, signing by the occupied sites passed over
     index, rows, cols, data = basis_index(basis), [], [], []
-    for col, s in enumerate(basis.states):
+    for col, s in enumerate(basis.masks.tolist()):
         for p, q in _ref_bonds(basis.n_sites):
             for src, dst in ((q, p), (p, q)):
                 bs, bd = 1 << (src - 1), 1 << (dst - 1)
@@ -196,7 +197,7 @@ def test_kinetic_and_pair_counts_match_loop_reference(n, m_max):
     _assert_same_csr_bytes(csr(kinetic_matrix(basis)), _loop_kinetic(basis))
     pairs = [
         sum(s >> (p - 1) & s >> (q - 1) & 1 for p, q in _ref_bonds(n))
-        for s in basis.states
+        for s in basis.masks.tolist()
     ]
     assert fock.adjacent_pair_counts(basis).tolist() == pairs
 
@@ -210,7 +211,7 @@ def _loop_ladder(basis):
         rungs = []
         for source, occupied in ((k, True), (k - 1, False)):
             rows = []
-            for s in basis.states[basis.sectors[source]]:
+            for s in basis.masks[basis.sectors[source]].tolist():
                 rows.append([])
                 for j in range(basis.n_sites):
                     if bool(s >> j & 1) == occupied:
@@ -271,6 +272,22 @@ def test_ladder_memory():
     assert peak <= 17.0 * 2**20
 
 
+def test_basis_keeps_only_its_masks():
+    # the basis is its uint64 masks, 8 B per state (0.5 MiB here); a tuple
+    # of Python ints beside them kept 3.0 MiB in all.  A full collection
+    # empties the interpreter's free lists, which would count as kept otherwise
+    tracemalloc.start()
+    try:
+        basis = fock_basis(16, 16)
+        masks = basis.masks
+        gc.collect()
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert masks.dtype == np.uint64 and len(basis) == 2**16
+    assert kept <= 1.5 * 2**20
+
+
 def test_mode_annihilator_nilpotent():
     basis = fock_basis(5, 3)
     rng = np.random.default_rng(0)
@@ -301,7 +318,7 @@ def test_anticommutator_matches_overlap_below_truncation():
     want = np.vdot(f_mode, g_mode)
     # exact identity away from the top particle-number sector, where the
     # raising half of the anticommutator is cut off by the truncation
-    keep = [i for i, s in enumerate(basis.states) if s.bit_count() < m_max]
+    keep = [i for i, s in enumerate(basis.masks.tolist()) if s.bit_count() < m_max]
     sub = anti[np.ix_(keep, keep)]
     assert np.max(np.abs(sub - want * np.eye(len(keep)))) < 1e-12
 
@@ -326,7 +343,7 @@ def test_mode_creator_reproduces_amplitudes():
     vac[0] = 1.0
     created = ModeOperator(v, basis).create(vac)
     amps = np.zeros(n, dtype=complex)
-    for i, s in enumerate(basis.states):
+    for i, s in enumerate(basis.masks.tolist()):
         if s.bit_count() == 1:
             amps[s.bit_length() - 1] = created[i]
     assert np.allclose(amps, v, atol=1e-14)
@@ -355,7 +372,7 @@ def test_jordan_wigner_cross_check():
         return idx
 
     perm = np.zeros((2**n, len(basis)))
-    for i, s in enumerate(basis.states):
+    for i, s in enumerate(basis.masks.tolist()):
         perm[kron_index(s), i] = 1.0
     for j in range(1, n + 1):
         ours = dense(ModeOperator(np.eye(n)[j - 1], basis))
@@ -397,7 +414,7 @@ def test_encoder_leaves_lowered_register_alone():
 
 def test_encoder_unitary_on_reachable_sector():
     basis, g, u = encoder_fixture()
-    occ = np.array([s.bit_count() for s in basis.states])
+    occ = np.array([s.bit_count() for s in basis.masks.tolist()])
     total = np.concatenate([occ, occ + 1])
     keep = total <= basis.max_particles
     u = dense_swap(u)
@@ -523,7 +540,7 @@ def test_excitation_conservation_commutators():
     g = gaussian_packet(PacketParams(1.0, 2, 4, Region(1, 3)), n)
     u = dense_swap(build_encoder(g, basis))
     f = len(basis)
-    occ = np.array([s.bit_count() for s in basis.states], dtype=float)
+    occ = np.array([s.bit_count() for s in basis.masks.tolist()], dtype=float)
     number = np.diag(np.concatenate([occ, occ + 1.0]))
     assert np.max(np.abs(u @ number - number @ u)) < 1e-10
     ham = csr(kinetic_matrix(basis)).toarray()
@@ -575,11 +592,11 @@ def test_exchange_pairs_follow_the_schedule():
 def test_exchange_correction_is_cz_on_receivers():
     basis = fock_basis(4, 2)
     rng = np.random.default_rng(3)
-    shape = (2, 2, len(basis), 2, 2)
+    shape = (2, 2, len(basis), 2, 2, 3)
     x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     fv = FockVector(x, basis, 2, 2)
     got = fock.exchange_correction(fv, [(1, 2)]).tensor
-    sign = np.array([1.0, 1.0, 1.0, -1.0]).reshape(1, 1, 1, 2, 2)
+    sign = np.array([1.0, 1.0, 1.0, -1.0]).reshape(1, 1, 1, 2, 2, 1)
     assert np.array_equal(got, x * sign)
     assert np.array_equal(fock.exchange_correction(fv, []).tensor, x)
 
@@ -588,7 +605,7 @@ def test_hamiltonian_hermitian_and_block_diagonal():
     basis = fock_basis(6, 3)
     h = csr(kinetic_matrix(basis)).toarray()
     assert np.max(np.abs(h - h.conj().T)) < 1e-14
-    occ = np.array([s.bit_count() for s in basis.states])
+    occ = np.array([s.bit_count() for s in basis.masks.tolist()])
     coupling = h[np.not_equal.outer(occ, occ)]
     assert np.max(np.abs(coupling)) == 0.0
 
@@ -602,11 +619,11 @@ def test_many_body_single_particle_sector_matches_lattice():
     f1 = ModeOperator(g, basis).create(vac)
     ev = ExactEvolver(basis)
     t = 1.9
-    fT = ev.apply(FockVector(f1, basis, 0, 0), t).tensor
+    fT = ev.apply(FockVector(f1[:, None], basis, 0, 0), t).tensor
     amps = np.zeros(n, dtype=complex)
-    for i, s in enumerate(basis.states):
+    for i, s in enumerate(basis.masks.tolist()):
         if s.bit_count() == 1:
-            amps[s.bit_length() - 1] = fT[i]
+            amps[s.bit_length() - 1] = fT[i, 0]
     assert np.max(np.abs(amps - propagate(g, t))) < 1e-12
 
 
@@ -619,7 +636,7 @@ def _assert_matches_dense_expm(ev, ham, x, zero=()):
     fv = FockVector(x, basis, 1, 1)
     for t in (0.0, 0.7, 5.3):
         got = ev.apply(fv, t).tensor
-        want = np.einsum("fg,agb->afb", expm(-1j * t * csr(ham).toarray()), x)
+        want = np.einsum("fg,agbz->afbz", expm(-1j * t * csr(ham).toarray()), x)
         assert np.max(np.abs(got - want)) < 1e-11
         for k, a, b in zero:
             assert np.all(got[a, basis.sectors[k], b] == 0)
@@ -627,7 +644,7 @@ def _assert_matches_dense_expm(ev, ham, x, zero=()):
 
 def _random_columns(basis, seed):
     rng = np.random.default_rng(seed)
-    shape = (2, len(basis), 2)
+    shape = (2, len(basis), 2, 1)
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
@@ -757,8 +774,8 @@ def test_collision_residual_positive_and_bounded():
     evolver = ExactEvolver(basis)
     enc = build_encoder(g0, basis)
     actual = run_encoding_sequence(pairs, [enc, enc], [t], evolver)
-    modes_now = [propagate(g0, t), g0]
-    resid = encoding_residual_norm(actual, pairs, modes_now)
+    modes_now = np.array([[propagate(g0, t)], [g0]])
+    (resid,) = encoding_residual_norm(actual, pairs, modes_now)
     bound = encoding_error_bound(g0, t, 2)
     assert resid > 1e-3
     assert resid <= bound + 1e-8
@@ -774,9 +791,9 @@ def test_residual_zero_for_orthogonal_modes():
     evolver = ExactEvolver(basis)
     encoders = [build_encoder(g1, basis), build_encoder(g2, basis)]
     actual = run_encoding_sequence(pairs, encoders, [0.0], evolver)
-    resid = encoding_residual_norm(actual, pairs, [g1, g2])
+    (resid,) = encoding_residual_norm(actual, pairs, np.array([[g1], [g2]]))
     assert resid < 1e-10
-    with pytest.raises(ValueError, match="M-1 non-negative waits"):
+    with pytest.raises(ValueError, match="finite, non-negative waits"):
         run_encoding_sequence(pairs, encoders, [-0.5], evolver)
 
 
@@ -791,20 +808,14 @@ def test_batched_residuals_match_the_per_point_reference(n, m):
     for sigma in (0.6, 1.4):
         g0 = gaussian_packet(PacketParams(sigma, 3, carrier_mode(n), Region(1, 5)), n)
         encoders = [build_encoder(g0, basis)] * m
-        runs = run_encoding_sequence(pairs, encoders, [waits] * (m - 1), evolver)
-        tensor = runs.tensor if runs.batch else np.stack([runs.tensor] * len(waits), -1)
-        batch = FockVector(tensor, basis, m, 0)
+        # one member per wait at every M, M = 1 included
+        runs = run_encoding_sequence(pairs, encoders, waits, evolver)
+        assert runs.batch == len(waits)
         modes = np.array([[propagate(g0, (m - a) * t) for t in waits] for a in range(1, m + 1)])
-        got = encoding_residual_norm(batch, pairs, modes)
+        got = encoding_residual_norm(runs, pairs, modes)
         assert got.shape == waits.shape
-        for i in range(len(waits)):
-            member = FockVector(tensor[..., i], basis, m, 0)
-            expected = residual_norm_per_point(member, pairs, modes[:, i])
-            assert abs(got[i] - expected) <= 1e-14
-            # the same state without a batch axis, modes as a list of M vectors
-            single = encoding_residual_norm(member, pairs, list(modes[:, i]))
-            assert isinstance(single, float)
-            assert abs(single - expected) <= 1e-14
+        expected = residual_norm_per_point(runs, pairs, modes)
+        assert np.abs(got - expected).max() <= 1e-14
 
 
 def test_batched_residual_reads_every_register_slice():
@@ -819,25 +830,23 @@ def test_batched_residual_reads_every_register_slice():
     pairs = [(0.6 + 0j, 0.8j), (0.8 + 0j, 0.6 + 0j)]
     modes = np.array([[random_mode(8, rng) for _ in range(3)] for _ in range(2)])
     got = encoding_residual_norm(fv, pairs, modes)
-    for i in range(3):
-        member = FockVector(fv.tensor[..., i], basis, 2, 1)
-        expected = residual_norm_per_point(member, pairs, modes[:, i])
-        assert abs(got[i] - expected) <= 1e-14 * expected
+    expected = residual_norm_per_point(fv, pairs, modes)
+    assert np.all(np.abs(got - expected) <= 1e-14 * expected)
 
 
 def test_residual_rejects_modes_of_another_shape():
     basis, evolver, pairs = _encoding_setup(2)
     g0 = gaussian_packet(PacketParams(1.0, 3, 8, Region(1, 5)), 10)
     encoders = [build_encoder(g0, basis)] * 2
-    batch = run_encoding_sequence(pairs, encoders, [np.array([0.3, 0.8, 1.3])], evolver)
-    single = FockVector(batch.tensor[..., 0], basis, 2, 0)
-    both = r"modes \(M, N\) without a batch axis or \(M, B, N\) with one"
-    with pytest.raises(ValueError, match=both + r", here \(2, 3, 10\); got 2, \(2, 10\)$"):
+    batch = run_encoding_sequence(pairs, encoders, [0.3, 0.8, 1.3], evolver)
+    single = FockVector(batch.tensor[..., :1], basis, 2, 0)
+    shape = r"modes of shape \(M, B, N\) = "
+    with pytest.raises(ValueError, match=shape + r"\(2, 3, 10\); got 2, \(2, 10\)$"):
         encoding_residual_norm(batch, pairs, [g0, g0])
-    with pytest.raises(ValueError, match=both + r", here \(2, 10\); got 2, \(2, 3, 10\)$"):
-        encoding_residual_norm(single, pairs, np.stack([[g0] * 3] * 2))
-    with pytest.raises(ValueError, match=r"need M = 2 coefficient pairs.*got 1, \(1, 10\)$"):
-        encoding_residual_norm(single, pairs[:1], [g0])
+    with pytest.raises(ValueError, match=shape + r"\(2, 1, 10\); got 2, \(2, 3, 10\)$"):
+        encoding_residual_norm(single, pairs, [[g0] * 3] * 2)
+    with pytest.raises(ValueError, match=r"need M = 2 coefficient pairs.*got 1, \(1, 1, 10\)$"):
+        encoding_residual_norm(single, pairs[:1], [[g0]])
 
 
 def _encoding_setup(m):
@@ -856,73 +865,118 @@ def test_batched_waits_match_serial_runs(m):
     for sigma in (0.6, 1.0, 1.4, 1.8):
         g0 = gaussian_packet(PacketParams(sigma, 3, 8, Region(1, 5)), 10)
         encoders = [build_encoder(g0, basis)] * m
-        batch = run_encoding_sequence(pairs, encoders, [waits] * (m - 1), evolver)
+        batch = run_encoding_sequence(pairs, encoders, waits, evolver)
         assert batch.batch == 5
-        # a float gap next to an array gap serves every member alike
-        mixed = run_encoding_sequence(pairs, encoders, [0.5] + [waits] * (m - 2), evolver)
         for i, t in enumerate(waits):
-            serial = run_encoding_sequence(pairs, encoders, [t] * (m - 1), evolver)
-            assert np.abs(batch.tensor[..., i] - serial.tensor).max() <= 1e-14
-            if m == 3:
-                serial = run_encoding_sequence(pairs, encoders, [0.5, t], evolver)
-                assert np.abs(mixed.tensor[..., i] - serial.tensor).max() <= 1e-14
+            serial = run_encoding_sequence(pairs, encoders, [t], evolver)
+            assert serial.batch == 1
+            assert np.abs(batch.tensor[..., i] - serial.tensor[..., 0]).max() <= 1e-14
 
 
 def test_float_time_matches_a_length_one_batch_bytes():
     basis = fock_basis(10, 3)
     evolver = ExactEvolver(basis)
     rng = np.random.default_rng(11)
-    x = rng.standard_normal((2, len(basis), 2)) + 1j * rng.standard_normal((2, len(basis), 2))
+    shape = (2, len(basis), 2, 1)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     fv = FockVector(x, basis, 1, 1)
     plain = evolver.apply(fv, 0.7).tensor
-    one = evolver.apply(FockVector(x[..., None], basis, 1, 1), np.array([0.7])).tensor
-    assert plain.tobytes() == one[..., 0].tobytes()
-    # a float time evolves every member of a batch
-    pair = evolver.apply(FockVector(np.stack([x, x], axis=-1), basis, 1, 1), 0.7).tensor
-    assert plain.tobytes() == pair[..., 0].tobytes() == pair[..., 1].tobytes()
+    one = evolver.apply(fv, np.array([0.7])).tensor
+    assert plain.tobytes() == one.tobytes()
+    # a float time evolves every member of a batch, as one equal time per member does
+    pair = FockVector(np.concatenate([x, x], axis=-1), basis, 1, 1)
+    same, each = evolver.apply(pair, 0.7).tensor, evolver.apply(pair, [0.7, 0.7]).tensor
+    assert plain[..., 0].tobytes() == same[..., 0].tobytes() == same[..., 1].tobytes()
+    assert same.tobytes() == each.tobytes()
+
+
+def test_per_member_times_match_the_sector_reference():
+    basis = fock_basis(8, 3)
+    rng = np.random.default_rng(12)
+    shape = (2, len(basis), 2, 3)
+    fv = FockVector(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), basis, 1, 1)
+    times = np.array([0.0, 0.7, 5.3])
+    for j_coupling in (0.0, 1.3):
+        got = ExactEvolver(basis, j_coupling).apply(fv, times).tensor
+        want = SectorEvolver(basis, j_coupling).apply(fv, times).tensor
+        assert np.max(np.abs(got - want)) < 1e-11
+
+
+def _scaling_evolver(evolver, member, factor):
+    # the exact evolver, with one member of every batch scaled by factor
+    class Leaky:
+        basis = evolver.basis
+
+        def apply(self, fv, t):
+            out = evolver.apply(fv, t)
+            out.tensor[..., member] *= factor
+            return out
+
+    return Leaky()
 
 
 def test_norm_drift_names_the_batch_member():
     basis, evolver, pairs = _encoding_setup(2)
     g0 = gaussian_packet(PacketParams(1.0, 3, 8, Region(1, 5)), 10)
     encoders = [build_encoder(g0, basis)] * 2
-
-    class Leaky:
-        # the exact evolver, with member 2 of every batch scaled up
-        basis = evolver.basis
-
-        def apply(self, fv, t):
-            out = evolver.apply(fv, t)
-            out.tensor[..., 2] *= 1.001
-            return out
-
+    leaky = _scaling_evolver(evolver, 2, 1.001)
     with pytest.raises(RuntimeError, match=r"norm drifted to 1\.00\d+ in batch member 2 after A2"):
-        run_encoding_sequence(pairs, encoders, [np.array([0.3, 0.8, 1.3])], Leaky())
+        run_encoding_sequence(pairs, encoders, [0.3, 0.8, 1.3], leaky)
 
 
 def test_encoding_sequence_and_evolver_reject_bad_batches():
     basis, evolver, pairs = _encoding_setup(3)
     g0 = gaussian_packet(PacketParams(1.0, 3, 8, Region(1, 5)), 10)
     encoders = [build_encoder(g0, basis)] * 3
-    with pytest.raises(ValueError, match=r"non-negative waits: wait 2 has member -0\.5$"):
-        run_encoding_sequence(pairs, encoders, [0.3, np.array([0.3, -0.5])], evolver)
-    unequal = r"share one nonzero length, got shapes \[\(2,\), \(3,\)\]"
-    with pytest.raises(ValueError, match=unequal):
-        run_encoding_sequence(pairs, encoders, [np.ones(2), np.ones(3)], evolver)
-    with pytest.raises(ValueError, match=r"got shapes \[\(\), \(0,\)\]"):
-        run_encoding_sequence(pairs, encoders, [0.3, np.ones(0)], evolver)
-    with pytest.raises(ValueError, match=r"3 signals, 3 encoders, 1 waits"):
-        run_encoding_sequence(pairs, encoders, [0.3], evolver)
+    waits = r"need 3 encoders and a non-empty 1-d array of finite, non-negative waits; got "
+    with pytest.raises(ValueError, match=waits + r"3 encoders, waits \[0\.3, -0\.5\]$"):
+        run_encoding_sequence(pairs, encoders, [0.3, -0.5], evolver)
+    with pytest.raises(ValueError, match=waits + r"3 encoders, waits \[\[0\.3, 0\.8\]\]$"):
+        run_encoding_sequence(pairs, encoders, [[0.3, 0.8]], evolver)
+    with pytest.raises(ValueError, match=waits + r"3 encoders, waits 0\.3$"):
+        run_encoding_sequence(pairs, encoders, 0.3, evolver)
+    with pytest.raises(ValueError, match=waits + r"2 encoders, waits \[0\.3\]$"):
+        run_encoding_sequence(pairs, encoders[:2], [0.3], evolver)
     messages = [np.array(p) for p in pairs]
     single = vacuum_vector(basis, 3, 0, messages)
-    with pytest.raises(ValueError, match=r"times of shape \(2,\) need a batch axis of that "
-                                         r"length, the state's is None"):
+    assert single.batch == 1
+    times = r"need one finite time or one per member of the batch of "
+    with pytest.raises(ValueError, match=times + r"1, got t = \[0\.1, 0\.2\]$"):
         evolver.apply(single, np.array([0.1, 0.2]))
-    batch = FockVector(np.stack([single.tensor] * 3, axis=-1), basis, 3, 0)
-    with pytest.raises(ValueError, match=r"the state's is 3"):
+    batch = FockVector(np.repeat(single.tensor, 3, axis=-1), basis, 3, 0)
+    with pytest.raises(ValueError, match=times + r"3, got t = \[0\.1, 0\.2\]$"):
         evolver.apply(batch, np.array([0.1, 0.2]))
+    with pytest.raises(ValueError, match=times + r"3, got t = \[\[0\.1, 0\.2, 0\.3\]\]$"):
+        evolver.apply(batch, np.array([[0.1, 0.2, 0.3]]))
     with pytest.raises(ValueError, match=r"tensor shape \(2, 2, 2, 176, 3, 1\)"):
         FockVector(batch.tensor[..., None], basis, 3, 0)
+    # the batch axis is always there, and never empty
+    for bad in (single.tensor[..., 0], single.tensor[..., :0]):
+        with pytest.raises(ValueError, match=r"!= \(2, 2, 2, 176\) \+ \(batch,\)$"):
+            FockVector(bad, basis, 3, 0)
+
+
+def test_non_finite_inputs_fail_loudly():
+    # NaN compares false, so a check written as abs(x - 1) > tol or x > tol
+    # would let each of these through
+    basis = fock_basis(8, 2)
+    evolver = ExactEvolver(basis)
+    g0 = gaussian_packet(PacketParams(1.0, 3, 6, Region(1, 5)), 8)
+    encoders = [build_encoder(g0, basis)] * 2
+    pairs = [(0.6 + 0j, 0.8j), (1.0 + 0j, 0j)]
+    with pytest.raises(ValueError, match=r"message states must be normalized, got norm nan$"):
+        run_encoding_sequence([(np.nan, 0), (1, 0)], encoders, [1.0], evolver)
+    with pytest.raises(ValueError, match=r"non-negative waits; got 2 encoders, waits \[nan\]$"):
+        run_encoding_sequence(pairs, encoders, [np.nan], evolver)
+    # a NaN amplitude after a step fails the norm check
+    with pytest.raises(RuntimeError, match=r"norm drifted to nan in batch member 1 after A2"):
+        run_encoding_sequence(pairs, encoders, [1.0, 2.0], _scaling_evolver(evolver, 1, np.nan))
+    fv = run_encoding_sequence(pairs, encoders, [1.0, 2.0], evolver)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match=rf"batch of 2, got t = \[{bad}\]$"):
+            evolver.apply(fv, bad)
+        with pytest.raises(ValueError, match=rf"got t = \[1\.0, {bad}\]$"):
+            evolver.apply(fv, [1.0, bad])
 
 
 def test_residual_t0_matches_direct_product_evaluation():
@@ -935,7 +989,7 @@ def test_residual_t0_matches_direct_product_evaluation():
     evolver = ExactEvolver(basis)
     enc = build_encoder(g0, basis)
     actual = run_encoding_sequence(pairs, [enc, enc], [0.0], evolver)
-    resid = encoding_residual_norm(actual, pairs, [g0, g0])
+    (resid,) = encoding_residual_norm(actual, pairs, np.array([[g0], [g0]]))
 
     f = len(basis)
     u = dense_swap(build_encoder(g0, basis))
@@ -969,14 +1023,14 @@ def test_truncated_matches_full_space():
     full = ProtocolEngine(plan, fock_basis(8, 8)).run(msgs)
     small_index, full_index = basis_index(small.basis), basis_index(full.basis)
     worst = 0.0
-    for i, s in enumerate(small.basis.states):
+    for i, s in enumerate(small.basis.masks.tolist()):
         delta = small.tensor[:, :, i, :, :] - full.tensor[:, :, full_index[s], :, :]
         worst = max(worst, float(np.max(np.abs(delta))))
     assert worst < 1e-10
     leftover = max(
         (
             float(np.max(np.abs(full.tensor[:, :, i, :, :])))
-            for i, s in enumerate(full.basis.states)
+            for i, s in enumerate(full.basis.masks.tolist())
             if s not in small_index
         ),
         default=0.0,
@@ -1139,12 +1193,12 @@ def test_vacuum_vector_matches_the_kron_product():
             amp = np.kron(amp, vac)
             for _ in range(n_b):
                 amp = np.kron(amp, np.array([1.0, 0.0], dtype=complex))
-            shape = (2,) * n_a + (len(basis),) + (2,) * n_b
+            shape = (2,) * n_a + (len(basis),) + (2,) * n_b + (1,)
             ref = amp.reshape(shape)
             got = vacuum_vector(basis, n_a, n_b, messages).tensor
             # equal everywhere; the kron chain leaves -0.0 on some zeros
             assert np.array_equal(got, ref)
-            live = (Ellipsis, 0) + (0,) * n_b
+            live = (Ellipsis, 0) + (0,) * n_b + (0,)
             assert got[live].tobytes() == ref[live].tobytes()
     with pytest.raises(ValueError, match="expected 2 message states, got 1"):
         vacuum_vector(basis, 2, 0, states[:1])
@@ -1189,7 +1243,7 @@ def test_interaction_error_single_particle_zero():
     vac = np.zeros(len(basis), dtype=complex)
     vac[0] = 1.0
     one = ModeOperator(g, basis).create(vac)
-    fv = FockVector(one, basis, 0, 0)
+    fv = FockVector(one[:, None], basis, 0, 0)
     assert tj_interaction_error(fv) == 0.0
 
 
@@ -1198,7 +1252,7 @@ def test_interaction_error_adjacent_pair_eigenstate():
     basis = fock_basis(n, 2)
     state = np.zeros(len(basis), dtype=complex)
     state[basis_index(basis)[0b11]] = 1.0  # sites 1 and 2 occupied
-    fv = FockVector(state, basis, 0, 0)
+    fv = FockVector(state[:, None], basis, 0, 0)
     assert np.isclose(tj_interaction_error(fv), 1.0, atol=1e-14)
 
 
@@ -1226,7 +1280,7 @@ def test_evolution_difference_trivial_cases():
     vac = np.zeros(len(basis), dtype=complex)
     vac[0] = 1.0
     one = ModeOperator(g, basis).create(vac)
-    fv = FockVector(one, basis, 0, 0)
+    fv = FockVector(one[:, None], basis, 0, 0)
     assert evolution_difference(fv, [0.8], 3.0)[0] < 1e-10
 
 
@@ -1254,7 +1308,7 @@ def test_evolution_difference_builds_each_evolver_once(monkeypatch):
 
     monkeypatch.setattr(fock, "ExactEvolver", Counted)
     basis = fock_basis(8, 2)
-    fv = FockVector(np.eye(len(basis))[3], basis, 0, 0)
+    fv = FockVector(np.eye(len(basis))[:, 3:4], basis, 0, 0)
     assert len(evolution_difference(fv, [0.1, 0.5, 1.0, 2.0], 1.0)) == 4
     assert built == [0.0, 1.0]
 

@@ -165,9 +165,9 @@ def test_failed_sweep_points_emit_strict_json(tmp_path, capsys):
 
 
 def test_oracle_bounds_all_satisfied():
-    # M = 1 has no wait between encodings, so its run carries no batch axis
-    for m in (1, 2):
-        cfg = make_config(f"experiment = OracleBounds\nN = 10\nM = {m}\n")
+    # M = 1 has no wait between encodings, yet its run is one batch member per wait too
+    for n, m in ((8, 1), (10, 1), (10, 2)):
+        cfg = make_config(f"experiment = OracleBounds\nN = {n}\nM = {m}\n")
         table = run(cfg)
         assert len(table.rows) == 20
         assert table.meta["all_satisfied"] is True
