@@ -31,10 +31,15 @@ sector and (g^dag)^2 = 0.  The signs behind both are checked once per basis
 (``FockBasis.ladder_defect``), the norm of g per encoder; the tests keep
 the equivalent two-exponential product as a reference.
 
-A ``FockVector`` ends in a batch axis of B >= 1 independent states, shape
-(2,)*M x (fock_dim,) x (2,)*M x (B,).  Swaps and evolution treat it as more
-register columns, and ``ExactEvolver.apply`` takes one time per member, so
-``run_encoding_sequence`` runs the sequences of B waits as one.
+The encodings alone need no evolution.  On the free wire a mode moves
+linearly, e^{-iHt} a^dag(g) e^{iHt} = a^dag(U_t g), so moving every gap's
+evolution to the right past the swaps turns the swaps into swaps with the
+propagated modes f_alpha = U_{(M - alpha) wait} g0, and H|vac> = 0 leaves
+nothing over: the state is exactly S(f_M) ... S(f_1) |psi, vac>.  The f_alpha
+span at most M orthonormal orbitals (``orbital_frame``), so
+``run_encoding_sequence`` runs on ``fock_basis(M, M)`` over them at any N
+(fermionic linear optics: Terhal & DiVincenzo, PRA 65, 032325 (2002);
+Knill, quant-ph/0108033).
 
 Time evolution never forms an F x F propagator: ``ExactEvolver`` applies
 exp(-iHt) in the eigenbasis of (particle number, ring momentum) blocks.
@@ -202,8 +207,7 @@ def fock_basis(n_sites: int, max_particles: int) -> FockBasis:
 
 @dataclass
 class FockVector:
-    """Amplitudes over sender registers x occupation basis x receiver registers,
-    with a trailing batch axis of B >= 1 independent states."""
+    """Amplitudes over sender registers x occupation basis x receiver registers."""
 
     tensor: np.ndarray
     basis: FockBasis
@@ -212,17 +216,12 @@ class FockVector:
 
     def __post_init__(self):
         expected = (2,) * self.n_a + (len(self.basis),) + (2,) * self.n_b
-        if self.tensor.shape[:-1] != expected or not self.tensor.shape[-1]:
-            raise ValueError(f"tensor shape {self.tensor.shape} != {expected} + (batch,)")
+        if self.tensor.shape != expected:
+            raise ValueError(f"tensor shape {self.tensor.shape} != {expected}")
 
     @property
     def fock_axis(self) -> int:
         return self.n_a
-
-    @property
-    def batch(self) -> int:
-        """Length of the trailing batch axis."""
-        return self.tensor.shape[-1]
 
     def register_axis(self, side: str, idx: int) -> int:
         count = self.n_a if side == "A" else self.n_b
@@ -387,18 +386,16 @@ class ExactEvolver:
             self.orbits.append(orbits)
             self.eigen.append(np.linalg.eigh(blocks))
 
-    def apply(self, fv: FockVector, t: float | np.ndarray) -> FockVector:
-        """exp(-i t H) on the Fock axis; register and batch axes ride along as columns.
+    def apply(self, fv: FockVector, t: float) -> FockVector:
+        """exp(-i t H) on the Fock axis for one finite time t; register axes
+        ride along as columns.
 
-        t is one finite time for every member of the batch axis of fv, or an
-        array of one per member.  Per sector, only the nonzero columns move:
-        one gather along the orbits, an FFT over the orbit axis, one batched
-        block product, the inverse FFT and a gather back.
+        Per sector, only the nonzero columns move: one gather along the
+        orbits, an FFT over the orbit axis, one batched block product, the
+        inverse FFT and a gather back.
         """
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        if t.ndim != 1 or t.size not in (1, fv.batch) or not np.all(np.isfinite(t)):
-            raise ValueError(f"need one finite time or one per member of the batch of "
-                             f"{fv.batch}, got t = {t.tolist()}")
+        if np.ndim(t) or not np.isfinite(t):
+            raise ValueError(f"need one finite time, got t = {t!r}")
         x = np.moveaxis(fv.tensor, fv.fock_axis, 0)
         cols = x.reshape(x.shape[0], -1).astype(complex, copy=False)
         y = np.zeros(cols.shape, dtype=complex)
@@ -409,10 +406,7 @@ class ExactEvolver:
             z = orbits.to_blocks(cols[s, live])
             # v^dag z as (z^dag v)^dag, so v is never conjugated
             z = np.matmul(z.conj().swapaxes(1, 2), v).conj().swapaxes(1, 2)
-            phase = np.exp((-1j * t) * w[..., None])
-            # the batch axis is the fastest of the columns: column c is member c % B
-            z = phase[..., live % t.size] * z
-            y[s, live] = orbits.from_blocks(np.matmul(v, z))
+            y[s, live] = orbits.from_blocks(np.matmul(v, np.exp(-1j * t * w)[..., None] * z))
         tensor = np.moveaxis(y.reshape(x.shape), 0, fv.fock_axis)
         return FockVector(tensor, fv.basis, fv.n_a, fv.n_b)
 
@@ -535,7 +529,7 @@ def build_encoder(g_coeffs: np.ndarray, basis: FockBasis) -> ModeOperator:
 def vacuum_vector(
     basis: FockBasis, n_a: int, n_b: int, messages: Sequence[np.ndarray]
 ) -> FockVector:
-    """Product state: message qubits x lattice vacuum x receiver |0> qubits (B = 1).
+    """Product state: message qubits x lattice vacuum x receiver |0> qubits.
 
     Only the [A, vacuum, B = 0..0] slice is nonzero; it is the outer
     product of the messages times the vacuum amplitude 1.
@@ -551,10 +545,10 @@ def vacuum_vector(
         if not abs(nrm - 1.0) <= 1e-8:  # a NaN norm fails too
             raise ValueError(f"message states must be normalized, got norm {float(nrm)!r}")
         amp = np.multiply.outer(amp, psi)
-    tensor = np.zeros((2,) * n_a + (len(basis),) + (2,) * n_b + (1,), dtype=complex)
+    tensor = np.zeros((2,) * n_a + (len(basis),) + (2,) * n_b, dtype=complex)
     # the factor is the vacuum amplitude; multiplying by it signs zero parts
     # as the full tensor product would
-    tensor[(Ellipsis, 0) + (0,) * n_b + (0,)] = amp * (1.0 + 0.0j)
+    tensor[(Ellipsis, 0) + (0,) * n_b] = amp * (1.0 + 0.0j)
     return FockVector(tensor, basis, n_a, n_b)
 
 
@@ -641,21 +635,21 @@ class ProtocolEngine:
         return exchange_correction(fv, exchange_pairs(self.plan))
 
 
-def _run_events(fv: FockVector, events, evolver: ExactEvolver) -> FockVector:
+def _run_events(fv: FockVector, events, evolver: ExactEvolver | None) -> FockVector:
     """Apply (gap, operator, side, register) events in order.
 
-    Each evolves for its gap (one time, or one per batch member) unless all
-    are at most 1e-12, then swaps the register with the operator's mode; any
-    member's amplitude leaking out of the excitation-conserving sector aborts.
+    Each evolves for its gap unless it is at most 1e-12, then swaps the
+    register with the operator's mode; amplitude leaking out of the
+    excitation-conserving sector aborts.
     """
     for gap, op, side, idx in events:
-        if np.any(np.asarray(gap) > 1e-12):
+        if gap > 1e-12:
             fv = evolver.apply(fv, gap)
         fv = _apply_register_block(fv, op, side, idx)
-        for b, nrm in enumerate(np.sqrt(_member_squares(fv.tensor)).tolist()):
-            if not abs(nrm - 1.0) <= 1e-10:  # a NaN norm fails too
-                raise RuntimeError(f"norm drifted to {nrm!r} in batch member {b} after "
-                                   f"{side}{idx}; amplitude leaked out of the truncated sector")
+        nrm = float(np.linalg.norm(fv.tensor))
+        if not abs(nrm - 1.0) <= 1e-10:  # a NaN norm fails too
+            raise RuntimeError(f"norm drifted to {nrm!r} after {side}{idx}; "
+                               f"amplitude leaked out of the truncated sector")
     return fv
 
 
@@ -729,74 +723,62 @@ def two_design_fidelities(
     return outputs, fids, {a: average_fidelity(raw[a]) for a in raw}
 
 
-def run_encoding_sequence(
-    coeff_pairs: Sequence[tuple[complex, complex]],
-    encoders: Sequence[ModeOperator],
-    waits: Sequence[float] | np.ndarray,
-    evolver: ExactEvolver,
-) -> FockVector:
-    """Apply the encode/evolve sequence only (no receiver registers).
+def orbital_frame(modes: np.ndarray) -> np.ndarray:
+    """Coefficients of M single-particle modes (M, N) on M orbitals that span them.
 
-    coeff_pairs are the (c, d) amplitudes of each message qubit;
-    encoders are the ``build_encoder`` operators swapped into each register in
-    turn; waits are B finite, non-negative waits, one per member of the
-    result's batch axis: member b evolves for waits[b] under ``evolver``,
-    whose basis the run uses, between every pair of consecutive encodings.
+    One reduced QR of the (N, M) mode matrix: Q's orthonormal columns are
+    the orbitals and column alpha of R, row alpha of the result, is mode
+    alpha on them.  Q is an isometry, so each row keeps its mode's norm and
+    overlaps, and every product of the modes' creators keeps its norm.
+    """
+    return np.linalg.qr(np.asarray(modes, dtype=complex).T)[1].T
+
+
+def run_encoding_sequence(
+    coeff_pairs: Sequence[tuple[complex, complex]], modes: np.ndarray, basis: FockBasis
+) -> FockVector:
+    """Swap each message register with its signal's mode in turn (no receiver registers).
+
+    coeff_pairs are the (c, d) amplitudes of each message qubit and modes
+    the (M, n) coefficients of each signal's mode on the basis's n sites or
+    orbitals; no evolution runs between the swaps.  With the current-time
+    modes, ``orbital_frame`` of them and ``basis = fock_basis(M, M)``, this
+    is the timed free-wire sequence exactly (see the module docstring).
     Like ``ProtocolEngine.run`` it aborts when amplitude leaks out of the
     truncated sector.
     """
-    m, waits = len(coeff_pairs), np.asarray(waits, dtype=float)
-    if (len(encoders) != m or waits.ndim != 1 or not waits.size
-            or not np.all(np.isfinite(waits) & (waits >= 0))):
-        raise ValueError(f"need {m} encoders and a non-empty 1-d array of finite, non-negative "
-                         f"waits; got {len(encoders)} encoders, waits {waits.tolist()}")
+    m, modes = len(coeff_pairs), np.asarray(modes, dtype=complex)
+    if modes.shape != (m, basis.n_sites):
+        raise ValueError(f"need one mode per signal, shape {(m, basis.n_sites)}; "
+                         f"got {modes.shape}")
     messages = [np.array([c, d], dtype=complex) for c, d in coeff_pairs]
-    fv = vacuum_vector(evolver.basis, m, 0, messages)
-    fv = FockVector(np.repeat(fv.tensor, waits.size, axis=-1), fv.basis, m, 0)
-    events = [(waits if alpha > 1 else 0.0, op, "A", alpha)
-              for alpha, op in enumerate(encoders, start=1)]
-    return _run_events(fv, events, evolver)
-
-
-def _member_squares(x: np.ndarray) -> np.ndarray:
-    # sum of |x|^2 over every axis but the last, one reduction read in place
-    axes = list(range(x.ndim))
-    return sum(np.einsum(p, axes, p, axes, axes[-1:]) for p in (x.real, x.imag))
+    events = [(0.0, build_encoder(f, basis), "A", alpha) for alpha, f in enumerate(modes, 1)]
+    return _run_events(vacuum_vector(basis, m, 0, messages), events, None)
 
 
 def encoding_residual_norm(
     actual: FockVector,
     coeff_pairs: Sequence[tuple[complex, complex]],
-    modes_now: np.ndarray,
-) -> np.ndarray:
-    """Norm distance from the ideal independent-mode product state, per member.
+    modes: np.ndarray,
+) -> float:
+    """Norm distance from the ideal independent-mode product state.
 
     The ideal, on the basis of ``actual``, keeps every register in |0> and
     builds (c_M + d_M a^dag(f_M)) ... (c_1 + d_1 a^dag(f_1)) |vac> from the
-    current-time mode vectors f (signal 1 applied first); it is deliberately
-    not renormalized.  modes_now is (M, B, N), one mode per signal and member
-    of the batch axis of B, and the result holds the B norms.  Each lift
-    gathers on the basis ladder with weights f[site] * sign; the ideal lives
-    in the registers' |0..0> slice, and the rest of the tensor is read in place.
+    (M, n) modes f in the basis's frame, as ``run_encoding_sequence`` takes
+    them (signal 1 applied first); it is deliberately not renormalized.
     """
-    basis, m, b, n = actual.basis, len(coeff_pairs), actual.batch, actual.basis.n_sites
-    modes = np.asarray(modes_now, dtype=complex)
-    if m != actual.n_a or modes.shape != (actual.n_a, b, n):
-        raise ValueError(f"need M = {actual.n_a} coefficient pairs and modes of shape "
-                         f"(M, B, N) = {(actual.n_a, b, n)}; got {m}, {modes.shape}")
-    state = np.zeros((b, len(basis)), dtype=complex)
-    state[:, 0] = 1.0
+    basis, modes = actual.basis, np.asarray(modes, dtype=complex)
+    if len(coeff_pairs) != actual.n_a or modes.shape != (actual.n_a, basis.n_sites):
+        raise ValueError(f"need {actual.n_a} coefficient pairs and modes of shape "
+                         f"{(actual.n_a, basis.n_sites)}; got {len(coeff_pairs)}, {modes.shape}")
+    state = np.zeros(len(basis), dtype=complex)
+    state[0] = 1.0
     for (c, d), f in zip(coeff_pairs, modes):
-        lifted = np.zeros_like(state)
-        for k, ((index, site, sign), _) in basis.ladder.items():
-            gathered = state[:, basis.sectors[k - 1]][:, index]
-            lifted[:, basis.sectors[k]] = np.einsum("brj,brj->br", f[:, site] * sign, gathered)
-        state = c * state + d * lifted
-    # peel the registers one at a time: index 1 is all residual, index 0 holds the rest
-    x, total = np.moveaxis(actual.tensor, m, -2), 0.0
-    for _ in range(m + actual.n_b):
-        x, total = x[0], total + _member_squares(x[1])
-    return np.sqrt(total + _member_squares(x - state.T))
+        state = c * state + d * ModeOperator(f, basis).create(state)
+    diff = np.moveaxis(actual.tensor, actual.fock_axis, 0).copy()
+    diff[(slice(None),) + (0,) * (actual.n_a + actual.n_b)] -= state
+    return float(np.linalg.norm(diff))
 
 
 def tj_interaction_error(fv: FockVector) -> float:
@@ -807,7 +789,7 @@ def tj_interaction_error(fv: FockVector) -> float:
     on single-particle states.
     """
     counts = adjacent_pair_counts(fv.basis)
-    weighted = fv.tensor * counts.reshape((1,) * fv.n_a + (-1,) + (1,) * fv.n_b + (1,))
+    weighted = fv.tensor * counts.reshape((1,) * fv.n_a + (-1,) + (1,) * fv.n_b)
     return float(np.linalg.norm(weighted))
 
 
@@ -837,4 +819,4 @@ def two_packet_state(basis: FockBasis, params_a, params_b) -> FockVector:
     nrm = np.linalg.norm(state)
     if nrm < 1e-12:
         raise ValueError("packet modes coincide; two-particle state vanishes")
-    return FockVector((state / nrm)[:, None], basis, 0, 0)
+    return FockVector(state / nrm, basis, 0, 0)

@@ -13,7 +13,16 @@ import numpy as np
 from scipy import sparse
 from scipy.integrate import IntegrationWarning, quad
 
-from fermiwire.fock import FockBasis, FockVector, ModeOperator, tj_hamiltonian
+from fermiwire.fock import (
+    ExactEvolver,
+    FockBasis,
+    FockVector,
+    ModeOperator,
+    _run_events,
+    build_encoder,
+    tj_hamiltonian,
+    vacuum_vector,
+)
 from fermiwire.lattice import ring_energies
 from fermiwire.protocol import _bound_from_weights, _mode_weights, encoding_error_bound
 from fermiwire.wavepacket import (
@@ -51,9 +60,9 @@ def basis_index(basis: FockBasis) -> dict[int, int]:
 
 def total_excitation_operator(basis: FockBasis, n_a: int, n_b: int) -> np.ndarray:
     """Diagonal of (fermion number + raised-register count) on the global
-    tensor of one batch member, shape (2,)*n_a + (F,) + (2,)*n_b + (1,)."""
-    shape = (2,) * n_a + (len(basis),) + (2,) * n_b + (1,)
-    occ = basis.particle_counts.reshape((1,) * n_a + (-1,) + (1,) * n_b + (1,))
+    tensor, shape (2,)*n_a + (F,) + (2,)*n_b."""
+    shape = (2,) * n_a + (len(basis),) + (2,) * n_b
+    occ = basis.particle_counts.reshape((1,) * n_a + (-1,) + (1,) * n_b)
     diag = np.zeros(shape) + occ
     for axis in range(n_a + n_b):
         pos = axis if axis < n_a else axis + 1
@@ -65,7 +74,7 @@ def total_excitation_operator(basis: FockBasis, n_a: int, n_b: int) -> np.ndarra
 
 
 def reduced_qubit(fv: FockVector, side: str, idx: int) -> np.ndarray:
-    """2x2 reduced density matrix of one ancilla register of a one-member state."""
+    """2x2 reduced density matrix of one ancilla register."""
     axis = fv.register_axis(side, idx)
     x = np.moveaxis(fv.tensor, axis, 0).reshape(2, -1)
     return x @ x.conj().T
@@ -91,16 +100,12 @@ class SectorEvolver:
             np.add.at(block, (h.row[on] - s.start, h.col[on] - s.start), h.data[on])
             self.eigen.append(np.linalg.eigh(block))
 
-    def apply(self, fv: FockVector, t: float | np.ndarray) -> FockVector:
-        # t is one time or one per batch member; the batch axis is the
-        # fastest of the flattened columns, so column c is member c % B
+    def apply(self, fv: FockVector, t: float) -> FockVector:
         x = np.moveaxis(fv.tensor, fv.fock_axis, 0)
         cols = x.reshape(x.shape[0], -1)
-        times = np.broadcast_to(np.asarray(t, dtype=float), (fv.batch,))
-        times = times[np.arange(cols.shape[1]) % fv.batch]
         y = np.zeros(cols.shape, dtype=complex)
         for s, (w, v) in zip(self.basis.sectors, self.eigen):
-            y[s] = v @ (np.exp(-1j * np.outer(w, times)) * (v.conj().T @ cols[s]))
+            y[s] = v @ (np.exp(-1j * t * w)[:, None] * (v.conj().T @ cols[s]))
         tensor = np.moveaxis(y.reshape(x.shape), 0, fv.fock_axis)
         return FockVector(tensor, fv.basis, fv.n_a, fv.n_b)
 
@@ -137,23 +142,36 @@ def operational_ladder_defect(basis: FockBasis) -> float:
     return float(worst)
 
 
-def residual_norm_per_point(actual: FockVector, coeff_pairs, modes_now) -> np.ndarray:
-    """Norm distance of each batch member from the ideal product
-    (c_M + d_M a^dag(f_M)) ... (c_1 + d_1 a^dag(f_1)) |vac> with every register
-    in |0>, modes_now of shape (M, B, N): per member, one
-    ``ModeOperator(f).create`` per mode and the norm of the full difference
-    tensor."""
-    basis, norms = actual.basis, []
-    for b in range(actual.batch):
-        state = np.zeros(len(basis), dtype=complex)
-        state[0] = 1.0
-        for (c, d), mode in zip(coeff_pairs, modes_now[:, b]):
-            state = c * state + d * ModeOperator(mode, basis).create(state)
-        member = actual.tensor[..., b]
-        ideal = np.zeros_like(member)
-        ideal[(0,) * actual.n_a + (slice(None),) + (0,) * actual.n_b] = state
-        norms.append(np.linalg.norm(member - ideal))
-    return np.array(norms)
+def site_frame_encoding(coeff_pairs, g0: np.ndarray, wait: float,
+                        evolver: ExactEvolver) -> FockVector:
+    """The timed encode/evolve sequence on the lattice sites of evolver's basis.
+
+    Register alpha is swapped with g0 at (alpha - 1) * wait, and the whole
+    state evolves exactly for the wait between consecutive swaps: the
+    sequence that ``fock.run_encoding_sequence`` runs without evolution on
+    the current-time modes.
+    """
+    basis = evolver.basis
+    messages = [np.array(pair, dtype=complex) for pair in coeff_pairs]
+    encoder = build_encoder(g0, basis)
+    events = [(wait if alpha > 1 else 0.0, encoder, "A", alpha)
+              for alpha in range(1, len(coeff_pairs) + 1)]
+    return _run_events(vacuum_vector(basis, len(messages), 0, messages), events, evolver)
+
+
+def residual_norm_per_point(actual: FockVector, coeff_pairs, modes) -> float:
+    """Norm distance from the ideal product (c_M + d_M a^dag(f_M)) ...
+    (c_1 + d_1 a^dag(f_1)) |vac> with every register in |0>, modes of shape
+    (M, n) in the frame of actual's basis: one ``ModeOperator(f).create``
+    per mode and the norm of the full difference tensor."""
+    basis = actual.basis
+    state = np.zeros(len(basis), dtype=complex)
+    state[0] = 1.0
+    for (c, d), mode in zip(coeff_pairs, modes):
+        state = c * state + d * ModeOperator(mode, basis).create(state)
+    ideal = np.zeros_like(actual.tensor)
+    ideal[(0,) * actual.n_a + (slice(None),) + (0,) * actual.n_b] = state
+    return float(np.linalg.norm(actual.tensor - ideal))
 
 
 def validate_qubit_state(rho: np.ndarray, atol: float = 1e-10):

@@ -12,6 +12,7 @@ from references import (
     operational_ladder_defect,
     reduced_qubit,
     residual_norm_per_point,
+    site_frame_encoding,
     symmetry_defects,
     total_excitation_operator,
     validate_qubit_state,
@@ -592,11 +593,11 @@ def test_exchange_pairs_follow_the_schedule():
 def test_exchange_correction_is_cz_on_receivers():
     basis = fock_basis(4, 2)
     rng = np.random.default_rng(3)
-    shape = (2, 2, len(basis), 2, 2, 3)
+    shape = (2, 2, len(basis), 2, 2)
     x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     fv = FockVector(x, basis, 2, 2)
     got = fock.exchange_correction(fv, [(1, 2)]).tensor
-    sign = np.array([1.0, 1.0, 1.0, -1.0]).reshape(1, 1, 1, 2, 2, 1)
+    sign = np.array([1.0, 1.0, 1.0, -1.0]).reshape(1, 1, 1, 2, 2)
     assert np.array_equal(got, x * sign)
     assert np.array_equal(fock.exchange_correction(fv, []).tensor, x)
 
@@ -619,11 +620,11 @@ def test_many_body_single_particle_sector_matches_lattice():
     f1 = ModeOperator(g, basis).create(vac)
     ev = ExactEvolver(basis)
     t = 1.9
-    fT = ev.apply(FockVector(f1[:, None], basis, 0, 0), t).tensor
+    fT = ev.apply(FockVector(f1, basis, 0, 0), t).tensor
     amps = np.zeros(n, dtype=complex)
     for i, s in enumerate(basis.masks.tolist()):
         if s.bit_count() == 1:
-            amps[s.bit_length() - 1] = fT[i, 0]
+            amps[s.bit_length() - 1] = fT[i]
     assert np.max(np.abs(amps - propagate(g, t))) < 1e-12
 
 
@@ -636,7 +637,7 @@ def _assert_matches_dense_expm(ev, ham, x, zero=()):
     fv = FockVector(x, basis, 1, 1)
     for t in (0.0, 0.7, 5.3):
         got = ev.apply(fv, t).tensor
-        want = np.einsum("fg,agbz->afbz", expm(-1j * t * csr(ham).toarray()), x)
+        want = np.einsum("fg,agb->afb", expm(-1j * t * csr(ham).toarray()), x)
         assert np.max(np.abs(got - want)) < 1e-11
         for k, a, b in zero:
             assert np.all(got[a, basis.sectors[k], b] == 0)
@@ -644,7 +645,7 @@ def _assert_matches_dense_expm(ev, ham, x, zero=()):
 
 def _random_columns(basis, seed):
     rng = np.random.default_rng(seed)
-    shape = (2, len(basis), 2, 1)
+    shape = (2, len(basis), 2)
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
@@ -767,15 +768,12 @@ def test_protocol_engine_rejects_oversubscribed_basis():
 
 def test_collision_residual_positive_and_bounded():
     n = 10
-    basis = fock_basis(n, 2)
     g0 = gaussian_packet(PacketParams(1.0, 3, 8, Region(1, 5)), n)
     t = 0.4  # deliberate collision
     pairs = [(0.6 + 0j, 0.8j), (1 / np.sqrt(2) + 0j, 1 / np.sqrt(2) + 0j)]
-    evolver = ExactEvolver(basis)
-    enc = build_encoder(g0, basis)
-    actual = run_encoding_sequence(pairs, [enc, enc], [t], evolver)
-    modes_now = np.array([[propagate(g0, t)], [g0]])
-    (resid,) = encoding_residual_norm(actual, pairs, modes_now)
+    coeffs = fock.orbital_frame([propagate(g0, t), g0])
+    actual = run_encoding_sequence(pairs, coeffs, fock_basis(2, 2))
+    resid = encoding_residual_norm(actual, pairs, coeffs)
     bound = encoding_error_bound(g0, t, 2)
     assert resid > 1e-3
     assert resid <= bound + 1e-8
@@ -783,200 +781,136 @@ def test_collision_residual_positive_and_bounded():
 
 def test_residual_zero_for_orthogonal_modes():
     n = 8
-    basis = fock_basis(n, 2)
     g1 = gaussian_packet(PacketParams(0.8, 2, 6, Region(1, 3)), n)
     g2 = gaussian_packet(PacketParams(0.8, 6, 6, Region(5, 7)), n)
     pairs = [(0.6 + 0j, 0.8j), (0.8 + 0j, 0.6 + 0j)]
-    # zero wait, disjoint supports: exact product of independent modes
-    evolver = ExactEvolver(basis)
-    encoders = [build_encoder(g1, basis), build_encoder(g2, basis)]
-    actual = run_encoding_sequence(pairs, encoders, [0.0], evolver)
-    (resid,) = encoding_residual_norm(actual, pairs, np.array([[g1], [g2]]))
-    assert resid < 1e-10
-    with pytest.raises(ValueError, match="finite, non-negative waits"):
-        run_encoding_sequence(pairs, encoders, [-0.5], evolver)
+    # disjoint supports: exact product of independent modes, on the sites
+    # and on the two orbitals that span the modes
+    for modes, basis in (([g1, g2], fock_basis(n, 2)),
+                         (fock.orbital_frame([g1, g2]), fock_basis(2, 2))):
+        actual = run_encoding_sequence(pairs, modes, basis)
+        assert encoding_residual_norm(actual, pairs, modes) < 1e-10
 
 
-@pytest.mark.parametrize("n", [8, 10, 14])
-@pytest.mark.parametrize("m", [1, 2, 3])
+def test_orbital_frame_keeps_norms_and_overlaps():
+    rng = np.random.default_rng(4)
+    modes = np.array([random_mode(16, rng) for _ in range(4)])
+    modes[2] = modes[0]  # a repeated mode leaves R with a zero on its diagonal
+    coeffs = fock.orbital_frame(modes)
+    assert coeffs.shape == (4, 4)
+    gram = modes.conj() @ modes.T
+    assert np.abs(coeffs.conj() @ coeffs.T - gram).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n", [8, 10, 14, 16])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_batched_residuals_match_the_per_point_reference(n, m):
-    basis = fock_basis(n, m)
-    evolver = ExactEvolver(basis)
+    # the oracle-bounds table (4 widths x 5 waits, each run on the M
+    # orbitals of its current-time modes) against the timed encode/evolve
+    # sequence on the N sites, point by point
+    from fermiwire.harness import build_config, run
+
+    table = run(build_config({"experiment": "OracleBounds", "N": n, "M": m}))
+    assert len(table.rows) == 20
+    evolver = ExactEvolver(fock_basis(n, m))
     pairs = [(complex(np.sqrt(1 - 0.4 * a / m)), complex(0, np.sqrt(0.4 * a / m)))
              for a in range(1, m + 1)]
-    waits = np.array([0.3, 0.8, 1.3, 1.8, 2.3])
-    for sigma in (0.6, 1.4):
-        g0 = gaussian_packet(PacketParams(sigma, 3, carrier_mode(n), Region(1, 5)), n)
-        encoders = [build_encoder(g0, basis)] * m
-        # one member per wait at every M, M = 1 included
-        runs = run_encoding_sequence(pairs, encoders, waits, evolver)
-        assert runs.batch == len(waits)
-        modes = np.array([[propagate(g0, (m - a) * t) for t in waits] for a in range(1, m + 1)])
-        got = encoding_residual_norm(runs, pairs, modes)
-        assert got.shape == waits.shape
-        expected = residual_norm_per_point(runs, pairs, modes)
-        assert np.abs(got - expected).max() <= 1e-14
+    region = Region(1, min(5, n // 2))
+    for t, sigma, resid, _, _ in table.rows:
+        g0 = gaussian_packet(PacketParams(sigma, region.center_site, carrier_mode(n), region), n)
+        site = site_frame_encoding(pairs, g0, t, evolver)
+        modes = [propagate(g0, (m - a) * t) for a in range(1, m + 1)]
+        assert abs(resid - residual_norm_per_point(site, pairs, modes)) <= 1e-12
 
 
-def test_batched_residual_reads_every_register_slice():
+def test_residual_reads_every_register_slice():
     # amplitude in every register slice, a receiver register, random modes
     # and a permuted (non-contiguous) tensor, as the event loop leaves one
     rng = np.random.default_rng(5)
     basis = fock_basis(8, 2)
-    x = rng.standard_normal((len(basis), 2, 2, 2, 3)) + 1j * rng.standard_normal(
-        (len(basis), 2, 2, 2, 3))
+    x = rng.standard_normal((len(basis), 2, 2, 2)) + 1j * rng.standard_normal(
+        (len(basis), 2, 2, 2))
     fv = FockVector(np.moveaxis(x, 0, 2), basis, 2, 1)
     assert not fv.tensor.flags.c_contiguous
     pairs = [(0.6 + 0j, 0.8j), (0.8 + 0j, 0.6 + 0j)]
-    modes = np.array([[random_mode(8, rng) for _ in range(3)] for _ in range(2)])
+    modes = np.array([random_mode(8, rng) for _ in range(2)])
     got = encoding_residual_norm(fv, pairs, modes)
     expected = residual_norm_per_point(fv, pairs, modes)
-    assert np.all(np.abs(got - expected) <= 1e-14 * expected)
+    assert abs(got - expected) <= 1e-14 * expected
 
 
 def test_residual_rejects_modes_of_another_shape():
-    basis, evolver, pairs = _encoding_setup(2)
+    basis = fock_basis(10, 2)
     g0 = gaussian_packet(PacketParams(1.0, 3, 8, Region(1, 5)), 10)
-    encoders = [build_encoder(g0, basis)] * 2
-    batch = run_encoding_sequence(pairs, encoders, [0.3, 0.8, 1.3], evolver)
-    single = FockVector(batch.tensor[..., :1], basis, 2, 0)
-    shape = r"modes of shape \(M, B, N\) = "
-    with pytest.raises(ValueError, match=shape + r"\(2, 3, 10\); got 2, \(2, 10\)$"):
-        encoding_residual_norm(batch, pairs, [g0, g0])
-    with pytest.raises(ValueError, match=shape + r"\(2, 1, 10\); got 2, \(2, 3, 10\)$"):
-        encoding_residual_norm(single, pairs, [[g0] * 3] * 2)
-    with pytest.raises(ValueError, match=r"need M = 2 coefficient pairs.*got 1, \(1, 1, 10\)$"):
-        encoding_residual_norm(single, pairs[:1], [[g0]])
+    pairs = [(0.6 + 0j, 0.8j), (0.8 + 0j, 0.6 + 0j)]
+    actual = run_encoding_sequence(pairs, [g0, g0], basis)
+    with pytest.raises(ValueError, match=r"need one mode per signal, shape \(2, 10\); "
+                                         r"got \(2, 2\)$"):
+        run_encoding_sequence(pairs, fock.orbital_frame([g0, g0]), basis)
+    with pytest.raises(ValueError, match=r"shape \(2, 10\); got \(1, 10\)$"):
+        run_encoding_sequence(pairs, [g0], basis)
+    shape = r"need 2 coefficient pairs and modes of shape \(2, 10\); got "
+    with pytest.raises(ValueError, match=shape + r"2, \(2, 1, 10\)$"):
+        encoding_residual_norm(actual, pairs, [[g0], [g0]])
+    with pytest.raises(ValueError, match=shape + r"1, \(1, 10\)$"):
+        encoding_residual_norm(actual, pairs[:1], [g0])
 
 
-def _encoding_setup(m):
-    # the acceptance-06 ring of 10 sites: basis, evolver and message amplitudes
-    basis = fock_basis(10, m)
-    evolver = ExactEvolver(basis)
-    pairs = [(complex(np.sqrt(1 - 0.3 * a)), complex(0, np.sqrt(0.3 * a)))
-             for a in np.linspace(0.5, 1.0, m)]
-    return basis, evolver, pairs
+def _leaky_engine(factor):
+    # a two-signal plan, signal 2 encoded before signal 1 is decoded, whose
+    # evolver scales the state by factor
+    plan = plan_protocol(10, 2, BUDGET, 0.1, wait=1.0, width=3)
+    engine = ProtocolEngine(plan, fock_basis(10, 2))
+    exact = engine.evolver
+
+    class Leaky:
+        def apply(self, fv, t):
+            out = exact.apply(fv, t)
+            return FockVector(out.tensor * factor, out.basis, out.n_a, out.n_b)
+
+    engine.evolver = Leaky()
+    return engine
 
 
-@pytest.mark.parametrize("m", [2, 3])
-def test_batched_waits_match_serial_runs(m):
-    basis, evolver, pairs = _encoding_setup(m)
-    waits = np.array([0.3, 0.8, 1.3, 1.8, 2.3])
-    for sigma in (0.6, 1.0, 1.4, 1.8):
-        g0 = gaussian_packet(PacketParams(sigma, 3, 8, Region(1, 5)), 10)
-        encoders = [build_encoder(g0, basis)] * m
-        batch = run_encoding_sequence(pairs, encoders, waits, evolver)
-        assert batch.batch == 5
-        for i, t in enumerate(waits):
-            serial = run_encoding_sequence(pairs, encoders, [t], evolver)
-            assert serial.batch == 1
-            assert np.abs(batch.tensor[..., i] - serial.tensor[..., 0]).max() <= 1e-14
+def test_norm_drift_aborts_the_protocol_run():
+    with pytest.raises(RuntimeError, match=r"norm drifted to 1\.00\d+ after A2; amplitude"):
+        _leaky_engine(1.001).run([SIX_DESIGN_STATES["x+"]] * 2)
 
 
-def test_float_time_matches_a_length_one_batch_bytes():
+def test_encoding_sequence_and_evolver_reject_bad_inputs():
     basis = fock_basis(10, 3)
     evolver = ExactEvolver(basis)
-    rng = np.random.default_rng(11)
-    shape = (2, len(basis), 2, 1)
-    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    fv = FockVector(x, basis, 1, 1)
-    plain = evolver.apply(fv, 0.7).tensor
-    one = evolver.apply(fv, np.array([0.7])).tensor
-    assert plain.tobytes() == one.tobytes()
-    # a float time evolves every member of a batch, as one equal time per member does
-    pair = FockVector(np.concatenate([x, x], axis=-1), basis, 1, 1)
-    same, each = evolver.apply(pair, 0.7).tensor, evolver.apply(pair, [0.7, 0.7]).tensor
-    assert plain[..., 0].tobytes() == same[..., 0].tobytes() == same[..., 1].tobytes()
-    assert same.tobytes() == each.tobytes()
-
-
-def test_per_member_times_match_the_sector_reference():
-    basis = fock_basis(8, 3)
-    rng = np.random.default_rng(12)
-    shape = (2, len(basis), 2, 3)
-    fv = FockVector(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), basis, 1, 1)
-    times = np.array([0.0, 0.7, 5.3])
-    for j_coupling in (0.0, 1.3):
-        got = ExactEvolver(basis, j_coupling).apply(fv, times).tensor
-        want = SectorEvolver(basis, j_coupling).apply(fv, times).tensor
-        assert np.max(np.abs(got - want)) < 1e-11
-
-
-def _scaling_evolver(evolver, member, factor):
-    # the exact evolver, with one member of every batch scaled by factor
-    class Leaky:
-        basis = evolver.basis
-
-        def apply(self, fv, t):
-            out = evolver.apply(fv, t)
-            out.tensor[..., member] *= factor
-            return out
-
-    return Leaky()
-
-
-def test_norm_drift_names_the_batch_member():
-    basis, evolver, pairs = _encoding_setup(2)
     g0 = gaussian_packet(PacketParams(1.0, 3, 8, Region(1, 5)), 10)
-    encoders = [build_encoder(g0, basis)] * 2
-    leaky = _scaling_evolver(evolver, 2, 1.001)
-    with pytest.raises(RuntimeError, match=r"norm drifted to 1\.00\d+ in batch member 2 after A2"):
-        run_encoding_sequence(pairs, encoders, [0.3, 0.8, 1.3], leaky)
-
-
-def test_encoding_sequence_and_evolver_reject_bad_batches():
-    basis, evolver, pairs = _encoding_setup(3)
-    g0 = gaussian_packet(PacketParams(1.0, 3, 8, Region(1, 5)), 10)
-    encoders = [build_encoder(g0, basis)] * 3
-    waits = r"need 3 encoders and a non-empty 1-d array of finite, non-negative waits; got "
-    with pytest.raises(ValueError, match=waits + r"3 encoders, waits \[0\.3, -0\.5\]$"):
-        run_encoding_sequence(pairs, encoders, [0.3, -0.5], evolver)
-    with pytest.raises(ValueError, match=waits + r"3 encoders, waits \[\[0\.3, 0\.8\]\]$"):
-        run_encoding_sequence(pairs, encoders, [[0.3, 0.8]], evolver)
-    with pytest.raises(ValueError, match=waits + r"3 encoders, waits 0\.3$"):
-        run_encoding_sequence(pairs, encoders, 0.3, evolver)
-    with pytest.raises(ValueError, match=waits + r"2 encoders, waits \[0\.3\]$"):
-        run_encoding_sequence(pairs, encoders[:2], [0.3], evolver)
-    messages = [np.array(p) for p in pairs]
-    single = vacuum_vector(basis, 3, 0, messages)
-    assert single.batch == 1
-    times = r"need one finite time or one per member of the batch of "
-    with pytest.raises(ValueError, match=times + r"1, got t = \[0\.1, 0\.2\]$"):
-        evolver.apply(single, np.array([0.1, 0.2]))
-    batch = FockVector(np.repeat(single.tensor, 3, axis=-1), basis, 3, 0)
-    with pytest.raises(ValueError, match=times + r"3, got t = \[0\.1, 0\.2\]$"):
-        evolver.apply(batch, np.array([0.1, 0.2]))
-    with pytest.raises(ValueError, match=times + r"3, got t = \[\[0\.1, 0\.2, 0\.3\]\]$"):
-        evolver.apply(batch, np.array([[0.1, 0.2, 0.3]]))
-    with pytest.raises(ValueError, match=r"tensor shape \(2, 2, 2, 176, 3, 1\)"):
-        FockVector(batch.tensor[..., None], basis, 3, 0)
-    # the batch axis is always there, and never empty
-    for bad in (single.tensor[..., 0], single.tensor[..., :0]):
-        with pytest.raises(ValueError, match=r"!= \(2, 2, 2, 176\) \+ \(batch,\)$"):
+    pairs = [(0.6 + 0j, 0.8j)] * 3
+    with pytest.raises(ValueError, match=r"mode coefficients must be normalized"):
+        run_encoding_sequence(pairs, [g0, g0, 2 * g0], basis)
+    single = vacuum_vector(basis, 3, 0, [np.array(p) for p in pairs])
+    # no trailing axis of any length
+    for bad in (single.tensor[..., None], single.tensor[None]):
+        with pytest.raises(ValueError, match=r"!= \(2, 2, 2, 176\)$"):
             FockVector(bad, basis, 3, 0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=rf"need one finite time, got t = {bad}$"):
+            evolver.apply(single, bad)
+    # one time per call: an array of times is refused, a length-one array too
+    for bad in ([0.1, 0.2], np.array([0.7])):
+        with pytest.raises(ValueError, match=r"need one finite time, got t = "):
+            evolver.apply(single, bad)
 
 
 def test_non_finite_inputs_fail_loudly():
     # NaN compares false, so a check written as abs(x - 1) > tol or x > tol
     # would let each of these through
     basis = fock_basis(8, 2)
-    evolver = ExactEvolver(basis)
     g0 = gaussian_packet(PacketParams(1.0, 3, 6, Region(1, 5)), 8)
-    encoders = [build_encoder(g0, basis)] * 2
     pairs = [(0.6 + 0j, 0.8j), (1.0 + 0j, 0j)]
     with pytest.raises(ValueError, match=r"message states must be normalized, got norm nan$"):
-        run_encoding_sequence([(np.nan, 0), (1, 0)], encoders, [1.0], evolver)
-    with pytest.raises(ValueError, match=r"non-negative waits; got 2 encoders, waits \[nan\]$"):
-        run_encoding_sequence(pairs, encoders, [np.nan], evolver)
+        run_encoding_sequence([(np.nan, 0), (1, 0)], [g0, g0], basis)
+    with pytest.raises(ValueError, match=r"must be normalized \(\|g\|\^2 - 1 = nan"):
+        run_encoding_sequence(pairs, [g0, np.full(8, np.nan)], basis)
     # a NaN amplitude after a step fails the norm check
-    with pytest.raises(RuntimeError, match=r"norm drifted to nan in batch member 1 after A2"):
-        run_encoding_sequence(pairs, encoders, [1.0, 2.0], _scaling_evolver(evolver, 1, np.nan))
-    fv = run_encoding_sequence(pairs, encoders, [1.0, 2.0], evolver)
-    for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match=rf"batch of 2, got t = \[{bad}\]$"):
-            evolver.apply(fv, bad)
-        with pytest.raises(ValueError, match=rf"got t = \[1\.0, {bad}\]$"):
-            evolver.apply(fv, [1.0, bad])
+    with pytest.raises(RuntimeError, match=r"norm drifted to nan after A2"):
+        _leaky_engine(np.nan).run([SIX_DESIGN_STATES["x+"]] * 2)
 
 
 def test_residual_t0_matches_direct_product_evaluation():
@@ -986,10 +920,8 @@ def test_residual_t0_matches_direct_product_evaluation():
     basis = fock_basis(n, 2)
     g0 = gaussian_packet(PacketParams(1.0, 3, 6, Region(1, 5)), n)
     pairs = [(0.6 + 0j, 0.8j), (0.0j, 1.0 + 0j)]
-    evolver = ExactEvolver(basis)
-    enc = build_encoder(g0, basis)
-    actual = run_encoding_sequence(pairs, [enc, enc], [0.0], evolver)
-    (resid,) = encoding_residual_norm(actual, pairs, np.array([[g0], [g0]]))
+    actual = run_encoding_sequence(pairs, [g0, g0], basis)
+    resid = encoding_residual_norm(actual, pairs, [g0, g0])
 
     f = len(basis)
     u = dense_swap(build_encoder(g0, basis))
@@ -1193,12 +1125,12 @@ def test_vacuum_vector_matches_the_kron_product():
             amp = np.kron(amp, vac)
             for _ in range(n_b):
                 amp = np.kron(amp, np.array([1.0, 0.0], dtype=complex))
-            shape = (2,) * n_a + (len(basis),) + (2,) * n_b + (1,)
+            shape = (2,) * n_a + (len(basis),) + (2,) * n_b
             ref = amp.reshape(shape)
             got = vacuum_vector(basis, n_a, n_b, messages).tensor
             # equal everywhere; the kron chain leaves -0.0 on some zeros
             assert np.array_equal(got, ref)
-            live = (Ellipsis, 0) + (0,) * n_b + (0,)
+            live = (Ellipsis, 0) + (0,) * n_b
             assert got[live].tobytes() == ref[live].tobytes()
     with pytest.raises(ValueError, match="expected 2 message states, got 1"):
         vacuum_vector(basis, 2, 0, states[:1])
@@ -1243,7 +1175,7 @@ def test_interaction_error_single_particle_zero():
     vac = np.zeros(len(basis), dtype=complex)
     vac[0] = 1.0
     one = ModeOperator(g, basis).create(vac)
-    fv = FockVector(one[:, None], basis, 0, 0)
+    fv = FockVector(one, basis, 0, 0)
     assert tj_interaction_error(fv) == 0.0
 
 
@@ -1252,7 +1184,7 @@ def test_interaction_error_adjacent_pair_eigenstate():
     basis = fock_basis(n, 2)
     state = np.zeros(len(basis), dtype=complex)
     state[basis_index(basis)[0b11]] = 1.0  # sites 1 and 2 occupied
-    fv = FockVector(state[:, None], basis, 0, 0)
+    fv = FockVector(state, basis, 0, 0)
     assert np.isclose(tj_interaction_error(fv), 1.0, atol=1e-14)
 
 
@@ -1280,7 +1212,7 @@ def test_evolution_difference_trivial_cases():
     vac = np.zeros(len(basis), dtype=complex)
     vac[0] = 1.0
     one = ModeOperator(g, basis).create(vac)
-    fv = FockVector(one[:, None], basis, 0, 0)
+    fv = FockVector(one, basis, 0, 0)
     assert evolution_difference(fv, [0.8], 3.0)[0] < 1e-10
 
 
@@ -1308,7 +1240,7 @@ def test_evolution_difference_builds_each_evolver_once(monkeypatch):
 
     monkeypatch.setattr(fock, "ExactEvolver", Counted)
     basis = fock_basis(8, 2)
-    fv = FockVector(np.eye(len(basis))[:, 3:4], basis, 0, 0)
+    fv = FockVector(np.eye(len(basis))[3], basis, 0, 0)
     assert len(evolution_difference(fv, [0.1, 0.5, 1.0, 2.0], 1.0)) == 4
     assert built == [0.0, 1.0]
 

@@ -165,8 +165,9 @@ def test_failed_sweep_points_emit_strict_json(tmp_path, capsys):
 
 
 def test_oracle_bounds_all_satisfied():
-    # M = 1 has no wait between encodings, yet its run is one batch member per wait too
-    for n, m in ((8, 1), (10, 1), (10, 2)):
+    # M = 1 has no wait between encodings, yet it runs once per wait too;
+    # N = 1024 is far past the reach of a Fock space on the sites
+    for n, m in ((8, 1), (10, 1), (10, 2), (1024, 4)):
         cfg = make_config(f"experiment = OracleBounds\nN = {n}\nM = {m}\n")
         table = run(cfg)
         assert len(table.rows) == 20
@@ -187,11 +188,14 @@ def test_oracle_bounds_builds_the_reference_side_once_per_packet_width(monkeypat
                         counted("ModeOperator", fock.ModeOperator.__init__))
     for name in ("propagate", "encoding_error_bound"):
         monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
-    table = run(make_config("experiment = OracleBounds\nN = 8\nM = 2\n"))
+    m = 2
+    table = run(make_config(f"experiment = OracleBounds\nN = 8\nM = {m}\n"))
     widths = len({row[1] for row in table.rows})
-    assert widths == 4
-    # the encoder is the one mode operator; modes and bounds come as arrays
-    assert calls == {"ModeOperator": widths, "propagate": widths,
+    waits = len({row[0] for row in table.rows})
+    assert (widths, waits) == (4, 5)
+    # modes and bounds come as arrays; each wait's run has one encoder per
+    # signal and its ideal product one creator per signal
+    assert calls == {"ModeOperator": 2 * m * widths * waits, "propagate": widths,
                      "encoding_error_bound": widths}
 
 
@@ -487,9 +491,15 @@ def test_cli_reports_bad_key():
      "line 1: unknown key 'nu'"),
     (["oracle-protocol", "--set", "N=8", "--set", "M=1", "--set", "t=0"],
      "key 't' must be positive, got 0.0"),
+    # more signals than the oracle has sites, refused before any basis is built
+    (["oracle-protocol", "--set", "N=4", "--set", "M=5"],
+     "M = 5 exceeds N = 4; the oracle needs a site per signal"),
+    (["oracle-bounds", "--set", "N=4", "--set", "M=5"],
+     "M = 5 exceeds N = 4; the oracle needs a site per signal"),
 ], ids=["t-nan", "t-inf", "J-inf", "epsilon-nan", "M-0",
         "dispersion-J", "oracle-protocol-s",
-        "epsilon-above-1", "epsilon-negative", "nu-unknown", "t-0"])
+        "epsilon-above-1", "epsilon-negative", "nu-unknown", "t-0",
+        "oracle-protocol-M-above-N", "oracle-bounds-M-above-N"])
 def test_cli_rejects_bad_numbers_before_running(argv, message, capsys):
     assert main(argv) == 1
     captured = capsys.readouterr()
