@@ -31,23 +31,27 @@ sector and (g^dag)^2 = 0.  The signs behind both are checked once per basis
 (``FockBasis.ladder_defect``), the norm of g per encoder; the tests keep
 the equivalent two-exponential product as a reference.
 
-The encodings alone need no evolution.  On the free wire a mode moves
-linearly, e^{-iHt} a^dag(g) e^{iHt} = a^dag(U_t g), so moving every gap's
-evolution to the right past the swaps turns the swaps into swaps with the
-propagated modes f_alpha = U_{(M - alpha) wait} g0, and H|vac> = 0 leaves
-nothing over: the state is exactly S(f_M) ... S(f_1) |psi, vac>.  The f_alpha
-span at most M orthonormal orbitals (``orbital_frame``), so
-``run_encoding_sequence`` runs on ``fock_basis(M, M)`` over them at any N
-(fermionic linear optics: Terhal & DiVincenzo, PRA 65, 032325 (2002);
-Knill, quant-ph/0108033).
+The protocol needs no evolution.  On the free wire a mode moves linearly,
+e^{-iHt} a^dag(f) e^{iHt} = a^dag(U_t f), so a swap with mode f at time
+tau is U(tau) S(U(-tau) f) U(-tau), and H|vac> = 0: the timed protocol is
+its swaps with the back-propagated modes in time order, with no evolution
+between them, then the free evolution after the last event.  That is a
+number-conserving unitary on the Fock factor alone; it changes no register
+matrix and no excitation sector below, so it is left out.  The 2M event
+modes span r = min(N, 2M) orbitals (``orbital_frame``), so
+``ProtocolEngine`` runs on ``fock_basis(r, M)`` at any N, and
+``run_encoding_sequence`` the encodings alone on the M orbitals of their
+current-time modes (fermionic linear optics: Terhal & DiVincenzo, PRA 65,
+032325 (2002); Knill, quant-ph/0108033).
 
-Time evolution never forms an F x F propagator: ``ExactEvolver`` applies
-exp(-iHt) in the eigenbasis of (particle number, ring momentum) blocks.
-H commutes with the fermionic ring translation (``FockBasis.translation``),
-so each particle-number sector splits into N momentum blocks of orbit
-representatives, the standard exact-diagonalization construction (Sandvik,
-AIP Conf. Proc. 1297, 135 (2010)).  Per sector only the register columns
-that hold amplitude move (a zero column stays zero).
+Time evolution is needed only with J != 0, in ``evolution_difference``
+(the t-J check).  It never forms an F x F propagator: ``ExactEvolver``
+applies exp(-iHt) in the eigenbasis of (particle number, ring momentum)
+blocks.  H commutes with the fermionic ring translation
+(``FockBasis.translation``), so each particle-number sector splits into N
+momentum blocks of orbit representatives, the standard exact-diagonalization
+construction (Sandvik, AIP Conf. Proc. 1297, 135 (2010)).  Per sector only
+the register columns that hold amplitude move (a zero column stays zero).
 
 Registers carry no Jordan-Wigner string, so when signal beta is still in
 the wire as signal alpha < beta is decoded, a_h anticommutes past beta's
@@ -591,60 +595,48 @@ def exchange_correction(fv: FockVector, pairs: Sequence[tuple[int, int]]) -> Foc
 
 
 class ProtocolEngine:
-    """Encoder, decoder and exact evolver of one plan on one basis.
+    """The timed protocol of one plan on the orbitals of its 2M event modes.
 
-    ``run`` performs the timed protocol for one list of messages;
-    ``two_design_fidelities`` needs a single run for all six inputs.
+    g0 at each encoding time and the receiver mode h at each decoding time
+    (``schedule``), propagated back to time 0 (see the module docstring):
+    ``modes`` holds their (2M, r) coefficients on the r = min(N, 2M)
+    orbitals of ``orbital_frame``, encodings 1..M then decodings 1..M.
+    ``run`` works on ``basis``, ``fock_basis(r, M)`` unless replaced.
     """
 
-    def __init__(self, plan: ProtocolPlan, basis: FockBasis):
-        if plan.m_signals > basis.max_particles:
-            raise ValueError(
-                f"basis truncated at {basis.max_particles} particles cannot "
-                f"carry {plan.m_signals} signals"
-            )
-        if basis.n_sites != plan.n:
-            raise ValueError("basis and plan lattice sizes differ")
+    def __init__(self, plan: ProtocolPlan):
         self.plan = plan
-        self.basis = basis
         g0 = gaussian_packet(plan.packet, plan.n)
         h, _ = decode_mode(propagate(g0, plan.decode_time), plan.region_b)
-        self.encoder = build_encoder(g0, basis)
-        self.decoder = build_encoder(h, basis)
-        self.evolver = ExactEvolver(basis)
+        # each kind's times ascend with its signal index
+        tau = [np.array([t for t, k, _ in schedule(plan) if k == kind]) for kind in (0, 1)]
+        self.modes = orbital_frame(np.concatenate([propagate(g0, -tau[0]), propagate(h, -tau[1])]))
+        self.basis = fock_basis(self.modes.shape[1], plan.m_signals)
 
     def run(self, messages: Sequence[np.ndarray]) -> FockVector:
-        """Run the full timed encode/evolve/decode sequence exactly.
+        """The 2M register swaps in ``schedule`` order on ``basis``, with no
+        evolution between them, then Bob's ``exchange_pairs`` CZ gates.
 
-        Signal alpha is encoded at (alpha-1)*wait and decoded at
-        decode_time + (alpha-1)*wait, so every signal propagates for the
-        same duration; events are applied in global time order.  Evolution
-        uses the exact eigendecomposition of the truncated Hamiltonian, and
-        any amplitude leakage out of the excitation-conserving sector
-        aborts the run.  Bob finishes with the ``exchange_pairs`` CZ gates.
+        Amplitude leaking out of the excitation-conserving sector aborts
+        the run, and so does a basis that cannot hold M particles.
         """
         m = self.plan.m_signals
         if len(messages) != m:
             raise ValueError(f"expected {m} messages, got {len(messages)}")
-        events, now = [], 0.0
-        for tau, kind, idx in schedule(self.plan):
-            op, side = (self.decoder, "B") if kind else (self.encoder, "A")
-            events.append((tau - now, op, side, idx))
-            now = tau
-        fv = _run_events(vacuum_vector(self.basis, m, m, messages), events, self.evolver)
+        if m > self.basis.max_particles:
+            raise ValueError(f"basis truncated at {self.basis.max_particles} particles "
+                             f"cannot carry {m} signals")
+        ops = [build_encoder(f, self.basis) for f in self.modes]
+        events = [(ops[kind * m + idx - 1], "AB"[kind], idx)
+                  for _, kind, idx in schedule(self.plan)]
+        fv = _run_events(vacuum_vector(self.basis, m, m, messages), events)
         return exchange_correction(fv, exchange_pairs(self.plan))
 
 
-def _run_events(fv: FockVector, events, evolver: ExactEvolver | None) -> FockVector:
-    """Apply (gap, operator, side, register) events in order.
-
-    Each evolves for its gap unless it is at most 1e-12, then swaps the
-    register with the operator's mode; amplitude leaking out of the
-    excitation-conserving sector aborts.
-    """
-    for gap, op, side, idx in events:
-        if gap > 1e-12:
-            fv = evolver.apply(fv, gap)
+def _run_events(fv: FockVector, events) -> FockVector:
+    """Swap each (operator, side, register) event's register with the operator's
+    mode, in order; amplitude leaking out of the excitation-conserving sector aborts."""
+    for op, side, idx in events:
         fv = _apply_register_block(fv, op, side, idx)
         nrm = float(np.linalg.norm(fv.tensor))
         if not abs(nrm - 1.0) <= 1e-10:  # a NaN norm fails too
@@ -670,9 +662,10 @@ def average_fidelity(channel_outputs: Mapping[str, np.ndarray]) -> float:
 
 
 def two_design_fidelities(
-    plan: ProtocolPlan, basis: FockBasis
+    engine: ProtocolEngine,
 ) -> tuple[dict[int, dict[str, np.ndarray]], dict[int, float], dict[int, float]]:
-    """Protocol channel outputs and average fidelity per receiver register.
+    """Channel outputs and average fidelity per receiver register of an
+    engine's protocol.
 
     Feeds each of the six axis states into every message register at once
     and reads every receiver state from the B registers' 2^M x 2^M density
@@ -682,8 +675,8 @@ def two_design_fidelities(
 
     One run with input |+>^M serves all six inputs.  Every step conserves
     the total excitation (raised A registers + fermions + raised B
-    registers): H conserves particle number, the swap maps register-0
-    sector e to register-1 sector e-1, and the CZ gates are diagonal.  The
+    registers): the swap maps register-0 sector e to register-1 sector
+    e-1 and the CZ gates are diagonal.  The
     input psi^M is sum_a psi_0^(M-|a|) psi_1^|a| |a>, so its final state is
     sum_n c_n T_n with T_n the excitation-n part of the |+>^M run's final
     tensor T and c_n = 2^(M/2) psi_0^(M-n) psi_1^n.  A row of T, an A index
@@ -692,7 +685,7 @@ def two_design_fidelities(
     excitation r, each input's B-register matrix is
     sum_r c_(r+|b|) conj(c_(r+|b'|)) G_r[b, b'], where c_n = 0 above n = M.
     """
-    engine = ProtocolEngine(plan, basis)
+    plan, basis = engine.plan, engine.basis
     m, dim = plan.m_signals, 2**plan.m_signals
     # column alpha-1 holds B_alpha's bit of each register basis state
     bits = (np.arange(dim)[:, None] >> np.arange(m - 1, -1, -1)) & 1
@@ -724,12 +717,12 @@ def two_design_fidelities(
 
 
 def orbital_frame(modes: np.ndarray) -> np.ndarray:
-    """Coefficients of M single-particle modes (M, N) on M orbitals that span them.
+    """Coefficients of K single-particle modes (K, N) on min(N, K) orbitals that span them.
 
-    One reduced QR of the (N, M) mode matrix: Q's orthonormal columns are
-    the orbitals and column alpha of R, row alpha of the result, is mode
-    alpha on them.  Q is an isometry, so each row keeps its mode's norm and
-    overlaps, and every product of the modes' creators keeps its norm.
+    One reduced QR of the (N, K) mode matrix: Q's orthonormal columns are
+    the orbitals and column e of R, row e of the result, is mode e on them.
+    Q is an isometry, so each row keeps its mode's norm and overlaps, and
+    every product of the modes' creators keeps its norm.
     """
     return np.linalg.qr(np.asarray(modes, dtype=complex).T)[1].T
 
@@ -742,8 +735,9 @@ def run_encoding_sequence(
     coeff_pairs are the (c, d) amplitudes of each message qubit and modes
     the (M, n) coefficients of each signal's mode on the basis's n sites or
     orbitals; no evolution runs between the swaps.  With the current-time
-    modes, ``orbital_frame`` of them and ``basis = fock_basis(M, M)``, this
-    is the timed free-wire sequence exactly (see the module docstring).
+    modes f_alpha = U((M - alpha) wait) g0, ``orbital_frame`` of them and
+    ``basis = fock_basis(M, M)``, this is the timed free-wire encoding
+    sequence exactly (see the module docstring).
     Like ``ProtocolEngine.run`` it aborts when amplitude leaks out of the
     truncated sector.
     """
@@ -752,8 +746,8 @@ def run_encoding_sequence(
         raise ValueError(f"need one mode per signal, shape {(m, basis.n_sites)}; "
                          f"got {modes.shape}")
     messages = [np.array([c, d], dtype=complex) for c, d in coeff_pairs]
-    events = [(0.0, build_encoder(f, basis), "A", alpha) for alpha, f in enumerate(modes, 1)]
-    return _run_events(vacuum_vector(basis, m, 0, messages), events, None)
+    events = [(build_encoder(f, basis), "A", alpha) for alpha, f in enumerate(modes, 1)]
+    return _run_events(vacuum_vector(basis, m, 0, messages), events)
 
 
 def encoding_residual_norm(

@@ -340,8 +340,8 @@ def _oracle_plan(params):
 
 def _run_oracleprotocol(params):
     plan = _oracle_plan(params)
-    basis = fock.fock_basis(plan.n, plan.m_signals)
-    outputs, fids, raw_fids = fock.two_design_fidelities(plan, basis)
+    engine = fock.ProtocolEngine(plan)
+    outputs, fids, raw_fids = fock.two_design_fidelities(engine)
     rep = error_budget(plan)
     rows = []
     for alpha in sorted(outputs):
@@ -361,6 +361,8 @@ def _run_oracleprotocol(params):
         "bound_vacuous": rep.clamped,
         "wait": plan.wait,
         "decode_time": plan.decode_time,
+        "orbitals": engine.basis.n_sites,
+        "fock_dim": len(engine.basis),
     }
     return ["register", "input", "fidelity"], rows, meta
 

@@ -20,11 +20,19 @@ from fermiwire.fock import (
     ModeOperator,
     _run_events,
     build_encoder,
+    exchange_correction,
+    exchange_pairs,
+    schedule,
     tj_hamiltonian,
     vacuum_vector,
 )
-from fermiwire.lattice import ring_energies
-from fermiwire.protocol import _bound_from_weights, _mode_weights, encoding_error_bound
+from fermiwire.lattice import propagate, ring_energies
+from fermiwire.protocol import (
+    _bound_from_weights,
+    _mode_weights,
+    decode_mode,
+    encoding_error_bound,
+)
 from fermiwire.wavepacket import (
     PacketBudget,
     gaussian_packet,
@@ -142,6 +150,18 @@ def operational_ladder_defect(basis: FockBasis) -> float:
     return float(worst)
 
 
+def run_site_events(fv: FockVector, events, evolver) -> FockVector:
+    """Apply (gap, operator, side, register) events in order on the lattice
+    sites: evolve exactly for the gap unless it is at most 1e-12, then swap
+    the register with the operator's mode under ``fock._run_events``'s
+    norm check."""
+    for gap, op, side, idx in events:
+        if gap > 1e-12:
+            fv = evolver.apply(fv, gap)
+        fv = _run_events(fv, [(op, side, idx)])
+    return fv
+
+
 def site_frame_encoding(coeff_pairs, g0: np.ndarray, wait: float,
                         evolver: ExactEvolver) -> FockVector:
     """The timed encode/evolve sequence on the lattice sites of evolver's basis.
@@ -156,7 +176,38 @@ def site_frame_encoding(coeff_pairs, g0: np.ndarray, wait: float,
     encoder = build_encoder(g0, basis)
     events = [(wait if alpha > 1 else 0.0, encoder, "A", alpha)
               for alpha in range(1, len(coeff_pairs) + 1)]
-    return _run_events(vacuum_vector(basis, len(messages), 0, messages), events, evolver)
+    return run_site_events(vacuum_vector(basis, len(messages), 0, messages), events, evolver)
+
+
+class SiteFrameEngine:
+    """The timed protocol on the N lattice sites of a basis.
+
+    Swaps with g0 and the receiver mode h at their event times, exact
+    evolution between the events and Bob's CZ gates at the end: what
+    ``fock.ProtocolEngine`` runs without evolution on the orbitals of its
+    back-propagated modes.  It has the engine's ``plan``, ``basis`` and
+    ``run``, so ``fock.two_design_fidelities`` takes it too; evolver is
+    ``ExactEvolver`` or ``SectorEvolver``.
+    """
+
+    def __init__(self, plan, basis: FockBasis, evolver=ExactEvolver):
+        if plan.m_signals > basis.max_particles or basis.n_sites != plan.n:
+            raise ValueError(f"a basis of {basis.n_sites} sites and {basis.max_particles} "
+                             f"particles cannot run a plan of N={plan.n}, M={plan.m_signals}")
+        self.plan, self.basis = plan, basis
+        g0 = gaussian_packet(plan.packet, plan.n)
+        h, _ = decode_mode(propagate(g0, plan.decode_time), plan.region_b)
+        self.encoder, self.decoder = build_encoder(g0, basis), build_encoder(h, basis)
+        self.evolver = evolver(basis)
+
+    def run(self, messages) -> FockVector:
+        m, events, now = self.plan.m_signals, [], 0.0
+        for tau, kind, idx in schedule(self.plan):
+            events.append((tau - now, (self.encoder, self.decoder)[kind], "AB"[kind], idx))
+            now = tau
+        fv = vacuum_vector(self.basis, m, m, messages)
+        fv = run_site_events(fv, events, self.evolver)
+        return exchange_correction(fv, exchange_pairs(self.plan))
 
 
 def residual_norm_per_point(actual: FockVector, coeff_pairs, modes) -> float:

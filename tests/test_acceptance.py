@@ -214,8 +214,7 @@ def test_acceptance_07_fidelity_lower_bound():
         for m in (1, 2, 3):
             plan = plan_protocol(n, m, BUDGET, 0.1, wait=1.0, width=width)
             plan = replace(plan, wait=plan.decode_time + 1.0)
-            basis = fock.fock_basis(n, m)
-            _, fids, _ = fock.two_design_fidelities(plan, basis)
+            _, fids, _ = fock.two_design_fidelities(fock.ProtocolEngine(plan))
             rep = error_budget(plan)
             for alpha in fids:
                 margin = fids[alpha] - (rep.fidelity_bound - 1e-6)
@@ -232,8 +231,11 @@ def test_acceptance_08_truncation_equivalence():
     n, m = 8, 2
     plan = plan_protocol(n, m, BUDGET, 0.1, wait=3.0, width=2)
     msgs = [np.array([0.6, 0.8j]), np.array([1.0, -1.0j]) / np.sqrt(2)]
-    small = fock.ProtocolEngine(plan, fock.fock_basis(n, m)).run(msgs)
-    full = fock.ProtocolEngine(plan, fock.fock_basis(n, n)).run(msgs)
+    engine = fock.ProtocolEngine(plan)
+    r = engine.basis.n_sites  # min(N, 2M) orbitals
+    small = engine.run(msgs)
+    engine.basis = fock.fock_basis(r, r)
+    full = engine.run(msgs)
     small_index, full_index = basis_index(small.basis), basis_index(full.basis)
     worst = 0.0
     for i, s in enumerate(small.basis.masks.tolist()):
@@ -243,7 +245,7 @@ def test_acceptance_08_truncation_equivalence():
         if s not in small_index:
             worst = max(worst, float(np.max(np.abs(full.tensor[:, :, i, :, :]))))
     ok = worst < 1e-10
-    report(8, ok, f"truncated (m_max=2) vs full 2^8 space: max componentwise "
+    report(8, ok, f"truncated (m_max=2) vs full 2^{r} space: max componentwise "
                   f"diff {worst:.2e} (< 1e-10), {timed()-t0:.2f}s")
     assert ok
 
@@ -289,8 +291,7 @@ def test_acceptance_11_average_fidelity_identity():
     # channel 3 is the actual wire channel, reconstructed as a linear map
     # on density matrices from four pure-input protocol runs
     plan = plan_protocol(8, 1, BUDGET, 0.1, wait=2.0, width=2)
-    basis = fock.fock_basis(8, 1)
-    engine = fock.ProtocolEngine(plan, basis)
+    engine = fock.ProtocolEngine(plan)
 
     def wire_output(psi):
         fv = engine.run([np.asarray(psi, dtype=complex)])

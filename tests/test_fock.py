@@ -8,6 +8,7 @@ import pytest
 from scipy import sparse
 from references import (
     SectorEvolver,
+    SiteFrameEngine,
     basis_index,
     operational_ladder_defect,
     reduced_qubit,
@@ -551,12 +552,13 @@ def test_excitation_conservation_commutators():
 
 def test_total_excitation_conserved_through_protocol():
     plan = plan_protocol(10, 2, BUDGET, 0.1, wait=4.0, width=3)
-    basis = fock_basis(10, 2)
+    engine = ProtocolEngine(plan)
+    basis = engine.basis
     diag = total_excitation_operator(basis, 2, 2)
     msgs = [np.array([0.6, 0.8]), np.array([0.0, 1.0])]
     expect = sum(abs(m[1]) ** 2 for m in msgs)
     before = fock.vacuum_vector(basis, 2, 2, msgs)
-    after = ProtocolEngine(plan, basis).run(msgs)
+    after = engine.run(msgs)
     for fv in (before, after):
         value = float(np.sum(diag * np.abs(fv.tensor) ** 2))
         assert abs(value - expect) < 1e-10
@@ -566,10 +568,9 @@ def test_total_excitation_conserved_through_protocol():
 def test_protocol_run_has_no_weight_above_m_excitations(n, m, fraction):
     plan = plan_protocol(n, m, BUDGET, 0.1, wait=1.0, width=3)
     plan = dataclasses.replace(plan, wait=fraction * plan.decode_time)
-    basis = fock_basis(n, m)
     msgs = [SIX_DESIGN_STATES["x+"], SIX_DESIGN_STATES["y-"], SIX_DESIGN_STATES["z-"]][:m]
-    fv = ProtocolEngine(plan, basis).run(msgs)
-    diag = total_excitation_operator(basis, m, m)
+    fv = ProtocolEngine(plan).run(msgs)
+    diag = total_excitation_operator(fv.basis, m, m)
     assert np.sum(np.abs(fv.tensor[diag > m]) ** 2) == 0.0
     assert abs(np.linalg.norm(fv.tensor) - 1.0) < 1e-10
 
@@ -745,8 +746,7 @@ def test_exact_evolver_rejects_a_one_sided_entry_and_a_non_finite_j(monkeypatch)
 
 def test_protocol_engine_vacuum_message_leaves_receiver_cold():
     plan = plan_protocol(8, 1, BUDGET, 0.1, wait=2.0, width=2)
-    basis = fock_basis(8, 1)
-    fv = ProtocolEngine(plan, basis).run([np.array([1.0, 0.0])])
+    fv = ProtocolEngine(plan).run([np.array([1.0, 0.0])])
     rho = reduced_qubit(fv, "B", 1)
     assert abs(rho[0, 0] - 1.0) < 1e-12
     assert abs(rho[1, 1]) < 1e-12
@@ -755,15 +755,17 @@ def test_protocol_engine_vacuum_message_leaves_receiver_cold():
 def test_protocol_engine_perfect_transport_toy():
     plan = plan_protocol(8, 1, BUDGET, 0.1, wait=2.0, width=2)
     toy = dataclasses.replace(plan, region_b=Region(1, 8))
-    basis = fock_basis(8, 1)
-    _, fids, _ = two_design_fidelities(toy, basis)
+    _, fids, _ = two_design_fidelities(ProtocolEngine(toy))
     assert fids[1] > 1.0 - 1e-8
 
 
 def test_protocol_engine_rejects_oversubscribed_basis():
     plan = plan_protocol(8, 2, BUDGET, 0.1, wait=2.0, width=2)
-    with pytest.raises(ValueError):
-        ProtocolEngine(plan, fock_basis(8, 1)).run([SIX_DESIGN_STATES["z+"]] * 2)
+    engine = ProtocolEngine(plan)
+    assert (engine.basis.n_sites, engine.basis.max_particles) == (4, 2)
+    engine.basis = fock_basis(4, 1)
+    with pytest.raises(ValueError, match=r"truncated at 1 particles cannot carry 2 signals$"):
+        engine.run([SIX_DESIGN_STATES["z+"]] * 2)
 
 
 def test_collision_residual_positive_and_bounded():
@@ -856,25 +858,24 @@ def test_residual_rejects_modes_of_another_shape():
         encoding_residual_norm(actual, pairs[:1], [g0])
 
 
-def _leaky_engine(factor):
+def _leaky_engine(factor, monkeypatch):
     # a two-signal plan, signal 2 encoded before signal 1 is decoded, whose
-    # evolver scales the state by factor
+    # swap of register A2 also scales the state by factor
     plan = plan_protocol(10, 2, BUDGET, 0.1, wait=1.0, width=3)
-    engine = ProtocolEngine(plan, fock_basis(10, 2))
-    exact = engine.evolver
+    swap = fock._apply_register_block
 
-    class Leaky:
-        def apply(self, fv, t):
-            out = exact.apply(fv, t)
-            return FockVector(out.tensor * factor, out.basis, out.n_a, out.n_b)
+    def leaky(fv, op, side, idx):
+        out = swap(fv, op, side, idx)
+        scale = factor if (side, idx) == ("A", 2) else 1.0
+        return FockVector(out.tensor * scale, out.basis, out.n_a, out.n_b)
 
-    engine.evolver = Leaky()
-    return engine
+    monkeypatch.setattr(fock, "_apply_register_block", leaky)
+    return ProtocolEngine(plan)
 
 
-def test_norm_drift_aborts_the_protocol_run():
+def test_norm_drift_aborts_the_protocol_run(monkeypatch):
     with pytest.raises(RuntimeError, match=r"norm drifted to 1\.00\d+ after A2; amplitude"):
-        _leaky_engine(1.001).run([SIX_DESIGN_STATES["x+"]] * 2)
+        _leaky_engine(1.001, monkeypatch).run([SIX_DESIGN_STATES["x+"]] * 2)
 
 
 def test_encoding_sequence_and_evolver_reject_bad_inputs():
@@ -898,7 +899,7 @@ def test_encoding_sequence_and_evolver_reject_bad_inputs():
             evolver.apply(single, bad)
 
 
-def test_non_finite_inputs_fail_loudly():
+def test_non_finite_inputs_fail_loudly(monkeypatch):
     # NaN compares false, so a check written as abs(x - 1) > tol or x > tol
     # would let each of these through
     basis = fock_basis(8, 2)
@@ -910,7 +911,7 @@ def test_non_finite_inputs_fail_loudly():
         run_encoding_sequence(pairs, [g0, np.full(8, np.nan)], basis)
     # a NaN amplitude after a step fails the norm check
     with pytest.raises(RuntimeError, match=r"norm drifted to nan after A2"):
-        _leaky_engine(np.nan).run([SIX_DESIGN_STATES["x+"]] * 2)
+        _leaky_engine(np.nan, monkeypatch).run([SIX_DESIGN_STATES["x+"]] * 2)
 
 
 def test_residual_t0_matches_direct_product_evaluation():
@@ -949,10 +950,15 @@ def test_residual_t0_matches_direct_product_evaluation():
 
 
 def test_truncated_matches_full_space():
+    # the M-particle basis over the 2M orbitals against all of their 2^(2M)
+    # occupations
     plan = plan_protocol(8, 2, BUDGET, 0.1, wait=3.0, width=2)
     msgs = [np.array([0.6, 0.8j]), np.array([1, -1j]) / np.sqrt(2)]
-    small = ProtocolEngine(plan, fock_basis(8, 2)).run(msgs)
-    full = ProtocolEngine(plan, fock_basis(8, 8)).run(msgs)
+    engine = ProtocolEngine(plan)
+    small = engine.run(msgs)
+    engine.basis = fock_basis(4, 4)
+    full = engine.run(msgs)
+    assert (len(small.basis), len(full.basis)) == (11, 16)
     small_index, full_index = basis_index(small.basis), basis_index(full.basis)
     worst = 0.0
     for i, s in enumerate(small.basis.masks.tolist()):
@@ -1060,9 +1066,8 @@ def test_two_design_reads_receivers_from_the_b_register_state(n, m, wait):
     # one reduced_qubit per register, with and without Bob's CZ gates
     plan = _oracle_test_plan(n, m, wait)
     pairs = fock.exchange_pairs(plan)
-    basis = fock_basis(n, m)
-    outputs, fids, raw_fids = two_design_fidelities(plan, basis)
-    engine = ProtocolEngine(plan, basis)
+    engine = ProtocolEngine(plan)
+    outputs, fids, raw_fids = two_design_fidelities(engine)
     raw = {a: {} for a in range(1, m + 1)}
     for label, psi in SIX_DESIGN_STATES.items():
         fv = engine.run([psi] * m)
@@ -1078,6 +1083,79 @@ def test_two_design_reads_receivers_from_the_b_register_state(n, m, wait):
         assert abs(fids[a] - average_fidelity(outputs[a])) < 1e-14
 
 
+FRAME_CASES = [
+    pytest.param(8, 4, lambda t_dec: t_dec + 1.0, id="N8-M4-sequential"),
+    pytest.param(8, 2, lambda t_dec: 0.3 * t_dec, id="N8-M2-0.3T"),
+    pytest.param(12, 1, lambda t_dec: t_dec + 1.0, id="N12-M1-sequential"),
+    pytest.param(12, 4, lambda t_dec: 0.4 * t_dec, id="N12-M4-0.4T"),
+    pytest.param(16, 3, lambda t_dec: t_dec + 1.0, id="N16-M3-sequential"),
+    pytest.param(16, 2, lambda t_dec: t_dec / 2, id="N16-M2-half-T"),
+    pytest.param(20, 2, lambda t_dec: t_dec + 1.0, id="N20-M2-sequential"),
+    pytest.param(20, 3, lambda t_dec: 0.3 * t_dec, id="N20-M3-0.3T"),
+    pytest.param(24, 3, lambda t_dec: t_dec + 1.0, id="N24-M3-sequential"),
+    pytest.param(24, 3, lambda t_dec: t_dec / 2, id="N24-M3-half-T"),
+]
+
+
+def _b_register_matrix(fv):
+    # the receivers' joint 2^M x 2^M state; every reduced B-register
+    # matrix is a partial trace of it
+    x = fv.tensor.reshape(-1, 2**fv.n_b)
+    return x.T @ x.conj()
+
+
+def _assert_frames_agree(plan, engine, site, tol=1e-12):
+    """Receiver states of the orbital-frame engine against the site-frame
+    reference: corrected and raw, for seeded random messages and for the
+    six design inputs."""
+    m, pairs = plan.m_signals, fock.exchange_pairs(plan)
+    rng = np.random.default_rng(plan.n * 10 + m)
+    msgs = [random_mode(2, rng) for _ in range(m)]
+    a, b = engine.run(msgs), site.run(msgs)
+    for x, y in ((a, b), (fock.exchange_correction(a, pairs), fock.exchange_correction(b, pairs))):
+        assert np.abs(_b_register_matrix(x) - _b_register_matrix(y)).max() <= tol
+    (outputs, fids, raw), (ref_out, ref_fids, ref_raw) = (
+        two_design_fidelities(e) for e in (engine, site))
+    for alpha in range(1, m + 1):
+        for label in SIX_DESIGN_STATES:
+            assert np.abs(outputs[alpha][label] - ref_out[alpha][label]).max() <= tol
+        assert abs(fids[alpha] - ref_fids[alpha]) <= tol
+        assert abs(raw[alpha] - ref_raw[alpha]) <= tol
+
+
+@pytest.mark.parametrize("n, m, wait", FRAME_CASES)
+def test_orbital_frame_matches_the_site_frame(n, m, wait):
+    # the 2M swaps on fock_basis(min(N, 2M), M) with no evolution against
+    # the timed protocol on the N sites with exact evolution between events
+    plan = _oracle_test_plan(n, m, wait)
+    engine = ProtocolEngine(plan)
+    assert (engine.basis.n_sites, engine.basis.max_particles) == (min(n, 2 * m), m)
+    assert engine.modes.shape == (2 * m, min(n, 2 * m))
+    pipelined = plan.wait <= plan.decode_time
+    assert bool(fock.exchange_pairs(plan)) == (pipelined and m > 1)
+    _assert_frames_agree(plan, engine, SiteFrameEngine(plan, fock_basis(n, m)))
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_oracle_protocol_below_2m_sites_matches_the_site_frame(n):
+    # N < 2M: the event modes span all N sites, so the frame has N orbitals
+    from fermiwire.harness import _oracle_plan, build_config, run
+
+    m = 4
+    table = run(build_config({"experiment": "OracleProtocol", "N": n, "M": m}))
+    plan = _oracle_plan(table.meta["config"])
+    assert (table.meta["orbitals"], table.meta["fock_dim"]) == (n, len(fock_basis(n, m)))
+    site = SiteFrameEngine(plan, fock_basis(n, m))
+    _assert_frames_agree(plan, ProtocolEngine(plan), site)
+    ref_out, ref_fids, ref_raw = two_design_fidelities(site)
+    for alpha, label, f in table.rows:
+        psi = SIX_DESIGN_STATES[label]
+        assert abs(f - float(np.real(psi.conj() @ ref_out[alpha][label] @ psi))) <= 1e-12
+    for alpha in range(1, m + 1):
+        assert abs(table.meta["average_fidelity"][str(alpha)] - ref_fids[alpha]) <= 1e-12
+        assert abs(table.meta["average_fidelity_raw"][str(alpha)] - ref_raw[alpha]) <= 1e-12
+
+
 def test_plus_run_splits_into_the_axis_runs_by_excitation_number():
     # psi^M = sum_a psi_0^(M-|a|) psi_1^|a| |a> and every step conserves
     # the total excitation, so the |+>^M run's excitation-n part, times
@@ -1086,10 +1164,9 @@ def test_plus_run_splits_into_the_axis_runs_by_excitation_number():
     m = 3
     plan = _oracle_test_plan(12, m, lambda t_dec: 0.4 * t_dec)
     assert fock.exchange_pairs(plan) == [(1, 2), (1, 3), (2, 3)]
-    basis = fock_basis(12, m)
-    engine = ProtocolEngine(plan, basis)
+    engine = ProtocolEngine(plan)
     plus = engine.run([SIX_DESIGN_STATES["x+"]] * m).tensor
-    excitation = total_excitation_operator(basis, m, m)
+    excitation = total_excitation_operator(engine.basis, m, m)
     for label, n in (("z+", 0), ("z-", m)):
         part = np.where(excitation == n, plus, 0.0) * 2.0 ** (m / 2)
         axis_run = engine.run([SIX_DESIGN_STATES[label]] * m).tensor
@@ -1106,7 +1183,7 @@ def test_two_design_runs_the_protocol_once(monkeypatch):
 
     monkeypatch.setattr(ProtocolEngine, "run", counted)
     plan = _oracle_test_plan(12, 3, lambda t_dec: 0.4 * t_dec)
-    two_design_fidelities(plan, fock_basis(12, 3))
+    two_design_fidelities(ProtocolEngine(plan))
     assert calls == [3]
 
 
@@ -1140,19 +1217,22 @@ def test_vacuum_vector_matches_the_kron_product():
         vacuum_vector(basis, 1, 0, [np.array([1.0, 1.0])])
 
 
-def test_pipelined_oracle_at_n24_matches_one_eigh_per_sector(monkeypatch):
+def test_pipelined_oracle_at_n24_matches_one_eigh_per_sector():
     # N=24, M=3 at wait T/2 (top sector 2024 states, 24 momentum blocks of
-    # at most 85): corrected and raw fidelities against the dense reference
+    # at most 85): corrected and raw fidelities of the site frame with the
+    # momentum blocks against the dense reference, and of the orbital frame
     plan = plan_protocol(24, 3, BUDGET, 0.01, wait=1.0, width=6)
     plan = dataclasses.replace(plan, wait=plan.decode_time / 2)
     assert fock.exchange_pairs(plan) == [(1, 2), (1, 3), (2, 3)]
     basis = fock_basis(24, 3)
-    _, fids, raw = two_design_fidelities(plan, basis)
-    monkeypatch.setattr(fock, "ExactEvolver", SectorEvolver)
-    _, ref_fids, ref_raw = two_design_fidelities(plan, basis)
+    _, fids, raw = two_design_fidelities(SiteFrameEngine(plan, basis))
+    _, ref_fids, ref_raw = two_design_fidelities(SiteFrameEngine(plan, basis, SectorEvolver))
+    _, orb_fids, orb_raw = two_design_fidelities(ProtocolEngine(plan))
     for a in range(1, 4):
         assert abs(fids[a] - ref_fids[a]) < 1e-10
         assert abs(raw[a] - ref_raw[a]) < 1e-10
+        assert abs(orb_fids[a] - ref_fids[a]) < 1e-10
+        assert abs(orb_raw[a] - ref_raw[a]) < 1e-10
     bound = error_budget(plan).fidelity_bound
     assert bound > 0.5
     assert all(f >= bound for f in fids.values())
@@ -1273,8 +1353,7 @@ def test_fidelity_bound_holds_on_small_grid():
     for n, width, m, wait in sequential + pipelined:
         plan = plan_protocol(n, m, BUDGET, 0.1, wait=1.0, width=width)
         plan = dataclasses.replace(plan, wait=wait(plan.decode_time))
-        basis = fock_basis(n, m)
-        outputs, fids, _ = two_design_fidelities(plan, basis)
+        outputs, fids, _ = two_design_fidelities(ProtocolEngine(plan))
         rep = error_budget(plan)
         assert rep.fidelity_bound == max(0.0, 1.0 - rep.eps_e - rep.eps_d)
         if n == 24:  # the pipelined bounds are far from vacuous
@@ -1295,6 +1374,6 @@ def test_fidelity_bound_holds_with_an_exchange_pair_at_n28():
     plan = plan_protocol(28, 2, BUDGET, 0.1, wait=1.0, width=7)
     plan = dataclasses.replace(plan, wait=plan.decode_time)
     assert fock.exchange_pairs(plan) == [(1, 2)]
-    _, fids, _ = two_design_fidelities(plan, fock_basis(28, 2))
+    _, fids, _ = two_design_fidelities(ProtocolEngine(plan))
     bound = error_budget(plan).fidelity_bound
     assert all(f >= bound - 1e-6 for f in fids.values())
