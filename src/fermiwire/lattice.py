@@ -52,7 +52,7 @@ def _site_amplitudes(state) -> np.ndarray:
 def require_normalized(state: np.ndarray) -> np.ndarray:
     state = np.asarray(state, dtype=complex)
     nrm = np.linalg.norm(state)
-    if abs(nrm - 1.0) > NORM_TOL:
+    if not abs(nrm - 1.0) <= NORM_TOL:
         raise ValueError(f"state is not normalized (norm = {nrm!r})")
     return state
 
@@ -118,6 +118,8 @@ def propagate(state: np.ndarray, t: float | np.ndarray) -> np.ndarray:
     one row per time, each the bytes of the call with that time alone.
     """
     state = require_normalized(_site_amplitudes(state))
+    if not np.all(np.isfinite(t)):
+        raise ValueError(f"need finite times, got t = {t!r}")
     # fft bin m carries mode k = m for m >= 1 and k = N for m = 0
     omega = np.roll(ring_energies(state.shape[0]), 1)
     return np.fft.ifft(np.fft.fft(state) * np.exp(-1j * omega * np.asarray(t)[..., None]))

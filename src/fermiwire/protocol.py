@@ -160,8 +160,8 @@ def encoding_error_bound(g0: np.ndarray, t: float | np.ndarray, m: int) -> float
     if m < 1:
         raise ValueError("need at least one signal")
     waits = np.asarray(t, dtype=float)
-    if np.any(waits <= 0):
-        raise ValueError(f"wait must be positive, got {t}")
+    if not np.all((waits > 0) & (waits < np.inf)):
+        raise ValueError(f"wait must be positive and finite, got {t}")
     weights = _mode_weights(g0)
     omega = ring_energies(len(weights))
     values = [_bound_from_weights(weights, omega, float(w), m) for w in waits.ravel()]
@@ -242,6 +242,14 @@ def min_wait_time(
     on either sum.  The bound adds 3(M-j) values |S_j|, and
     3 * sum_{j<M} (M-j) = 1.5 M(M-1), so the two sums differ by at most
     1.5 M(M-1) (delta + 4N*eps).
+
+    The scan starts at the first grid wait that L(t) = 3 sum_{j<M} (M-j)
+    max(0, W - V j^2 t^2 / 2) cannot rule out, W = sum_k w_k and V =
+    sum_k w_k (omega_k - mu)^2 for any real mu: cos x >= 1 - x^2/2 gives
+    |S_j(t)| >= W - V (j t)^2 / 2.  Rounding moves L, whose W and V sum N
+    terms, by at most 1.5 M(M-1) (N+M+9) eps, and each float sum lies within
+    slack of the exact bound, so where L exceeds the target by 2 slack plus
+    that allowance the support sum exceeds target + slack: a certified miss.
     """
     if not 0.0 < target < 1.0:
         raise ValueError(f"target must lie in (0, 1), got {target}")
@@ -262,7 +270,12 @@ def min_wait_time(
 
     cap = n / 4.0
     grid = np.geomspace(max(0.05, 0.02 * n ** (1.0 / 3.0)), cap, 64)
-    for i, t in enumerate(grid):
+    j, total = np.arange(1, m), weights.sum()
+    spread = weights @ (omega - weights @ omega / total) ** 2
+    lower = 3.0 * np.maximum(0.0, total - spread * np.outer(grid, j) ** 2 / 2) @ (m - j)
+    skip = lower > target + 2 * slack + 1.5 * m * (m - 1) * (n + m + 9) * eps
+    start = int(np.argmin(np.append(skip, False)))  # the leading ruled-out waits
+    for i, t in enumerate(grid[start:], start):
         if meets_target(float(t)):
             hi = float(t)
             if i > 0:

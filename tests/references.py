@@ -287,6 +287,16 @@ def wait_grid(n: int) -> np.ndarray:
     return np.geomspace(max(0.05, 0.02 * n ** (1.0 / 3.0)), n / 4.0, 64)
 
 
+def spread_lower_bound(weights: np.ndarray, omega: np.ndarray, t: float, m: int) -> float:
+    """L(t) = 3 sum_{j<M} (M-j) max(0, W - V (j t)^2 / 2), with W the sum of
+    the mode weights and V their second moment about the weighted mean
+    frequency: cos x >= 1 - x^2/2 puts it below the encoding bound."""
+    total = float(np.sum(weights))
+    mean = float(np.sum(weights * omega)) / total
+    spread = float(np.sum(weights * (omega - mean) ** 2))
+    return 3.0 * sum((m - j) * max(0.0, total - spread * (j * t) ** 2 / 2) for j in range(1, m))
+
+
 def full_spectrum_bounds(n: int, m: int, budget: PacketBudget):
     """The encoding bound of the budget packet as a function of the wait,
     summed over all N ring modes."""

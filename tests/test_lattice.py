@@ -187,8 +187,16 @@ def test_propagate_group_property_and_reversal():
 
 
 def test_propagate_rejects_unnormalized():
-    with pytest.raises(ValueError, match="not normalized"):
-        propagate(np.ones(8, dtype=complex), 1.0)
+    # NaN fails every comparison, so the norm check must not pass on one
+    for state in (np.ones(8, dtype=complex), np.full(8, np.nan, dtype=complex)):
+        with pytest.raises(ValueError, match="not normalized"):
+            propagate(state, 1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, np.array([1.0, np.nan])])
+def test_propagate_rejects_non_finite_times(bad):
+    with pytest.raises(ValueError, match="need finite times, got t = "):
+        propagate(random_state(8, np.random.default_rng(3)), bad)
 
 
 def test_mode_amplitudes_recover_coefficients():

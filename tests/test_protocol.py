@@ -3,10 +3,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from references import full_spectrum_bounds, min_wait_full_spectrum, wait_grid
+from references import (
+    full_spectrum_bounds,
+    min_wait_full_spectrum,
+    spread_lower_bound,
+    wait_grid,
+)
 
 import fermiwire.protocol
-from fermiwire.lattice import propagate
+from fermiwire.lattice import propagate, ring_energies
 from fermiwire.protocol import (
     angular_distance,
     decode_mode,
@@ -282,25 +287,28 @@ def test_min_wait_unreachable_target_raises():
         min_wait_time(n, 4, BUDGET, 1e-20)
 
 
-def _search_outcome(search, n, m, target):
+def _search_outcome(search, n, m, target, budget=BUDGET):
     try:
-        return search(n, m, BUDGET, target)
+        return search(n, m, budget, target)
     except RuntimeError as exc:
         return str(exc)
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 8])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 8])
 def test_min_wait_matches_full_spectrum_search(m):
-    # summing over the spectral support changes no decision of the search:
-    # t*, and the message of a size no wait serves, match the full sum
+    # neither the support sum nor the waits the spread bound skips change
+    # a decision of the search: t*, and the message of a size no wait
+    # serves, match the full sum
     outcomes = [
-        (_search_outcome(min_wait_time, n, m, target),
-         _search_outcome(min_wait_full_spectrum, n, m, target))
+        (_search_outcome(min_wait_time, n, m, target, budget),
+         _search_outcome(min_wait_full_spectrum, n, m, target, budget))
+        for budget in (PacketBudget(c=4.0, kappa=1.0), BUDGET, PacketBudget(c=16.0, kappa=1.0))
         for n in (4 << i for i in range(13))  # 4 .. 16384
         for target in (0.01 / 3, 0.01, 0.1)
     ]
     assert [ours for ours, _ in outcomes] == [ref for _, ref in outcomes]
-    assert any(isinstance(ours, str) for ours, _ in outcomes)
+    # one signal leaves no residual, so every size meets every target
+    assert any(isinstance(ours, str) for ours, _ in outcomes) == (m > 1)
 
 
 @pytest.mark.parametrize("n, m", [(256, 2), (256, 4), (1024, 2), (1024, 4),
@@ -330,6 +338,40 @@ def test_readme_min_wait_search_sums_only_the_spectral_support(monkeypatch):
         min_wait_time(n, 4, BUDGET, 0.01)
         # every decision on the support; the full sum only for the bound at t*
         assert len(lengths) > 1 and max(lengths[:-1]) < n and lengths[-1] == n, n
+        # the spread bound skips the early waits, where the packet still
+        # overlaps itself and the bound lies far above the target
+        assert len(lengths) <= 16, (n, len(lengths))
+
+
+def _spread_bound_cases():
+    for n in (4 << i for i in range(13)):  # 4 .. 16384: the budget packets
+        g0 = gaussian_packet(sigma_for_budget(n, BUDGET), n)
+        yield n, fermiwire.protocol._mode_weights(g0)
+    rng = np.random.default_rng(2024)
+    for n in (16, 256, 4096):
+        yield n, rng.random(n)  # every mode
+        band = np.zeros(n)
+        start, width = rng.integers(n), rng.integers(1, n // 8 + 2)
+        band[(start + np.arange(width)) % n] = rng.random(width)
+        yield n, band  # a random band of modes, one mode at width 1
+        single = np.zeros(n)
+        single[rng.integers(n)] = 1.0
+        yield n, single  # V = 0: L equals the bound up to rounding
+
+
+@pytest.mark.parametrize("m", [2, 4, 8])
+def test_spread_lower_bound_never_exceeds_the_full_spectrum_bound(m):
+    eps = np.finfo(float).eps
+    for n, weights in _spread_bound_cases():
+        weights = weights / weights.sum()
+        omega = ring_energies(n)
+        # rounding of L (the allowance min_wait_time documents) and of the
+        # full sum, 2N eps per overlap
+        tol = 1.5 * m * (m - 1) * (3 * n + m + 9) * eps
+        for t in wait_grid(n):
+            lower = spread_lower_bound(weights, omega, float(t), m)
+            full = fermiwire.protocol._bound_from_weights(weights, omega, float(t), m)
+            assert lower <= full + tol, (n, m, float(t), lower, full)
 
 
 def test_min_wait_exponent_converges_to_one_third():
@@ -390,3 +432,6 @@ def test_encoding_bound_waits_array_is_the_scalar_bytes(m):
         assert value.tobytes() == np.float64(encoding_error_bound(g0, float(t), m)).tobytes()
     with pytest.raises(ValueError, match="wait must be positive"):
         encoding_error_bound(g0, np.array([0.3, 0.0]), m)
+    for bad in (np.nan, np.inf, [0.3, np.nan]):
+        with pytest.raises(ValueError, match=r"wait must be positive and finite, got \[?(0.3, )?(nan|inf)"):
+            encoding_error_bound(g0, bad, m)
