@@ -92,8 +92,8 @@ class SectorEvolver:
     """exp(-i t H) from one dense ``eigh`` per particle-number sector.
 
     Takes the same (basis, j_coupling) as ``fock.ExactEvolver`` and is a
-    drop-in replacement for it; it uses no symmetry, so it is the reference
-    for the momentum blocks.
+    drop-in replacement for it; it diagonalizes where the evolver sums a
+    Chebyshev series, so it is the reference for that series.
     """
 
     def __init__(self, basis: FockBasis, j_coupling: float = 0.0):
@@ -118,12 +118,27 @@ class SectorEvolver:
         return FockVector(tensor, fv.basis, fv.n_a, fv.n_b)
 
 
+def ring_translation(basis: FockBasis) -> tuple[np.ndarray, np.ndarray]:
+    """(index, sign) with T|masks[i]> = sign[i] |masks[index[i]]>.
+
+    T is the ring translation a_j^dag -> a_{j+1}^dag, a_N^dag -> a_1^dag:
+    it rotates the mask by one site, and a particle wrapping from site N
+    to site 1 moves past the k-1 others to the front of the creation
+    string, which adds the sign (-1)^(k-1).
+    """
+    masks, n = basis.masks, basis.n_sites
+    wraps = masks >> np.uint64(n - 1)
+    rotated = ((masks << np.uint64(1)) & np.uint64((1 << n) - 1)) | wraps
+    sign = np.where((wraps == 1) & (basis.particle_counts % 2 == 0), -1, 1)
+    return basis._find(rotated), sign.astype(np.int8)
+
+
 def symmetry_defects(basis: FockBasis, matrix) -> tuple[float, float]:
     """max |H - H^dag| and max |T H - H T| of a (row, col, data) matrix on the
-    basis, T the signed permutation ``basis.translation``, by sparse products."""
+    basis, T the signed permutation ``ring_translation``, by sparse products."""
     f = len(basis)
     h = sparse.coo_matrix((matrix.data, (matrix.row, matrix.col)), shape=(f, f)).tocsr()
-    index, sign = basis.translation
+    index, sign = ring_translation(basis)
     t = sparse.csr_matrix((sign.astype(float), (index, np.arange(f))), shape=(f, f))
     gaps = (h - h.conj().T, t @ h - h @ t)
     return tuple(float(abs(g).max()) for g in gaps)

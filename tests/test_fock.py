@@ -13,6 +13,7 @@ from references import (
     operational_ladder_defect,
     reduced_qubit,
     residual_norm_per_point,
+    ring_translation,
     site_frame_encoding,
     symmetry_defects,
     total_excitation_operator,
@@ -629,17 +630,18 @@ def test_many_body_single_particle_sector_matches_lattice():
     assert np.max(np.abs(amps - propagate(g, t))) < 1e-12
 
 
-def _assert_matches_dense_expm(ev, ham, x, zero=()):
+def _assert_matches_dense_expm(ev, ham, x, zero=(), tol=lambda t: 1e-11,
+                               times=(-2.0, 0.0, 0.7, 5.3, 60.0)):
     # independent reference: dense expm of the whole truncated H; the
     # (sector, sender, receiver) blocks listed in zero must stay exactly zero
     from scipy.linalg import expm
 
     basis = ev.basis
     fv = FockVector(x, basis, 1, 1)
-    for t in (0.0, 0.7, 5.3):
+    for t in times:
         got = ev.apply(fv, t).tensor
         want = np.einsum("fg,agb->afb", expm(-1j * t * csr(ham).toarray()), x)
-        assert np.max(np.abs(got - want)) < 1e-11
+        assert np.max(np.abs(got - want)) < tol(t)
         for k, a, b in zero:
             assert np.all(got[a, basis.sectors[k], b] == 0)
 
@@ -670,7 +672,68 @@ def test_exact_evolver_matches_dense_expm_on_odd_lattices(n, m_max, j_coupling):
     basis = fock_basis(n, m_max)
     j_coupling = 0.0 if j_coupling is None else j_coupling
     ham = tj_hamiltonian(basis, j_coupling)
-    _assert_matches_dense_expm(ExactEvolver(basis, j_coupling), ham, _random_columns(basis, 3))
+    _assert_matches_dense_expm(ExactEvolver(basis, j_coupling), ham, _random_columns(basis, 3),
+                               times=(0.0, 0.7, 5.3))
+
+
+def test_exact_evolver_matches_dense_expm_at_strong_coupling():
+    # J = 100 puts up to 200 on the top sector's diagonal, so its series runs
+    # to 6444 terms at t = 60; the rounding of both sides grows with |t| times
+    # the spectral width (|H| <= 202 by rows here)
+    basis = fock_basis(8, 3)
+    ham = tj_hamiltonian(basis, 100.0)
+    width = np.abs(csr(ham)).sum(axis=1).max()
+    _assert_matches_dense_expm(ExactEvolver(basis, 100.0), ham, _random_columns(basis, 5),
+                               tol=lambda t: 5e-15 * (1.0 + abs(t) * width))
+
+
+def test_bessel_coefficients_match_scipy():
+    from scipy.special import jv
+
+    # scipy's jv itself drifts by 8e-15 at z = 400 (against 40-digit values)
+    for z in (0.0, 1e-3, 0.5, 3.0, 40.0, 400.0):
+        for signed in (z, -z):
+            got = fock._bessel_j(signed)
+            k = np.arange(len(got) + 200)
+            want = jv(k, signed)
+            assert np.max(np.abs(got - want[:len(got)])) < 5e-14
+            # every dropped term is below the cut, and so is their sum
+            assert np.sum(np.abs(want[len(got):])) < 1e-16
+            assert abs(got[-1]) > 1e-17
+    assert fock._bessel_j(0.0).tolist() == [1.0]
+
+
+def test_exact_evolver_rejects_a_state_of_another_basis():
+    # a state of 3 particles came back with norm 0 from an evolver of 2, and a
+    # 10-site state with norm 1 and the wrong physics from an 8-site one
+    evolver = ExactEvolver(fock_basis(8, 2))
+    for n, m in ((8, 3), (10, 2)):
+        basis = fock_basis(n, m)
+        fv = FockVector(np.eye(len(basis))[3], basis, 0, 0)
+        with pytest.raises(ValueError, match=rf"state on a basis of N={n}, max_particles={m}; "
+                                             r"the evolver's basis has N=8, max_particles=2$"):
+            evolver.apply(fv, 0.5)
+    # an equal basis built apart is accepted
+    other = fock_basis(8, 2)
+    fv = FockVector(np.eye(len(other))[3], other, 0, 0)
+    assert abs(np.linalg.norm(evolver.apply(fv, 0.5).tensor) - 1.0) < 1e-14
+
+
+def test_exact_evolver_memory():
+    # padded rows of width <= 2k + 1 per sector keep 16 B per slot (0.6 MiB
+    # here), and the set-up peaks at 5.3 MiB
+    basis = fock_basis(32, 3)
+    basis.particle_counts, basis.sectors
+    tracemalloc.start()
+    try:
+        evolver = ExactEvolver(basis, 1.0)
+        gc.collect()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(evolver.rows) == 4
+    assert kept <= 2 * 2**20
+    assert peak <= 8 * 2**20
 
 
 def test_translation_moves_each_creator_one_site():
@@ -678,7 +741,7 @@ def test_translation_moves_each_creator_one_site():
     # dense production creators on the full Fock space of an odd and an even ring
     for n in (5, 6):
         basis = fock_basis(n, n)
-        index, sign = basis.translation
+        index, sign = ring_translation(basis)
         t = np.zeros((len(basis),) * 2)
         t[index, np.arange(len(basis))] = sign
         assert np.allclose(t @ t.T, np.eye(len(basis)), atol=0)
@@ -690,7 +753,8 @@ def test_translation_moves_each_creator_one_site():
 @pytest.mark.parametrize("n, m_max", [(5, 5), (6, 6), (7, 7), (8, 8), (9, 9), (16, 4)])
 @pytest.mark.parametrize("j_coupling", [0.0, 1.3, -1.3])
 def test_tj_hamiltonian_is_hermitian_and_translation_invariant(n, m_max, j_coupling):
-    # the symmetries the momentum blocks of ExactEvolver rest on, exactly
+    # Hermiticity, which the Chebyshev series rests on, and translation
+    # invariance, which checks the sign of the wrap bond's hops, exactly
     basis = fock_basis(n, m_max)
     assert symmetry_defects(basis, tj_hamiltonian(basis, j_coupling)) == (0.0, 0.0)
 
@@ -710,11 +774,14 @@ def test_exact_evolver_keeps_zero_blocks_and_matches_dense_expm(model):
     for k, a, b in zero:
         x[a, basis.sectors[k], b] = 0.0
     _assert_matches_dense_expm(ev, tj_hamiltonian(basis, j_coupling), x, zero)
-    # each sector splits into N momentum blocks: the top one of N=16 has 560
-    # states and blocks of at most 35
-    blocks = ExactEvolver(fock_basis(16, 3), j_coupling).eigen
-    assert max(v.shape[-1] for _, v in blocks) == 35
-    assert [len(w) for w, _ in blocks] == [16] * 4
+    # sector k's rows hold at most 2k hops and a diagonal entry, padded to
+    # one width over the sector's states
+    basis = fock_basis(16, 3)
+    rows = ExactEvolver(basis, j_coupling).rows
+    assert [len(index) for index, _, _, _ in rows] == [1, 16, 120, 560]
+    for k, (index, weight, _, _) in enumerate(rows):
+        assert weight.shape == index.shape
+        assert index.shape[1] <= 2 * k + 1
 
 
 def test_exact_evolver_rejects_a_one_sided_entry_and_a_non_finite_j(monkeypatch):
@@ -723,7 +790,7 @@ def test_exact_evolver_rejects_a_one_sided_entry_and_a_non_finite_j(monkeypatch)
     build = fock.tj_hamiltonian
 
     def nudged(size):
-        # one entry into the sector's first representative, without its mirror
+        # one entry into the sector's first state, without its mirror
         def ham(b, j):
             h = build(b, j)
             return fock.CooMatrix(np.append(h.row, sector.start + 4),
@@ -734,7 +801,8 @@ def test_exact_evolver_rejects_a_one_sided_entry_and_a_non_finite_j(monkeypatch)
     monkeypatch.setattr(fock, "tj_hamiltonian", nudged(1e-14))
     ExactEvolver(basis)
     monkeypatch.setattr(fock, "tj_hamiltonian", nudged(1e-9))
-    with pytest.raises(RuntimeError, match=r"momentum blocks of sector 2 are not Hermitian"):
+    with pytest.raises(RuntimeError, match=r"sector 2 of the t-J Hamiltonian is not Hermitian "
+                                           r"\(max \|H - H\^dag\| = 1\.000e-09 > 1e-12\)$"):
         ExactEvolver(basis)
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match=rf"j_coupling must be finite, got {bad}$"):
@@ -1218,9 +1286,9 @@ def test_vacuum_vector_matches_the_kron_product():
 
 
 def test_pipelined_oracle_at_n24_matches_one_eigh_per_sector():
-    # N=24, M=3 at wait T/2 (top sector 2024 states, 24 momentum blocks of
-    # at most 85): corrected and raw fidelities of the site frame with the
-    # momentum blocks against the dense reference, and of the orbital frame
+    # N=24, M=3 at wait T/2 (top sector 2024 states): corrected and raw
+    # fidelities of the site frame with the Chebyshev evolver against the
+    # dense reference, and of the orbital frame
     plan = plan_protocol(24, 3, BUDGET, 0.01, wait=1.0, width=6)
     plan = dataclasses.replace(plan, wait=plan.decode_time / 2)
     assert fock.exchange_pairs(plan) == [(1, 2), (1, 3), (2, 3)]
