@@ -8,26 +8,28 @@ m_max set bits, ordered by particle number and then lexicographically on
 
 fixes the fermionic sign of a_j to (-1)^(number of occupied sites left of j).
 
-No operator is stored as a matrix.  ``FockBasis.ladder`` holds gather
-tables between neighbouring particle-number sectors, built from the masks,
-so a mode's a and a^dag (``ModeOperator``) are one gather and one batched
-product per sector.  The one Hamiltonian is the ring t-J form, hopping
-plus J sum_j n_j n_{j+1}, as (row, col, data) triplets (``CooMatrix``,
-built per bond from the masks); ``ExactEvolver`` builds it from J.
+No operator is stored as a matrix.  ``FockBasis.ladder`` holds one table
+per site, built from the masks, so a mode's a and a^dag (``ModeOperator``)
+are one gather and one scatter-add per site on the whole vector.  The one
+Hamiltonian is the ring t-J form, hopping plus J sum_j n_j n_{j+1}, as
+(row, col, data) triplets (``CooMatrix``, built per bond from the masks);
+``ExactEvolver`` builds it from J.
 
-Ancilla registers are ordinary qubits tensored outside the Fock factor:
-the global state tensor has shape (2,)*M x (fock_dim,) x (2,)*M for the
-sender registers, the lattice, and the receiver registers.  Swap unitaries
-between a register and a lattice mode g use the five-term form
+Ancilla registers are bits of the same masks: above the N site bits sit
+n_a sender and then n_b receiver register bits (``FockBasis.register_bit``),
+and the masks with at most m_max set bits in all are the basis.  Every
+step conserves the total excitation, fermions plus raised registers, so
+the oracle state is one amplitude vector (``FockVector``) on that basis
+and no step leaves it.  Registers lie above every site, so a_j's sign
+still counts only the sites below j and a register carries no string.
+The swap between a register and a lattice mode g is the five-term form
 
     U = I - s+ s- g g^dag - s- s+ g^dag g + s+ g + s- g^dag,
 
-applied one excitation number e at a time (register-0 sector e mixes only
-with register-1 sector e-1) to the register columns live there.  U is
-Hermitian, so it is unitary on the excitation-conserving sector reachable
-by the transmission sequence (total fermions plus raised registers at most
-m_max) exactly when U^2 = 1 there: when {g, g^dag} = 1 below the top
-sector and (g^dag)^2 = 0.  The signs behind both are checked once per basis
+a few gathers of the whole vector (``ModeOperator.swap``).  U is
+Hermitian, so it is unitary on the excitation-conserving sector exactly
+when U^2 = 1 there: when {g, g^dag} = 1 below the top excitation and
+(g^dag)^2 = 0.  The signs behind both are checked once per basis
 (``FockBasis.ladder_defect``), the norm of g per encoder; the tests keep
 the equivalent two-exponential product as a reference.
 
@@ -36,17 +38,17 @@ e^{-iHt} a^dag(f) e^{iHt} = a^dag(U_t f), so a swap with mode f at time
 tau is U(tau) S(U(-tau) f) U(-tau), and H|vac> = 0: the timed protocol is
 its swaps with the back-propagated modes in time order, with no evolution
 between them, then the free evolution after the last event.  That is a
-number-conserving unitary on the Fock factor alone; it changes no register
+number-conserving unitary on the sites alone; it changes no register
 matrix and no excitation sector below, so it is left out.  The 2M event
 modes span r = min(N, 2M) orbitals (``orbital_frame``), so
-``ProtocolEngine`` runs on ``fock_basis(r, M)`` at any N, and
+``ProtocolEngine`` runs on ``fock_basis(r, M, M, M)`` at any N, and
 ``run_encoding_sequence`` the encodings alone on the M orbitals of their
 current-time modes (fermionic linear optics: Terhal & DiVincenzo, PRA 65,
 032325 (2002); Knill, quant-ph/0108033).
 
 Time evolution is needed only with J != 0 (``evolution_difference``, the
 t-J check): ``ExactEvolver`` sums the Chebyshev series of exp(-iHt) per
-sector on the live register columns, with no propagator and no eigenbasis.
+sector on the live columns, with no propagator and no eigenbasis.
 
 Registers carry no Jordan-Wigner string, so when signal beta is still in
 the wire as signal alpha < beta is decoded, a_h anticommutes past beta's
@@ -66,7 +68,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from math import comb
 from typing import Mapping, Sequence
 
@@ -76,7 +77,7 @@ from .lattice import propagate, ring_bonds
 from .protocol import ProtocolPlan, decode_mode
 from .wavepacket import gaussian_packet
 
-_MAX_DIM = 1 << 20
+_MAX_DIM = 2_000_000
 
 SIX_DESIGN_STATES: dict[str, np.ndarray] = {
     "z+": np.array([1.0, 0.0], dtype=complex),
@@ -92,126 +93,144 @@ SIX_DESIGN_STATES: dict[str, np.ndarray] = {
 class FockBasis:
     """Truncated occupation basis: uint64 bitmasks with at most max_particles bits.
 
-    Site j occupies bit j-1.  ``masks[0]`` is the vacuum; the arrays and
-    tables below are cached per basis.
+    Site j occupies bit j-1; above the n_sites site bits sit n_a sender and
+    then n_b receiver register bits (``register_bit``).  ``masks[0]`` is
+    the vacuum; the arrays and tables below are cached per basis.
     """
 
     n_sites: int
     max_particles: int
     masks: np.ndarray
+    n_a: int = 0
+    n_b: int = 0
 
     def __len__(self) -> int:
         return len(self.masks)
 
+    def register_bit(self, side: str, idx: int) -> int:
+        count = self.n_a if side == "A" else self.n_b
+        if not 1 <= idx <= count:
+            raise ValueError(f"register {side}{idx} does not exist")
+        return self.n_sites + idx - 1 + (self.n_a if side == "B" else 0)
+
     @cached_property
     def particle_counts(self) -> np.ndarray:
+        """Set bits per state: fermions plus raised registers."""
         return np.bitwise_count(self.masks).astype(np.int64)
 
     @cached_property
     def sectors(self) -> tuple[slice, ...]:
-        """sectors[k] is the run of states with k particles, k = 0..max_particles."""
+        """sectors[k] is the run of states with k set bits, k = 0..max_particles."""
         ks = np.arange(self.max_particles + 2)
         edges = np.searchsorted(self.particle_counts, ks).tolist()
         return tuple(slice(a, b) for a, b in zip(edges, edges[1:]))
 
-    def _find(self, masks: np.ndarray) -> np.ndarray:
-        """Positions of bitmasks that all lie in the basis."""
+    @cached_property
+    def _sorted(self) -> tuple[np.ndarray, np.ndarray]:
         order = np.argsort(self.masks)
-        return order[np.searchsorted(self.masks[order], masks)]
+        return order, self.masks[order]
+
+    def _find(self, masks: np.ndarray) -> np.ndarray:
+        """Positions of a 1-D array of bitmasks that all lie in the basis."""
+        order, ordered = self._sorted
+        # searched in ascending order, each search starts where the last ended
+        by_value, found = np.argsort(masks), np.empty(len(masks), dtype=np.intp)
+        found[by_value] = order[np.searchsorted(ordered, masks[by_value])]
+        return found
 
     @cached_property
-    def ladder(self) -> dict[int, tuple[tuple[np.ndarray, ...], ...]]:
-        """ladder[k] = (down, up) for k = 1..max_particles, built from the masks.
+    def ladder(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """ladder[j] = (on, off, sign) for site j+1, built from the masks.
 
-        Each is an (index, site, sign) triple of equal-shape arrays; index is
-        local to its sector, sign that of a_site between the two states, and
-        sites ascend along each row.  down (size_k, k): each k-particle
-        state's occupied sites, pointing into sector k-1.  up (size_{k-1},
-        N-k+1): each (k-1)-particle state's empty sites, pointing into sector k.
+        on lists the states with the site occupied, ascending, as int32;
+        off[i] is state on[i] with the site emptied, and the int8 sign that
+        of a_site between them.  a_site maps x[on] to off, a_site^dag x[off]
+        to on.
         """
-        sec = self.sectors
-        return {k: (self._hops(sec[k], sec[k - 1], True), self._hops(sec[k - 1], sec[k], False))
-                for k in range(1, self.max_particles + 1)}
-
-    def _hops(self, src: slice, dst: slice, occupied: bool) -> tuple[np.ndarray, ...]:
-        """(index, site, sign) rows of the occupied (or empty) sites of src's states."""
-        masks, targets = self.masks[src], self.masks[dst]
-        occ = ((masks[:, None] >> np.arange(self.n_sites, dtype=np.uint64)) & np.uint64(1)) == 1
-        # an odd count of occupied sites up to a site leaves an even count
-        # left of it when it is occupied, an odd count when it is empty
-        odd = np.logical_xor.accumulate(occ, axis=1)
-        pick = occ if occupied else ~occ
-        state, site = np.nonzero(pick)
-        sign = np.where(odd[pick] == occupied, np.int8(1), np.int8(-1))
-        order = np.argsort(targets)
-        moved = masks[state] ^ (np.uint64(1) << site.astype(np.uint64))
-        index = order[np.searchsorted(targets[order], moved)]
-        return tuple(a.reshape(len(masks), -1) for a in (index, site.astype(np.uint8), sign))
+        masks, one = self.masks, np.uint64(1)
+        odd = np.zeros(len(masks), dtype=bool)  # parity of the occupied sites below j
+        rungs = []
+        for j in range(self.n_sites):
+            occupied = (masks >> np.uint64(j)) & one == one
+            on = np.flatnonzero(occupied)
+            off = self._find(masks[on] ^ (one << np.uint64(j)))
+            rungs.append((on.astype(np.int32), off.astype(np.int32),
+                          np.where(odd[on], np.int8(-1), np.int8(1))))
+            odd ^= occupied
+        return tuple(rungs)
 
     @cached_property
     def ladder_defect(self) -> int:
-        """Count of ladder entries and rows that break the Jordan-Wigner rule.
+        """Count of ladder entries and rungs that break the Jordan-Wigner rule.
 
-        An entry flips the bit of a site occupied (down) or empty (up) in its
-        source, with sign (-1)^(occupied sites below it); a row's sites ascend
-        strictly, so it lists all such sites.  Zero makes each a_j the exact
-        Jordan-Wigner operator, entry by entry, so every mode sum_j conj(c_j) a_j
-        has {a, a^dag} = |c|^2 below the top sector and (a^dag)^2 = 0.
+        An entry empties a site occupied in its source, with sign
+        (-1)^(occupied sites below it); a rung's sources ascend strictly and
+        are as many as the states with the site occupied, so it lists them
+        all.  Zero makes each a_j the exact Jordan-Wigner operator, entry by
+        entry, so every mode sum_j conj(c_j) a_j has {a, a^dag} = |c|^2 below
+        the top excitation and (a^dag)^2 = 0.
         """
-        masks, sec, bad, one = self.masks, self.sectors, 0, np.uint64(1)
-        for k, rungs in self.ladder.items():
-            for (index, site, sign), src, dst, full in zip(
-                    rungs, (sec[k], sec[k - 1]), (sec[k - 1], sec[k]), (True, False)):
-                source, bit = masks[src][:, None], one << site.astype(np.uint64)
-                odd = np.bitwise_count(source & (bit - one)) & 1
-                ok = ((masks[dst][index] == source ^ bit) & (((source & bit) != 0) == full)
-                      & (sign == np.where(odd, -1, 1)))
-                bad += np.count_nonzero(~ok) + np.count_nonzero(site[:, 1:] <= site[:, :-1])
+        masks, bad, one = self.masks, 0, np.uint64(1)
+        for j, (on, off, sign) in enumerate(self.ladder):
+            source, bit = masks[on], one << np.uint64(j)
+            odd = np.bitwise_count(source & (bit - one)) & 1
+            ok = ((masks[off] == source ^ bit) & ((source & bit) != 0)
+                  & (sign == np.where(odd, -1, 1)))
+            bad += (np.count_nonzero(~ok) + np.count_nonzero(np.diff(on) <= 0)
+                    + abs(len(on) - np.count_nonzero(masks & bit)))
         return int(bad)
 
+    @cached_property
+    def register_pairs(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """register_pairs[q] = (raised, lowered) for register bit n_sites + q:
+        the int32 states with the bit set and the same states with it clear."""
+        masks, pairs = self.masks, []
+        for q in range(self.n_sites, self.n_sites + self.n_a + self.n_b):
+            bit = np.uint64(1) << np.uint64(q)
+            raised = np.flatnonzero(masks & bit)
+            pairs.append((raised.astype(np.int32),
+                          self._find(masks[raised] ^ bit).astype(np.int32)))
+        return tuple(pairs)
 
-def fock_basis(n_sites: int, max_particles: int) -> FockBasis:
-    if not 1 <= max_particles <= n_sites:
-        raise ValueError(
-            f"max_particles must lie in 1..{n_sites}, got {max_particles}"
-        )
-    dim = sum(comb(n_sites, k) for k in range(max_particles + 1))
-    if dim > _MAX_DIM or n_sites > 64:
+
+def fock_basis(n_sites: int, max_particles: int, n_a: int = 0, n_b: int = 0) -> FockBasis:
+    """Every mask of n_sites site bits and n_a + n_b register bits with at
+    most max_particles set, by count and then ascending (n_1, .., n_N, A, B)."""
+    bits = n_sites + n_a + n_b
+    if bits > 64:
+        raise ValueError(f"{n_sites} sites, {n_a} sender and {n_b} receiver registers "
+                         f"need {bits} mask bits; a uint64 mask holds 64")
+    if not 1 <= max_particles <= bits:
+        raise ValueError(f"max_particles must lie in 1..{bits}, got {max_particles}")
+    dim = sum(comb(bits, k) for k in range(max_particles + 1))
+    if dim > _MAX_DIM:
         raise ValueError(f"exact basis for N={n_sites}, max_particles={max_particles} "
-                         f"has {dim} states; limit {_MAX_DIM} states on <= 64 sites")
-    # reversed combinations run each particle number in ascending (n_1, .., n_N)
-    masks = [sum(1 << j for j in occ) for k in range(max_particles + 1)
-             for occ in reversed(list(combinations(range(n_sites), k)))]
-    return FockBasis(
-        n_sites=n_sites,
-        max_particles=max_particles,
-        masks=np.array(masks, dtype=np.uint64),
-    )
+                         f"has {dim} states; limit {_MAX_DIM} states")
+    # level k sets one bit b below the lowest set bit of a level k-1 mask,
+    # b descending.  Along a level the lowest bit never rises, so the masks
+    # whose lowest bit lies above b are a prefix of it, and each level runs
+    # in ascending (n_1, .., n_N)
+    levels, low = [np.zeros(1, dtype=np.uint64)], np.array([bits])
+    for _ in range(max_particles):
+        counts = np.searchsorted(-low, -np.arange(bits - 1, -1, -1))
+        low = np.repeat(np.arange(bits - 1, -1, -1), counts)
+        prefix = np.arange(len(low)) - np.repeat(np.cumsum(counts) - counts, counts)
+        levels.append(levels[-1][prefix] | (np.uint64(1) << low.astype(np.uint64)))
+    return FockBasis(n_sites, max_particles, np.concatenate(levels), n_a, n_b)
 
 
 @dataclass
 class FockVector:
-    """Amplitudes over sender registers x occupation basis x receiver registers."""
+    """Amplitudes over a basis: axis 0 runs over its states, and any further
+    axes hold independent columns (which ``ExactEvolver`` evolves alike)."""
 
-    tensor: np.ndarray
+    amplitudes: np.ndarray
     basis: FockBasis
-    n_a: int
-    n_b: int
 
     def __post_init__(self):
-        expected = (2,) * self.n_a + (len(self.basis),) + (2,) * self.n_b
-        if self.tensor.shape != expected:
-            raise ValueError(f"tensor shape {self.tensor.shape} != {expected}")
-
-    @property
-    def fock_axis(self) -> int:
-        return self.n_a
-
-    def register_axis(self, side: str, idx: int) -> int:
-        count = self.n_a if side == "A" else self.n_b
-        if not 1 <= idx <= count:
-            raise ValueError(f"register {side}{idx} does not exist")
-        return idx - 1 if side == "A" else self.n_a + 1 + (idx - 1)
+        if self.amplitudes.shape[:1] != (len(self.basis),):
+            raise ValueError(f"amplitudes of shape {self.amplitudes.shape} do not start "
+                             f"with the {len(self.basis)} basis states")
 
 
 class ModeOperator:
@@ -220,9 +239,9 @@ class ModeOperator:
     coeffs are single-particle state amplitudes, so a^dag |vac> reproduces
     exactly the state sum_j c_j |j> and {a(f), a(g)^dag} = <f|g> * identity
     away from the truncation boundary.  Both act through the basis ladder:
-    per sector, one gather of the amplitudes at the connected states and one
-    batched product with the weights conj(c_site) * sign (for a) or
-    c_site * sign (for a^dag).
+    for each site with c_j != 0, one gather of the amplitudes along axis 0
+    and one scatter-add, weighted conj(c_j) * sign (for a) or c_j * sign
+    (for a^dag).  Register bits are spectators.
     """
 
     def __init__(self, coeffs: np.ndarray, basis: FockBasis):
@@ -231,49 +250,50 @@ class ModeOperator:
             raise ValueError(
                 f"coefficient length {coeffs.shape} does not match {basis.n_sites} sites"
             )
-        self.basis = basis
-        conj = np.conj(coeffs)
-        self._tables = {
-            k: ((up, conj[up_site] * up_sign), (down, coeffs[down_site] * down_sign))
-            for k, ((down, down_site, down_sign), (up, up_site, up_sign))
-            in basis.ladder.items()
-        }
+        self.basis, self.coeffs = basis, coeffs
 
-    def lower(self, k: int, x: np.ndarray) -> np.ndarray:
-        """a from sector k to sector k-1 on (size_k, C) amplitudes."""
-        return _gather(*self._tables[k][0], x)
+    def _hop(self, x: np.ndarray, create: bool) -> np.ndarray:
+        x = np.asarray(x, dtype=complex)
+        y, shape = np.zeros(x.shape, dtype=complex), (-1,) + (1,) * (x.ndim - 1)
+        coeffs = self.coeffs if create else self.coeffs.conj()
+        for c, (on, off, sign) in zip(coeffs.tolist(), self.basis.ladder):
+            if c:
+                src, dst = (off, on) if create else (on, off)
+                y[dst] += c * (sign.reshape(shape) * x[src])
+        return y
 
-    def lift(self, k: int, x: np.ndarray) -> np.ndarray:
-        """a^dag from sector k-1 to sector k on (size_{k-1}, C) amplitudes."""
-        return _gather(*self._tables[k][1], x)
+    def annihilate(self, x: np.ndarray) -> np.ndarray:
+        """a on amplitudes x whose axis 0 is the basis."""
+        return self._hop(x, False)
 
     def create(self, x: np.ndarray) -> np.ndarray:
-        """a^dag on the leading (Fock) axis of x; the top sector has no image."""
-        cols = np.asarray(x, dtype=complex).reshape(len(self.basis), -1)
-        y, sec = np.zeros_like(cols), self.basis.sectors
-        for k in range(1, len(sec)):
-            y[sec[k]] = self.lift(k, cols[sec[k - 1]])
-        return y.reshape(np.shape(x))
+        """a^dag on amplitudes x whose axis 0 is the basis; no image above
+        the top excitation."""
+        return self._hop(x, True)
 
-    def swap(self, x: np.ndarray) -> np.ndarray:
-        """The five-term register swap on x of shape (2, F, C), register first.
+    def swap(self, x: np.ndarray, bit: int) -> np.ndarray:
+        """The five-term swap of register ``bit`` with the mode on amplitudes x
+        whose axis 0 is the basis.
 
-        For each excitation number e it maps register-0 sector e (x0) and
-        register-1 sector e-1 (x1) through u = a x0, v = a^dag x1:
-        x0 - a^dag u + v and x1 + u - a v, on the columns live in either.
-        The register-0 vacuum and the register-1 top sector pass through.
+        With x0 and x1 the parts with the register lowered and raised, and
+        s-, s+ its lowering and raising, it returns
+            y0 = x0 - g^dag g x0 + g^dag s- x1,   y1 = g^dag g x1 + s+ g x0,
+        using g g^dag = 1 - g^dag g on x1: g^dag acts only after s- or g,
+        so no intermediate holds more than the excitation of x.
         """
-        y, sec = x.copy(), self.basis.sectors
-        for e in range(1, len(sec)):
-            top, low = sec[e], sec[e - 1]
-            live = np.flatnonzero(np.any(x[0, top] != 0, axis=0)
-                                  | np.any(x[1, low] != 0, axis=0))
-            if live.size == 0:
-                continue
-            x0, x1 = x[0, top][:, live], x[1, low][:, live]
-            u, v = self.lower(e, x0), self.lift(e, x1)
-            y[0][top, live] = x0 - self.lift(e, u) + v
-            y[1][low, live] = x1 + u - self.lower(e, v)
+        q = bit - self.basis.n_sites
+        if not 0 <= q < len(self.basis.register_pairs):
+            raise ValueError(f"bit {bit} is not a register bit of the basis")
+        raised, lowered = self.basis.register_pairs[q]
+        w = self.annihilate(x)  # g x0 on lowered states, g x1 on raised ones
+        # t = g x1 - g x0 + s- x1, so that y = x0 + g^dag t + s+ g x0
+        t = -w
+        t[raised] = w[raised]
+        t[lowered] += x[raised]
+        y = x.copy()
+        y[raised] = 0.0
+        y += self.create(t)
+        y[raised] += w[lowered]
         return y
 
 
@@ -352,33 +372,49 @@ class ExactEvolver:
             raise ValueError(f"j_coupling must be finite, got {float(j_coupling)}")
         self.basis, self.rows = basis, []
         h = tj_hamiltonian(basis, j_coupling)
-        k_row = basis.particle_counts[h.row]
-        for k, s in enumerate(basis.sectors):
-            on, size = k_row == k, s.stop - s.start
-            row, col, data = h.row[on] - s.start, h.col[on] - s.start, h.data[on]
+        row, col, data = h.row, h.col, h.data
+        del h
+        # sorted by row once, each row's entries in build order, so sector k
+        # is one run of entries; every state has its diagonal entry
+        order = np.argsort(row, kind="stable")
+        row, col, data = row[order], col[order], data[order]
+        del order
+        edges = np.searchsorted(row, [s.start for s in basis.sectors] + [len(basis)])
+        for k, (s, a, b) in enumerate(zip(basis.sectors, edges, edges[1:])):
+            size, rs, cs, ds = s.stop - s.start, row[a:b], col[a:b], data[a:b]
+            rs -= s.start
+            cs -= s.start
             # H - H^dag with duplicates summed; an entry without a mirror meets a 0
-            _, at = np.unique(np.concatenate([row * size + col, col * size + row]),
-                              return_inverse=True)
-            gap = np.abs(np.bincount(at, np.concatenate([data, -data]))).max(initial=0.0)
+            key = rs * size + cs
+            by_key = np.argsort(key)
+            key = key[by_key]
+            first = np.flatnonzero(np.diff(key, prepend=-1))
+            key, value = key[first], np.add.reduceat(ds[by_key], first)
+            del by_key, first
+            mirror = key % size * size + key // size
+            at = np.minimum(np.searchsorted(key, mirror), len(key) - 1)
+            gap = np.abs(value - np.where(key[at] == mirror, value[at], 0.0)).max()
+            del key, value, mirror, at
             if gap > 1e-12:
                 raise RuntimeError(f"sector {k} of the t-J Hamiltonian is not Hermitian "
                                    f"(max |H - H^dag| = {gap:.3e} > 1e-12)")
-            hop = (row != col) & (data != 0)
-            centre = np.bincount(row[~hop], data[~hop], size)
-            radius = np.bincount(row[hop], np.abs(data[hop]), size)
+            hop = (rs != cs) & (ds != 0)
+            centre = np.bincount(rs[~hop], ds[~hop], size)
+            radius = np.bincount(rs[hop], np.abs(ds[hop]), size)
             lo, hi = float(np.min(centre - radius)), float(np.max(centre + radius))
             mid, half = (lo + hi) / 2, max((hi - lo) / 2, 1e-12)  # vacuum sector: 1 x 1 zero
-            order = np.argsort(row[hop], kind="stable")
-            row, col, data = row[hop][order], col[hop][order], data[hop][order]
-            slot = 1 + np.arange(len(row)) - np.searchsorted(row, row)
+            rs, cs, ds = rs[hop], cs[hop], ds[hop]
+            slot = 1 + np.arange(len(rs)) - np.searchsorted(rs, rs)
             index = np.repeat(np.arange(size)[:, None], slot.max(initial=0) + 1, axis=1)
             weight = np.zeros(index.shape)
-            index[row, slot], weight[row, slot], weight[:, 0] = col, data, centre - mid
-            self.rows.append((index, weight * (2.0 / half), mid, half))
+            index[rs, slot], weight[rs, slot], weight[:, 0] = cs, ds, centre - mid
+            del rs, cs, ds, slot
+            weight *= 2.0 / half
+            self.rows.append((index, weight, mid, half))
 
     def apply(self, fv: FockVector, t: float) -> FockVector:
-        """exp(-i t H) on the Fock axis for one finite time t, register axes as
-        columns; per sector only the nonzero columns move, through
+        """exp(-i t H) on axis 0 of the amplitudes for one finite time t; per
+        sector only the nonzero columns move, through
         e^{-i t mid} sum_k (2 - delta_k0) (-i)^k J_k(half t) T_k(X) (Tal-Ezer &
         Kosloff, J. Chem. Phys. 81, 3967 (1984)) in about half |t| + 11
         (half |t|)^{1/3} products: the cost grows with |t| times the spectral width.
@@ -386,11 +422,11 @@ class ExactEvolver:
         if np.ndim(t) or not np.isfinite(t):
             raise ValueError(f"need one finite time, got t = {t!r}")
         got, own = (f"N={b.n_sites}, max_particles={b.max_particles}"
+                    + (f", registers {b.n_a}+{b.n_b}" if b.n_a + b.n_b else "")
                     for b in (fv.basis, self.basis))
         if got != own:
             raise ValueError(f"state on a basis of {got}; the evolver's basis has {own}")
-        x = np.moveaxis(fv.tensor, fv.fock_axis, 0)
-        cols = x.reshape(x.shape[0], -1).astype(complex, copy=False)
+        cols = fv.amplitudes.reshape(len(fv.basis), -1).astype(complex, copy=False)
         y = np.zeros(cols.shape, dtype=complex)
         for s, (index, weight, mid, half) in zip(self.basis.sectors, self.rows):
             live = np.flatnonzero(np.any(cols[s] != 0, axis=0))
@@ -405,8 +441,7 @@ class ExactEvolver:
                 prev, cur = cur, np.subtract(_gather(index, weight, cur), prev, out=prev)
                 acc += ck * cur
             y[s, live] = np.exp(-1j * t * mid) * acc
-        tensor = np.moveaxis(y.reshape(x.shape), 0, fv.fock_axis)
-        return FockVector(tensor, fv.basis, fv.n_a, fv.n_b)
+        return FockVector(y.reshape(fv.amplitudes.shape), fv.basis)
 
 
 def _bessel_j(z: float) -> np.ndarray:
@@ -434,16 +469,6 @@ def _bessel_j(z: float) -> np.ndarray:
     return j * np.sign(z) ** np.arange(len(j))
 
 
-def _apply_register_block(
-    fv: FockVector, op: ModeOperator, side: str, idx: int
-) -> FockVector:
-    axes = (fv.register_axis(side, idx), fv.fock_axis)
-    x = np.moveaxis(fv.tensor, axes, (0, 1))
-    cols = x.reshape(2, x.shape[1], -1).astype(complex, copy=False)
-    y = op.swap(cols).reshape(x.shape)
-    return FockVector(np.moveaxis(y, (0, 1), axes), fv.basis, fv.n_a, fv.n_b)
-
-
 def build_encoder(g_coeffs: np.ndarray, basis: FockBasis) -> ModeOperator:
     """Mode operator of g, whose ``swap`` is the register/mode swap unitary.
 
@@ -465,30 +490,33 @@ def build_encoder(g_coeffs: np.ndarray, basis: FockBasis) -> ModeOperator:
     return ModeOperator(g_coeffs, basis)
 
 
-def vacuum_vector(
-    basis: FockBasis, n_a: int, n_b: int, messages: Sequence[np.ndarray]
-) -> FockVector:
+def vacuum_vector(basis: FockBasis, messages: Sequence[np.ndarray]) -> FockVector:
     """Product state: message qubits x lattice vacuum x receiver |0> qubits.
 
-    Only the [A, vacuum, B = 0..0] slice is nonzero; it is the outer
-    product of the messages times the vacuum amplitude 1.
+    Only the masks with sender bits alone set are nonzero: each holds the
+    product of its registers' message amplitudes times the vacuum amplitude 1.
     """
-    if len(messages) != n_a:
-        raise ValueError(f"expected {n_a} message states, got {len(messages)}")
-    amp = np.ones((), dtype=complex)
-    for psi in messages:
+    if len(messages) > basis.max_particles:
+        raise ValueError(f"basis truncated at {basis.max_particles} particles cannot carry "
+                         f"{len(messages)} signals")
+    if len(messages) != basis.n_a:
+        raise ValueError(f"expected {basis.n_a} message states, got {len(messages)}")
+    amp, masks = np.ones(1, dtype=complex), np.zeros(1, dtype=np.uint64)
+    for alpha, psi in enumerate(messages, 1):
         psi = np.asarray(psi, dtype=complex)
         if psi.shape != (2,):
             raise ValueError("message states must be qubit 2-vectors")
         nrm = np.linalg.norm(psi)
         if not abs(nrm - 1.0) <= 1e-8:  # a NaN norm fails too
             raise ValueError(f"message states must be normalized, got norm {float(nrm)!r}")
-        amp = np.multiply.outer(amp, psi)
-    tensor = np.zeros((2,) * n_a + (len(basis),) + (2,) * n_b, dtype=complex)
+        bit = np.uint64(1) << np.uint64(basis.register_bit("A", alpha))
+        amp = np.concatenate([amp * psi[0], amp * psi[1]])
+        masks = np.concatenate([masks, masks | bit])
+    x = np.zeros(len(basis), dtype=complex)
     # the factor is the vacuum amplitude; multiplying by it signs zero parts
     # as the full tensor product would
-    tensor[(Ellipsis, 0) + (0,) * n_b] = amp * (1.0 + 0.0j)
-    return FockVector(tensor, basis, n_a, n_b)
+    x[basis._find(masks)] = amp * (1.0 + 0.0j)
+    return FockVector(x, basis)
 
 
 def schedule(plan: ProtocolPlan) -> list[tuple[float, int, int]]:
@@ -521,12 +549,12 @@ def exchange_pairs(plan: ProtocolPlan) -> list[tuple[int, int]]:
 
 def exchange_correction(fv: FockVector, pairs: Sequence[tuple[int, int]]) -> FockVector:
     """CZ(B_alpha, B_beta) for each pair; it is its own inverse."""
-    tensor = fv.tensor.copy()
+    x, masks = fv.amplitudes.copy(), fv.basis.masks
     for alpha, beta in pairs:
-        idx = [slice(None)] * tensor.ndim
-        idx[fv.register_axis("B", alpha)] = idx[fv.register_axis("B", beta)] = 1
-        tensor[tuple(idx)] *= -1
-    return FockVector(tensor, fv.basis, fv.n_a, fv.n_b)
+        both = np.uint64((1 << fv.basis.register_bit("B", alpha))
+                         | (1 << fv.basis.register_bit("B", beta)))
+        x[masks & both == both] *= -1
+    return FockVector(x, fv.basis)
 
 
 class ProtocolEngine:
@@ -536,7 +564,7 @@ class ProtocolEngine:
     (``schedule``), propagated back to time 0 (see the module docstring):
     ``modes`` holds their (2M, r) coefficients on the r = min(N, 2M)
     orbitals of ``orbital_frame``, encodings 1..M then decodings 1..M.
-    ``run`` works on ``basis``, ``fock_basis(r, M)`` unless replaced.
+    ``run`` works on ``basis``, ``fock_basis(r, M, M, M)`` unless replaced.
     """
 
     def __init__(self, plan: ProtocolPlan):
@@ -546,7 +574,8 @@ class ProtocolEngine:
         # each kind's times ascend with its signal index
         tau = [np.array([t for t, k, _ in schedule(plan) if k == kind]) for kind in (0, 1)]
         self.modes = orbital_frame(np.concatenate([propagate(g0, -tau[0]), propagate(h, -tau[1])]))
-        self.basis = fock_basis(self.modes.shape[1], plan.m_signals)
+        m = plan.m_signals
+        self.basis = fock_basis(self.modes.shape[1], m, m, m)
 
     def run(self, messages: Sequence[np.ndarray]) -> FockVector:
         """The 2M register swaps in ``schedule`` order on ``basis``, with no
@@ -558,26 +587,24 @@ class ProtocolEngine:
         m = self.plan.m_signals
         if len(messages) != m:
             raise ValueError(f"expected {m} messages, got {len(messages)}")
-        if m > self.basis.max_particles:
-            raise ValueError(f"basis truncated at {self.basis.max_particles} particles "
-                             f"cannot carry {m} signals")
         ops = [build_encoder(f, self.basis) for f in self.modes]
         events = [(ops[kind * m + idx - 1], "AB"[kind], idx)
                   for _, kind, idx in schedule(self.plan)]
-        fv = _run_events(vacuum_vector(self.basis, m, m, messages), events)
+        fv = _run_events(vacuum_vector(self.basis, messages), events)
         return exchange_correction(fv, exchange_pairs(self.plan))
 
 
 def _run_events(fv: FockVector, events) -> FockVector:
     """Swap each (operator, side, register) event's register with the operator's
     mode, in order; amplitude leaking out of the excitation-conserving sector aborts."""
+    x = fv.amplitudes
     for op, side, idx in events:
-        fv = _apply_register_block(fv, op, side, idx)
-        nrm = float(np.linalg.norm(fv.tensor))
+        x = op.swap(x, fv.basis.register_bit(side, idx))
+        nrm = float(np.linalg.norm(x))
         if not abs(nrm - 1.0) <= 1e-10:  # a NaN norm fails too
             raise RuntimeError(f"norm drifted to {nrm!r} after {side}{idx}; "
                                f"amplitude leaked out of the truncated sector")
-    return fv
+    return FockVector(x, fv.basis)
 
 
 def average_fidelity(channel_outputs: Mapping[str, np.ndarray]) -> float:
@@ -610,30 +637,37 @@ def two_design_fidelities(
 
     One run with input |+>^M serves all six inputs.  Every step conserves
     the total excitation (raised A registers + fermions + raised B
-    registers): the swap maps register-0 sector e to register-1 sector
-    e-1 and the CZ gates are diagonal.  The
+    registers): the swap trades a raised register for a fermion and the
+    CZ gates are diagonal.  The
     input psi^M is sum_a psi_0^(M-|a|) psi_1^|a| |a>, so its final state is
     sum_n c_n T_n with T_n the excitation-n part of the |+>^M run's final
-    tensor T and c_n = 2^(M/2) psi_0^(M-n) psi_1^n.  A row of T, an A index
-    a and a Fock state with k particles, has excitation r = |a| + k; with
-    G_r[b, b'] the sum of T[row, b] conj(T[row, b']) over the rows of
-    excitation r, each input's B-register matrix is
+    state T and c_n = 2^(M/2) psi_0^(M-n) psi_1^n.  Read T as a matrix
+    whose row is a mask's site and sender bits and whose column b is its
+    receiver bits; a row has excitation r, its set bits, and with G_r[b, b']
+    the sum of T[row, b] conj(T[row, b']) over the rows of excitation r,
+    each input's B-register matrix is
     sum_r c_(r+|b|) conj(c_(r+|b'|)) G_r[b, b'], where c_n = 0 above n = M.
     """
-    plan, basis = engine.plan, engine.basis
+    plan = engine.plan
     m, dim = plan.m_signals, 2**plan.m_signals
-    # column alpha-1 holds B_alpha's bit of each register basis state
-    bits = (np.arange(dim)[:, None] >> np.arange(m - 1, -1, -1)) & 1
+    # column alpha-1 holds B_alpha's bit of each receiver index b: bit alpha-1
+    bits = (np.arange(dim)[:, None] >> np.arange(m)) & 1
     weight = bits.sum(axis=1)
     cz = np.ones(dim)
     for a, b in exchange_pairs(plan):
         cz[(bits[:, a - 1] & bits[:, b - 1]) == 1] *= -1
-    x = engine.run([SIX_DESIGN_STATES["x+"]] * m).tensor.reshape(dim, len(basis), dim)
+    fv = engine.run([SIX_DESIGN_STATES["x+"]] * m)
+    shift = np.uint64(fv.basis.n_sites + fv.basis.n_a)
+    row = fv.basis.masks & ((np.uint64(1) << shift) - np.uint64(1))
+    col, excited = (fv.basis.masks >> shift).astype(np.intp), np.bitwise_count(row)
     gram = np.zeros((m + 1, dim, dim), dtype=complex)
-    for k, s in enumerate(basis.sectors):
-        for p in range(m + 1 - k):
-            y = x[weight == p, s].reshape(-1, dim)
-            gram[p + k] += y.T @ y.conj()
+    for r in range(m + 1):
+        # a basis capped above M excitations holds zeros past the cap
+        on, cols = (excited == r) & (weight[col] <= m - r), np.flatnonzero(weight <= m - r)
+        rows, at = np.unique(row[on], return_inverse=True)
+        y = np.zeros((len(rows), len(cols)), dtype=complex)
+        y[at, np.searchsorted(cols, col[on])] = fv.amplitudes[on]
+        gram[r][np.ix_(cols, cols)] = y.T @ y.conj()
     # excitation r + |b| of each (r, b), capped at M + 1 where c_n is 0
     excitation = np.minimum(np.arange(m + 1)[:, None] + weight, m + 1)
     n = np.arange(m + 1)
@@ -644,8 +678,8 @@ def two_design_fidelities(
         joint = np.einsum("rb,rc,rbc->bc", c, c.conj(), gram)
         for rho, out in ((joint, outputs), (joint * np.outer(cz, cz), raw)):
             for alpha in range(1, m + 1):
-                r = rho.reshape(2 ** (alpha - 1), 2, 2 ** (m - alpha),
-                                2 ** (alpha - 1), 2, 2 ** (m - alpha))
+                r = rho.reshape(2 ** (m - alpha), 2, 2 ** (alpha - 1),
+                                2 ** (m - alpha), 2, 2 ** (alpha - 1))
                 out[alpha][label] = np.einsum("aibajb->ij", r)
     fids = {a: average_fidelity(outputs[a]) for a in outputs}
     return outputs, fids, {a: average_fidelity(raw[a]) for a in raw}
@@ -665,13 +699,14 @@ def orbital_frame(modes: np.ndarray) -> np.ndarray:
 def run_encoding_sequence(
     coeff_pairs: Sequence[tuple[complex, complex]], modes: np.ndarray, basis: FockBasis
 ) -> FockVector:
-    """Swap each message register with its signal's mode in turn (no receiver registers).
+    """Swap each message register with its signal's mode in turn.
 
     coeff_pairs are the (c, d) amplitudes of each message qubit and modes
     the (M, n) coefficients of each signal's mode on the basis's n sites or
-    orbitals; no evolution runs between the swaps.  With the current-time
-    modes f_alpha = U((M - alpha) wait) g0, ``orbital_frame`` of them and
-    ``basis = fock_basis(M, M)``, this is the timed free-wire encoding
+    orbitals; the basis has the M sender registers and no evolution runs
+    between the swaps.  With the current-time modes f_alpha =
+    U((M - alpha) wait) g0, ``orbital_frame`` of them and
+    ``basis = fock_basis(M, M, M)``, this is the timed free-wire encoding
     sequence exactly (see the module docstring).
     Like ``ProtocolEngine.run`` it aborts when amplitude leaks out of the
     truncated sector.
@@ -682,7 +717,7 @@ def run_encoding_sequence(
                          f"got {modes.shape}")
     messages = [np.array([c, d], dtype=complex) for c, d in coeff_pairs]
     events = [(build_encoder(f, basis), "A", alpha) for alpha, f in enumerate(modes, 1)]
-    return _run_events(vacuum_vector(basis, m, 0, messages), events)
+    return _run_events(vacuum_vector(basis, messages), events)
 
 
 def encoding_residual_norm(
@@ -698,16 +733,14 @@ def encoding_residual_norm(
     them (signal 1 applied first); it is deliberately not renormalized.
     """
     basis, modes = actual.basis, np.asarray(modes, dtype=complex)
-    if len(coeff_pairs) != actual.n_a or modes.shape != (actual.n_a, basis.n_sites):
-        raise ValueError(f"need {actual.n_a} coefficient pairs and modes of shape "
-                         f"{(actual.n_a, basis.n_sites)}; got {len(coeff_pairs)}, {modes.shape}")
+    if len(coeff_pairs) != basis.n_a or modes.shape != (basis.n_a, basis.n_sites):
+        raise ValueError(f"need {basis.n_a} coefficient pairs and modes of shape "
+                         f"{(basis.n_a, basis.n_sites)}; got {len(coeff_pairs)}, {modes.shape}")
     state = np.zeros(len(basis), dtype=complex)
     state[0] = 1.0
     for (c, d), f in zip(coeff_pairs, modes):
         state = c * state + d * ModeOperator(f, basis).create(state)
-    diff = np.moveaxis(actual.tensor, actual.fock_axis, 0).copy()
-    diff[(slice(None),) + (0,) * (actual.n_a + actual.n_b)] -= state
-    return float(np.linalg.norm(diff))
+    return float(np.linalg.norm(actual.amplitudes - state))
 
 
 def tj_interaction_error(fv: FockVector) -> float:
@@ -717,9 +750,7 @@ def tj_interaction_error(fv: FockVector) -> float:
     basis, so this is the RMS adjacent-pair count; it vanishes identically
     on single-particle states.
     """
-    counts = adjacent_pair_counts(fv.basis)
-    weighted = fv.tensor * counts.reshape((1,) * fv.n_a + (-1,) + (1,) * fv.n_b)
-    return float(np.linalg.norm(weighted))
+    return float(np.linalg.norm(fv.amplitudes * adjacent_pair_counts(fv.basis)))
 
 
 def evolution_difference(
@@ -733,7 +764,7 @@ def evolution_difference(
     Hamiltonian's evolver is built once for all the times.
     """
     free, inter = ExactEvolver(fv.basis), ExactEvolver(fv.basis, j_coupling)
-    return [float(np.linalg.norm(inter.apply(fv, s).tensor - free.apply(fv, s).tensor))
+    return [float(np.linalg.norm(inter.apply(fv, s).amplitudes - free.apply(fv, s).amplitudes))
             for s in times]
 
 
@@ -747,4 +778,4 @@ def two_packet_state(basis: FockBasis, params_a, params_b) -> FockVector:
     nrm = np.linalg.norm(state)
     if nrm < 1e-12:
         raise ValueError("packet modes coincide; two-particle state vanishes")
-    return FockVector(state / nrm, basis, 0, 0)
+    return FockVector(state / nrm, basis)

@@ -370,7 +370,7 @@ def _run_oracleprotocol(params):
 def _run_oraclebounds(params):
     n, m = _oracle_sizes(params)
     # the encodings run on the M orbitals of the current-time modes
-    basis = fock.fock_basis(m, m)
+    basis = fock.fock_basis(m, m, m)
     k0 = carrier_mode(n)
     region = Region(1, min(5, n // 2))
     center = region.center_site

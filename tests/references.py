@@ -8,23 +8,23 @@ computes, written apart from the package code they check.
 from __future__ import annotations
 
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 from scipy.integrate import IntegrationWarning, quad
 
 from fermiwire.fock import (
+    SIX_DESIGN_STATES,
     ExactEvolver,
     FockBasis,
     FockVector,
     ModeOperator,
-    _run_events,
-    build_encoder,
-    exchange_correction,
+    average_fidelity,
     exchange_pairs,
+    fock_basis,
     schedule,
     tj_hamiltonian,
-    vacuum_vector,
 )
 from fermiwire.lattice import propagate, ring_energies
 from fermiwire.protocol import (
@@ -67,8 +67,8 @@ def basis_index(basis: FockBasis) -> dict[int, int]:
 
 
 def total_excitation_operator(basis: FockBasis, n_a: int, n_b: int) -> np.ndarray:
-    """Diagonal of (fermion number + raised-register count) on the global
-    tensor, shape (2,)*n_a + (F,) + (2,)*n_b."""
+    """Diagonal of (fermion number + raised-register count) on a
+    ``RegisterTensor``'s tensor, shape (2,)*n_a + (F,) + (2,)*n_b."""
     shape = (2,) * n_a + (len(basis),) + (2,) * n_b
     occ = basis.particle_counts.reshape((1,) * n_a + (-1,) + (1,) * n_b)
     diag = np.zeros(shape) + occ
@@ -81,7 +81,7 @@ def total_excitation_operator(basis: FockBasis, n_a: int, n_b: int) -> np.ndarra
     return diag
 
 
-def reduced_qubit(fv: FockVector, side: str, idx: int) -> np.ndarray:
+def reduced_qubit(fv: RegisterTensor, side: str, idx: int) -> np.ndarray:
     """2x2 reduced density matrix of one ancilla register."""
     axis = fv.register_axis(side, idx)
     x = np.moveaxis(fv.tensor, axis, 0).reshape(2, -1)
@@ -109,13 +109,11 @@ class SectorEvolver:
             self.eigen.append(np.linalg.eigh(block))
 
     def apply(self, fv: FockVector, t: float) -> FockVector:
-        x = np.moveaxis(fv.tensor, fv.fock_axis, 0)
-        cols = x.reshape(x.shape[0], -1)
+        cols = fv.amplitudes.reshape(len(fv.basis), -1)
         y = np.zeros(cols.shape, dtype=complex)
         for s, (w, v) in zip(self.basis.sectors, self.eigen):
             y[s] = v @ (np.exp(-1j * t * w)[:, None] * (v.conj().T @ cols[s]))
-        tensor = np.moveaxis(y.reshape(x.shape), 0, fv.fock_axis)
-        return FockVector(tensor, fv.basis, fv.n_a, fv.n_b)
+        return FockVector(y.reshape(fv.amplitudes.shape), fv.basis)
 
 
 def ring_translation(basis: FockBasis) -> tuple[np.ndarray, np.ndarray]:
@@ -145,40 +143,139 @@ def symmetry_defects(basis: FockBasis, matrix) -> tuple[float, float]:
 
 
 def operational_ladder_defect(basis: FockBasis) -> float:
-    """Largest entry of {a, a^dag} - 1 and of (a^dag)^2 below the top sector.
+    """Largest entry of {a, a^dag} - 1 below the top excitation and of (a^dag)^2.
 
     Taken for one fixed mode with no zero coefficient, on identity columns
     in blocks of 64.  Off the diagonal each entry is one pair of sites
     times a sum of ladder signs, so zero certifies the signs for every
     mode; it is the operational counterpart of ``FockBasis.ladder_defect``.
     """
-    n, sec, worst = basis.n_sites, basis.sectors, 0.0
+    n, f, worst = basis.n_sites, len(basis), 0.0
     op = ModeOperator(np.exp(1j * np.arange(n)) / np.sqrt(n), basis)
-    for k in range(basis.max_particles):
-        d = sec[k].stop - sec[k].start
-        for lo in range(0, d, 64):
-            eye = np.eye(d, min(64, d - lo), -lo, dtype=complex)
-            up = op.lift(k + 1, eye)
-            anti = op.lower(k + 1, up) - eye + (op.lift(k, op.lower(k, eye)) if k else 0)
-            square = op.lift(k + 2, up) if k + 2 <= basis.max_particles else 0
-            worst = max(worst, np.abs(anti).max(), np.abs(square).max())
+    below = basis.particle_counts < basis.max_particles
+    for lo in range(0, f, 64):
+        eye = np.eye(f, min(64, f - lo), -lo, dtype=complex)
+        up = op.create(eye)
+        anti = op.annihilate(up) + op.create(op.annihilate(eye)) - eye
+        worst = max(worst, np.abs(anti[:, below[lo:lo + 64]]).max(initial=0.0),
+                    np.abs(op.create(up)).max())
     return float(worst)
 
 
-def run_site_events(fv: FockVector, events, evolver) -> FockVector:
-    """Apply (gap, operator, side, register) events in order on the lattice
-    sites: evolve exactly for the gap unless it is at most 1e-12, then swap
-    the register with the operator's mode under ``fock._run_events``'s
-    norm check."""
-    for gap, op, side, idx in events:
+@dataclass
+class RegisterTensor:
+    """The oracle state with its registers as tensor axes: amplitudes of
+    shape (2,)*n_a + (F,) + (2,)*n_b over the sender registers, a
+    register-free occupation basis and the receiver registers.  The
+    package keeps the registers as mask bits; this layout is the
+    reference it is checked against."""
+
+    tensor: np.ndarray
+    basis: FockBasis
+    n_a: int
+    n_b: int
+
+    @property
+    def fock_axis(self) -> int:
+        return self.n_a
+
+    def register_axis(self, side: str, idx: int) -> int:
+        count = self.n_a if side == "A" else self.n_b
+        if not 1 <= idx <= count:
+            raise ValueError(f"register {side}{idx} does not exist")
+        return idx - 1 if side == "A" else self.n_a + 1 + (idx - 1)
+
+
+def to_register_tensor(fv: FockVector) -> RegisterTensor:
+    """A state of the package's excitation basis in the register-axis
+    layout, over ``fock_basis`` of its sites, one mask at a time."""
+    b = fv.basis
+    small = fock_basis(b.n_sites, min(b.max_particles, b.n_sites))
+    index, sites = basis_index(small), (1 << b.n_sites) - 1
+    tensor = np.zeros((2,) * b.n_a + (len(small),) + (2,) * b.n_b, dtype=complex)
+    for amp, s in zip(fv.amplitudes, b.masks.tolist()):
+        regs = [(s >> (b.n_sites + q)) & 1 for q in range(b.n_a + b.n_b)]
+        tensor[tuple(regs[:b.n_a]) + (index[s & sites],) + tuple(regs[b.n_a:])] = amp
+    return RegisterTensor(tensor, small, b.n_a, b.n_b)
+
+
+def register_vacuum(basis: FockBasis, n_a: int, n_b: int, messages) -> RegisterTensor:
+    """Message qubits x lattice vacuum x receiver |0> qubits as one outer product."""
+    amp = np.ones((), dtype=complex)
+    for psi in messages:
+        amp = np.multiply.outer(amp, np.asarray(psi, dtype=complex))
+    tensor = np.zeros((2,) * n_a + (len(basis),) + (2,) * n_b, dtype=complex)
+    tensor[(Ellipsis, 0) + (0,) * n_b] = amp * (1.0 + 0.0j)
+    return RegisterTensor(tensor, basis, n_a, n_b)
+
+
+def loop_annihilator(coeffs, basis: FockBasis) -> sparse.csr_matrix:
+    """sum_j conj(c_j) a_j as a sparse matrix, walking the occupied sites of
+    every basis state with the sign (-1)^(occupied sites below the site)."""
+    index, rows, cols, data = basis_index(basis), [], [], []
+    for col, s in enumerate(basis.masks.tolist()):
+        rest = s & ((1 << basis.n_sites) - 1)
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            cj = coeffs[bit.bit_length() - 1]
+            if cj == 0:
+                continue
+            sign = -1.0 if (s & (bit - 1)).bit_count() & 1 else 1.0
+            rows.append(index[s ^ bit])
+            cols.append(col)
+            data.append(sign * np.conj(cj))
+    f = len(basis)
+    return sparse.csr_matrix((np.array(data, dtype=complex), (rows, cols)), shape=(f, f))
+
+
+def register_swap(fv: RegisterTensor, a, side: str, idx: int) -> RegisterTensor:
+    """The five-term swap of one register with the mode whose annihilator
+    is the sparse matrix a: x0 - a^dag a x0 + a^dag x1 and
+    x1 - a a^dag x1 + a x0 on the register and Fock axes, every other axis
+    a column."""
+    axes = (fv.register_axis(side, idx), fv.fock_axis)
+    x = np.moveaxis(fv.tensor, axes, (0, 1))
+    x0, x1 = x.reshape(2, x.shape[1], -1)
+    ad = a.conj().T.tocsr()
+    y = np.stack([x0 - ad @ (a @ x0) + ad @ x1, x1 - a @ (ad @ x1) + a @ x0])
+    return RegisterTensor(np.moveaxis(y.reshape(x.shape), (0, 1), axes),
+                          fv.basis, fv.n_a, fv.n_b)
+
+
+def evolve_register_tensor(fv: RegisterTensor, evolver, t: float) -> RegisterTensor:
+    """The evolver on the Fock axis, the register axes as its columns."""
+    x = np.moveaxis(fv.tensor, fv.fock_axis, 0)
+    y = evolver.apply(FockVector(x, fv.basis), t).amplitudes
+    return RegisterTensor(np.moveaxis(y, 0, fv.fock_axis), fv.basis, fv.n_a, fv.n_b)
+
+
+def run_site_events(fv: RegisterTensor, events, evolver) -> RegisterTensor:
+    """Apply (gap, annihilator, side, register) events in order on the
+    lattice sites: evolve exactly for the gap unless it is at most 1e-12,
+    then swap the register with the mode; the norm must stay 1 to 1e-10."""
+    for gap, a, side, idx in events:
         if gap > 1e-12:
-            fv = evolver.apply(fv, gap)
-        fv = _run_events(fv, [(op, side, idx)])
+            fv = evolve_register_tensor(fv, evolver, gap)
+        fv = register_swap(fv, a, side, idx)
+        nrm = float(np.linalg.norm(fv.tensor))
+        if not abs(nrm - 1.0) <= 1e-10:
+            raise RuntimeError(f"norm drifted to {nrm!r} after {side}{idx}")
     return fv
 
 
+def register_exchange_correction(fv: RegisterTensor, pairs) -> RegisterTensor:
+    """CZ(B_alpha, B_beta) for each pair, on the register axes."""
+    tensor = fv.tensor.copy()
+    for alpha, beta in pairs:
+        idx = [slice(None)] * tensor.ndim
+        idx[fv.register_axis("B", alpha)] = idx[fv.register_axis("B", beta)] = 1
+        tensor[tuple(idx)] *= -1
+    return RegisterTensor(tensor, fv.basis, fv.n_a, fv.n_b)
+
+
 def site_frame_encoding(coeff_pairs, g0: np.ndarray, wait: float,
-                        evolver: ExactEvolver) -> FockVector:
+                        evolver: ExactEvolver) -> RegisterTensor:
     """The timed encode/evolve sequence on the lattice sites of evolver's basis.
 
     Register alpha is swapped with g0 at (alpha - 1) * wait, and the whole
@@ -187,22 +284,22 @@ def site_frame_encoding(coeff_pairs, g0: np.ndarray, wait: float,
     the current-time modes.
     """
     basis = evolver.basis
-    messages = [np.array(pair, dtype=complex) for pair in coeff_pairs]
-    encoder = build_encoder(g0, basis)
-    events = [(wait if alpha > 1 else 0.0, encoder, "A", alpha)
+    a = loop_annihilator(g0, basis)
+    events = [(wait if alpha > 1 else 0.0, a, "A", alpha)
               for alpha in range(1, len(coeff_pairs) + 1)]
-    return run_site_events(vacuum_vector(basis, len(messages), 0, messages), events, evolver)
+    fv = register_vacuum(basis, len(coeff_pairs), 0, coeff_pairs)
+    return run_site_events(fv, events, evolver)
 
 
 class SiteFrameEngine:
-    """The timed protocol on the N lattice sites of a basis.
+    """The timed protocol on the N lattice sites of a register-free basis.
 
     Swaps with g0 and the receiver mode h at their event times, exact
     evolution between the events and Bob's CZ gates at the end: what
     ``fock.ProtocolEngine`` runs without evolution on the orbitals of its
-    back-propagated modes.  It has the engine's ``plan``, ``basis`` and
-    ``run``, so ``fock.two_design_fidelities`` takes it too; evolver is
-    ``ExactEvolver`` or ``SectorEvolver``.
+    back-propagated modes.  ``run`` returns a ``RegisterTensor``, which
+    ``register_two_design`` reads; evolver is ``ExactEvolver`` or
+    ``SectorEvolver``.
     """
 
     def __init__(self, plan, basis: FockBasis, evolver=ExactEvolver):
@@ -212,29 +309,82 @@ class SiteFrameEngine:
         self.plan, self.basis = plan, basis
         g0 = gaussian_packet(plan.packet, plan.n)
         h, _ = decode_mode(propagate(g0, plan.decode_time), plan.region_b)
-        self.encoder, self.decoder = build_encoder(g0, basis), build_encoder(h, basis)
+        self.encoder, self.decoder = loop_annihilator(g0, basis), loop_annihilator(h, basis)
         self.evolver = evolver(basis)
 
-    def run(self, messages) -> FockVector:
+    def run(self, messages) -> RegisterTensor:
         m, events, now = self.plan.m_signals, [], 0.0
         for tau, kind, idx in schedule(self.plan):
             events.append((tau - now, (self.encoder, self.decoder)[kind], "AB"[kind], idx))
             now = tau
-        fv = vacuum_vector(self.basis, m, m, messages)
+        fv = register_vacuum(self.basis, m, m, messages)
         fv = run_site_events(fv, events, self.evolver)
-        return exchange_correction(fv, exchange_pairs(self.plan))
+        return register_exchange_correction(fv, exchange_pairs(self.plan))
 
 
-def residual_norm_per_point(actual: FockVector, coeff_pairs, modes) -> float:
+class OrbitalRegisterEngine:
+    """``fock.ProtocolEngine``'s protocol in the register-axis layout: the
+    swaps with its 2M event modes in ``schedule`` order over the
+    register-free ``fock_basis`` of its r orbitals, with loop-built sparse
+    annihilators, then Bob's CZ gates."""
+
+    def __init__(self, engine):
+        self.plan, m = engine.plan, engine.plan.m_signals
+        self.basis = fock_basis(engine.basis.n_sites, m)
+        self.ops = [loop_annihilator(f, self.basis) for f in engine.modes]
+
+    def run(self, messages) -> RegisterTensor:
+        m = self.plan.m_signals
+        events = [(0.0, self.ops[kind * m + idx - 1], "AB"[kind], idx)
+                  for _, kind, idx in schedule(self.plan)]
+        fv = run_site_events(register_vacuum(self.basis, m, m, messages), events, None)
+        return register_exchange_correction(fv, exchange_pairs(self.plan))
+
+
+def register_two_design(engine):
+    """``fock.two_design_fidelities`` on the register-axis layout: outputs,
+    corrected and raw fidelities of an engine whose ``run`` returns a
+    ``RegisterTensor``, from one |+>^M run split by excitation number."""
+    plan, basis = engine.plan, engine.basis
+    m, dim = plan.m_signals, 2**plan.m_signals
+    # column alpha-1 holds B_alpha's bit of each register basis state
+    bits = (np.arange(dim)[:, None] >> np.arange(m - 1, -1, -1)) & 1
+    weight = bits.sum(axis=1)
+    cz = np.ones(dim)
+    for a, b in exchange_pairs(plan):
+        cz[(bits[:, a - 1] & bits[:, b - 1]) == 1] *= -1
+    x = engine.run([SIX_DESIGN_STATES["x+"]] * m).tensor.reshape(dim, len(basis), dim)
+    gram = np.zeros((m + 1, dim, dim), dtype=complex)
+    for k, s in enumerate(basis.sectors):
+        for p in range(m + 1 - k):
+            y = x[weight == p, s].reshape(-1, dim)
+            gram[p + k] += y.T @ y.conj()
+    excitation = np.minimum(np.arange(m + 1)[:, None] + weight, m + 1)
+    n = np.arange(m + 1)
+    outputs = {a: {} for a in range(1, m + 1)}
+    raw = {a: {} for a in range(1, m + 1)}
+    for label, psi in SIX_DESIGN_STATES.items():
+        c = np.append(2.0 ** (m / 2) * psi[0] ** (m - n) * psi[1] ** n, 0.0)[excitation]
+        joint = np.einsum("rb,rc,rbc->bc", c, c.conj(), gram)
+        for rho, out in ((joint, outputs), (joint * np.outer(cz, cz), raw)):
+            for alpha in range(1, m + 1):
+                r = rho.reshape(2 ** (alpha - 1), 2, 2 ** (m - alpha),
+                                2 ** (alpha - 1), 2, 2 ** (m - alpha))
+                out[alpha][label] = np.einsum("aibajb->ij", r)
+    fids = {a: average_fidelity(outputs[a]) for a in outputs}
+    return outputs, fids, {a: average_fidelity(raw[a]) for a in raw}
+
+
+def residual_norm_per_point(actual: RegisterTensor, coeff_pairs, modes) -> float:
     """Norm distance from the ideal product (c_M + d_M a^dag(f_M)) ...
     (c_1 + d_1 a^dag(f_1)) |vac> with every register in |0>, modes of shape
-    (M, n) in the frame of actual's basis: one ``ModeOperator(f).create``
-    per mode and the norm of the full difference tensor."""
+    (M, n) in the frame of actual's basis: one sparse creator per mode and
+    the norm of the full difference tensor."""
     basis = actual.basis
     state = np.zeros(len(basis), dtype=complex)
     state[0] = 1.0
     for (c, d), mode in zip(coeff_pairs, modes):
-        state = c * state + d * ModeOperator(mode, basis).create(state)
+        state = c * state + d * (loop_annihilator(mode, basis).conj().T @ state)
     ideal = np.zeros_like(actual.tensor)
     ideal[(0,) * actual.n_a + (slice(None),) + (0,) * actual.n_b] = state
     return float(np.linalg.norm(actual.tensor - ideal))

@@ -21,6 +21,7 @@ from references import (
     fourier_airy_overlap,
     random_state,
     reduced_qubit,
+    to_register_tensor,
 )
 
 from fermiwire.lattice import group_velocity, propagate, transit_time
@@ -184,7 +185,7 @@ def test_acceptance_06_encoding_residual_bound():
     ok = True
     for m in (2, 3):
         # the encodings run on the M orbitals of the current-time modes
-        basis = fock.fock_basis(m, m)
+        basis = fock.fock_basis(m, m, m)
         pairs = [
             (complex(np.sqrt(1 - 0.3 * a)), complex(0, np.sqrt(0.3 * a)))
             for a in np.linspace(0.5, 1.0, m)
@@ -232,20 +233,18 @@ def test_acceptance_08_truncation_equivalence():
     plan = plan_protocol(n, m, BUDGET, 0.1, wait=3.0, width=2)
     msgs = [np.array([0.6, 0.8j]), np.array([1.0, -1.0j]) / np.sqrt(2)]
     engine = fock.ProtocolEngine(plan)
-    r = engine.basis.n_sites  # min(N, 2M) orbitals
+    # min(N, 2M) orbitals and 2M registers
+    bits = engine.basis.n_sites + 2 * m
     small = engine.run(msgs)
-    engine.basis = fock.fock_basis(r, r)
+    engine.basis = fock.fock_basis(engine.basis.n_sites, bits, m, m)
     full = engine.run(msgs)
     small_index, full_index = basis_index(small.basis), basis_index(full.basis)
     worst = 0.0
-    for i, s in enumerate(small.basis.masks.tolist()):
-        delta = small.tensor[:, :, i, :, :] - full.tensor[:, :, full_index[s], :, :]
-        worst = max(worst, float(np.max(np.abs(delta))))
-    for i, s in enumerate(full.basis.masks.tolist()):
-        if s not in small_index:
-            worst = max(worst, float(np.max(np.abs(full.tensor[:, :, i, :, :]))))
+    for s, i in full_index.items():
+        kept = small.amplitudes[small_index[s]] if s in small_index else 0.0
+        worst = max(worst, float(abs(full.amplitudes[i] - kept)))
     ok = worst < 1e-10
-    report(8, ok, f"truncated (m_max=2) vs full 2^{r} space: max componentwise "
+    report(8, ok, f"truncated (m_max=2) vs full 2^{bits} space: max componentwise "
                   f"diff {worst:.2e} (< 1e-10), {timed()-t0:.2f}s")
     assert ok
 
@@ -295,7 +294,7 @@ def test_acceptance_11_average_fidelity_identity():
 
     def wire_output(psi):
         fv = engine.run([np.asarray(psi, dtype=complex)])
-        return reduced_qubit(fv, "B", 1)
+        return reduced_qubit(to_register_tensor(fv), "B", 1)
 
     e00 = wire_output([1.0, 0.0])
     e11 = wire_output([0.0, 1.0])

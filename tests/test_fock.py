@@ -7,15 +7,21 @@ import numpy as np
 import pytest
 from scipy import sparse
 from references import (
+    OrbitalRegisterEngine,
+    RegisterTensor,
     SectorEvolver,
     SiteFrameEngine,
     basis_index,
+    loop_annihilator,
     operational_ladder_defect,
     reduced_qubit,
+    register_exchange_correction,
+    register_two_design,
     residual_norm_per_point,
     ring_translation,
     site_frame_encoding,
     symmetry_defects,
+    to_register_tensor,
     total_excitation_operator,
     validate_qubit_state,
 )
@@ -59,12 +65,8 @@ def random_mode(n, rng):
 
 
 def dense(op):
-    # the production annihilator, sector by sector from ``lower`` on
-    # identity columns
-    sec, out = op.basis.sectors, np.zeros((len(op.basis),) * 2, dtype=complex)
-    for k in range(1, len(sec)):
-        out[sec[k - 1], sec[k]] = op.lower(k, np.eye(sec[k].stop - sec[k].start))
-    return out
+    # the production annihilator applied to identity columns
+    return op.annihilate(np.eye(len(op.basis), dtype=complex))
 
 
 def dense_dag(op):
@@ -72,12 +74,18 @@ def dense_dag(op):
     return op.create(np.eye(len(op.basis), dtype=complex))
 
 
-def dense_swap(op):
-    # the production register swap applied to identity columns, as a
-    # 2F x 2F matrix over qubit (|0>, |1>) x Fock
-    f = len(op.basis)
-    cols = np.eye(2 * f, dtype=complex).reshape(2, f, 2 * f)
-    return op.swap(cols).reshape(2 * f, 2 * f)
+def dense_swap(op, register=("A", 1)):
+    # the production swap of one register with the mode, on identity columns
+    return op.swap(np.eye(len(op.basis), dtype=complex), op.basis.register_bit(*register))
+
+
+def raising(basis, bit):
+    # s+ of one register bit as a dense matrix, from the masks
+    index, out = basis_index(basis), np.zeros((len(basis),) * 2)
+    for i, s in enumerate(basis.masks.tolist()):
+        if not s >> bit & 1 and (s | 1 << bit) in index:
+            out[index[s | 1 << bit], i] = 1.0
+    return out
 
 
 def csr(m):
@@ -108,6 +116,19 @@ def test_basis_matches_sorted_scan_and_dimension_guard():
     with pytest.raises(ValueError, match=r"N=40, max_particles=6"):
         fock_basis(40, 6)
     assert big.particle_counts.tolist() == [s.bit_count() for s in big.masks.tolist()]
+    # register bits sit above the sites and order like further sites
+    assert fock_basis(4, 3, 2, 1).masks.tolist() == _sorted_scan_basis(7, 3)
+
+
+def test_basis_rejects_more_than_64_mask_bits():
+    # sites and registers share one uint64 mask, so a site-frame basis with
+    # registers reaches only N + 2M <= 64
+    assert len(fock_basis(60, 1, 2, 2)) == 65
+    with pytest.raises(ValueError, match=r"^60 sites, 3 sender and 2 receiver registers need "
+                                         r"65 mask bits; a uint64 mask holds 64$"):
+        fock_basis(60, 1, 3, 2)
+    with pytest.raises(ValueError, match=r"^65 sites, 0 sender and 0 receiver registers"):
+        fock_basis(65, 1)
 
 
 def test_basis_ordering_and_vacuum():
@@ -136,27 +157,6 @@ def _assert_same_csr_bytes(got, want):
         assert g.tobytes() == w.tobytes()
 
 
-def _loop_annihilator(coeffs, basis):
-    # independent reference: walk the occupied sites of every basis state
-    index, rows, cols, data = basis_index(basis), [], [], []
-    for col, s in enumerate(basis.masks.tolist()):
-        rest = s
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            cj = coeffs[bit.bit_length() - 1]
-            if cj == 0:
-                continue
-            sign = -1.0 if (s & (bit - 1)).bit_count() & 1 else 1.0
-            rows.append(index[s ^ bit])
-            cols.append(col)
-            data.append(sign * np.conj(cj))
-    f = len(basis)
-    return sparse.csr_matrix(
-        (np.array(data, dtype=complex), (rows, cols)), shape=(f, f)
-    )
-
-
 @pytest.mark.parametrize("n, m_max", [(6, 2), (8, 3), (8, 8), (14, 3)])
 def test_mode_annihilator_matches_loop_reference_bytes(n, m_max):
     basis = fock_basis(n, m_max)
@@ -166,7 +166,7 @@ def test_mode_annihilator_matches_loop_reference_bytes(n, m_max):
         c[rng.random(n) < 0.3] = 0.0
         c[0] = 0.0
         got = sparse.csr_matrix(dense(ModeOperator(c, basis)))
-        _assert_same_csr_bytes(got, _loop_annihilator(c, basis))
+        _assert_same_csr_bytes(got, loop_annihilator(c, basis))
 
 
 def _ref_bonds(n):
@@ -206,73 +206,67 @@ def test_kinetic_and_pair_counts_match_loop_reference(n, m_max):
 
 
 def _loop_ladder(basis):
-    # independent reference: walk every state's sites in ascending order;
-    # the sign of a_site is (-1)^(occupied sites below it) in both directions
-    index, ladder = basis_index(basis), {}
-    start = [sec.start for sec in basis.sectors]
-    for k in range(1, basis.max_particles + 1):
-        rungs = []
-        for source, occupied in ((k, True), (k - 1, False)):
-            rows = []
-            for s in basis.masks[basis.sectors[source]].tolist():
-                rows.append([])
-                for j in range(basis.n_sites):
-                    if bool(s >> j & 1) == occupied:
-                        sign = -1 if (s & ((1 << j) - 1)).bit_count() % 2 else 1
-                        other = k - 1 if occupied else k
-                        rows[-1].append((index[s ^ (1 << j)] - start[other], j, sign))
-            rungs.append(tuple(np.array([[e[i] for e in row] for row in rows], dtype=dt)
-                               for i, dt in enumerate((np.intp, np.uint8, np.int8))))
-        ladder[k] = tuple(rungs)
+    # independent reference: walk every state's sites; the sign of a_site is
+    # (-1)^(occupied sites below it) in both directions
+    index, ladder = basis_index(basis), []
+    masks = basis.masks.tolist()
+    for j in range(basis.n_sites):
+        on = [i for i, s in enumerate(masks) if s >> j & 1]
+        off = [index[masks[i] ^ (1 << j)] for i in on]
+        sign = [-1 if (masks[i] & ((1 << j) - 1)).bit_count() % 2 else 1 for i in on]
+        ladder.append(tuple(np.array(a, dtype=dt) for a, dt in
+                            ((on, np.int32), (off, np.int32), (sign, np.int8))))
     return ladder
 
 
 @pytest.mark.parametrize("n, m_max", [(6, 3), (8, 8)])
 def test_ladder_matches_loop_reference_bytes(n, m_max):
-    basis = fock_basis(n, m_max)
-    want = _loop_ladder(basis)
-    assert sorted(basis.ladder) == sorted(want) == list(range(1, m_max + 1))
-    for k, rungs in basis.ladder.items():
-        for got, ref in zip(rungs, want[k], strict=True):
+    # with and without register bits above the sites
+    for basis in (fock_basis(n, m_max), fock_basis(n, m_max, 2, 1)):
+        want = _loop_ladder(basis)
+        assert len(basis.ladder) == len(want) == n
+        for got, ref in zip(basis.ladder, want, strict=True):
             for g, w in zip(got, ref, strict=True):
                 assert g.dtype == w.dtype and g.shape == w.shape
                 assert g.tobytes() == w.tobytes()
+        assert basis.ladder_defect == 0
 
 
 def test_annihilation_table_memory():
-    # the annihilation table is the ladder's down rungs: each k-particle
-    # state's occupied sites.  The int64/float64 table with two F x N uint64
-    # temporaries kept 33 B per entry and peaked at 39.3 MB (37.5 MiB) on
-    # this basis; an intp index, a uint8 site and an int8 sign keep 10 B
+    # one (on, off, sign) rung per site: an int32, an int32 and an int8 per
+    # (state, occupied site) entry.  The per-sector int64/float64 tables with
+    # two F x N uint64 temporaries peaked at 39.3 MB (37.5 MiB) on this basis
     basis = fock_basis(16, 16)
-    tracemalloc.start()
-    try:
-        down = [rungs[0] for rungs in basis.ladder.values()]
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    entries = sum(index.size for index, _, _ in down)
-    assert entries == 16 * 2**15
-    assert sum(a.nbytes for rung in down for a in rung) / entries <= 10
-    assert peak < 37.5 * 2**20
-
-
-def test_ladder_memory():
-    # two gather tables with an intp index, a uint8 site and an int8 sign
-    # per (state, occupied site) entry keep 20 B per entry, and nothing else
-    # built on the way is kept
-    basis = fock_basis(16, 16)
-    entries = sum((s.stop - s.start) * k for k, s in enumerate(basis.sectors))
+    basis._sorted
     tracemalloc.start()
     try:
         ladder = basis.ladder
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    entries = sum(on.size for on, _, _ in ladder)
+    assert entries == 16 * 2**15
+    assert sum(a.nbytes for rung in ladder for a in rung) / entries == 9
+    assert peak <= 8.0 * 2**20
+
+
+def test_ladder_memory():
+    # the ladder and the register pairs of an excitation basis keep 9 B per
+    # (state, occupied site) and 8 B per (state, raised register), and build
+    # them with a few per-state temporaries at a time
+    basis = fock_basis(10, 5, 3, 3)
+    basis._sorted
+    counts = (basis.masks[:, None] >> np.arange(16, dtype=np.uint64)) & np.uint64(1)
+    sites, registers = int(counts[:, :10].sum()), int(counts[:, 10:].sum())
+    tracemalloc.start()
+    try:
+        tables = basis.ladder, basis.register_pairs
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert entries == 16 * 2**15
-    assert sorted(ladder) == list(range(1, 17))
-    assert kept / entries <= 21
-    assert peak <= 17.0 * 2**20
+    assert len(tables[0]) == 10 and len(tables[1]) == 6
+    assert kept <= 9 * sites + 8 * registers + 2**14
+    assert peak <= kept + 3 * 8 * len(basis)
 
 
 def test_basis_keeps_only_its_masks():
@@ -387,84 +381,93 @@ def test_jordan_wigner_cross_check():
 
 
 def encoder_fixture(n=6, m_max=2):
-    basis = fock_basis(n, m_max)
+    # one sender register above n sites, at most m_max excitations in all
+    basis = fock_basis(n, m_max, 1)
     g = gaussian_packet(PacketParams(1.0, 2, 4, Region(1, 3)), n)
     return basis, g, build_encoder(g, basis)
 
 
+def unit(basis, mask):
+    vec = np.zeros(len(basis), dtype=complex)
+    vec[basis_index(basis)[mask]] = 1.0
+    return vec
+
+
 def test_encoder_creates_mode_from_raised_register():
     basis, g, u = encoder_fixture()
-    f = len(basis)
-    vec = np.zeros(2 * f, dtype=complex)
-    vec[f] = 1.0  # |1> x vacuum
-    out = dense_swap(u) @ vec
-    vac = np.zeros(f, dtype=complex)
-    vac[0] = 1.0
-    created = ModeOperator(g, basis).create(vac)
-    assert np.allclose(out[:f], created, atol=1e-12)
-    assert np.linalg.norm(out[f:]) < 1e-12
+    out = dense_swap(u) @ unit(basis, 1 << 6)  # |1> x vacuum
+    created = ModeOperator(g, basis).create(unit(basis, 0))
+    # register lowered, mode created; created has no register bit set
+    assert np.allclose(out, created, atol=1e-12)
+    assert np.linalg.norm(out[basis.masks >> np.uint64(6) != 0]) < 1e-12
 
 
 def test_encoder_leaves_lowered_register_alone():
     basis, g, u = encoder_fixture()
-    f = len(basis)
-    vec = np.zeros(2 * f, dtype=complex)
-    vec[0] = 1.0  # |0> x vacuum
-    out = dense_swap(u) @ vec
+    out = dense_swap(u) @ unit(basis, 0)  # |0> x vacuum
     assert abs(out[0] - 1.0) < 1e-12
     assert np.linalg.norm(out[1:]) < 1e-12
 
 
 def test_encoder_unitary_on_reachable_sector():
+    # the excitation basis is the reachable sector, its top excitation included
     basis, g, u = encoder_fixture()
-    occ = np.array([s.bit_count() for s in basis.masks.tolist()])
-    total = np.concatenate([occ, occ + 1])
-    keep = total <= basis.max_particles
     u = dense_swap(u)
-    defect = u.conj().T @ u - np.eye(2 * len(basis))
-    assert np.max(np.abs(defect[np.ix_(keep, keep)])) < 1e-10
+    assert np.max(np.abs(u.conj().T @ u - np.eye(len(basis)))) < 1e-10
 
 
-def swap_block_exponential(mode_coeffs, basis):
+def swap_block_exponential(mode_coeffs, basis, bit):
     # independent reference for the five-term swap: the two-exponential form
     # exp(-i pi/2 (s+ s- g g^dag + s- s+ g^dag g)) exp(i pi/2 (s+ g + s- g^dag))
-    # by dense matrix exponentials
+    # by dense matrix exponentials, from the loop-built annihilator and the
+    # register's raising matrix
     from scipy.linalg import expm
 
-    op = ModeOperator(mode_coeffs, basis)
-    a, ad = dense(op), dense_dag(op)
-    f = len(basis)
-    zero = np.zeros((f, f), dtype=complex)
-    # qubit blocks: s+ = |1><0| puts g in the lower-left block
-    x = np.block([[zero, ad], [a, zero]])
-    p = np.block([[ad @ a, zero], [zero, a @ ad]])
+    a = loop_annihilator(mode_coeffs, basis).toarray()
+    ad, up = a.conj().T, raising(basis, bit)
+    x = up @ a + up.T @ ad
+    p = up @ up.T @ a @ ad + up.T @ up @ ad @ a
     return expm(-0.5j * np.pi * p) @ expm(0.5j * np.pi * x)
 
 
 def test_encoder_matches_exponential_form_full_space():
     n = 5
-    basis = fock_basis(n, n)
+    basis = fock_basis(n, n + 1, 1)  # all 2^6 masks
     g = gaussian_packet(PacketParams(1.2, 2, 4, Region(1, 4)), n)
     u5 = dense_swap(build_encoder(g, basis))
-    ue = swap_block_exponential(g, basis)
+    ue = swap_block_exponential(g, basis, n)
     assert np.max(np.abs(u5 - ue)) < 1e-10
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_swap_at_the_excitation_cap_matches_the_exponential_form(m):
+    # states at the cap with a raised register: g^dag acts only after s- or
+    # g, since applied to them first it leaves the basis and is cut off
+    n, rng = 5, np.random.default_rng(40 + m)
+    capped, full = fock_basis(n, m, 2), fock_basis(n, n + 2, 2)
+    registers = np.uint64(3 << n)
+    at_cap = (capped.particle_counts == m) & (capped.masks & registers != 0)
+    x = rng.standard_normal(len(capped)) + 1j * rng.standard_normal(len(capped))
+    x[~at_cap] = 0.0
+    x /= np.linalg.norm(x)
+    embed = [basis_index(full)[s] for s in capped.masks.tolist()]
+    outside = np.setdiff1d(np.arange(len(full)), embed)
+    g = random_mode(n, rng)
+    op = build_encoder(g, capped)
+    for idx in (1, 2):
+        bit = capped.register_bit("A", idx)
+        want = swap_block_exponential(g, full, bit)[:, embed] @ x
+        assert np.abs(want[outside]).max() < 1e-12
+        assert np.abs(op.swap(x, bit) - want[embed]).max() < 1e-12
 
 
 def test_decoder_swaps_matched_mode():
     basis, g, _ = encoder_fixture()
     v = dense_swap(build_encoder(g, basis))
-    f = len(basis)
-    vac = np.zeros(f, dtype=complex)
-    vac[0] = 1.0
-    created = ModeOperator(g, basis).create(vac)
-    vec = np.zeros(2 * f, dtype=complex)
-    vec[:f] = created  # |0> x h^dag|vac>
-    out = v @ vec
-    assert abs(out[f] - 1.0) < 1e-12  # |1> x vacuum
-    assert np.linalg.norm(np.delete(out, f)) < 1e-12
-    vec0 = np.zeros(2 * f, dtype=complex)
-    vec0[0] = 1.0
-    out0 = v @ vec0
+    created = ModeOperator(g, basis).create(unit(basis, 0))  # |0> x h^dag|vac>
+    out = v @ created
+    assert np.linalg.norm(out - unit(basis, 1 << 6)) < 1e-12  # |1> x vacuum
+    out0 = v @ unit(basis, 0)
     assert abs(out0[0] - 1.0) < 1e-12
 
 
@@ -489,49 +492,53 @@ def test_ladder_certificate_agrees_with_the_operational_check(n):
     assert operational_ladder_defect(basis) <= 1e-12
 
 
-@pytest.mark.parametrize("part", ["sign", "target"])
+@pytest.mark.parametrize("part", ["sign", "target", "missing"])
 @pytest.mark.parametrize("rung", [0, 1])
 def test_one_corrupted_ladder_entry_fails_the_unitarity_check(part, rung):
-    # rung 0 is the down table, rung 1 the up table, of the 2-particle sector
-    basis = fock_basis(6, 3)
+    # rung j is the table of site j + 1 on a basis with two registers
+    basis = fock_basis(6, 3, 1, 1)
     g = random_mode(6, np.random.default_rng(6))
     build_encoder(g, basis)
-    ladder = {k: tuple(tuple(a.copy() for a in t) for t in pair)
-              for k, pair in basis.ladder.items()}
-    index, _, sign = ladder[2][rung]
+    ladder = [[a.copy() for a in r] for r in basis.ladder]
+    on, off, sign = ladder[rung]
     if part == "sign":
-        sign[0, 0] *= -1
+        sign[0] *= -1
+    elif part == "target":
+        off[0] = (off[0] + 1) % len(basis)
     else:
-        index[0, 0] = (index[0, 0] + 1) % (index.max() + 1)
+        ladder[rung] = [a[1:] for a in ladder[rung]]
     bad = dataclasses.replace(basis)
-    bad.__dict__["ladder"] = ladder
+    bad.__dict__["ladder"] = tuple(tuple(r) for r in ladder)
     assert bad.ladder_defect == 1
     with pytest.raises(RuntimeError, match=r"not unitary on the reachable sector \(1 ladder"):
         build_encoder(g, bad)
 
 
 def test_swap_skips_zero_blocks_and_matches_dense_reference():
-    basis = fock_basis(8, 3)
-    sec, f = basis.sectors, len(basis)
+    # the whole-vector swap against the register-axis form on the 2F space,
+    # [[1 - a^dag a, a^dag], [a, 1 - a a^dag]] with the loop-built a, on
+    # columns with whole excitation sectors zero; those stay exactly zero
+    basis = fock_basis(8, 3, 1)
     op = build_encoder(random_mode(8, np.random.default_rng(8)), basis)
-    a = dense(op)
-    ad = a.conj().T
-    eye = np.eye(f)
+    sites = fock_basis(8, 3)
+    a = loop_annihilator(op.coeffs, sites).toarray()
+    ad, eye = a.conj().T, np.eye(len(sites))
     reference = np.block([[eye - ad @ a, ad], [a, eye - a @ ad]])
     rng = np.random.default_rng(9)
-    x = rng.standard_normal((2, f, 5)) + 1j * rng.standard_normal((2, f, 5))
-    # (excitation, column) pairs whose register-0 sector e and register-1
-    # sector e-1 are both zero; in column 4 only register-0 sector 2 is zero
+    x = rng.standard_normal((len(basis), 5)) + 1j * rng.standard_normal((len(basis), 5))
+    # (excitation, column) pairs set to zero; column 4 keeps all of them
+    counts = basis.particle_counts
     unreached = [(1, 0), (2, 0), (3, 0), (1, 1), (3, 2), (2, 3), (3, 3)]
     for e, c in unreached:
-        x[0, sec[e], c] = x[1, sec[e - 1], c] = 0.0
-    x[0, sec[2], 4] = 0.0
-    y = op.swap(x)
-    want = (reference @ x.reshape(2 * f, 5)).reshape(2, f, 5)
-    assert np.max(np.abs(y - want)) < 1e-12
+        x[counts == e, c] = 0.0
+    y = op.swap(x, 8)
+    for c in range(5):
+        before, after = (to_register_tensor(FockVector(v[:, c], basis)).tensor.ravel()
+                         for v in (x, y))
+        assert np.max(np.abs(after - reference @ before)) < 1e-12
     for e, c in unreached:
-        assert np.all(y[0, sec[e], c] == 0) and np.all(y[1, sec[e - 1], c] == 0)
-    assert np.any(y[0, sec[2], 4] != 0)
+        assert np.all(y[counts == e, c] == 0)
+    assert np.all(y[:, 4] != 0)
 
 
 # ---------------------------------------------------------------- evolution
@@ -539,29 +546,27 @@ def test_swap_skips_zero_blocks_and_matches_dense_reference():
 
 def test_excitation_conservation_commutators():
     n, m_max = 6, 2
-    basis = fock_basis(n, m_max)
+    basis = fock_basis(n, m_max, 1)
     g = gaussian_packet(PacketParams(1.0, 2, 4, Region(1, 3)), n)
     u = dense_swap(build_encoder(g, basis))
-    f = len(basis)
-    occ = np.array([s.bit_count() for s in basis.masks.tolist()], dtype=float)
-    number = np.diag(np.concatenate([occ, occ + 1.0]))
+    number = np.diag([float(s.bit_count()) for s in basis.masks.tolist()])
     assert np.max(np.abs(u @ number - number @ u)) < 1e-10
-    ham = csr(kinetic_matrix(basis)).toarray()
-    number_f = np.diag(occ)
+    sites = fock_basis(n, m_max)
+    ham = csr(kinetic_matrix(sites)).toarray()
+    number_f = np.diag([float(s.bit_count()) for s in sites.masks.tolist()])
     assert np.max(np.abs(ham @ number_f - number_f @ ham)) < 1e-12
 
 
 def test_total_excitation_conserved_through_protocol():
     plan = plan_protocol(10, 2, BUDGET, 0.1, wait=4.0, width=3)
     engine = ProtocolEngine(plan)
-    basis = engine.basis
-    diag = total_excitation_operator(basis, 2, 2)
+    diag = total_excitation_operator(fock_basis(engine.basis.n_sites, 2), 2, 2)
     msgs = [np.array([0.6, 0.8]), np.array([0.0, 1.0])]
     expect = sum(abs(m[1]) ** 2 for m in msgs)
-    before = fock.vacuum_vector(basis, 2, 2, msgs)
+    before = fock.vacuum_vector(engine.basis, msgs)
     after = engine.run(msgs)
     for fv in (before, after):
-        value = float(np.sum(diag * np.abs(fv.tensor) ** 2))
+        value = float(np.sum(diag * np.abs(to_register_tensor(fv).tensor) ** 2))
         assert abs(value - expect) < 1e-10
 
 
@@ -570,10 +575,17 @@ def test_protocol_run_has_no_weight_above_m_excitations(n, m, fraction):
     plan = plan_protocol(n, m, BUDGET, 0.1, wait=1.0, width=3)
     plan = dataclasses.replace(plan, wait=fraction * plan.decode_time)
     msgs = [SIX_DESIGN_STATES["x+"], SIX_DESIGN_STATES["y-"], SIX_DESIGN_STATES["z-"]][:m]
-    fv = ProtocolEngine(plan).run(msgs)
-    diag = total_excitation_operator(fv.basis, m, m)
-    assert np.sum(np.abs(fv.tensor[diag > m]) ** 2) == 0.0
-    assert abs(np.linalg.norm(fv.tensor) - 1.0) < 1e-10
+    # on a basis that holds up to 2M excitations
+    engine = ProtocolEngine(plan)
+    engine.basis = fock_basis(engine.basis.n_sites, 2 * m, m, m)
+    fv = engine.run(msgs)
+    assert np.sum(np.abs(fv.amplitudes[fv.basis.particle_counts > m]) ** 2) == 0.0
+    assert abs(np.linalg.norm(fv.amplitudes) - 1.0) < 1e-10
+    # and the receiver states read from it are those of the capped basis
+    outputs = two_design_fidelities(engine)[0]
+    for a, rhos in two_design_fidelities(ProtocolEngine(plan))[0].items():
+        for label, rho in rhos.items():
+            assert np.abs(outputs[a][label] - rho).max() < 1e-14
 
 
 def test_exchange_pairs_follow_the_schedule():
@@ -593,15 +605,14 @@ def test_exchange_pairs_follow_the_schedule():
 
 
 def test_exchange_correction_is_cz_on_receivers():
-    basis = fock_basis(4, 2)
+    basis = fock_basis(4, 4, 2, 2)
     rng = np.random.default_rng(3)
-    shape = (2, 2, len(basis), 2, 2)
-    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    fv = FockVector(x, basis, 2, 2)
-    got = fock.exchange_correction(fv, [(1, 2)]).tensor
+    x = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+    fv = FockVector(x, basis)
+    got = to_register_tensor(fock.exchange_correction(fv, [(1, 2)])).tensor
     sign = np.array([1.0, 1.0, 1.0, -1.0]).reshape(1, 1, 1, 2, 2)
-    assert np.array_equal(got, x * sign)
-    assert np.array_equal(fock.exchange_correction(fv, []).tensor, x)
+    assert np.array_equal(got, to_register_tensor(fv).tensor * sign)
+    assert np.array_equal(fock.exchange_correction(fv, []).amplitudes, x)
 
 
 def test_hamiltonian_hermitian_and_block_diagonal():
@@ -622,7 +633,7 @@ def test_many_body_single_particle_sector_matches_lattice():
     f1 = ModeOperator(g, basis).create(vac)
     ev = ExactEvolver(basis)
     t = 1.9
-    fT = ev.apply(FockVector(f1, basis, 0, 0), t).tensor
+    fT = ev.apply(FockVector(f1, basis), t).amplitudes
     amps = np.zeros(n, dtype=complex)
     for i, s in enumerate(basis.masks.tolist()):
         if s.bit_count() == 1:
@@ -632,30 +643,31 @@ def test_many_body_single_particle_sector_matches_lattice():
 
 def _assert_matches_dense_expm(ev, ham, x, zero=(), tol=lambda t: 1e-11,
                                times=(-2.0, 0.0, 0.7, 5.3, 60.0)):
-    # independent reference: dense expm of the whole truncated H; the
-    # (sector, sender, receiver) blocks listed in zero must stay exactly zero
+    # independent reference: dense expm of the whole truncated H on (F, 2, 2)
+    # amplitudes; the (sector, column, column) blocks listed in zero must stay
+    # exactly zero
     from scipy.linalg import expm
 
     basis = ev.basis
-    fv = FockVector(x, basis, 1, 1)
+    fv = FockVector(x, basis)
     for t in times:
-        got = ev.apply(fv, t).tensor
-        want = np.einsum("fg,agb->afb", expm(-1j * t * csr(ham).toarray()), x)
+        got = ev.apply(fv, t).amplitudes
+        want = np.einsum("fg,gab->fab", expm(-1j * t * csr(ham).toarray()), x)
         assert np.max(np.abs(got - want)) < tol(t)
         for k, a, b in zero:
-            assert np.all(got[a, basis.sectors[k], b] == 0)
+            assert np.all(got[basis.sectors[k], a, b] == 0)
 
 
 def _random_columns(basis, seed):
     rng = np.random.default_rng(seed)
-    shape = (2, len(basis), 2)
+    shape = (len(basis), 2, 2)
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 @pytest.mark.parametrize("m_max", [3, 8])
 @pytest.mark.parametrize("j_coupling", [None, 1.3, -1.3])
 def test_exact_evolver_matches_dense_expm(m_max, j_coupling):
-    # one sender and one receiver register on N = 8; m_max = 8 is the full
+    # four columns on N = 8; m_max = 8 is the full
     # Fock space, whose even sectors wrap with a sign
     n = 8
     basis = fock_basis(n, m_max)
@@ -709,14 +721,18 @@ def test_exact_evolver_rejects_a_state_of_another_basis():
     evolver = ExactEvolver(fock_basis(8, 2))
     for n, m in ((8, 3), (10, 2)):
         basis = fock_basis(n, m)
-        fv = FockVector(np.eye(len(basis))[3], basis, 0, 0)
+        fv = FockVector(np.eye(len(basis))[3], basis)
         with pytest.raises(ValueError, match=rf"state on a basis of N={n}, max_particles={m}; "
                                              r"the evolver's basis has N=8, max_particles=2$"):
             evolver.apply(fv, 0.5)
     # an equal basis built apart is accepted
     other = fock_basis(8, 2)
-    fv = FockVector(np.eye(len(other))[3], other, 0, 0)
-    assert abs(np.linalg.norm(evolver.apply(fv, 0.5).tensor) - 1.0) < 1e-14
+    fv = FockVector(np.eye(len(other))[3], other)
+    assert abs(np.linalg.norm(evolver.apply(fv, 0.5).amplitudes) - 1.0) < 1e-14
+    # nor a basis whose registers differ
+    regs = fock_basis(8, 2, 1)
+    with pytest.raises(ValueError, match=r"N=8, max_particles=2, registers 1\+0; the evolver's"):
+        evolver.apply(FockVector(np.eye(len(regs))[3], regs), 0.5)
 
 
 def test_exact_evolver_memory():
@@ -734,6 +750,22 @@ def test_exact_evolver_memory():
     assert len(evolver.rows) == 4
     assert kept <= 2 * 2**20
     assert peak <= 8 * 2**20
+
+
+def test_exact_evolver_set_up_peak_at_four_particles():
+    # 331,113 Hamiltonian entries, sorted by row once, each sector's mirror
+    # entries found by searchsorted: the set-up peaks near 23 MiB, where a
+    # mask per sector and a unique over 2 nnz keys peaked at 49.5 MiB
+    basis = fock_basis(32, 4)
+    basis.particle_counts, basis.sectors
+    tracemalloc.start()
+    try:
+        evolver = ExactEvolver(basis, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(index.size for index, _, _, _ in evolver.rows) <= 9 * len(basis)
+    assert peak <= 25 * 2**20
 
 
 def test_translation_moves_each_creator_one_site():
@@ -768,11 +800,11 @@ def test_exact_evolver_keeps_zero_blocks_and_matches_dense_expm(model):
     basis = fock_basis(8, 3)
     ev = ExactEvolver(basis, j_coupling)
     x = _random_columns(basis, 11)
-    # (sector, sender, receiver) blocks set exactly to zero; sector 1 entirely
+    # (sector, column, column) blocks set exactly to zero; sector 1 entirely
     zero = [(0, 0, 1), (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1), (2, 0, 0), (2, 1, 1),
             (3, 1, 0)]
     for k, a, b in zero:
-        x[a, basis.sectors[k], b] = 0.0
+        x[basis.sectors[k], a, b] = 0.0
     _assert_matches_dense_expm(ev, tj_hamiltonian(basis, j_coupling), x, zero)
     # sector k's rows hold at most 2k hops and a diagonal entry, padded to
     # one width over the sector's states
@@ -815,7 +847,7 @@ def test_exact_evolver_rejects_a_one_sided_entry_and_a_non_finite_j(monkeypatch)
 def test_protocol_engine_vacuum_message_leaves_receiver_cold():
     plan = plan_protocol(8, 1, BUDGET, 0.1, wait=2.0, width=2)
     fv = ProtocolEngine(plan).run([np.array([1.0, 0.0])])
-    rho = reduced_qubit(fv, "B", 1)
+    rho = reduced_qubit(to_register_tensor(fv), "B", 1)
     assert abs(rho[0, 0] - 1.0) < 1e-12
     assert abs(rho[1, 1]) < 1e-12
 
@@ -842,7 +874,7 @@ def test_collision_residual_positive_and_bounded():
     t = 0.4  # deliberate collision
     pairs = [(0.6 + 0j, 0.8j), (1 / np.sqrt(2) + 0j, 1 / np.sqrt(2) + 0j)]
     coeffs = fock.orbital_frame([propagate(g0, t), g0])
-    actual = run_encoding_sequence(pairs, coeffs, fock_basis(2, 2))
+    actual = run_encoding_sequence(pairs, coeffs, fock_basis(2, 2, 2))
     resid = encoding_residual_norm(actual, pairs, coeffs)
     bound = encoding_error_bound(g0, t, 2)
     assert resid > 1e-3
@@ -856,8 +888,8 @@ def test_residual_zero_for_orthogonal_modes():
     pairs = [(0.6 + 0j, 0.8j), (0.8 + 0j, 0.6 + 0j)]
     # disjoint supports: exact product of independent modes, on the sites
     # and on the two orbitals that span the modes
-    for modes, basis in (([g1, g2], fock_basis(n, 2)),
-                         (fock.orbital_frame([g1, g2]), fock_basis(2, 2))):
+    for modes, basis in (([g1, g2], fock_basis(n, 2, 2)),
+                         (fock.orbital_frame([g1, g2]), fock_basis(2, 2, 2))):
         actual = run_encoding_sequence(pairs, modes, basis)
         assert encoding_residual_norm(actual, pairs, modes) < 1e-10
 
@@ -894,23 +926,22 @@ def test_batched_residuals_match_the_per_point_reference(n, m):
 
 
 def test_residual_reads_every_register_slice():
-    # amplitude in every register slice, a receiver register, random modes
-    # and a permuted (non-contiguous) tensor, as the event loop leaves one
+    # amplitude on every mask, a receiver register, random modes and a
+    # strided (non-contiguous) amplitude vector
     rng = np.random.default_rng(5)
-    basis = fock_basis(8, 2)
-    x = rng.standard_normal((len(basis), 2, 2, 2)) + 1j * rng.standard_normal(
-        (len(basis), 2, 2, 2))
-    fv = FockVector(np.moveaxis(x, 0, 2), basis, 2, 1)
-    assert not fv.tensor.flags.c_contiguous
+    basis = fock_basis(8, 3, 2, 1)
+    x = rng.standard_normal(2 * len(basis)) + 1j * rng.standard_normal(2 * len(basis))
+    fv = FockVector(x[::2], basis)
+    assert not fv.amplitudes.flags.c_contiguous
     pairs = [(0.6 + 0j, 0.8j), (0.8 + 0j, 0.6 + 0j)]
     modes = np.array([random_mode(8, rng) for _ in range(2)])
     got = encoding_residual_norm(fv, pairs, modes)
-    expected = residual_norm_per_point(fv, pairs, modes)
+    expected = residual_norm_per_point(to_register_tensor(fv), pairs, modes)
     assert abs(got - expected) <= 1e-14 * expected
 
 
 def test_residual_rejects_modes_of_another_shape():
-    basis = fock_basis(10, 2)
+    basis = fock_basis(10, 2, 2)
     g0 = gaussian_packet(PacketParams(1.0, 3, 8, Region(1, 5)), 10)
     pairs = [(0.6 + 0j, 0.8j), (0.8 + 0j, 0.6 + 0j)]
     actual = run_encoding_sequence(pairs, [g0, g0], basis)
@@ -930,14 +961,13 @@ def _leaky_engine(factor, monkeypatch):
     # a two-signal plan, signal 2 encoded before signal 1 is decoded, whose
     # swap of register A2 also scales the state by factor
     plan = plan_protocol(10, 2, BUDGET, 0.1, wait=1.0, width=3)
-    swap = fock._apply_register_block
+    swap = fock.ModeOperator.swap
 
-    def leaky(fv, op, side, idx):
-        out = swap(fv, op, side, idx)
-        scale = factor if (side, idx) == ("A", 2) else 1.0
-        return FockVector(out.tensor * scale, out.basis, out.n_a, out.n_b)
+    def leaky(op, x, bit):
+        scale = factor if bit == op.basis.register_bit("A", 2) else 1.0
+        return swap(op, x, bit) * scale
 
-    monkeypatch.setattr(fock, "_apply_register_block", leaky)
+    monkeypatch.setattr(fock.ModeOperator, "swap", leaky)
     return ProtocolEngine(plan)
 
 
@@ -952,12 +982,18 @@ def test_encoding_sequence_and_evolver_reject_bad_inputs():
     g0 = gaussian_packet(PacketParams(1.0, 3, 8, Region(1, 5)), 10)
     pairs = [(0.6 + 0j, 0.8j)] * 3
     with pytest.raises(ValueError, match=r"mode coefficients must be normalized"):
-        run_encoding_sequence(pairs, [g0, g0, 2 * g0], basis)
-    single = vacuum_vector(basis, 3, 0, [np.array(p) for p in pairs])
-    # no trailing axis of any length
-    for bad in (single.tensor[..., None], single.tensor[None]):
-        with pytest.raises(ValueError, match=r"!= \(2, 2, 2, 176\)$"):
-            FockVector(bad, basis, 3, 0)
+        run_encoding_sequence(pairs, [g0, g0, 2 * g0], fock_basis(10, 3, 3))
+    # three raised registers do not fit under a cap of two excitations
+    with pytest.raises(ValueError, match=r"truncated at 2 particles cannot carry 3 signals$"):
+        run_encoding_sequence(pairs, [g0] * 3, fock_basis(10, 2, 3))
+    single = FockVector(np.eye(len(basis))[3], basis)
+    with pytest.raises(ValueError, match=r"bit 9 is not a register bit of the basis$"):
+        ModeOperator(g0, basis).swap(single.amplitudes, 9)
+    # axis 0 is the basis: no leading axis, no other length
+    for bad in (single.amplitudes[None], single.amplitudes[:-1]):
+        with pytest.raises(ValueError, match=rf"amplitudes of shape \({bad.shape[0]}, ?\d*\) do "
+                                             r"not start with the 176 basis states$"):
+            FockVector(bad, basis)
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match=rf"need one finite time, got t = {bad}$"):
             evolver.apply(single, bad)
@@ -970,7 +1006,7 @@ def test_encoding_sequence_and_evolver_reject_bad_inputs():
 def test_non_finite_inputs_fail_loudly(monkeypatch):
     # NaN compares false, so a check written as abs(x - 1) > tol or x > tol
     # would let each of these through
-    basis = fock_basis(8, 2)
+    basis = fock_basis(8, 2, 2)
     g0 = gaussian_packet(PacketParams(1.0, 3, 6, Region(1, 5)), 8)
     pairs = [(0.6 + 0j, 0.8j), (1.0 + 0j, 0j)]
     with pytest.raises(ValueError, match=r"message states must be normalized, got norm nan$"):
@@ -986,61 +1022,38 @@ def test_residual_t0_matches_direct_product_evaluation():
     # with zero wait the sequence is U2 U1 |psi psi vac>; rebuild it from
     # dense matrix products as an independent path
     n = 8
-    basis = fock_basis(n, 2)
+    basis = fock_basis(n, 2, 2)
     g0 = gaussian_packet(PacketParams(1.0, 3, 6, Region(1, 5)), n)
     pairs = [(0.6 + 0j, 0.8j), (0.0j, 1.0 + 0j)]
     actual = run_encoding_sequence(pairs, [g0, g0], basis)
     resid = encoding_residual_norm(actual, pairs, [g0, g0])
 
-    f = len(basis)
-    u = dense_swap(build_encoder(g0, basis))
-    eye2 = np.eye(2)
-    eyef = np.eye(f)
-    u1 = np.einsum("ac,bd,xy->abxcdy", eye2, eye2, eyef).reshape(4 * f, 4 * f)
-    # build U acting on (A1, fock) and (A2, fock) inside (2,2,f) layout
-    u_a1 = np.einsum("axby,cd->acxbdy", u.reshape(2, f, 2, f), eye2).reshape(
-        4 * f, 4 * f
-    )
-    u_a2 = np.einsum("ab,cxdy->acxbdy", eye2, u.reshape(2, f, 2, f)).reshape(
-        4 * f, 4 * f
-    )
-    vac = np.zeros(f, dtype=complex)
-    vac[0] = 1.0
-    psi = np.kron(np.array(pairs[0]), np.kron(np.array(pairs[1]), vac))
-    final = u_a2 @ (u_a1 @ psi)
+    op = build_encoder(g0, basis)
+    psi = sum(pairs[0][a1] * pairs[1][a2] * unit(basis, a1 << n | a2 << (n + 1))
+              for a1 in (0, 1) for a2 in (0, 1))
+    final = dense_swap(op, ("A", 2)) @ (dense_swap(op, ("A", 1)) @ psi)
     creator = dense_dag(ModeOperator(g0, basis))
-    ideal_fock = vac.copy()
+    ideal = unit(basis, 0)  # both registers |0>
     for c, d in pairs:
-        ideal_fock = c * ideal_fock + d * (creator @ ideal_fock)
-    ideal = np.zeros(4 * f, dtype=complex)
-    ideal[:f] = ideal_fock  # A registers both |0>
+        ideal = c * ideal + d * (creator @ ideal)
     assert np.isclose(resid, np.linalg.norm(final - ideal), atol=1e-10)
 
 
 def test_truncated_matches_full_space():
-    # the M-particle basis over the 2M orbitals against all of their 2^(2M)
-    # occupations
+    # the M-excitation basis over the 2M orbitals and 2M registers against
+    # all of their 2^(4M) masks
     plan = plan_protocol(8, 2, BUDGET, 0.1, wait=3.0, width=2)
     msgs = [np.array([0.6, 0.8j]), np.array([1, -1j]) / np.sqrt(2)]
     engine = ProtocolEngine(plan)
     small = engine.run(msgs)
-    engine.basis = fock_basis(4, 4)
+    engine.basis = fock_basis(4, 8, 2, 2)
     full = engine.run(msgs)
-    assert (len(small.basis), len(full.basis)) == (11, 16)
+    assert (len(small.basis), len(full.basis)) == (37, 256)
     small_index, full_index = basis_index(small.basis), basis_index(full.basis)
-    worst = 0.0
-    for i, s in enumerate(small.basis.masks.tolist()):
-        delta = small.tensor[:, :, i, :, :] - full.tensor[:, :, full_index[s], :, :]
-        worst = max(worst, float(np.max(np.abs(delta))))
+    worst = max(abs(small.amplitudes[i] - full.amplitudes[full_index[s]])
+                for s, i in small_index.items())
     assert worst < 1e-10
-    leftover = max(
-        (
-            float(np.max(np.abs(full.tensor[:, :, i, :, :])))
-            for i, s in enumerate(full.basis.masks.tolist())
-            if s not in small_index
-        ),
-        default=0.0,
-    )
+    leftover = max(abs(full.amplitudes[i]) for s, i in full_index.items() if s not in small_index)
     assert leftover < 1e-10
 
 
@@ -1048,9 +1061,8 @@ def test_truncated_matches_full_space():
 
 
 def test_reduced_qubit_product_state():
-    basis = fock_basis(4, 1)
     psi = np.array([0.6, 0.8j])
-    fv = vacuum_vector(basis, 1, 1, [psi])
+    fv = to_register_tensor(vacuum_vector(fock_basis(4, 1, 1, 1), [psi]))
     rho = reduced_qubit(fv, "A", 1)
     validate_qubit_state(rho)
     assert np.allclose(rho, np.outer(psi, psi.conj()), atol=1e-12)
@@ -1058,12 +1070,11 @@ def test_reduced_qubit_product_state():
 
 def test_reduced_qubit_entangled_register():
     basis = fock_basis(4, 1)
-    fv = vacuum_vector(basis, 1, 1, [np.array([1.0, 0.0])])
     # entangle A1 with the lattice: (|0, vac> + |1, site1>)/sqrt(2)
-    tensor = np.zeros_like(fv.tensor)
+    tensor = np.zeros((2, len(basis), 2), dtype=complex)
     tensor[0, 0, 0] = 1 / np.sqrt(2)
     tensor[1, basis_index(basis)[1], 0] = 1 / np.sqrt(2)
-    ent = FockVector(tensor, basis, 1, 1)
+    ent = RegisterTensor(tensor, basis, 1, 1)
     rho = reduced_qubit(ent, "A", 1)
     validate_qubit_state(rho)
     assert np.allclose(rho, np.eye(2) / 2, atol=1e-12)
@@ -1139,7 +1150,8 @@ def test_two_design_reads_receivers_from_the_b_register_state(n, m, wait):
     raw = {a: {} for a in range(1, m + 1)}
     for label, psi in SIX_DESIGN_STATES.items():
         fv = engine.run([psi] * m)
-        undone = fock.exchange_correction(fv, pairs)
+        undone = to_register_tensor(fock.exchange_correction(fv, pairs))
+        fv = to_register_tensor(fv)
         for a in range(1, m + 1):
             assert np.max(np.abs(outputs[a][label] - reduced_qubit(fv, "B", a))) < 1e-14
             raw[a][label] = reduced_qubit(undone, "B", a)
@@ -1166,24 +1178,26 @@ FRAME_CASES = [
 
 
 def _b_register_matrix(fv):
-    # the receivers' joint 2^M x 2^M state; every reduced B-register
-    # matrix is a partial trace of it
+    # the receivers' joint 2^M x 2^M state of a RegisterTensor; every
+    # reduced B-register matrix is a partial trace of it
     x = fv.tensor.reshape(-1, 2**fv.n_b)
     return x.T @ x.conj()
 
 
 def _assert_frames_agree(plan, engine, site, tol=1e-12):
     """Receiver states of the orbital-frame engine against the site-frame
-    reference: corrected and raw, for seeded random messages and for the
-    six design inputs."""
+    reference in the register-axis layout: corrected and raw, for seeded
+    random messages and for the six design inputs."""
     m, pairs = plan.m_signals, fock.exchange_pairs(plan)
     rng = np.random.default_rng(plan.n * 10 + m)
     msgs = [random_mode(2, rng) for _ in range(m)]
     a, b = engine.run(msgs), site.run(msgs)
-    for x, y in ((a, b), (fock.exchange_correction(a, pairs), fock.exchange_correction(b, pairs))):
+    for x, y in ((to_register_tensor(a), b),
+                 (to_register_tensor(fock.exchange_correction(a, pairs)),
+                  register_exchange_correction(b, pairs))):
         assert np.abs(_b_register_matrix(x) - _b_register_matrix(y)).max() <= tol
     (outputs, fids, raw), (ref_out, ref_fids, ref_raw) = (
-        two_design_fidelities(e) for e in (engine, site))
+        two_design_fidelities(engine), register_two_design(site))
     for alpha in range(1, m + 1):
         for label in SIX_DESIGN_STATES:
             assert np.abs(outputs[alpha][label] - ref_out[alpha][label]).max() <= tol
@@ -1193,15 +1207,18 @@ def _assert_frames_agree(plan, engine, site, tol=1e-12):
 
 @pytest.mark.parametrize("n, m, wait", FRAME_CASES)
 def test_orbital_frame_matches_the_site_frame(n, m, wait):
-    # the 2M swaps on fock_basis(min(N, 2M), M) with no evolution against
+    # the 2M swaps on fock_basis(min(N, 2M), M, M, M) with no evolution against
     # the timed protocol on the N sites with exact evolution between events
     plan = _oracle_test_plan(n, m, wait)
     engine = ProtocolEngine(plan)
     assert (engine.basis.n_sites, engine.basis.max_particles) == (min(n, 2 * m), m)
+    assert (engine.basis.n_a, engine.basis.n_b) == (m, m)
     assert engine.modes.shape == (2 * m, min(n, 2 * m))
     pipelined = plan.wait <= plan.decode_time
     assert bool(fock.exchange_pairs(plan)) == (pipelined and m > 1)
     _assert_frames_agree(plan, engine, SiteFrameEngine(plan, fock_basis(n, m)))
+    # and the same orbital-frame swaps with the registers as tensor axes
+    _assert_frames_agree(plan, engine, OrbitalRegisterEngine(engine))
 
 
 @pytest.mark.parametrize("n", [6, 7])
@@ -1212,10 +1229,11 @@ def test_oracle_protocol_below_2m_sites_matches_the_site_frame(n):
     m = 4
     table = run(build_config({"experiment": "OracleProtocol", "N": n, "M": m}))
     plan = _oracle_plan(table.meta["config"])
-    assert (table.meta["orbitals"], table.meta["fock_dim"]) == (n, len(fock_basis(n, m)))
+    # fock_dim is the size of the excitation basis over N sites and 2M registers
+    assert (table.meta["orbitals"], table.meta["fock_dim"]) == (n, len(fock_basis(n, m, m, m)))
     site = SiteFrameEngine(plan, fock_basis(n, m))
     _assert_frames_agree(plan, ProtocolEngine(plan), site)
-    ref_out, ref_fids, ref_raw = two_design_fidelities(site)
+    ref_out, ref_fids, ref_raw = register_two_design(site)
     for alpha, label, f in table.rows:
         psi = SIX_DESIGN_STATES[label]
         assert abs(f - float(np.real(psi.conj() @ ref_out[alpha][label] @ psi))) <= 1e-12
@@ -1233,11 +1251,11 @@ def test_plus_run_splits_into_the_axis_runs_by_excitation_number():
     plan = _oracle_test_plan(12, m, lambda t_dec: 0.4 * t_dec)
     assert fock.exchange_pairs(plan) == [(1, 2), (1, 3), (2, 3)]
     engine = ProtocolEngine(plan)
-    plus = engine.run([SIX_DESIGN_STATES["x+"]] * m).tensor
-    excitation = total_excitation_operator(engine.basis, m, m)
+    plus = engine.run([SIX_DESIGN_STATES["x+"]] * m).amplitudes
+    excitation = np.array([s.bit_count() for s in engine.basis.masks.tolist()])
     for label, n in (("z+", 0), ("z-", m)):
         part = np.where(excitation == n, plus, 0.0) * 2.0 ** (m / 2)
-        axis_run = engine.run([SIX_DESIGN_STATES[label]] * m).tensor
+        axis_run = engine.run([SIX_DESIGN_STATES[label]] * m).amplitudes
         assert np.max(np.abs(part - axis_run)) < 1e-14
 
 
@@ -1256,7 +1274,7 @@ def test_two_design_runs_the_protocol_once(monkeypatch):
 
 
 def test_vacuum_vector_matches_the_kron_product():
-    basis = fock_basis(8, 3)
+    sites = fock_basis(8, 3)
     rng = np.random.default_rng(13)
     states = list(SIX_DESIGN_STATES.values()) + [random_mode(2, rng) for _ in range(3)]
     for n_a, n_b in ((0, 0), (1, 0), (1, 1), (2, 3), (3, 3)):
@@ -1265,24 +1283,24 @@ def test_vacuum_vector_matches_the_kron_product():
             amp = np.array([1.0 + 0.0j])
             for psi in messages:
                 amp = np.kron(amp, psi)
-            vac = np.zeros(len(basis), dtype=complex)
+            vac = np.zeros(len(sites), dtype=complex)
             vac[0] = 1.0
             amp = np.kron(amp, vac)
             for _ in range(n_b):
                 amp = np.kron(amp, np.array([1.0, 0.0], dtype=complex))
-            shape = (2,) * n_a + (len(basis),) + (2,) * n_b
+            shape = (2,) * n_a + (len(sites),) + (2,) * n_b
             ref = amp.reshape(shape)
-            got = vacuum_vector(basis, n_a, n_b, messages).tensor
+            got = to_register_tensor(vacuum_vector(fock_basis(8, 3, n_a, n_b), messages)).tensor
             # equal everywhere; the kron chain leaves -0.0 on some zeros
             assert np.array_equal(got, ref)
             live = (Ellipsis, 0) + (0,) * n_b
             assert got[live].tobytes() == ref[live].tobytes()
     with pytest.raises(ValueError, match="expected 2 message states, got 1"):
-        vacuum_vector(basis, 2, 0, states[:1])
+        vacuum_vector(fock_basis(8, 3, 2), states[:1])
     with pytest.raises(ValueError, match="qubit 2-vectors"):
-        vacuum_vector(basis, 1, 0, [np.ones(3) / np.sqrt(3)])
+        vacuum_vector(fock_basis(8, 3, 1), [np.ones(3) / np.sqrt(3)])
     with pytest.raises(ValueError, match="must be normalized"):
-        vacuum_vector(basis, 1, 0, [np.array([1.0, 1.0])])
+        vacuum_vector(fock_basis(8, 3, 1), [np.array([1.0, 1.0])])
 
 
 def test_pipelined_oracle_at_n24_matches_one_eigh_per_sector():
@@ -1293,8 +1311,8 @@ def test_pipelined_oracle_at_n24_matches_one_eigh_per_sector():
     plan = dataclasses.replace(plan, wait=plan.decode_time / 2)
     assert fock.exchange_pairs(plan) == [(1, 2), (1, 3), (2, 3)]
     basis = fock_basis(24, 3)
-    _, fids, raw = two_design_fidelities(SiteFrameEngine(plan, basis))
-    _, ref_fids, ref_raw = two_design_fidelities(SiteFrameEngine(plan, basis, SectorEvolver))
+    _, fids, raw = register_two_design(SiteFrameEngine(plan, basis))
+    _, ref_fids, ref_raw = register_two_design(SiteFrameEngine(plan, basis, SectorEvolver))
     _, orb_fids, orb_raw = two_design_fidelities(ProtocolEngine(plan))
     for a in range(1, 4):
         assert abs(fids[a] - ref_fids[a]) < 1e-10
@@ -1323,7 +1341,7 @@ def test_interaction_error_single_particle_zero():
     vac = np.zeros(len(basis), dtype=complex)
     vac[0] = 1.0
     one = ModeOperator(g, basis).create(vac)
-    fv = FockVector(one, basis, 0, 0)
+    fv = FockVector(one, basis)
     assert tj_interaction_error(fv) == 0.0
 
 
@@ -1332,7 +1350,7 @@ def test_interaction_error_adjacent_pair_eigenstate():
     basis = fock_basis(n, 2)
     state = np.zeros(len(basis), dtype=complex)
     state[basis_index(basis)[0b11]] = 1.0  # sites 1 and 2 occupied
-    fv = FockVector(state, basis, 0, 0)
+    fv = FockVector(state, basis)
     assert np.isclose(tj_interaction_error(fv), 1.0, atol=1e-14)
 
 
@@ -1360,7 +1378,7 @@ def test_evolution_difference_trivial_cases():
     vac = np.zeros(len(basis), dtype=complex)
     vac[0] = 1.0
     one = ModeOperator(g, basis).create(vac)
-    fv = FockVector(one, basis, 0, 0)
+    fv = FockVector(one, basis)
     assert evolution_difference(fv, [0.8], 3.0)[0] < 1e-10
 
 
@@ -1388,7 +1406,7 @@ def test_evolution_difference_builds_each_evolver_once(monkeypatch):
 
     monkeypatch.setattr(fock, "ExactEvolver", Counted)
     basis = fock_basis(8, 2)
-    fv = FockVector(np.eye(len(basis))[3], basis, 0, 0)
+    fv = FockVector(np.eye(len(basis))[3], basis)
     assert len(evolution_difference(fv, [0.1, 0.5, 1.0, 2.0], 1.0)) == 4
     assert built == [0.0, 1.0]
 

@@ -268,29 +268,33 @@ def test_oracle_protocol_pipelined_exchange_correction(n, half_decode):
 
 def test_oracle_protocol_csv_keeps_its_float_time_bytes():
     # the README command's rows as the orbital frame writes them; the site
-    # frame's evolver wrote the same values to within 2.3e-16
+    # frame's evolver wrote the same values to within 2.3e-16, and the
+    # register-tensor layout wrote 0.91554380270030711 for register 2's x
+    # inputs too
     table = run(make_config("experiment = OracleProtocol\nN = 10\nM = 2\n"))
     one, plus = "0.99999999999999956", "0.91554380270030711"
-    first = "0.91554380270030722"
+    first, x2 = "0.91554380270030722", "0.915543802700307"
     assert render_csv(table).splitlines() == [
         "register,input,fidelity",
         f"1,z+,{one}", "1,z-,0.69070660785053017",
         f"1,x+,{first}", f"1,x-,{first}", f"1,y+,{first}", f"1,y-,{first}",
         f"2,z+,{one}", "2,z-,0.73686751161399755",
-        f"2,x+,{plus}", f"2,x-,{plus}", f"2,y+,{plus}", f"2,y-,{plus}",
+        f"2,x+,{x2}", f"2,x-,{x2}", f"2,y+,{plus}", f"2,y-,{plus}",
     ]
 
 
 def test_oracle_protocol_builds_no_evolver_and_no_site_basis(monkeypatch):
     sizes, evolvers = [], []
     basis = fock.fock_basis
-    monkeypatch.setattr(fock, "fock_basis", lambda n, k: sizes.append((n, k)) or basis(n, k))
+    monkeypatch.setattr(fock, "fock_basis", lambda *a: sizes.append(a) or basis(*a))
     monkeypatch.setattr(fock.ExactEvolver, "__init__", lambda *a, **k: evolvers.append(a))
-    for n, m, dim in ((16, 3, 42), (16384, 4, 163)):
+    # fock_dim counts the masks of 2M orbitals and 2M registers with at most
+    # M bits set
+    for n, m, dim in ((16, 3, 299), (16384, 4, 2517)):
         table = run(make_config(f"experiment = OracleProtocol\nN = {n}\nM = {m}\n"))
         assert (table.meta["orbitals"], table.meta["fock_dim"]) == (2 * m, dim)
         assert len(table.rows) == 6 * m
-        assert sizes.pop() == (2 * m, m) and not sizes
+        assert sizes.pop() == (2 * m, m, m, m) and not sizes
     assert evolvers == []
     # the whole N=16384 run, with its error budget, in well under a second
     assert table.meta["wall_time_s"] < 1.0
