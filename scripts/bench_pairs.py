@@ -21,7 +21,10 @@ how many pairs the change won on each metric (ties count for neither side;
 the direction comes from ``BENCHMARK.json``), and the pair count.  For each
 end-to-end metric it also records ``bound`` from ``BENCHMARK.json`` and
 ``within_bound``: whether the change's median is worse than the base median,
-in the metric's worse direction, by at most bound x |base median|.
+in the metric's worse direction, by at most bound x |base median|.  For
+every metric ``gain_shown`` says whether the change shows a gain: it wins
+at least 9 of every 10 pairs, and its median beats the base median, in the
+better direction, by more than the base's interquartile range q3 - q1.
 """
 
 from __future__ import annotations
@@ -97,16 +100,19 @@ def compare(runs: dict[str, list[dict]], declared: dict[str, dict]) -> dict:
         sides, bound = (summary(base), summary(change)), spec.get("bound")
         # how much worse the change's median is, in the metric's worse direction
         worse_by = sign * (sides[0]["median"] - sides[1]["median"])
+        wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
         metrics[name] = {
             "unit": meta["unit"],
             "better": spec.get("better"),
             "base": sides[0],
             "change": sides[1],
-            "change_wins": sum(sign * (c - b) > 0 for b, c in zip(base, change)),
+            "change_wins": wins,
             "base_wins": sum(sign * (c - b) < 0 for b, c in zip(base, change)),
             "bound": bound,
             "within_bound": (None if bound is None
                              else worse_by <= bound * abs(sides[0]["median"])),
+            "gain_shown": (10 * wins >= 9 * len(base)
+                           and -worse_by > sides[0]["q3"] - sides[0]["q1"]),
         }
     return metrics
 

@@ -222,7 +222,8 @@ def fock_basis(n_sites: int, max_particles: int, n_a: int = 0, n_b: int = 0) -> 
 @dataclass
 class FockVector:
     """Amplitudes over a basis: axis 0 runs over its states, and any further
-    axes hold independent columns (which ``ExactEvolver`` evolves alike)."""
+    axes hold independent columns (which ``ExactEvolver`` evolves alike).
+    The swaps take one trailing column axis, with one mode per column."""
 
     amplitudes: np.ndarray
     basis: FockBasis
@@ -238,28 +239,36 @@ class ModeOperator:
 
     coeffs are single-particle state amplitudes, so a^dag |vac> reproduces
     exactly the state sum_j c_j |j> and {a(f), a(g)^dag} = <f|g> * identity
-    away from the truncation boundary.  Both act through the basis ladder:
-    for each site with c_j != 0, one gather of the amplitudes along axis 0
-    and one scatter-add, weighted conj(c_j) * sign (for a) or c_j * sign
-    (for a^dag).  Register bits are spectators.
+    away from the truncation boundary; (n_sites, K) coeffs are K modes, mode k
+    acting on column k of (dim, K) amplitudes.  Both act through the basis
+    ladder: for each site with some c_j != 0 (found once), one gather of the
+    amplitudes along axis 0 and one scatter-add, weighted conj(c_j) * sign
+    (for a) or c_j * sign (for a^dag).  Register bits are spectators.
     """
 
     def __init__(self, coeffs: np.ndarray, basis: FockBasis):
         coeffs = np.asarray(coeffs, dtype=complex)
-        if coeffs.shape != (basis.n_sites,):
+        if coeffs.shape[:1] != (basis.n_sites,) or coeffs.ndim > 2:
             raise ValueError(
                 f"coefficient length {coeffs.shape} does not match {basis.n_sites} sites"
             )
         self.basis, self.coeffs = basis, coeffs
+        live = coeffs if coeffs.ndim == 1 else coeffs.any(axis=1)
+        self._sites = [j for j, c in enumerate(live.tolist()) if c]
 
     def _hop(self, x: np.ndarray, create: bool) -> np.ndarray:
         x = np.asarray(x, dtype=complex)
+        if self.coeffs.ndim > 1 and x.shape[1:] != self.coeffs.shape[1:]:
+            raise ValueError(f"{self.coeffs.shape[1]} modes need amplitudes of shape (dim, "
+                             f"{self.coeffs.shape[1]}); got {x.shape}")
         y, shape = np.zeros(x.shape, dtype=complex), (-1,) + (1,) * (x.ndim - 1)
         coeffs = self.coeffs if create else self.coeffs.conj()
-        for c, (on, off, sign) in zip(coeffs.tolist(), self.basis.ladder):
-            if c:
-                src, dst = (off, on) if create else (on, off)
-                y[dst] += c * (sign.reshape(shape) * x[src])
+        if coeffs.ndim == 1:
+            coeffs = coeffs.tolist()  # a Python scalar multiplies faster than a numpy one
+        for j in self._sites:
+            on, off, sign = self.basis.ladder[j]
+            src, dst = (off, on) if create else (on, off)
+            y[dst] += coeffs[j] * (sign.reshape(shape) * x[src])
         return y
 
     def annihilate(self, x: np.ndarray) -> np.ndarray:
@@ -475,13 +484,16 @@ def build_encoder(g_coeffs: np.ndarray, basis: FockBasis) -> ModeOperator:
     The swap maps |1>|vac> to |0> g^dag |vac> and leaves |0>|vac> alone.
     Its unitarity on the excitation-conserving reachable sector (ladder
     signs and the norm of g) is verified at build time.  The receiver's
-    decoder is the same swap on its mode h.
+    decoder is the same swap on its mode h.  (n, K) coefficients are K
+    modes, one per amplitude column, each checked alone.
     """
     g_coeffs = np.asarray(g_coeffs, dtype=complex)
-    excess = float(np.linalg.norm(g_coeffs)) ** 2 - 1.0
-    if not abs(excess) <= 1e-10:  # a NaN norm fails too
-        raise ValueError(f"mode coefficients must be normalized (|g|^2 - 1 = {excess:.3e}, "
-                         f"limit 1e-10)")
+    for k, nrm in enumerate(_column_norms(g_coeffs)):
+        excess = nrm**2 - 1.0
+        if not abs(excess) <= 1e-10:  # a NaN norm fails too
+            column = f" in column {k}" if g_coeffs.ndim > 1 else ""
+            raise ValueError(f"mode coefficients must be normalized{column} "
+                             f"(|g|^2 - 1 = {excess:.3e}, limit 1e-10)")
     if basis.ladder_defect:
         raise RuntimeError(
             f"register swap is not unitary on the reachable sector ({basis.ladder_defect} "
@@ -575,7 +587,7 @@ class ProtocolEngine:
         tau = [np.array([t for t, k, _ in schedule(plan) if k == kind]) for kind in (0, 1)]
         self.modes = orbital_frame(np.concatenate([propagate(g0, -tau[0]), propagate(h, -tau[1])]))
         m = plan.m_signals
-        self.basis = fock_basis(self.modes.shape[1], m, m, m)
+        self.basis = oracle_basis(self.modes.shape[1], m, m)
 
     def run(self, messages: Sequence[np.ndarray]) -> FockVector:
         """The 2M register swaps in ``schedule`` order on ``basis``, with no
@@ -596,15 +608,22 @@ class ProtocolEngine:
 
 def _run_events(fv: FockVector, events) -> FockVector:
     """Swap each (operator, side, register) event's register with the operator's
-    mode, in order; amplitude leaking out of the excitation-conserving sector aborts."""
+    mode, in order; amplitude leaking out of the excitation-conserving sector,
+    in any column, aborts."""
     x = fv.amplitudes
     for op, side, idx in events:
         x = op.swap(x, fv.basis.register_bit(side, idx))
-        nrm = float(np.linalg.norm(x))
-        if not abs(nrm - 1.0) <= 1e-10:  # a NaN norm fails too
-            raise RuntimeError(f"norm drifted to {nrm!r} after {side}{idx}; "
-                               f"amplitude leaked out of the truncated sector")
+        for k, nrm in enumerate(_column_norms(x)):
+            if not abs(nrm - 1.0) <= 1e-10:  # a NaN norm fails too
+                column = f" in column {k}" if x.ndim > 1 else ""
+                raise RuntimeError(f"norm drifted to {nrm!r} after {side}{idx}{column}; "
+                                   f"amplitude leaked out of the truncated sector")
     return FockVector(x, fv.basis)
+
+
+def _column_norms(x: np.ndarray) -> list[float]:
+    # the norm of each column along axis 0; a vector is one column
+    return np.linalg.norm(x, axis=0).tolist() if x.ndim > 1 else [float(np.linalg.norm(x))]
 
 
 def average_fidelity(channel_outputs: Mapping[str, np.ndarray]) -> float:
@@ -691,9 +710,21 @@ def orbital_frame(modes: np.ndarray) -> np.ndarray:
     One reduced QR of the (N, K) mode matrix: Q's orthonormal columns are
     the orbitals and column e of R, row e of the result, is mode e on them.
     Q is an isometry, so each row keeps its mode's norm and overlaps, and
-    every product of the modes' creators keeps its norm.
+    every product of the modes' creators keeps its norm.  Only R is formed.
+    Leading axes are independent sets of modes, all in one batched QR.
     """
-    return np.linalg.qr(np.asarray(modes, dtype=complex).T)[1].T
+    r = np.linalg.qr(np.asarray(modes, dtype=complex).swapaxes(-1, -2), mode="r")
+    return r.swapaxes(-1, -2)
+
+
+def oracle_basis(orbitals: int, m: int, n_b: int) -> FockBasis:
+    """``fock_basis(orbitals, m, m, n_b)``, with a size error that names M and the orbitals."""
+    try:
+        return fock_basis(orbitals, m, m, n_b)
+    except ValueError:
+        raise ValueError(f"M = {m} is past the exact oracle's reach: {orbitals} orbitals and "
+                         f"{m + n_b} registers exceed its basis limit ({_MAX_DIM} states, "
+                         f"64 bits)") from None
 
 
 def run_encoding_sequence(
@@ -703,7 +734,8 @@ def run_encoding_sequence(
 
     coeff_pairs are the (c, d) amplitudes of each message qubit and modes
     the (M, n) coefficients of each signal's mode on the basis's n sites or
-    orbitals; the basis has the M sender registers and no evolution runs
+    orbitals, or (M, n, K) for K independent runs, one amplitude column
+    each; the basis has the M sender registers and no evolution runs
     between the swaps.  With the current-time modes f_alpha =
     U((M - alpha) wait) g0, ``orbital_frame`` of them and
     ``basis = fock_basis(M, M, M)``, this is the timed free-wire encoding
@@ -712,12 +744,14 @@ def run_encoding_sequence(
     truncated sector.
     """
     m, modes = len(coeff_pairs), np.asarray(modes, dtype=complex)
-    if modes.shape != (m, basis.n_sites):
+    if modes.shape[:2] != (m, basis.n_sites) or modes.ndim > 3:
         raise ValueError(f"need one mode per signal, shape {(m, basis.n_sites)}; "
                          f"got {modes.shape}")
     messages = [np.array([c, d], dtype=complex) for c, d in coeff_pairs]
     events = [(build_encoder(f, basis), "A", alpha) for alpha, f in enumerate(modes, 1)]
-    return _run_events(vacuum_vector(basis, messages), events)
+    x = vacuum_vector(basis, messages).amplitudes
+    x = np.repeat(x[:, None], modes.shape[2], axis=1) if modes.ndim > 2 else x
+    return _run_events(FockVector(x, basis), events)
 
 
 def encoding_residual_norm(
@@ -731,16 +765,21 @@ def encoding_residual_norm(
     builds (c_M + d_M a^dag(f_M)) ... (c_1 + d_1 a^dag(f_1)) |vac> from the
     (M, n) modes f in the basis's frame, as ``run_encoding_sequence`` takes
     them (signal 1 applied first); it is deliberately not renormalized.
+    With (M, n, K) modes and (dim, K) amplitudes it returns the K column
+    residuals, each the norm of its column alone.
     """
     basis, modes = actual.basis, np.asarray(modes, dtype=complex)
-    if len(coeff_pairs) != basis.n_a or modes.shape != (basis.n_a, basis.n_sites):
+    shape = (basis.n_a, basis.n_sites) + actual.amplitudes.shape[1:]
+    if len(coeff_pairs) != basis.n_a or modes.shape != shape:
         raise ValueError(f"need {basis.n_a} coefficient pairs and modes of shape "
-                         f"{(basis.n_a, basis.n_sites)}; got {len(coeff_pairs)}, {modes.shape}")
-    state = np.zeros(len(basis), dtype=complex)
+                         f"{shape}; got {len(coeff_pairs)}, {modes.shape}")
+    state = np.zeros(actual.amplitudes.shape, dtype=complex)
     state[0] = 1.0
     for (c, d), f in zip(coeff_pairs, modes):
         state = c * state + d * ModeOperator(f, basis).create(state)
-    return float(np.linalg.norm(actual.amplitudes - state))
+    diff = (actual.amplitudes - state).reshape(len(state), -1)
+    norms = [float(np.linalg.norm(col)) for col in diff.T]
+    return norms[0] if state.ndim == 1 else np.array(norms)
 
 
 def tj_interaction_error(fv: FockVector) -> float:

@@ -88,3 +88,23 @@ def test_report_says_whether_each_median_is_within_its_bound():
     # a per-layer metric has no bound to judge
     layer = bench_pairs.compare(_fake_runs("fock.dim", [470] * 3, [470] * 3), declared)
     assert layer["fock.dim"]["bound"] is None and layer["fock.dim"]["within_bound"] is None
+
+
+def test_report_says_whether_a_gain_is_shown():
+    declared = {m["name"]: m
+                for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    base = [0.010, 0.011, 0.012, 0.013, 0.014, 0.015, 0.016, 0.017, 0.018, 0.019]
+
+    def shown(change, name="exp_s.p50", base=base):
+        return bench_pairs.compare(_fake_runs(name, base, change), declared)[name]["gain_shown"]
+
+    # base q3 - q1 is 0.0045: a gap of 0.005 in every pair is a gain
+    assert shown([b - 0.005 for b in base]) is True
+    # 9 of 10 pairs still shows it, 8 of 10 does not
+    assert shown([b - 0.005 for b in base[:9]] + [base[9] + 0.001]) is True
+    assert shown([b - 0.005 for b in base[:8]] + [b + 0.001 for b in base[8:]]) is False
+    # winning every pair by less than the base's spread does not
+    assert shown([b - 0.004 for b in base]) is False
+    # nor does a gap in the worse direction; a higher-better metric flips it
+    assert shown([b + 0.005 for b in base]) is False
+    assert shown([b + 0.005 for b in base], "ok_frac") is True

@@ -925,6 +925,99 @@ def test_batched_residuals_match_the_per_point_reference(n, m):
         assert abs(resid - residual_norm_per_point(site, pairs, modes)) <= 1e-12
 
 
+@pytest.mark.parametrize("m, block", [(6, None), (8, 2**18)])
+def test_column_blocks_match_the_per_point_vectors(m, block, monkeypatch):
+    # oracle-bounds runs its 20 points as amplitude columns, several blocks
+    # of 6 here (2,510 states at M = 6 under the default block size, 39,203
+    # at M = 8 under 2^18 amplitudes); every row must equal, bit for bit,
+    # the point run alone as a 1-D vector on its own QR
+    from fermiwire import harness
+
+    if block is not None:
+        monkeypatch.setattr(harness, "_MAX_BLOCK", block)
+    widths, run_sequence = [], fock.run_encoding_sequence
+
+    def counted(pairs, modes, basis):
+        widths.append(np.shape(modes)[2])
+        return run_sequence(pairs, modes, basis)
+
+    monkeypatch.setattr(fock, "run_encoding_sequence", counted)
+    n = 64
+    table = harness.run(harness.build_config({"experiment": "OracleBounds", "N": n, "M": m}))
+    assert widths == [6, 6, 6, 2]
+    basis = fock_basis(m, m, m)
+    pairs = [(complex(np.sqrt(1 - 0.4 * a / m), 0.0), complex(0.0, np.sqrt(0.4 * a / m)))
+             for a in range(1, m + 1)]
+    region = Region(1, 5)
+    for t, sigma, resid, bound, ok in table.rows:
+        g0 = gaussian_packet(PacketParams(sigma, region.center_site, carrier_mode(n), region), n)
+        coeffs = fock.orbital_frame([propagate(g0, (m - a) * t) for a in range(1, m + 1)])
+        state = run_sequence(pairs, coeffs, basis)
+        assert state.amplitudes.ndim == 1
+        assert resid == encoding_residual_norm(state, pairs, coeffs)
+        assert ok == (resid <= bound + 1e-8)
+
+
+def test_columns_run_alike_with_one_mode_set_each():
+    # three columns, each with its own modes, against three 1-D runs
+    rng = np.random.default_rng(11)
+    basis = fock_basis(3, 3, 3)
+    pairs = [(0.6 + 0j, 0.8j), (0.8 + 0j, 0.6 + 0j), (1j, 0j)]
+    coeffs = fock.orbital_frame(rng.standard_normal((3, 3, 9)) + 1j * rng.standard_normal(9))
+    coeffs /= np.linalg.norm(coeffs, axis=-1, keepdims=True)
+    block = np.moveaxis(coeffs, 0, -1)
+    state = run_encoding_sequence(pairs, block, basis)
+    assert state.amplitudes.shape == (len(basis), 3)
+    resid = encoding_residual_norm(state, pairs, block)
+    for k in range(3):
+        alone = run_encoding_sequence(pairs, coeffs[k], basis)
+        assert np.array_equal(state.amplitudes[:, k], alone.amplitudes)
+        assert resid[k] == encoding_residual_norm(alone, pairs, coeffs[k])
+
+
+def test_encoder_names_the_unnormalized_column():
+    rng = np.random.default_rng(12)
+    basis = fock_basis(4, 2, 1)
+    block = np.stack([random_mode(4, rng) for _ in range(3)], axis=1)
+    assert build_encoder(block, basis).coeffs.shape == (4, 3)
+    block[:, 1] *= 1 + 1e-8
+    with pytest.raises(ValueError, match=r"normalized in column 1 \(\|g\|\^2 - 1 = 2\.000e-08, "
+                                         r"limit 1e-10\)$"):
+        build_encoder(block, basis)
+    block[:, 1] = np.nan
+    with pytest.raises(ValueError, match=r"in column 1 \(\|g\|\^2 - 1 = nan"):
+        build_encoder(block, basis)
+    with pytest.raises(ValueError, match=r"coefficient length \(4, 3, 1\) does not match"):
+        ModeOperator(block[..., None], basis)
+    # three modes act on three columns, not on a vector of three states
+    op = ModeOperator(np.ones((4, 3)), fock_basis(4, 1))
+    for x, got in ((np.ones(5), r"\(5,\)"), (np.ones((5, 2)), r"\(5, 2\)")):
+        with pytest.raises(ValueError, match=r"3 modes need amplitudes of shape \(dim, 3\); "
+                                             r"got " + got + "$"):
+            op.annihilate(x)
+
+
+def test_norm_check_reads_each_column(monkeypatch):
+    # two unit columns have a joint norm of sqrt(2); each column is judged
+    # alone, and a drift in one of them names it
+    basis = fock_basis(4, 2, 2)
+    rng = np.random.default_rng(13)
+    modes = np.stack([[random_mode(4, rng) for _ in range(2)] for _ in range(2)], axis=2)
+    pairs = [(0.6 + 0j, 0.8j), (0.8 + 0j, 0.6 + 0j)]
+    state = run_encoding_sequence(pairs, modes, basis)
+    assert np.allclose(np.linalg.norm(state.amplitudes, axis=0), 1.0, atol=1e-12)
+    swap = fock.ModeOperator.swap
+
+    def leaky(op, x, bit):
+        y = swap(op, x, bit)
+        y[:, 1] *= 1.001
+        return y
+
+    monkeypatch.setattr(fock.ModeOperator, "swap", leaky)
+    with pytest.raises(RuntimeError, match=r"norm drifted to 1\.00\d+ after A1 in column 1; "):
+        run_encoding_sequence(pairs, modes, basis)
+
+
 def test_residual_reads_every_register_slice():
     # amplitude on every mask, a receiver register, random modes and a
     # strided (non-contiguous) amplitude vector

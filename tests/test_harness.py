@@ -40,6 +40,14 @@ def test_minimal_config_fills_and_echoes_defaults():
     assert cfg.params == {"N": 64, "M": 2, **cfg.applied_defaults}
 
 
+def test_build_config_leaves_its_argument_unchanged():
+    values = {"experiment": "OracleBounds", "N": 10, "M": 2, "seed": 3, "output": "x.csv"}
+    before = dict(values)
+    first, second = build_config(values), build_config(values)
+    assert values == before
+    assert (first.params, first.seed, first.output) == (second.params, 3, "x.csv")
+
+
 def test_config_comments_and_blank_lines():
     cfg = make_config("# a comment\n\nexperiment = Dispersion\nN = 8\n")
     assert cfg.params["N"] == 8
@@ -193,9 +201,10 @@ def test_oracle_bounds_builds_the_reference_side_once_per_packet_width(monkeypat
     widths = len({row[1] for row in table.rows})
     waits = len({row[0] for row in table.rows})
     assert (widths, waits) == (4, 5)
-    # modes and bounds come as arrays; each wait's run has one encoder per
-    # signal and its ideal product one creator per signal
-    assert calls == {"ModeOperator": 2 * m * widths * waits, "propagate": widths,
+    # modes and bounds come as arrays; the 20 points are the columns of one
+    # block, whose run has one encoder per signal and whose ideal product
+    # one creator per signal
+    assert calls == {"ModeOperator": 2 * m, "propagate": widths,
                      "encoding_error_bound": widths}
 
 
@@ -536,6 +545,22 @@ def test_cli_refuses_a_ring_too_small_for_the_budget_regions(capsys):
         "fermiwire: error: experiment ErrorBudget failed: regions of 35 sites "
         "overlap on an N = 64 ring; lower c = 9.0 or raise N\n"
     )
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["oracle-protocol", "--set", "N=64", "--set", "M=8"],
+     "experiment OracleProtocol failed: M = 8 is past the exact oracle's reach: 16 orbitals "
+     "and 16 registers exceed its basis limit (2000000 states, 64 bits)"),
+    (["oracle-bounds", "--set", "N=64", "--set", "M=22"],
+     "experiment OracleBounds failed: M = 22 is past the exact oracle's reach: 22 orbitals "
+     "and 22 registers exceed its basis limit (2000000 states, 64 bits)"),
+])
+def test_cli_names_m_and_the_orbitals_past_the_oracle_reach(argv, message, capsys):
+    # the orbital counts, 2M for the protocol and M for the encodings, are not N
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"fermiwire: error: {message}\n"
 
 
 # one small run of every subcommand
