@@ -9,12 +9,16 @@ Examples:
 Values come from an optional config file first, then repeated
 ``--set key=value`` overrides, then dedicated flags.  Without ``--out``
 the table is printed to stdout.
+
+``parse_args`` reads this one fixed grammar without argparse, whose parser
+build and ``locale`` import cost every command a few ms.  Usage errors exit
+2, config and run errors exit 1.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from .harness import (
     EXPERIMENTS,
@@ -27,26 +31,56 @@ from .harness import (
     run,
 )
 
+_USAGE = ("usage: fermiwire [-h] [--config CONFIG] [--out OUT] [--format {csv,json}] "
+          "[--seed SEED] [--set KEY=VALUE] {" + ",".join(EXPERIMENTS) + "}\n")
+_HELP = """
+options, each as --flag value or --flag=value, before or after the command:
+  --config CONFIG      config file of key = value lines
+  --out OUT            output path (stdout when omitted)
+  --format {csv,json}  output format, csv by default
+  --seed SEED          integer seed recorded in output
+  --set KEY=VALUE      override one config key (repeatable)
+"""
+# the values each argument accepts; () accepts any
+_CHOICES = {"command": tuple(EXPERIMENTS), "--config": (), "--out": (),
+            "--format": ("csv", "json"), "--seed": (), "--set": ()}
 
-def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fermiwire",
-        description="wavepacket wire transmission experiments",
-    )
-    parser.add_argument("command", choices=list(EXPERIMENTS), help="the experiment to run")
-    parser.add_argument("--config", help="config file of key = value lines")
-    parser.add_argument("--out", help="output path (stdout when omitted)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--seed", type=int, help="integer seed recorded in output")
-    parser.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="override one config key (repeatable)",
-    )
-    return parser
+
+def _usage_error(message: str):
+    sys.stderr.write(f"{_USAGE}fermiwire: error: {message}\n")
+    raise SystemExit(2)
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """Read ``[options] command [options]``; exit 0 after help, 2 on a usage error."""
+    args = SimpleNamespace(command=None, config=None, out=None, format="csv",
+                           seed=None, overrides=[])
+    words = iter(argv)
+    for word in words:
+        if word in ("-h", "--help"):
+            sys.stdout.write(_USAGE + _HELP)
+            raise SystemExit(0)
+        flag, eq, value = word.partition("=") if word.startswith("-") else ("command", "=", word)
+        if flag not in _CHOICES or (flag == "command" and args.command is not None):
+            _usage_error(f"unrecognized arguments: {word}")
+        # without "=" the value is the next word, which must not be an option
+        if not eq and (value := next(words, "--")).startswith("--"):
+            _usage_error(f"argument {flag}: expected one argument")
+        if _CHOICES[flag] and value not in _CHOICES[flag]:
+            _usage_error(f"argument {flag}: invalid choice: {value!r} "
+                         f"(choose from {', '.join(map(repr, _CHOICES[flag]))})")
+        if flag == "--seed":
+            try:
+                value = int(value)
+            except ValueError:
+                _usage_error(f"argument --seed: invalid int value: {value!r}")
+        if flag == "--set":
+            args.overrides.append(value)
+        else:
+            setattr(args, flag.lstrip("-"), value)
+    if args.command is None:
+        _usage_error("the following arguments are required: command")
+    return args
 
 
 def _collect_values(args) -> dict:
@@ -59,10 +93,11 @@ def _collect_values(args) -> dict:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
     overrides: dict = {}
     for item in args.overrides:
-        if "=" not in item:
-            raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-        key, _, raw = item.partition("=")
-        overrides.update(parse_config_text(f"{key.strip()} = {raw.strip()}"))
+        key, eq, raw = item.partition("=")
+        text = f"{key.strip()} = {raw.strip()}"
+        if not eq or len(text.splitlines()) != 1:
+            raise ConfigError(f"--set expects one KEY=VALUE, got {item!r}")
+        overrides.update(parse_config_text(text))
     experiment = EXPERIMENTS[args.command].name
     # neither the config file nor a --set may name another experiment
     for named in (values.get("experiment"), overrides.get("experiment")):
@@ -77,7 +112,7 @@ def _collect_values(args) -> dict:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         config = build_config(_collect_values(args))
         table = run(config)

@@ -9,7 +9,7 @@ import pytest
 
 import fermiwire
 from fermiwire import fock, harness
-from fermiwire.cli import _parser, main
+from fermiwire.cli import main, parse_args
 from fermiwire.harness import (
     EXPERIMENTS,
     ConfigError,
@@ -475,13 +475,68 @@ def test_cli_unknown_experiment_exits_with_code_2(capsys):
     assert "invalid choice: 'no-such-experiment'" in capsys.readouterr().err
 
 
+def test_cli_help_flag_prints_the_same_text(capsys):
+    texts = []
+    for flag in ("-h", "--help"):
+        with pytest.raises(SystemExit) as exc:
+            main(["dispersion", flag])
+        assert exc.value.code == 0
+        texts.append(capsys.readouterr())
+    assert texts[0] == texts[1]
+    assert texts[0].out.startswith("usage: fermiwire ") and texts[0].err == ""
+    for option in ("--config", "--out", "--format", "--seed", "--set"):
+        assert option in texts[0].out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["dispersion", "--bogus", "1"], "unrecognized arguments: --bogus"),
+    (["dispersion", "--conf", "run.cfg"], "unrecognized arguments: --conf"),
+    (["dispersion", "--out"], "argument --out: expected one argument"),
+    (["dispersion", "--out", "--set", "N=8"], "argument --out: expected one argument"),
+    (["dispersion", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+    (["dispersion", "--format", "yaml"],
+     "argument --format: invalid choice: 'yaml' (choose from 'csv', 'json')"),
+    (["dispersion", "packet"], "unrecognized arguments: packet"),
+    (["--set", "N=8"], "the following arguments are required: command"),
+    ([], "the following arguments are required: command"),
+], ids=["unknown-option", "abbreviation", "no-value", "option-as-value", "seed-not-int",
+        "format-yaml", "second-positional", "no-command", "empty"])
+def test_cli_usage_errors_exit_2(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, error = captured.err.splitlines()
+    assert usage.startswith("usage: fermiwire ")
+    assert error == f"fermiwire: error: {message}"
+
+
+def test_cli_options_take_equals_and_go_before_the_command(tmp_path):
+    out = tmp_path / "disp.csv"
+    args = parse_args([f"--out={out}", "--seed=-3", "--format=json", "dispersion", "--set=N=8"])
+    assert (args.command, args.out, args.seed, args.format) == ("dispersion", str(out), -3, "json")
+    assert args.overrides == ["N=8"]
+    assert main([f"--out={out}", "--set=N=8", "dispersion"]) == 0
+    assert out.read_text().splitlines()[0] == "k,omega,group_velocity"
+
+
+def test_cli_set_with_a_line_break_sets_no_second_key(tmp_path, capsys):
+    out = tmp_path / "disp.csv"
+    assert main(["dispersion", "--set", "N=8\nseed=5", "--out", str(out)]) == 1
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "fermiwire: error: --set expects one KEY=VALUE, got 'N=8\\nseed=5'\n"
+
+
 def test_readme_command_lines_parse():
     readme = Path(__file__).parents[1] / "README.md"
     lines = [ln.split() for ln in readme.read_text().splitlines()
              if ln.startswith("fermiwire ")]
     assert {words[1] for words in lines} == set(EXPERIMENTS)
     for words in lines:
-        args = _parser().parse_args(words[1:])
+        args = parse_args(words[1:])
         options = dict(zip(words[2::2], words[3::2]))
         assert args.command == words[1]
         assert args.overrides == [v for k, v in zip(words[2::2], words[3::2]) if k == "--set"]
@@ -610,6 +665,24 @@ def test_every_subcommand_runs_without_scipy(tmp_path):
     assert sorted(p.name for p in tmp_path.glob("*.csv")) == sorted(
         f"{command}.csv" for command in SMALL_RUNS
     )
+
+
+def test_cli_module_run_loads_no_argparse_gettext_or_locale():
+    # argparse and the gettext and locale modules it pulls in are a fixed
+    # start-up cost of every command; pytest itself imports argparse, so a
+    # fresh `python -m` run lists its imports with -X importtime
+    src = str(Path(fermiwire.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "fermiwire.cli",
+         "oracle-protocol", "--set", "N=10", "--set", "M=2"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "register,input,fidelity"
+    imported = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert {"numpy", "fermiwire.harness"} <= imported
+    assert not imported & {"argparse", "gettext", "locale"}
 
 
 def test_cli_honors_config_output_path(tmp_path):
