@@ -14,8 +14,9 @@ not ignore included, into ``side1``.  Pair i runs
 in each export, the base first on even i and the change first on odd i,
 and reads the JSON object on the last line each run prints.  Neither
 export holds a ``__pycache__``, and every run inherits the caller's
-environment unchanged, so both sides compile and cache bytecode alike.
-The output
+environment unchanged, so both sides treat bytecode alike; the
+``bytecode`` field says how, from ``sys.flags.dont_write_bytecode``
+(set by ``PYTHONDONTWRITEBYTECODE``, which the runs inherit).  The output
 records the environment, each side's per-metric runs, median and quartiles,
 how many pairs the change won on each metric (ties count for neither side;
 the direction comes from ``BENCHMARK.json``), and the pair count.  For each
@@ -83,6 +84,15 @@ def bench(tree: Path, workload: str, seed: int) -> tuple[dict, dict]:
     return json.loads(lines[-1]), env
 
 
+def bytecode(dont_write: bool) -> str:
+    """What both sides do with bytecode, given whether writing it is off."""
+    if dont_write:
+        return ("bytecode writing is off, so neither side writes __pycache__ "
+                "and every run compiles the package from source")
+    return ("both sides start as clean exports without __pycache__; each "
+            "side's first run writes it and its later runs read it")
+
+
 def summary(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
@@ -135,8 +145,7 @@ def main(argv=None) -> int:
                   + (" with local changes" if _git("status", "--porcelain") else ""),
         "command": "python3 perfbench/run.py --workload W --seed S --trace 0",
         "order": "pair i runs the base first when i is even, the change first when odd",
-        "bytecode": "both sides are clean exports without __pycache__ and run "
-                    "in the caller's environment, so they compile and cache alike",
+        "bytecode": bytecode(sys.flags.dont_write_bytecode),
         "workloads": {},
     }
     tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))

@@ -9,6 +9,12 @@ harness.
 
 __version__ = "0.1.0"
 
+import os
+# One BLAS thread unless the user chose: OpenBLAS's idle worker spins ~130 ms of a
+# second core per process, and threaded sums move the last digits at large N.
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .lattice import (
     dispersion,
     dispersion_third_derivative,

@@ -95,9 +95,11 @@ def _collect_values(args) -> dict:
     for item in args.overrides:
         key, eq, raw = item.partition("=")
         text = f"{key.strip()} = {raw.strip()}"
-        if not eq or len(text.splitlines()) != 1:
+        # a line break would add a key and a leading '#' would comment it out
+        parsed = parse_config_text(text) if eq and len(text.splitlines()) == 1 else {}
+        if len(parsed) != 1:
             raise ConfigError(f"--set expects one KEY=VALUE, got {item!r}")
-        overrides.update(parse_config_text(text))
+        overrides.update(parsed)
     experiment = EXPERIMENTS[args.command].name
     # neither the config file nor a --set may name another experiment
     for named in (values.get("experiment"), overrides.get("experiment")):

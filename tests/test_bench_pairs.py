@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -60,7 +61,16 @@ def test_both_sides_compile_from_source(monkeypatch, tmp_path):
         "VALUE = 1\n": [".gitignore", "BENCHMARK.json", "mod.py"],
         "VALUE = 2\n": [".gitignore", "BENCHMARK.json", "mod.py", "new.py"],
     }
-    assert "__pycache__" in json.loads(out.read_text())["bytecode"]
+    assert json.loads(out.read_text())["bytecode"] == bench_pairs.bytecode(
+        sys.flags.dont_write_bytecode)
+
+
+def test_report_says_whether_the_runs_write_bytecode():
+    # with PYTHONDONTWRITEBYTECODE set no run writes bytecode, so the report
+    # must not say that the sides cache it
+    off, on = bench_pairs.bytecode(True), bench_pairs.bytecode(False)
+    assert "neither side writes __pycache__" in off and "compiles" in off
+    assert "first run writes it" in on and "later runs read it" in on
 
 
 def _fake_runs(name, base, change):

@@ -530,6 +530,20 @@ def test_cli_set_with_a_line_break_sets_no_second_key(tmp_path, capsys):
     assert captured.err == "fermiwire: error: --set expects one KEY=VALUE, got 'N=8\\nseed=5'\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["dispersion", "--set", "#bogus=8", "--set", "N=8"],
+    ["dispersion", "--set", "#N=8"],
+], ids=["with-N", "commented-N"])
+def test_cli_set_with_a_commented_key_is_refused(argv, tmp_path, capsys):
+    # config text reads '#N = 8' as a comment, so the --set would set nothing
+    out = tmp_path / "disp.csv"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"fermiwire: error: --set expects one KEY=VALUE, got {argv[2]!r}\n"
+
+
 def test_readme_command_lines_parse():
     readme = Path(__file__).parents[1] / "README.md"
     lines = [ln.split() for ln in readme.read_text().splitlines()
@@ -683,6 +697,45 @@ def test_cli_module_run_loads_no_argparse_gettext_or_locale():
                 if line.startswith("import time:")}
     assert {"numpy", "fermiwire.harness"} <= imported
     assert not imported & {"argparse", "gettext", "locale"}
+
+
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _child_env(**chosen):
+    """This environment without the BLAS thread variables, plus ``chosen``."""
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARIABLES}
+    return {**env, "PYTHONPATH": str(Path(fermiwire.__file__).parents[1]), **chosen}
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2,
+                    reason="counts threads in /proc/self/task; needs 2 or more CPUs")
+@pytest.mark.parametrize("chosen", [{}, {"OPENBLAS_NUM_THREADS": "2"}, {"OMP_NUM_THREADS": "2"}],
+                         ids=["default", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_import_runs_blas_on_one_thread_unless_the_user_chose(chosen):
+    # OpenBLAS starts a worker per extra core when numpy loads; the idle one
+    # busy-waits on a second core, so the package asks for one thread
+    code = ("import fermiwire, json, os; print(len(os.listdir('/proc/self/task'))); "
+            f"print(json.dumps({{k: os.environ.get(k) for k in {_THREAD_VARIABLES!r}}}))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=_child_env(**chosen))
+    threads, variables = proc.stdout.splitlines()
+    assert int(threads) == (2 if chosen else 1)
+    assert json.loads(variables) == {k: None for k in _THREAD_VARIABLES} | (
+        chosen or {"OPENBLAS_NUM_THREADS": "1"})
+
+
+def test_large_n_bytes_do_not_depend_on_the_core_count():
+    # threaded level-1 BLAS sums in another order, which moved eps_d's last
+    # digits at N=16384 when the thread count followed the CPUs
+    outputs = [
+        subprocess.run([sys.executable, "-m", "fermiwire.cli", "error-budget",
+                        "--set", "N=16384", "--set", "M=4"],
+                       capture_output=True, check=True, env=_child_env(**chosen)).stdout
+        for chosen in ({}, {"OPENBLAS_NUM_THREADS": "1"})
+    ]
+    assert outputs[0] == outputs[1]
+    assert outputs[0].startswith(b"N,M,")
 
 
 def test_cli_honors_config_output_path(tmp_path):
