@@ -15,8 +15,8 @@ in each export, the base first on even i and the change first on odd i,
 and reads the JSON object on the last line each run prints.  Neither
 export holds a ``__pycache__``, and every run inherits the caller's
 environment unchanged, so both sides treat bytecode alike; the
-``bytecode`` field says how, from ``sys.flags.dont_write_bytecode``
-(set by ``PYTHONDONTWRITEBYTECODE``, which the runs inherit).  The output
+``bytecode`` field says how, from the ``PYTHONDONTWRITEBYTECODE`` that the
+runs inherit (this script's own ``-B`` does not reach them).  The output
 records the environment, each side's per-metric runs, median and quartiles,
 how many pairs the change won on each metric (ties count for neither side;
 the direction comes from ``BENCHMARK.json``), and the pair count.  For each
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
 import statistics
 import subprocess
@@ -84,9 +85,10 @@ def bench(tree: Path, workload: str, seed: int) -> tuple[dict, dict]:
     return json.loads(lines[-1]), env
 
 
-def bytecode(dont_write: bool) -> str:
-    """What both sides do with bytecode, given whether writing it is off."""
-    if dont_write:
+def bytecode(env) -> str:
+    """What both sides do with bytecode when the runs inherit the environment
+    env: a non-empty PYTHONDONTWRITEBYTECODE turns writing it off."""
+    if env.get("PYTHONDONTWRITEBYTECODE"):
         return ("bytecode writing is off, so neither side writes __pycache__ "
                 "and every run compiles the package from source")
     return ("both sides start as clean exports without __pycache__; each "
@@ -145,7 +147,7 @@ def main(argv=None) -> int:
                   + (" with local changes" if _git("status", "--porcelain") else ""),
         "command": "python3 perfbench/run.py --workload W --seed S --trace 0",
         "order": "pair i runs the base first when i is even, the change first when odd",
-        "bytecode": bytecode(sys.flags.dont_write_bytecode),
+        "bytecode": bytecode(os.environ),
         "workloads": {},
     }
     tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))

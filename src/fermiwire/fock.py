@@ -11,9 +11,8 @@ fixes the fermionic sign of a_j to (-1)^(number of occupied sites left of j).
 No operator is stored as a matrix.  ``FockBasis.ladder`` holds one table
 per site, built from the masks, so a mode's a and a^dag (``ModeOperator``)
 are one gather and one scatter-add per site on the whole vector.  The one
-Hamiltonian is the ring t-J form, hopping plus J sum_j n_j n_{j+1}, as
-(row, col, data) triplets (``CooMatrix``, built per bond from the masks);
-``ExactEvolver`` builds it from J.
+Hamiltonian is the ring t-J form, hopping plus J sum_j n_j n_{j+1};
+``ExactEvolver`` builds its rows per bond from the masks and J.
 
 Ancilla registers are bits of the same masks: above the N site bits sit
 n_a sender and then n_b receiver register bits (``FockBasis.register_bit``),
@@ -311,40 +310,6 @@ def _gather(index: np.ndarray, weights: np.ndarray, x: np.ndarray) -> np.ndarray
     return np.matmul(weights[:, None, :], np.take(x, index, axis=0))[:, 0]
 
 
-@dataclass(frozen=True, eq=False)
-class CooMatrix:
-    """Sparse matrix as (row, col, data) triplets; repeated entries add."""
-
-    row: np.ndarray
-    col: np.ndarray
-    data: np.ndarray
-    shape: tuple[int, int]
-
-    @property
-    def nnz(self) -> int:
-        return len(self.data)
-
-
-def kinetic_matrix(basis: FockBasis) -> CooMatrix:
-    """Ring hopping sum a_j^dag a_{j+1} + h.c. (unit coupling, a_{N+1} = a_1).
-
-    Per bond, each state with exactly one end occupied hops to the state
-    with the other end occupied, signed by the parity of the occupied sites
-    strictly between the ends.
-    """
-    masks, cols, hops, data = basis.masks, [], [], []
-    for p, q in ring_bonds(basis.n_sites):
-        lo, hi = sorted((p, q))
-        ends = np.uint64((1 << (p - 1)) | (1 << (q - 1)))
-        col = np.flatnonzero(np.bitwise_count(masks & ends) == 1)
-        inside = np.bitwise_count(masks[col] & np.uint64((1 << (hi - 1)) - (1 << lo)))
-        cols.append(col)
-        hops.append(masks[col] ^ ends)
-        data.append(1.0 - 2.0 * (inside & 1))
-    rows = basis._find(np.concatenate(hops))
-    return CooMatrix(rows, np.concatenate(cols), np.concatenate(data), (len(basis),) * 2)
-
-
 def adjacent_pair_counts(basis: FockBasis) -> np.ndarray:
     """Per-basis-state count of occupied nearest-neighbour pairs on the ring."""
     masks, counts = basis.masks, np.zeros(len(basis))
@@ -353,73 +318,60 @@ def adjacent_pair_counts(basis: FockBasis) -> np.ndarray:
     return counts
 
 
-def tj_hamiltonian(basis: FockBasis, j_coupling: float) -> CooMatrix:
-    """Kinetic term plus j_coupling * sum_bonds n_j n_{j+1}.
-
-    The hopping is the unit of energy and the bonds are the ring's, so
-    J = 0 reproduces ``kinetic_matrix`` exactly.
-    """
-    k = kinetic_matrix(basis)
-    diag = np.arange(len(basis))
-    pairs = adjacent_pair_counts(basis)
-    return CooMatrix(np.concatenate([k.row, diag]), np.concatenate([k.col, diag]),
-                     np.concatenate([k.data, j_coupling * pairs]), k.shape)
-
-
 class ExactEvolver:
     """exp(-i t H) of the ring t-J Hamiltonian as a Chebyshev series per sector.
 
-    ``rows[k]`` is sector k of H = ``tj_hamiltonian(basis, j_coupling)``,
-    checked Hermitian to 1e-12, as (index, weight, mid, half): [mid - half,
-    mid + half] is its Gershgorin interval, and row r of ``_gather(index,
-    weight, v)`` is (2 X v)_r for X = (H - mid) / half, padded with weight-0
-    gathers to one width, at most 2k + 1 (k particles hop 2k ways).
+    H is the ring hopping sum_j a_j^dag a_{j+1} + h.c. (unit coupling,
+    a_{N+1} = a_1) plus j_coupling * sum_j n_j n_{j+1}, built row by row
+    from the bonds: per bond, each state with exactly one end occupied hops
+    to the state with the other end occupied, signed by the parity of the
+    occupied sites strictly between the ends, and each hop is checked to
+    hop back with its sign, which is H = H^dag exactly.  ``rows[k]`` is
+    sector k of H as (index, weight, mid, half): [mid - half, mid + half]
+    is its Gershgorin interval, and row r of ``_gather(index, weight, v)``
+    is (2 X v)_r for X = (H - mid) / half, the diagonal in slot 0 and the
+    hops in bond order, padded with weight-0 gathers of the row itself to
+    the sector's widest row, at most 2k + 1 (k particles hop 2k ways).
     """
 
     def __init__(self, basis: FockBasis, j_coupling: float = 0.0):
         if not np.isfinite(j_coupling):
             raise ValueError(f"j_coupling must be finite, got {float(j_coupling)}")
+        masks, bonds = basis.masks, ring_bonds(basis.n_sites)
+        # one table for the whole basis, global indices; slot 0 the diagonal
+        index = np.repeat(np.arange(len(basis))[:, None],
+                          1 + min(len(bonds), 2 * basis.max_particles), axis=1)
+        weight, hops = np.zeros(index.shape), np.zeros(len(basis), dtype=np.int64)
+        for p, q in bonds:
+            first, last = sorted((p, q))
+            ends = np.uint64((1 << (p - 1)) | (1 << (q - 1)))
+            src = np.flatnonzero(np.bitwise_count(masks & ends) == 1)
+            dst = basis._find(masks[src] ^ ends)
+            inside = np.bitwise_count(masks[src] & np.uint64((1 << (last - 1)) - (1 << first)))
+            sign = 1.0 - 2.0 * (inside & 1)
+            # src ascends, so the hop back from dst sits where dst sorts in it
+            back = np.minimum(np.searchsorted(src, dst), len(src) - 1)
+            bad = np.flatnonzero((src[back] != dst) | (dst[back] != src) | (sign[back] != sign))
+            if bad.size:
+                raise RuntimeError(f"sector {basis.particle_counts[src[bad[0]]]} of the t-J "
+                                   f"Hamiltonian is not Hermitian: a hop along bond "
+                                   f"({p}, {q}) does not hop back with its sign")
+            slot = hops[src] + 1
+            hops[src], index[src, slot], weight[src, slot] = slot, dst, sign
+        # + 0.0 turns the -0.0 that J < 0 gives pair-free states into 0.0
+        centre = j_coupling * adjacent_pair_counts(basis) + 0.0
         self.basis, self.rows = basis, []
-        h = tj_hamiltonian(basis, j_coupling)
-        row, col, data = h.row, h.col, h.data
-        del h
-        # sorted by row once, each row's entries in build order, so sector k
-        # is one run of entries; every state has its diagonal entry
-        order = np.argsort(row, kind="stable")
-        row, col, data = row[order], col[order], data[order]
-        del order
-        edges = np.searchsorted(row, [s.start for s in basis.sectors] + [len(basis)])
-        for k, (s, a, b) in enumerate(zip(basis.sectors, edges, edges[1:])):
-            size, rs, cs, ds = s.stop - s.start, row[a:b], col[a:b], data[a:b]
-            rs -= s.start
-            cs -= s.start
-            # H - H^dag with duplicates summed; an entry without a mirror meets a 0
-            key = rs * size + cs
-            by_key = np.argsort(key)
-            key = key[by_key]
-            first = np.flatnonzero(np.diff(key, prepend=-1))
-            key, value = key[first], np.add.reduceat(ds[by_key], first)
-            del by_key, first
-            mirror = key % size * size + key // size
-            at = np.minimum(np.searchsorted(key, mirror), len(key) - 1)
-            gap = np.abs(value - np.where(key[at] == mirror, value[at], 0.0)).max()
-            del key, value, mirror, at
-            if gap > 1e-12:
-                raise RuntimeError(f"sector {k} of the t-J Hamiltonian is not Hermitian "
-                                   f"(max |H - H^dag| = {gap:.3e} > 1e-12)")
-            hop = (rs != cs) & (ds != 0)
-            centre = np.bincount(rs[~hop], ds[~hop], size)
-            radius = np.bincount(rs[hop], np.abs(ds[hop]), size)
-            lo, hi = float(np.min(centre - radius)), float(np.max(centre + radius))
+        for s in basis.sectors:
+            lo = float(np.min(centre[s] - hops[s]))
+            hi = float(np.max(centre[s] + hops[s]))
             mid, half = (lo + hi) / 2, max((hi - lo) / 2, 1e-12)  # vacuum sector: 1 x 1 zero
-            rs, cs, ds = rs[hop], cs[hop], ds[hop]
-            slot = 1 + np.arange(len(rs)) - np.searchsorted(rs, rs)
-            index = np.repeat(np.arange(size)[:, None], slot.max(initial=0) + 1, axis=1)
-            weight = np.zeros(index.shape)
-            index[rs, slot], weight[rs, slot], weight[:, 0] = cs, ds, centre - mid
-            del rs, cs, ds, slot
-            weight *= 2.0 / half
-            self.rows.append((index, weight, mid, half))
+            width = 1 + int(hops[s].max())
+            idx, w = index[s, :width], weight[s, :width]
+            idx -= s.start
+            w[:, 0] = centre[s] - mid
+            w *= 2.0 / half
+            # a sector as wide as the table keeps a view of it, a narrower one a copy
+            self.rows.append((np.ascontiguousarray(idx), np.ascontiguousarray(w), mid, half))
 
     def apply(self, fv: FockVector, t: float) -> FockVector:
         """exp(-i t H) on axis 0 of the amplitudes for one finite time t; per

@@ -24,7 +24,6 @@ from fermiwire.fock import (
     exchange_pairs,
     fock_basis,
     schedule,
-    tj_hamiltonian,
 )
 from fermiwire.lattice import propagate, ring_energies
 from fermiwire.protocol import (
@@ -66,6 +65,47 @@ def basis_index(basis: FockBasis) -> dict[int, int]:
     return {s: i for i, s in enumerate(basis.masks.tolist())}
 
 
+def ref_bonds(n: int) -> list[tuple[int, int]]:
+    """The ring's nearest-neighbour bonds (j, j+1) and the wrap bond (N, 1)."""
+    return [(j, j + 1) for j in range(1, n)] + [(n, 1)]
+
+
+def loop_kinetic(basis: FockBasis) -> sparse.csr_matrix:
+    """Ring hopping sum_j a_j^dag a_{j+1} + h.c. on the basis, built by hand.
+
+    Hops each occupied site of every state onto an empty neighbour, signing
+    by the occupied sites passed over.
+    """
+    index, rows, cols, data = basis_index(basis), [], [], []
+    for col, s in enumerate(basis.masks.tolist()):
+        for p, q in ref_bonds(basis.n_sites):
+            for src, dst in ((q, p), (p, q)):
+                bs, bd = 1 << (src - 1), 1 << (dst - 1)
+                if s & bs and not s & bd:
+                    sign = -1.0 if (s & (bs - 1)).bit_count() & 1 else 1.0
+                    s1 = s ^ bs
+                    if (s1 & (bd - 1)).bit_count() & 1:
+                        sign = -sign
+                    rows.append(index[s1 | bd])
+                    cols.append(col)
+                    data.append(sign)
+    f = len(basis)
+    return sparse.csr_matrix((np.array(data), (rows, cols)), shape=(f, f))
+
+
+def loop_pair_counts(basis: FockBasis) -> np.ndarray:
+    """Occupied nearest-neighbour pairs of each state, bond by bond."""
+    return np.array([sum(s >> (p - 1) & s >> (q - 1) & 1 for p, q in ref_bonds(basis.n_sites))
+                     for s in basis.masks.tolist()], dtype=float)
+
+
+def loop_tj_hamiltonian(basis: FockBasis, j_coupling: float) -> sparse.coo_matrix:
+    """``loop_kinetic`` plus j_coupling times ``loop_pair_counts`` on the
+    diagonal: the ring t-J Hamiltonian as (row, col, data) triplets."""
+    diag = sparse.diags(j_coupling * loop_pair_counts(basis))
+    return (loop_kinetic(basis) + diag).tocoo()
+
+
 def total_excitation_operator(basis: FockBasis, n_a: int, n_b: int) -> np.ndarray:
     """Diagonal of (fermion number + raised-register count) on a
     ``RegisterTensor``'s tensor, shape (2,)*n_a + (F,) + (2,)*n_b."""
@@ -92,13 +132,14 @@ class SectorEvolver:
     """exp(-i t H) from one dense ``eigh`` per particle-number sector.
 
     Takes the same (basis, j_coupling) as ``fock.ExactEvolver`` and is a
-    drop-in replacement for it; it diagonalizes where the evolver sums a
-    Chebyshev series, so it is the reference for that series.
+    drop-in replacement for it; it diagonalizes ``loop_tj_hamiltonian``
+    where the evolver sums a Chebyshev series on rows of its own, so it is
+    the reference for that series.
     """
 
     def __init__(self, basis: FockBasis, j_coupling: float = 0.0):
         self.basis = basis
-        h = tj_hamiltonian(basis, j_coupling)
+        h = loop_tj_hamiltonian(basis, j_coupling)
         counts = basis.particle_counts
         k_row, k_col = counts[h.row], counts[h.col]
         self.eigen = []

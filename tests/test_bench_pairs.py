@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -61,16 +62,26 @@ def test_both_sides_compile_from_source(monkeypatch, tmp_path):
         "VALUE = 1\n": [".gitignore", "BENCHMARK.json", "mod.py"],
         "VALUE = 2\n": [".gitignore", "BENCHMARK.json", "mod.py", "new.py"],
     }
-    assert json.loads(out.read_text())["bytecode"] == bench_pairs.bytecode(
-        sys.flags.dont_write_bytecode)
+    assert json.loads(out.read_text())["bytecode"] == bench_pairs.bytecode(os.environ)
 
 
 def test_report_says_whether_the_runs_write_bytecode():
     # with PYTHONDONTWRITEBYTECODE set no run writes bytecode, so the report
     # must not say that the sides cache it
-    off, on = bench_pairs.bytecode(True), bench_pairs.bytecode(False)
+    off = bench_pairs.bytecode({"PYTHONDONTWRITEBYTECODE": "1"})
+    on = bench_pairs.bytecode({})
     assert "neither side writes __pycache__" in off and "compiles" in off
     assert "first run writes it" in on and "later runs read it" in on
+    # an empty value leaves writing on, as it does for Python itself
+    assert bench_pairs.bytecode({"PYTHONDONTWRITEBYTECODE": ""}) == on
+    # the script's own -B does not reach the runs, which inherit only the
+    # environment: the field must still say that they write bytecode
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    script = ROOT / "scripts" / "bench_pairs.py"
+    code = f"import os, runpy; print(runpy.run_path({str(script)!r})['bytecode'](os.environ))"
+    field = subprocess.run([sys.executable, "-B", "-c", code], env=env, check=True,
+                           capture_output=True, text=True).stdout
+    assert field == on + "\n"
 
 
 def _fake_runs(name, base, change):

@@ -13,8 +13,12 @@ from references import (
     SiteFrameEngine,
     basis_index,
     loop_annihilator,
+    loop_kinetic,
+    loop_pair_counts,
+    loop_tj_hamiltonian,
     operational_ladder_defect,
     reduced_qubit,
+    ref_bonds,
     register_exchange_correction,
     register_two_design,
     residual_norm_per_point,
@@ -47,9 +51,7 @@ from fermiwire.fock import (
     encoding_residual_norm,
     evolution_difference,
     fock_basis,
-    kinetic_matrix,
     run_encoding_sequence,
-    tj_hamiltonian,
     tj_interaction_error,
     two_design_fidelities,
     two_packet_state,
@@ -169,40 +171,42 @@ def test_mode_annihilator_matches_loop_reference_bytes(n, m_max):
         _assert_same_csr_bytes(got, loop_annihilator(c, basis))
 
 
-def _ref_bonds(n):
-    return [(j, j + 1) for j in range(1, n)] + [(n, 1)]
-
-
-def _loop_kinetic(basis):
-    # independent reference: hop each occupied site of every state onto an
-    # empty neighbour, signing by the occupied sites passed over
-    index, rows, cols, data = basis_index(basis), [], [], []
-    for col, s in enumerate(basis.masks.tolist()):
-        for p, q in _ref_bonds(basis.n_sites):
-            for src, dst in ((q, p), (p, q)):
-                bs, bd = 1 << (src - 1), 1 << (dst - 1)
-                if s & bs and not s & bd:
-                    sign = -1.0 if (s & (bs - 1)).bit_count() & 1 else 1.0
-                    s1 = s ^ bs
-                    if (s1 & (bd - 1)).bit_count() & 1:
-                        sign = -sign
-                    rows.append(index[s1 | bd])
-                    cols.append(col)
-                    data.append(sign)
-    f = len(basis)
-    return sparse.csr_matrix((np.array(data), (rows, cols)), shape=(f, f))
+def _rows_hamiltonian(ev):
+    # the H that an evolver's rows hold: each hop slot's target with the sign
+    # of its weight, as a canonical csr matrix over the whole basis, and the
+    # diagonal read back from slot 0; every slot gathers inside its sector,
+    # slot 0 and each weight-0 pad the row itself
+    hops, diag = [], np.zeros(len(ev.basis))
+    for s, (index, weight, mid, half) in zip(ev.basis.sectors, ev.rows):
+        own = np.broadcast_to(np.arange(s.stop - s.start)[:, None], index.shape)
+        assert index.shape == weight.shape and index.dtype == np.int64
+        assert np.all((0 <= index) & (index < len(own)))
+        pad = weight == 0
+        pad[:, 0] = True
+        assert np.array_equal(index[pad], own[pad])
+        hops.append((s.start + own[~pad], s.start + index[~pad], np.sign(weight[~pad])))
+        diag[s] = weight[:, 0] * half / 2 + mid
+    rows, cols, data = (np.concatenate(a) for a in zip(*hops))
+    return sparse.csr_matrix((data, (rows, cols)), shape=(len(diag),) * 2), diag
 
 
 @pytest.mark.parametrize("n, m_max", [(6, 2), (8, 3), (8, 8), (14, 3)])
 def test_kinetic_and_pair_counts_match_loop_reference(n, m_max):
+    # the evolver's rows slot by slot against the loop-built hopping, the
+    # wrap bond's signed hops included, and its diagonal against J times the
+    # loop pair count
     basis = fock_basis(n, m_max)
-    assert ring_bonds(n) == _ref_bonds(n)
-    _assert_same_csr_bytes(csr(kinetic_matrix(basis)), _loop_kinetic(basis))
-    pairs = [
-        sum(s >> (p - 1) & s >> (q - 1) & 1 for p, q in _ref_bonds(n))
-        for s in basis.masks.tolist()
-    ]
-    assert fock.adjacent_pair_counts(basis).tolist() == pairs
+    assert ring_bonds(n) == ref_bonds(n)
+    pairs = loop_pair_counts(basis)
+    assert fock.adjacent_pair_counts(basis).tolist() == pairs.tolist()
+    wrap = np.uint64(1 | 1 << (n - 1))
+    for j_coupling in (0.0, 1.3):
+        hops, diag = _rows_hamiltonian(ExactEvolver(basis, j_coupling))
+        _assert_same_csr_bytes(hops, loop_kinetic(basis))
+        h = hops.tocoo()
+        across = (basis.masks[h.row] ^ basis.masks[h.col]) == wrap
+        assert set(h.data[across].tolist()) == {1.0, -1.0}
+        assert np.abs(diag - j_coupling * pairs).max() <= 1e-13 * (1.0 + j_coupling * n)
 
 
 def _loop_ladder(basis):
@@ -552,7 +556,8 @@ def test_excitation_conservation_commutators():
     number = np.diag([float(s.bit_count()) for s in basis.masks.tolist()])
     assert np.max(np.abs(u @ number - number @ u)) < 1e-10
     sites = fock_basis(n, m_max)
-    ham = csr(kinetic_matrix(sites)).toarray()
+    hops, diag = _rows_hamiltonian(ExactEvolver(sites))
+    ham = hops.toarray() + np.diag(diag)
     number_f = np.diag([float(s.bit_count()) for s in sites.masks.tolist()])
     assert np.max(np.abs(ham @ number_f - number_f @ ham)) < 1e-12
 
@@ -617,7 +622,8 @@ def test_exchange_correction_is_cz_on_receivers():
 
 def test_hamiltonian_hermitian_and_block_diagonal():
     basis = fock_basis(6, 3)
-    h = csr(kinetic_matrix(basis)).toarray()
+    hops, diag = _rows_hamiltonian(ExactEvolver(basis, 1.3))
+    h = hops.toarray() + np.diag(diag)
     assert np.max(np.abs(h - h.conj().T)) < 1e-14
     occ = np.array([s.bit_count() for s in basis.masks.tolist()])
     coupling = h[np.not_equal.outer(occ, occ)]
@@ -672,9 +678,9 @@ def test_exact_evolver_matches_dense_expm(m_max, j_coupling):
     n = 8
     basis = fock_basis(n, m_max)
     if j_coupling is None:
-        ham, ev = kinetic_matrix(basis), ExactEvolver(basis)
+        ham, ev = loop_kinetic(basis).tocoo(), ExactEvolver(basis)
     else:
-        ham, ev = tj_hamiltonian(basis, j_coupling), ExactEvolver(basis, j_coupling)
+        ham, ev = loop_tj_hamiltonian(basis, j_coupling), ExactEvolver(basis, j_coupling)
     _assert_matches_dense_expm(ev, ham, _random_columns(basis, 7))
 
 
@@ -683,7 +689,7 @@ def test_exact_evolver_matches_dense_expm(m_max, j_coupling):
 def test_exact_evolver_matches_dense_expm_on_odd_lattices(n, m_max, j_coupling):
     basis = fock_basis(n, m_max)
     j_coupling = 0.0 if j_coupling is None else j_coupling
-    ham = tj_hamiltonian(basis, j_coupling)
+    ham = loop_tj_hamiltonian(basis, j_coupling)
     _assert_matches_dense_expm(ExactEvolver(basis, j_coupling), ham, _random_columns(basis, 3),
                                times=(0.0, 0.7, 5.3))
 
@@ -693,7 +699,7 @@ def test_exact_evolver_matches_dense_expm_at_strong_coupling():
     # to 6444 terms at t = 60; the rounding of both sides grows with |t| times
     # the spectral width (|H| <= 202 by rows here)
     basis = fock_basis(8, 3)
-    ham = tj_hamiltonian(basis, 100.0)
+    ham = loop_tj_hamiltonian(basis, 100.0)
     width = np.abs(csr(ham)).sum(axis=1).max()
     _assert_matches_dense_expm(ExactEvolver(basis, 100.0), ham, _random_columns(basis, 5),
                                tol=lambda t: 5e-15 * (1.0 + abs(t) * width))
@@ -737,7 +743,8 @@ def test_exact_evolver_rejects_a_state_of_another_basis():
 
 def test_exact_evolver_memory():
     # padded rows of width <= 2k + 1 per sector keep 16 B per slot (0.6 MiB
-    # here), and the set-up peaks at 5.3 MiB
+    # here; the top sector is a view of the one table, whose rows of the
+    # lower sectors stay too, 0.7 MiB kept), and the set-up peaks at 0.9 MiB
     basis = fock_basis(32, 3)
     basis.particle_counts, basis.sectors
     tracemalloc.start()
@@ -753,19 +760,22 @@ def test_exact_evolver_memory():
 
 
 def test_exact_evolver_set_up_peak_at_four_particles():
-    # 331,113 Hamiltonian entries, sorted by row once, each sector's mirror
-    # entries found by searchsorted: the set-up peaks near 23 MiB, where a
-    # mask per sector and a unique over 2 nnz keys peaked at 49.5 MiB
-    basis = fock_basis(32, 4)
-    basis.particle_counts, basis.sectors
-    tracemalloc.start()
-    try:
-        evolver = ExactEvolver(basis, 1.0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert sum(index.size for index, _, _, _ in evolver.rows) <= 9 * len(basis)
-    assert peak <= 25 * 2**20
+    # one (dim, 9) table of 16 B slots filled bond by bond, each sector a
+    # slice of it: the set-up peaks at 8.2 MiB for the 41,449 states of
+    # (32, 4) and at 19.8 MiB for the 102,091 of the site-frame basis with
+    # 4 + 4 registers
+    for args, bound in (((32, 4), 9), ((32, 4, 4, 4), 22)):
+        basis = fock_basis(*args)
+        basis.particle_counts, basis.sectors
+        tracemalloc.start()
+        try:
+            evolver = ExactEvolver(basis, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(index.size for index, _, _, _ in evolver.rows) <= 9 * len(basis)
+        assert peak <= bound * 2**20, args
+        del evolver
 
 
 def test_translation_moves_each_creator_one_site():
@@ -786,9 +796,11 @@ def test_translation_moves_each_creator_one_site():
 @pytest.mark.parametrize("j_coupling", [0.0, 1.3, -1.3])
 def test_tj_hamiltonian_is_hermitian_and_translation_invariant(n, m_max, j_coupling):
     # Hermiticity, which the Chebyshev series rests on, and translation
-    # invariance, which checks the sign of the wrap bond's hops, exactly
+    # invariance, which checks the sign of the wrap bond's hops, exactly, of
+    # the H that the evolver's rows hold
     basis = fock_basis(n, m_max)
-    assert symmetry_defects(basis, tj_hamiltonian(basis, j_coupling)) == (0.0, 0.0)
+    hops, diag = _rows_hamiltonian(ExactEvolver(basis, j_coupling))
+    assert symmetry_defects(basis, (hops + sparse.diags(diag)).tocoo()) == (0.0, 0.0)
 
 
 _MODELS = {"tight-binding": 0.0, "t-J": 1.3, "t-J at -J": -1.3}
@@ -805,7 +817,7 @@ def test_exact_evolver_keeps_zero_blocks_and_matches_dense_expm(model):
             (3, 1, 0)]
     for k, a, b in zero:
         x[basis.sectors[k], a, b] = 0.0
-    _assert_matches_dense_expm(ev, tj_hamiltonian(basis, j_coupling), x, zero)
+    _assert_matches_dense_expm(ev, loop_tj_hamiltonian(basis, j_coupling), x, zero)
     # sector k's rows hold at most 2k hops and a diagonal entry, padded to
     # one width over the sector's states
     basis = fock_basis(16, 3)
@@ -818,23 +830,22 @@ def test_exact_evolver_keeps_zero_blocks_and_matches_dense_expm(model):
 
 def test_exact_evolver_rejects_a_one_sided_entry_and_a_non_finite_j(monkeypatch):
     basis = fock_basis(6, 3)
-    sector = basis.sectors[2]
-    build = fock.tj_hamiltonian
+    sector, find = basis.sectors[2], fock.FockBasis._find
 
-    def nudged(size):
-        # one entry into the sector's first state, without its mirror
-        def ham(b, j):
-            h = build(b, j)
-            return fock.CooMatrix(np.append(h.row, sector.start + 4),
-                                  np.append(h.col, sector.start),
-                                  np.append(h.data, size), h.shape)
-        return ham
+    def astray(self, masks):
+        # the first hop into sector 2 lands on the next state of the sector,
+        # which does not hop back to its source
+        found = find(self, masks)
+        into = np.flatnonzero((sector.start <= found) & (found < sector.stop))
+        if into.size:
+            found[into[0]] = sector.start + (found[into[0]] + 1 - sector.start) % (
+                sector.stop - sector.start)
+        return found
 
-    monkeypatch.setattr(fock, "tj_hamiltonian", nudged(1e-14))
-    ExactEvolver(basis)
-    monkeypatch.setattr(fock, "tj_hamiltonian", nudged(1e-9))
-    with pytest.raises(RuntimeError, match=r"sector 2 of the t-J Hamiltonian is not Hermitian "
-                                           r"\(max \|H - H\^dag\| = 1\.000e-09 > 1e-12\)$"):
+    monkeypatch.setattr(fock.FockBasis, "_find", astray)
+    with pytest.raises(RuntimeError, match=r"sector 2 of the t-J Hamiltonian is not Hermitian: "
+                                           r"a hop along bond \(1, 2\) does not hop back with "
+                                           r"its sign$"):
         ExactEvolver(basis)
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match=rf"j_coupling must be finite, got {bad}$"):
