@@ -22,7 +22,11 @@ how many pairs the change won on each metric (ties count for neither side;
 the direction comes from ``BENCHMARK.json``), and the pair count.  For each
 end-to-end metric it also records ``bound`` from ``BENCHMARK.json`` and
 ``within_bound``: whether the change's median is worse than the base median,
-in the metric's worse direction, by at most bound x |base median|.  For
+in the metric's worse direction, by at most bound x |base median|; and
+``unresolved``: whether the base's interquartile range q3 - q1 is wider
+than bound x |base median| while some change run fails to beat some base
+run.  Such a metric is neither within nor outside its bound: its runs
+spread too widely to tell (``None`` for per-layer metrics).  For
 every metric ``gain_shown`` says whether the change shows a gain: it wins
 at least 9 of every 10 pairs, and its median beats the base median, in the
 better direction, by more than the base's interquartile range q3 - q1.
@@ -113,6 +117,8 @@ def compare(runs: dict[str, list[dict]], declared: dict[str, dict]) -> dict:
         # how much worse the change's median is, in the metric's worse direction
         worse_by = sign * (sides[0]["median"] - sides[1]["median"])
         wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
+        spread = sides[0]["q3"] - sides[0]["q1"]
+        beats_all = all(sign * (c - b) > 0 for b in base for c in change)
         metrics[name] = {
             "unit": meta["unit"],
             "better": spec.get("better"),
@@ -123,8 +129,9 @@ def compare(runs: dict[str, list[dict]], declared: dict[str, dict]) -> dict:
             "bound": bound,
             "within_bound": (None if bound is None
                              else worse_by <= bound * abs(sides[0]["median"])),
-            "gain_shown": (10 * wins >= 9 * len(base)
-                           and -worse_by > sides[0]["q3"] - sides[0]["q1"]),
+            "unresolved": (None if bound is None
+                           else spread > bound * abs(sides[0]["median"]) and not beats_all),
+            "gain_shown": 10 * wins >= 9 * len(base) and -worse_by > spread,
         }
     return metrics
 

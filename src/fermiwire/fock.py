@@ -9,10 +9,10 @@ m_max set bits, ordered by particle number and then lexicographically on
 fixes the fermionic sign of a_j to (-1)^(number of occupied sites left of j).
 
 No operator is stored as a matrix.  ``FockBasis.ladder`` holds one table
-per site, built from the masks, so a mode's a and a^dag (``ModeOperator``)
-are one gather and one scatter-add per site on the whole vector.  The one
-Hamiltonian is the ring t-J form, hopping plus J sum_j n_j n_{j+1};
-``ExactEvolver`` builds its rows per bond from the masks and J.
+per mask bit, so a mode's a and a^dag (``ModeOperator``) are one gather
+and one scatter-add per site on the whole vector.  The one Hamiltonian is
+the ring t-J form, hopping plus J sum_j n_j n_{j+1}; ``ExactEvolver``
+builds its rows per bond from the masks and J.
 
 Ancilla registers are bits of the same masks: above the N site bits sit
 n_a sender and then n_b receiver register bits (``FockBasis.register_bit``),
@@ -25,12 +25,13 @@ The swap between a register and a lattice mode g is the five-term form
 
     U = I - s+ s- g g^dag - s- s+ g^dag g + s+ g + s- g^dag,
 
-a few gathers of the whole vector (``ModeOperator.swap``).  U is
-Hermitian, so it is unitary on the excitation-conserving sector exactly
-when U^2 = 1 there: when {g, g^dag} = 1 below the top excitation and
-(g^dag)^2 = 0.  The signs behind both are checked once per basis
-(``FockBasis.ladder_defect``), the norm of g per encoder; the tests keep
-the equivalent two-exponential product as a reference.
+a few gathers of the whole vector (``ModeOperator.swap``) along the
+ladder rungs of the register and of g's sites.  U is Hermitian, so it is
+unitary on the excitation-conserving sector exactly when U^2 = 1 there:
+when {g, g^dag} = 1 below the top excitation, (g^dag)^2 = 0 and
+s+ s- + s- s+ = 1.  Every rung, site or register, is checked once per
+basis (``FockBasis.ladder_defect``), the norm of g per encoder; the tests
+keep the equivalent two-exponential product as a reference.
 
 The protocol needs no evolution.  On the free wire a mode moves linearly,
 e^{-iHt} a^dag(f) e^{iHt} = a^dag(U_t f), so a swap with mode f at time
@@ -138,23 +139,24 @@ class FockBasis:
         return found
 
     @cached_property
-    def ladder(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-        """ladder[j] = (on, off, sign) for site j+1, built from the masks.
+    def ladder(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray | None], ...]:
+        """ladder[b] = (on, off, sign) for mask bit b, built from the masks:
+        site b+1 below n_sites, a register bit (``register_bit``) above.
 
-        on lists the states with the site occupied, ascending, as int32;
-        off[i] is state on[i] with the site emptied, and the int8 sign that
-        of a_site between them.  a_site maps x[on] to off, a_site^dag x[off]
-        to on.
+        on lists the states with the bit set, ascending, as int32; off[i]
+        is state on[i] with the bit cleared.  A site rung's int8 sign is that
+        of a_site between them (a_site maps x[on] to off, a_site^dag x[off]
+        to on); a register carries no string, so its sign is None.
         """
         masks, one = self.masks, np.uint64(1)
         odd = np.zeros(len(masks), dtype=bool)  # parity of the occupied sites below j
         rungs = []
-        for j in range(self.n_sites):
+        for j in range(self.n_sites + self.n_a + self.n_b):
             occupied = (masks >> np.uint64(j)) & one == one
             on = np.flatnonzero(occupied)
             off = self._find(masks[on] ^ (one << np.uint64(j)))
-            rungs.append((on.astype(np.int32), off.astype(np.int32),
-                          np.where(odd[on], np.int8(-1), np.int8(1))))
+            sign = np.where(odd[on], np.int8(-1), np.int8(1)) if j < self.n_sites else None
+            rungs.append((on.astype(np.int32), off.astype(np.int32), sign))
             odd ^= occupied
         return tuple(rungs)
 
@@ -162,34 +164,24 @@ class FockBasis:
     def ladder_defect(self) -> int:
         """Count of ladder entries and rungs that break the Jordan-Wigner rule.
 
-        An entry empties a site occupied in its source, with sign
+        An entry clears a bit set in its source, on a site rung with sign
         (-1)^(occupied sites below it); a rung's sources ascend strictly and
-        are as many as the states with the site occupied, so it lists them
-        all.  Zero makes each a_j the exact Jordan-Wigner operator, entry by
-        entry, so every mode sum_j conj(c_j) a_j has {a, a^dag} = |c|^2 below
-        the top excitation and (a^dag)^2 = 0.
+        are as many as the states with the bit set, so it lists them all.
+        Zero makes each a_j the exact Jordan-Wigner operator and each
+        register's s- the exact bit flip, entry by entry, so every mode
+        sum_j conj(c_j) a_j has {a, a^dag} = |c|^2 below the top excitation
+        and (a^dag)^2 = 0.
         """
         masks, bad, one = self.masks, 0, np.uint64(1)
         for j, (on, off, sign) in enumerate(self.ladder):
             source, bit = masks[on], one << np.uint64(j)
-            odd = np.bitwise_count(source & (bit - one)) & 1
-            ok = ((masks[off] == source ^ bit) & ((source & bit) != 0)
-                  & (sign == np.where(odd, -1, 1)))
+            ok = (masks[off] == source ^ bit) & ((source & bit) != 0)
+            if sign is not None:
+                odd = np.bitwise_count(source & (bit - one)) & 1
+                ok &= sign == np.where(odd, -1, 1)
             bad += (np.count_nonzero(~ok) + np.count_nonzero(np.diff(on) <= 0)
                     + abs(len(on) - np.count_nonzero(masks & bit)))
         return int(bad)
-
-    @cached_property
-    def register_pairs(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """register_pairs[q] = (raised, lowered) for register bit n_sites + q:
-        the int32 states with the bit set and the same states with it clear."""
-        masks, pairs = self.masks, []
-        for q in range(self.n_sites, self.n_sites + self.n_a + self.n_b):
-            bit = np.uint64(1) << np.uint64(q)
-            raised = np.flatnonzero(masks & bit)
-            pairs.append((raised.astype(np.int32),
-                          self._find(masks[raised] ^ bit).astype(np.int32)))
-        return tuple(pairs)
 
 
 def fock_basis(n_sites: int, max_particles: int, n_a: int = 0, n_b: int = 0) -> FockBasis:
@@ -289,10 +281,9 @@ class ModeOperator:
         using g g^dag = 1 - g^dag g on x1: g^dag acts only after s- or g,
         so no intermediate holds more than the excitation of x.
         """
-        q = bit - self.basis.n_sites
-        if not 0 <= q < len(self.basis.register_pairs):
+        if not self.basis.n_sites <= bit < len(self.basis.ladder):
             raise ValueError(f"bit {bit} is not a register bit of the basis")
-        raised, lowered = self.basis.register_pairs[q]
+        raised, lowered, _ = self.basis.ladder[bit]
         w = self.annihilate(x)  # g x0 on lowered states, g x1 on raised ones
         # t = g x1 - g x0 + s- x1, so that y = x0 + g^dag t + s+ g x0
         t = -w
@@ -434,8 +425,8 @@ def build_encoder(g_coeffs: np.ndarray, basis: FockBasis) -> ModeOperator:
     """Mode operator of g, whose ``swap`` is the register/mode swap unitary.
 
     The swap maps |1>|vac> to |0> g^dag |vac> and leaves |0>|vac> alone.
-    Its unitarity on the excitation-conserving reachable sector (ladder
-    signs and the norm of g) is verified at build time.  The receiver's
+    Its unitarity on the excitation-conserving reachable sector (every
+    ladder rung and the norm of g) is verified at build time.  The receiver's
     decoder is the same swap on its mode h.  (n, K) coefficients are K
     modes, one per amplitude column, each checked alone.
     """

@@ -337,7 +337,7 @@ def _oracle_plan(params):
     # regions of ceil(2 N^(1/3)) sites, ceil(N^(1/3)) below N = 12: the
     # budget packet's support does not fit on an exact-diagonalization ring
     width = ceil((2.0 if n >= 12 else 1.0) * n ** (1.0 / 3.0) - 1e-9)
-    plan = plan_protocol(n, m, _budget(params), params["epsilon"], wait=1.0, width=width)
+    plan = plan_protocol(n, m, _budget(params), wait=1.0, width=width)
     # sequential operation: at exact-diagonalization scale the wire holds
     # one signal at a time, so later signals do not sit under a decode
     return replace(plan, wait=params.get("t", plan.decode_time + 1.0))
@@ -462,7 +462,7 @@ EXPERIMENTS = {
         "RateFit", {"n_min", "n_max", "M"}, _PLAN_KEYS, _run_ratefit, True
     ),
     "oracle-protocol": Experiment(
-        "OracleProtocol", {"N", "M"}, _PLAN_KEYS | {"t"}, _run_oracleprotocol, False
+        "OracleProtocol", {"N", "M"}, _BUDGET_KEYS | {"t"}, _run_oracleprotocol, False
     ),
     "oracle-bounds": Experiment("OracleBounds", {"N", "M"}, set(), _run_oraclebounds, False),
     "tj-check": Experiment("TJCheck", {"N", "J"}, {"s"}, _run_tjcheck, False),

@@ -82,7 +82,6 @@ class ErrorBudgetReport:
 class ScalingFit:
     """Log-log least-squares fit of minimal wait times against N."""
 
-    samples: tuple[tuple[int, float], ...]
     exponent: float
     intercept: float
     r_squared: float
@@ -102,7 +101,7 @@ def plan_protocol(
     n: int,
     m: int,
     budget: PacketBudget,
-    epsilon: float,
+    epsilon: float | None = None,
     wait: float | None = None,
     width: int | None = None,
 ) -> ProtocolPlan:
@@ -121,11 +120,11 @@ def plan_protocol(
     offset over |v(k0)| rather than the bare half-ring figure, since the
     finite region widths shift the arrival.  The wait defaults to the t*
     of ``min_wait_time(n, m, budget, epsilon/3)``, searched for the budget
-    packet and needing N divisible by 4.  With an explicit wait and width
-    any N >= 4 whose regions fit is planned.
+    packet and needing N divisible by 4; epsilon is read only then.  With
+    an explicit wait and width any N >= 4 whose regions fit is planned.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    if wait is None and (epsilon is None or not 0.0 < epsilon < 1.0):
+        raise ValueError(f"without a wait, epsilon must lie in (0, 1), got {epsilon}")
     if width is None:
         packet = sigma_for_budget(n, budget)
         region_a = packet.region
@@ -324,7 +323,6 @@ def fit_rate_scaling(samples: list[tuple[int, float]]) -> ScalingFit:
         raise ValueError("samples must be positive and finite")
     slope, intercept, r2 = line_fit(np.log(ns), np.log(ts))
     return ScalingFit(
-        samples=tuple((int(a), float(b)) for a, b in samples),
         exponent=slope,
         intercept=intercept,
         r_squared=r2,

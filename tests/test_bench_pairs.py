@@ -129,3 +129,27 @@ def test_report_says_whether_a_gain_is_shown():
     # nor does a gap in the worse direction; a higher-better metric flips it
     assert shown([b + 0.005 for b in base]) is False
     assert shown([b + 0.005 for b in base], "ok_frac") is True
+
+
+def test_report_says_whether_a_metric_is_unresolved():
+    declared = {m["name"]: m
+                for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    # base q3 - q1 is 0.04, wider than 0.25 x the base median of 0.10
+    wide = [0.06, 0.08, 0.10, 0.12, 0.14]
+
+    def report(base, change, name="exp_s.p50"):
+        return bench_pairs.compare(_fake_runs(name, base, change), declared)[name]
+
+    same = report(wide, wide)
+    assert same["within_bound"] is True and same["unresolved"] is True
+    # a change that beats every base run in every run is resolved, in
+    # either direction of better
+    assert report(wide, [0.05] * 5)["unresolved"] is False
+    assert report(wide, [0.05] * 4 + [0.06])["unresolved"] is True
+    assert report([1.0 - x for x in wide], [0.95] * 5, "ok_frac")["unresolved"] is False
+    # a spread inside the bound is resolved, whatever the change does
+    narrow = [0.099, 0.100, 0.100, 0.100, 0.101]
+    assert report(narrow, narrow)["unresolved"] is False
+    assert report(narrow, wide)["unresolved"] is False
+    # a per-layer metric has no bound to judge against
+    assert report(wide, wide, "fock.dim")["unresolved"] is None

@@ -223,16 +223,30 @@ def _loop_ladder(basis):
     return ladder
 
 
+def _loop_register_rungs(basis):
+    # independent reference: per register bit, the states with the bit set,
+    # ascending, and the same states with it cleared; no sign
+    index, rungs = basis_index(basis), []
+    masks = basis.masks.tolist()
+    for b in range(basis.n_sites, basis.n_sites + basis.n_a + basis.n_b):
+        raised = [i for i, s in enumerate(masks) if s >> b & 1]
+        lowered = [index[masks[i] ^ (1 << b)] for i in raised]
+        rungs.append((np.array(raised, dtype=np.int32), np.array(lowered, dtype=np.int32), None))
+    return rungs
+
+
 @pytest.mark.parametrize("n, m_max", [(6, 3), (8, 8)])
 def test_ladder_matches_loop_reference_bytes(n, m_max):
-    # with and without register bits above the sites
+    # with and without register bits above the sites: one rung per mask bit
     for basis in (fock_basis(n, m_max), fock_basis(n, m_max, 2, 1)):
-        want = _loop_ladder(basis)
-        assert len(basis.ladder) == len(want) == n
+        want = _loop_ladder(basis) + _loop_register_rungs(basis)
+        assert len(basis.ladder) == len(want) == n + basis.n_a + basis.n_b
         for got, ref in zip(basis.ladder, want, strict=True):
+            assert (got[2] is None) == (ref[2] is None)
             for g, w in zip(got, ref, strict=True):
-                assert g.dtype == w.dtype and g.shape == w.shape
-                assert g.tobytes() == w.tobytes()
+                if w is not None:
+                    assert g.dtype == w.dtype and g.shape == w.shape
+                    assert g.tobytes() == w.tobytes()
         assert basis.ladder_defect == 0
 
 
@@ -255,20 +269,20 @@ def test_annihilation_table_memory():
 
 
 def test_ladder_memory():
-    # the ladder and the register pairs of an excitation basis keep 9 B per
-    # (state, occupied site) and 8 B per (state, raised register), and build
-    # them with a few per-state temporaries at a time
+    # the ladder of an excitation basis keeps 9 B per (state, occupied site)
+    # and 8 B per (state, raised register), with no sign on a register
+    # rung, and builds them with a few per-state temporaries at a time
     basis = fock_basis(10, 5, 3, 3)
     basis._sorted
     counts = (basis.masks[:, None] >> np.arange(16, dtype=np.uint64)) & np.uint64(1)
     sites, registers = int(counts[:, :10].sum()), int(counts[:, 10:].sum())
     tracemalloc.start()
     try:
-        tables = basis.ladder, basis.register_pairs
+        ladder = basis.ladder
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(tables[0]) == 10 and len(tables[1]) == 6
+    assert len(ladder) == 16 and all(sign is None for _, _, sign in ladder[10:])
     assert kept <= 9 * sites + 8 * registers + 2**14
     assert peak <= kept + 3 * 8 * len(basis)
 
@@ -496,23 +510,28 @@ def test_ladder_certificate_agrees_with_the_operational_check(n):
     assert operational_ladder_defect(basis) <= 1e-12
 
 
-@pytest.mark.parametrize("part", ["sign", "target", "missing"])
-@pytest.mark.parametrize("rung", [0, 1])
-def test_one_corrupted_ladder_entry_fails_the_unitarity_check(part, rung):
-    # rung j is the table of site j + 1 on a basis with two registers
+@pytest.mark.parametrize("rung, part", [
+    *((rung, part) for rung in (0, 1) for part in ("sign", "target", "missing")),
+    *((rung, part) for rung in (6, 7) for part in ("target", "missing")),
+])
+def test_one_corrupted_ladder_entry_fails_the_unitarity_check(rung, part):
+    # rungs 0 and 1 are the tables of sites 1 and 2, rungs 6 and 7 those of
+    # the A and B registers, which carry no sign to corrupt
     basis = fock_basis(6, 3, 1, 1)
+    assert (basis.register_bit("A", 1), basis.register_bit("B", 1)) == (6, 7)
     g = random_mode(6, np.random.default_rng(6))
     build_encoder(g, basis)
-    ladder = [[a.copy() for a in r] for r in basis.ladder]
-    on, off, sign = ladder[rung]
+    ladder = list(basis.ladder)
+    on, off, sign = (a if a is None else a.copy() for a in ladder[rung])
     if part == "sign":
         sign[0] *= -1
     elif part == "target":
         off[0] = (off[0] + 1) % len(basis)
     else:
-        ladder[rung] = [a[1:] for a in ladder[rung]]
+        on, off, sign = (a if a is None else a[1:] for a in (on, off, sign))
+    ladder[rung] = on, off, sign
     bad = dataclasses.replace(basis)
-    bad.__dict__["ladder"] = tuple(tuple(r) for r in ladder)
+    bad.__dict__["ladder"] = tuple(ladder)
     assert bad.ladder_defect == 1
     with pytest.raises(RuntimeError, match=r"not unitary on the reachable sector \(1 ladder"):
         build_encoder(g, bad)
@@ -1091,8 +1110,10 @@ def test_encoding_sequence_and_evolver_reject_bad_inputs():
     with pytest.raises(ValueError, match=r"truncated at 2 particles cannot carry 3 signals$"):
         run_encoding_sequence(pairs, [g0] * 3, fock_basis(10, 2, 3))
     single = FockVector(np.eye(len(basis))[3], basis)
-    with pytest.raises(ValueError, match=r"bit 9 is not a register bit of the basis$"):
-        ModeOperator(g0, basis).swap(single.amplitudes, 9)
+    # a site bit, a bit past the top rung and a negative one
+    for bit in (9, 10, -1):
+        with pytest.raises(ValueError, match=rf"bit {bit} is not a register bit of the basis$"):
+            ModeOperator(g0, basis).swap(single.amplitudes, bit)
     # axis 0 is the basis: no leading axis, no other length
     for bad in (single.amplitudes[None], single.amplitudes[:-1]):
         with pytest.raises(ValueError, match=rf"amplitudes of shape \({bad.shape[0]}, ?\d*\) do "

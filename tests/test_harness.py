@@ -771,7 +771,8 @@ READS = {
     "error-budget": {"c", "kappa", "epsilon"},
     "min-wait-sweep": {"c", "kappa", "epsilon"},
     "rate-fit": {"c", "kappa", "epsilon"},
-    "oracle-protocol": {"c", "kappa", "epsilon", "t"},
+    # the oracle plans with an explicit wait, so no epsilon
+    "oracle-protocol": {"c", "kappa", "t"},
     "oracle-bounds": set(),
     "tj-check": {"s"},
 }

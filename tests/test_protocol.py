@@ -96,6 +96,17 @@ def test_plan_default_wait_needs_n_divisible_by_four():
         plan_protocol(10, 2, BUDGET, 0.01, wait=1.0)
 
 
+def test_plan_default_wait_needs_epsilon():
+    # epsilon sets only the default wait: refused without one, before the
+    # regions are checked, and unread beside an explicit wait
+    with pytest.raises(ValueError, match=r"without a wait, epsilon must lie in \(0, 1\), got None"):
+        plan_protocol(64, 2, BUDGET)
+    with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1\), got 1.5"):
+        plan_protocol(1024, 2, BUDGET, 1.5)
+    assert plan_protocol(16, 1, BUDGET, wait=1.0, width=3) == plan_protocol(
+        16, 1, BUDGET, 0.01, wait=1.0, width=3)
+
+
 def test_ring_paths_build_no_dense_matrix():
     # packet, evolution, wait search and budget in O(N) memory: about 6.5 MB
     # at N = 65536, where one N x N float64 array would take 32 GB
